@@ -2,16 +2,22 @@
 
 Polynomials are lists of Python ints in ascending degree order, so
 coeffs[i] multiplies x**i and the leading coefficient of a monic
-polynomial is the final 1.  Everything here is exact: the reduction to
-Hessenberg form runs over rationals and the final coefficients are
-asserted to be integers.
+polynomial is the final 1.  Everything here is exact.  The
+characteristic polynomial is computed multimodularly: a Hessenberg
+reduction and leading-minor recurrence in int64 modulo word-size primes,
+combined by the Chinese remainder theorem until the modulus exceeds a
+proven bound on the coefficients, derived from the row-sum bound on the
+eigenvalues.  No floating point enters.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
+import math
 
 import numpy as np
+
+from .rings import is_prime
 
 
 def support_components(values) -> list[list[int]]:
@@ -47,71 +53,91 @@ def gershgorin_bound(block: list[list[int]]) -> int:
     return max(sum(abs(v) for v in row) for row in block)
 
 
-def _hessenberg(m: list[list[Fraction]]) -> None:
-    """In-place similarity reduction to upper Hessenberg form."""
-    n = len(m)
+def prime_bits(n: int) -> int:
+    """Bit size of the primes used for an n x n block.
+
+    With p < 2**prime_bits(n), a dot product of n residues stays below
+    n * (p - 1)**2 < 2**63, so int64 arithmetic never overflows.
+    """
+    return (63 - n.bit_length()) // 2
+
+
+@functools.cache
+def modular_prime(bits: int, i: int) -> int:
+    """The i-th largest prime below 2**bits, counting from 0."""
+    q = 2**bits if i == 0 else modular_prime(bits, i - 1)
+    q -= 1
+    while not is_prime(q):
+        q -= 1
+    return q
+
+
+def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Characteristic polynomial of a modulo p, ascending residues in 0..p-1.
+
+    Reduces to upper Hessenberg form by similarity over F_p, pivoting on
+    the first nonzero entry below the subdiagonal, then runs the
+    leading-minor recurrence with one matrix-vector product per step.
+    """
+    n = a.shape[0]
+    h = a % p
     for c in range(n - 2):
-        pivot = None
-        for r in range(c + 1, n):
-            if m[r][c]:
-                pivot = r
-                break
-        if pivot is None:
+        nz = np.flatnonzero(h[c + 1:, c])
+        if nz.size == 0:
             continue
-        if pivot != c + 1:
-            m[c + 1], m[pivot] = m[pivot], m[c + 1]
-            for row in m:
-                row[c + 1], row[pivot] = row[pivot], row[c + 1]
-        for r in range(c + 2, n):
-            if m[r][c]:
-                f = m[r][c] / m[c + 1][c]
-                mr, mp = m[r], m[c + 1]
-                for j in range(c, n):
-                    mr[j] -= f * mp[j]
-                for i in range(n):
-                    m[i][c + 1] += f * m[i][r]
+        piv = c + 1 + int(nz[0])
+        if piv != c + 1:
+            h[[c + 1, piv]] = h[[piv, c + 1]]
+            h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
+        f = h[c + 2:, c] * pow(int(h[c + 1, c]), -1, p) % p
+        h[c + 2:, c:] = (h[c + 2:, c:] - np.outer(f, h[c + 1, c:])) % p
+        h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ f) % p
+    # polys[k] holds the characteristic polynomial of the leading k x k minor;
+    # beta[i] the product of the subdiagonal entries h[i, i-1] .. h[k-1, k-2].
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    beta = np.zeros(n + 1, dtype=np.int64)
+    for k in range(1, n + 1):
+        if k > 1:
+            beta[k - 1] = 1
+            beta[1:k] = beta[1:k] * h[k - 1, k - 2] % p
+        w = h[:k - 1, k - 1] * beta[1:k] % p
+        cur = w @ polys[:k - 1] + h[k - 1, k - 1] * polys[k - 1]
+        cur[1:] -= polys[k - 1, :-1]
+        polys[k] = -cur % p
+    return polys[n]
 
 
 def charpoly_dense(block: list[list[int]]) -> list[int]:
     """Characteristic polynomial of a small integer matrix, exactly.
 
-    Hessenberg reduction over rationals followed by the standard
-    leading-minor recurrence; coefficients come out rational and are
-    checked to be integers.
+    Multimodular: the polynomial is computed modulo word-size primes and
+    combined by the Chinese remainder theorem until the modulus M exceeds
+    2 * max_k C(n, k) * B**k, with B the row-sum eigenvalue bound.  That
+    bounds every coefficient, so the symmetric residues mod M are the
+    integer coefficients themselves.
     """
     n = len(block)
     if n == 0:
         return [1]
     if n == 1:
         return [-block[0][0], 1]
-    m = [[Fraction(v) for v in row] for row in block]
-    _hessenberg(m)
-    polys: list[list[Fraction]] = [[Fraction(1)]]
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = [Fraction(0)] * (len(prev) + 1)
-        a = m[k - 1][k - 1]
-        for idx, co in enumerate(prev):
-            cur[idx + 1] += co
-            if a:
-                cur[idx] -= a * co
-        beta = Fraction(1)
-        for i in range(k - 1, 0, -1):
-            beta *= m[i][i - 1]
-            if not beta:
-                break
-            hik = m[i - 1][k - 1]
-            if hik:
-                f = hik * beta
-                for idx, co in enumerate(polys[i - 1]):
-                    cur[idx] -= f * co
-        polys.append(cur)
-    out: list[int] = []
-    for co in polys[n]:
-        if co.denominator != 1:
-            raise ArithmeticError("characteristic polynomial coefficient is not an integer")
-        out.append(int(co))
-    return out
+    a = np.array(block, dtype=np.int64)
+    b = gershgorin_bound(block)
+    limit = 2 * max(math.comb(n, k) * b**k for k in range(n + 1))
+    bits = prime_bits(n)
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    i = 0
+    while modulus <= limit:
+        p = modular_prime(bits, i)
+        inv = pow(modulus % p, -1, p)
+        for j, r in enumerate(_charpoly_mod(a, p).tolist()):
+            coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
+        modulus *= p
+        i += 1
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in coeffs]
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -121,6 +147,15 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def check_charpoly(poly: list[int], n: int, trace: int) -> None:
+    """Shape and trace checks on the characteristic polynomial of an n x n
+    matrix: monic of degree n, with coefficient n-1 equal to -trace."""
+    if len(poly) != n + 1 or poly[-1] != 1:
+        raise ArithmeticError("characteristic polynomial has the wrong shape")
+    if n >= 1 and poly[n - 1] != -trace:
+        raise ArithmeticError("characteristic polynomial fails the trace check")
 
 
 def char_polynomial(values) -> list[int]:
@@ -140,11 +175,7 @@ def char_polynomial(values) -> list[int]:
         if key not in cache:
             cache[key] = charpoly_dense(block)
         poly = poly_mul(poly, cache[key])
-    if len(poly) != n + 1 or poly[-1] != 1:
-        raise ArithmeticError("characteristic polynomial has the wrong shape")
-    trace = sum(int(rows[i][i]) for i in range(n))
-    if n >= 1 and poly[n - 1] != -trace:
-        raise ArithmeticError("characteristic polynomial fails the trace check")
+    check_charpoly(poly, n, sum(int(rows[i][i]) for i in range(n)))
     return poly
 
 

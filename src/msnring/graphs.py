@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ENV_UNIVERSE_CAP, universe_cap
 from .rings import FiniteRing
 
 
@@ -261,12 +262,26 @@ def to_edge_list_text(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_vertex_count(n: int) -> None:
+    """Reject a header vertex count before anything is allocated for it.
+
+    A commuting graph has fewer vertices than its ring has elements, so
+    the ring-size cap bounds every graph this package produces.
+    """
+    cap = universe_cap()
+    if not 0 <= n <= cap:
+        raise GraphFormatError(
+            f"vertex count {n} outside 0..{cap} (raise {ENV_UNIVERSE_CAP} to allow more)"
+        )
+
+
 def parse_edge_list_text(text: str) -> SimpleGraph:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise GraphFormatError("edge list must start with a line: n m")
     try:
         n, m = int(rows[0][0]), int(rows[0][1])
+        _check_vertex_count(n)
         edges = [(int(a), int(b)) for a, b in rows[1:]]
     except ValueError as exc:
         raise GraphFormatError(f"malformed edge list: {exc}") from None
@@ -293,13 +308,17 @@ def parse_graph_json(text: str) -> SimpleGraph:
         raise GraphFormatError(f"invalid graph JSON: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphFormatError("graph JSON must contain n and edges fields")
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise GraphFormatError(f"graph JSON n must be an integer, got {n!r}")
+    _check_vertex_count(n)
     edges = [(int(u), int(v)) for u, v in data["edges"]]
     for u, v in edges:
         if not u < v:
             raise GraphFormatError(f"edges must satisfy u < v, got ({u}, {v})")
     if len(set(edges)) != len(edges):
         raise GraphFormatError("duplicate edges in graph JSON")
-    return SimpleGraph.from_edges(int(data["n"]), edges)
+    return SimpleGraph.from_edges(n, edges)
 
 
 def load_graph(path: str | Path) -> SimpleGraph:

@@ -206,9 +206,15 @@ def ring_from_table(
         raise DimensionMismatch(f"moduli must be positive, got {list(moduli)}")
     n = math.prod(moduli)
     _check_universe(n, "table ring")
-    arr = np.asarray(table, dtype=np.int64)
+    arr = np.asarray(table)
     if arr.shape != (n, n):
         raise DimensionMismatch(f"table shape {arr.shape} does not match order {n}")
+    # Booleans are ints to Python, and numpy folds a mixed list into int64.
+    if arr.dtype.kind not in "iu" or (
+        not isinstance(table, np.ndarray)
+        and any(isinstance(v, (bool, np.bool_)) for row in table for v in row)
+    ):
+        raise DimensionMismatch("table entries must be integers, not floats or booleans")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise DimensionMismatch("table entries must be element indices in 0..order-1")
     arr = arr.astype(np.int32)

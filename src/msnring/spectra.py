@@ -1,11 +1,13 @@
 """Neighborhood matrices and their exact or numeric spectra.
 
-The exact path computes the characteristic polynomial in arbitrary
-precision arithmetic and extracts integer eigenvalues; it either proves
-the spectrum integral or reports the integer part found.  The numeric
-path is a symmetric eigensolve whose output is clustered into
-multiplicities.  The two never share intermediate results, so each can
-serve as a check on the other.
+The exact path computes the characteristic polynomial of each distinct
+support block multimodularly (int64 arithmetic modulo word-size primes,
+combined by the Chinese remainder theorem up to a proven coefficient
+bound) and extracts integer eigenvalues; it either proves the spectrum
+integral or reports the integer part found.  The numeric path is a
+symmetric eigensolve whose output is clustered into multiplicities.  The
+two never share intermediate results, so each can serve as a check on
+the other.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charpoly import (
-    char_polynomial,
     charpoly_dense,
+    check_charpoly,
     gershgorin_bound,
     integer_roots,
     support_components,
@@ -142,11 +144,11 @@ def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
 def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
     """Integer eigenvalues by exact computation.
 
-    The characteristic polynomial is computed blockwise in exact
-    arithmetic; integer roots are read off the divisors of each trailing
-    nonzero coefficient within the row-sum eigenvalue bound.  If the
-    polynomial splits completely the full spectrum is returned, else the
-    integer part found so far.
+    The characteristic polynomial is computed exactly for each distinct
+    support block and checked for shape and trace; integer roots are read
+    off the divisors of each trailing nonzero coefficient within the
+    row-sum eigenvalue bound.  If the polynomial splits completely the
+    full spectrum is returned, else the integer part found so far.
     """
     cap = exact_cap()
     if m.n > cap:
@@ -160,12 +162,12 @@ def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
         key = tuple(tuple(r) for r in block)
         if key not in cache:
             poly = charpoly_dense(block)
+            check_charpoly(poly, len(block), sum(block[i][i] for i in range(len(block))))
             cache[key] = integer_roots(poly, gershgorin_bound(block))
         found, left = cache[key]
         for value, mult in found:
             roots[value] += mult
         residual += left
-    char_polynomial(m.values)
     if residual:
         return NotFullyIntegral(tuple(sorted(roots.items())), residual)
     return SpectrumMultiset(True, tuple(sorted(roots.items())))

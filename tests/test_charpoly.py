@@ -1,4 +1,7 @@
-"""Exact characteristic polynomials against numpy and hand-built factors."""
+"""Exact characteristic polynomials against a rational oracle, numpy and
+hand-built factors."""
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,9 +13,52 @@ from msnring.charpoly import (
     divide_linear,
     gershgorin_bound,
     integer_roots,
+    modular_prime,
     poly_mul,
+    prime_bits,
     support_components,
 )
+
+
+def fraction_charpoly(block):
+    """Reference characteristic polynomial over the rationals.
+
+    Hessenberg reduction by Fraction similarity transforms, then the
+    leading-minor recurrence; slow, but independent of any modulus.
+    """
+    n = len(block)
+    m = [[Fraction(v) for v in row] for row in block]
+    for c in range(n - 2):
+        pivot = next((r for r in range(c + 1, n) if m[r][c]), None)
+        if pivot is None:
+            continue
+        if pivot != c + 1:
+            m[c + 1], m[pivot] = m[pivot], m[c + 1]
+            for row in m:
+                row[c + 1], row[pivot] = row[pivot], row[c + 1]
+        for r in range(c + 2, n):
+            if m[r][c]:
+                f = m[r][c] / m[c + 1][c]
+                for j in range(c, n):
+                    m[r][j] -= f * m[c + 1][j]
+                for i in range(n):
+                    m[i][c + 1] += f * m[i][r]
+    polys = [[Fraction(1)]]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        a = m[k - 1][k - 1]
+        cur = [Fraction(0)] + prev
+        for idx, co in enumerate(prev):
+            cur[idx] -= a * co
+        beta = Fraction(1)
+        for i in range(k - 1, 0, -1):
+            beta *= m[i][i - 1]
+            f = m[i - 1][k - 1] * beta
+            for idx, co in enumerate(polys[i - 1]):
+                cur[idx] -= f * co
+        polys.append(cur)
+    assert all(co.denominator == 1 for co in polys[n])
+    return [int(co) for co in polys[n]]
 
 
 def random_sym(rng, n, low=-3, high=3):
@@ -50,6 +96,39 @@ def test_charpoly_dense_vs_numpy_random():
         n = int(rng.integers(1, 7))
         block = random_sym(rng, n)
         assert charpoly_dense(block) == numpy_charpoly(block)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 16),
+       st.sampled_from(["wide", "zero", "prime_multiples"]))
+def test_charpoly_dense_matches_fraction_oracle(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        block = np.zeros((n, n), dtype=np.int64)
+    elif kind == "wide":
+        # entries near 1e4 need several primes; the diagonal is nonzero
+        block = rng.integers(-10**4, 10**4 + 1, size=(n, n))
+        block[rng.random((n, n)) < 0.3] = 0
+        np.fill_diagonal(block, rng.choice([-1, 1], n) * rng.integers(1, 10**4 + 1, n))
+    else:
+        # multiples of the first prime vanish mod that prime but not over Q,
+        # so its reduction meets zero pivots and has to swap rows
+        p = modular_prime(prime_bits(n), 0)
+        block = rng.integers(-3, 4, size=(n, n))
+        block[rng.random((n, n)) < 0.6] *= p
+    block = block.tolist()
+    assert charpoly_dense(block) == fraction_charpoly(block)
+
+
+def test_prime_size_keeps_int64_products_exact():
+    # checked on the primes alone: no 4096-dimension polynomial is computed
+    for n in (2, 3, 16, 255, 256, 257, 4096):
+        bits = prime_bits(n)
+        primes = [modular_prime(bits, i) for i in range(3)]
+        assert primes == sorted(set(primes), reverse=True)
+        assert 2 ** (bits - 1) < primes[-1] and primes[0] < 2**bits
+        assert n * (primes[0] - 1) ** 2 < 2**63
+    assert prime_bits(4096) == 25
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,11 +1,14 @@
 """Command line behavior: outputs, files, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import msnring
 from msnring.cli import main
 
 
@@ -253,6 +256,25 @@ def test_missing_graph_file_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("table", [[[0, 0], [0, 1.7]], [[False, False], [False, True]]])
+def test_non_integer_ring_file_exits_two(tmp_path, capsys, table):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"name": "bad", "moduli": [2], "table": table}))
+    code, out, err = run(capsys, "ring-info", "--spec", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert "integers" in err
+
+
+def test_oversized_graph_header_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MSNRING_UNIVERSE_CAP", "10")
+    path = tmp_path / "big.txt"
+    path.write_text("11 0\n")
+    code, _, err = run(capsys, "spectrum", "--matrix", "msn", "--graph", str(path))
+    assert code == 2
+    assert "vertex count 11" in err
+
+
 def test_argparse_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--matrix", "msn"])  # no graph source
@@ -273,8 +295,12 @@ def test_bad_sweep_range_exits_two(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same msnring as this process, installed or not
+    src = str(Path(msnring.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "msnring.cli", "ring-info", "--spec", "zn:n=4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "order: 4" in proc.stdout

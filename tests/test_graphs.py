@@ -210,6 +210,21 @@ def test_edge_list_rejects_malformed():
         parse_edge_list_text("3 2\n0 1\n0 1\n")  # duplicate
 
 
+def test_graph_files_capped_before_allocation(monkeypatch):
+    monkeypatch.setenv("MSNRING_UNIVERSE_CAP", "10")
+    assert parse_edge_list_text("10 1\n0 9\n").n == 10
+    assert parse_graph_json('{"n": 10, "edges": []}').n == 10
+    # headers far beyond the cap fail before an n x n array could be made
+    for n in (11, -1, 10**12):
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            parse_edge_list_text(f"{n} 0\n")
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            parse_graph_json(f'{{"n": {n}, "edges": []}}')
+    for bad in ('"10"', "10.0", "true", "null"):
+        with pytest.raises(GraphFormatError, match="integer"):
+            parse_graph_json(f'{{"n": {bad}, "edges": []}}')
+
+
 def test_graph_json_round_trip(tmp_path):
     g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
     back = parse_graph_json(to_graph_json(g))

@@ -293,6 +293,16 @@ def test_ring_from_table_shape_errors():
         ring_from_table((600,), np.zeros((600, 600), dtype=int), validation_cap=512)
 
 
+def test_ring_from_table_rejects_non_integer_entries():
+    # each of these used to load silently as [[0, 0], [0, 1]]
+    for table in ([[0, 0], [0, 1.7]], [[0, 0], [0, 1.0]],
+                  [[False, False], [False, True]], [[0, 0], [0, True]],
+                  np.array([[0.0, 0.0], [0.0, 1.0]])):
+        with pytest.raises(DimensionMismatch, match="integers"):
+            ring_from_table((2,), table)
+    assert ring_from_table((2,), [[0, 0], [0, 1]]).table.tolist() == [[0, 0], [0, 1]]
+
+
 def test_save_load_round_trip(tmp_path):
     ring = upper_triangular_ring(2)
     path = tmp_path / "ut2.json"

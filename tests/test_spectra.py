@@ -1,13 +1,14 @@
 """Neighborhood matrices, exact spectra, and the numeric cross-check."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msnring.graphs import CliqueUnion, SimpleGraph, clique_union_graph
+from msnring.graphs import CliqueUnion, SimpleGraph, clique_union_graph, connected_components
 from msnring.spectra import (
     EnergyReport,
     ExactCapExceeded,
@@ -172,6 +173,16 @@ def test_exact_and_numeric_agree(seed, n):
     g = random_graph(seed, n)
     for m in (msn_matrix(g), cn_matrix(g)):
         assert spectra_agree(exact_spectrum(m), numeric_spectrum(m))
+
+
+def test_exact_spectrum_bounded_time_on_dense_random_graph():
+    # coefficient growth in the exact path would turn this into minutes
+    g = random_graph(64, 64, p=0.5)
+    assert len(connected_components(g)) == 1
+    start = time.perf_counter()
+    for m in (msn_matrix(g), cn_matrix(g)):
+        assert spectra_agree(exact_spectrum(m), numeric_spectrum(m))
+    assert time.perf_counter() - start < 10.0
 
 
 def test_spectra_agree_rejects_mismatch():
