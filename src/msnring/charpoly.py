@@ -20,32 +20,6 @@ import numpy as np
 from .rings import is_prime
 
 
-def support_components(values) -> list[list[int]]:
-    """Connected components of the off-diagonal nonzero pattern."""
-    a = np.asarray(values)
-    n = a.shape[0]
-    mask = a != 0
-    np.fill_diagonal(mask, False)
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        comp = [seed]
-        seen[seed] = True
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(mask[u]):
-                v = int(v)
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 def gershgorin_bound(block: list[list[int]]) -> int:
     """Bound on the absolute value of any eigenvalue: max row sum."""
     if not block:
@@ -140,15 +114,6 @@ def charpoly_dense(block: list[list[int]]) -> list[int]:
     return [c - modulus if c > half else c for c in coeffs]
 
 
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def check_charpoly(poly: list[int], n: int, trace: int) -> None:
     """Shape and trace checks on the characteristic polynomial of an n x n
     matrix: monic of degree n, with coefficient n-1 equal to -trace."""
@@ -156,27 +121,6 @@ def check_charpoly(poly: list[int], n: int, trace: int) -> None:
         raise ArithmeticError("characteristic polynomial has the wrong shape")
     if n >= 1 and poly[n - 1] != -trace:
         raise ArithmeticError("characteristic polynomial fails the trace check")
-
-
-def char_polynomial(values) -> list[int]:
-    """Exact characteristic polynomial of an integer matrix.
-
-    Works per connected block of the support pattern, reusing the result
-    for repeated blocks, then multiplies the factors together.
-    """
-    a = np.asarray(values)
-    n = a.shape[0]
-    rows = a.tolist()
-    cache: dict[tuple, list[int]] = {}
-    poly = [1]
-    for comp in support_components(a):
-        block = [[int(rows[i][j]) for j in comp] for i in comp]
-        key = tuple(tuple(r) for r in block)
-        if key not in cache:
-            cache[key] = charpoly_dense(block)
-        poly = poly_mul(poly, cache[key])
-    check_charpoly(poly, n, sum(int(rows[i][i]) for i in range(n)))
-    return poly
 
 
 def divide_linear(coeffs: list[int], r: int) -> tuple[list[int], int]:

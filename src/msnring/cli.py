@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 
-from .config import ENV_EXACT_CAP, ENV_UNIVERSE_CAP, exact_cap
+from .config import ENV_EXACT_CAP, ENV_UNIVERSE_CAP
 from .graphs import (
     GraphError,
     SimpleGraph,
@@ -31,15 +31,7 @@ from .rings import (
     is_cc_ring,
     parse_ring_spec,
 )
-from .spectra import (
-    NotFullyIntegral,
-    SpectraError,
-    classify,
-    cn_matrix,
-    exact_spectrum,
-    msn_matrix,
-    numeric_spectrum,
-)
+from .spectra import SpectraError, classify, cn_matrix, matrix_spectra, msn_matrix
 from .theorems import TheoremId
 from .verification import (
     REPORT_CSV_HEADER,
@@ -50,7 +42,7 @@ from .verification import (
 )
 
 _EPILOG = (
-    f"environment: {ENV_EXACT_CAP} overrides the exact-spectrum dimension cap; "
+    f"environment: {ENV_EXACT_CAP} overrides the exact-spectrum cap on each support block; "
     f"{ENV_UNIVERSE_CAP} overrides the ring-size cap. "
     "Ring specs: nc_p2:p=P, mat2:p=P, ut2:p=P, zn:n=N, prod(SPEC,SPEC), file:PATH."
 )
@@ -96,11 +88,7 @@ def _cmd_graph_build(args) -> int:
 
 def _spectrum_of(graph: SimpleGraph, which: str):
     matrix = msn_matrix(graph) if which == "msn" else cn_matrix(graph)
-    if matrix.n <= exact_cap():
-        result = exact_spectrum(matrix)
-        if not isinstance(result, NotFullyIntegral):
-            return result
-    return numeric_spectrum(matrix)
+    return matrix_spectra(matrix).spectrum
 
 
 def _cmd_spectrum(args) -> int:

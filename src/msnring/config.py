@@ -17,5 +17,5 @@ def universe_cap() -> int:
 
 
 def exact_cap() -> int:
-    """Largest matrix dimension accepted by the exact spectrum path."""
+    """Largest support block dimension accepted by the exact spectrum path."""
     return int(os.environ.get(ENV_EXACT_CAP, DEFAULT_EXACT_CAP))

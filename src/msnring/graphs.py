@@ -190,14 +190,8 @@ def second_neighborhood(g: SimpleGraph, v: int) -> set[int]:
 
 def delta2(g: SimpleGraph, v: int) -> int:
     """Sum of degrees over the second neighborhood of v."""
-    g.check_vertex(v)
-    a = g.adjacency
-    reach = a[v].copy()
-    nbrs = np.flatnonzero(a[v])
-    if nbrs.size:
-        reach |= a[nbrs].any(axis=0)
-    reach[v] = False
-    return int(g.degrees()[reach].sum())
+    deg = g.degrees()
+    return sum(int(deg[u]) for u in second_neighborhood(g, v))
 
 
 def delta2_all(g: SimpleGraph) -> np.ndarray:
@@ -301,6 +295,11 @@ def to_graph_json(g: SimpleGraph) -> str:
     return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
 
 
+def _is_json_int(x) -> bool:
+    # JSON true and false load as Python bools, which are ints too
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph_json(text: str) -> SimpleGraph:
     try:
         data = json.loads(text)
@@ -308,14 +307,18 @@ def parse_graph_json(text: str) -> SimpleGraph:
         raise GraphFormatError(f"invalid graph JSON: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphFormatError("graph JSON must contain n and edges fields")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    n, edges = data["n"], data["edges"]
+    if not _is_json_int(n):
         raise GraphFormatError(f"graph JSON n must be an integer, got {n!r}")
     _check_vertex_count(n)
-    edges = [(int(u), int(v)) for u, v in data["edges"]]
-    for u, v in edges:
-        if not u < v:
-            raise GraphFormatError(f"edges must satisfy u < v, got ({u}, {v})")
+    if not isinstance(edges, list):
+        raise GraphFormatError(f"graph JSON edges must be a list, got {type(edges).__name__}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_json_int, e))):
+            raise GraphFormatError(f"graph JSON edge must be a pair of integers, got {e!r}")
+        if not e[0] < e[1]:
+            raise GraphFormatError(f"edges must satisfy u < v, got ({e[0]}, {e[1]})")
+    edges = [tuple(e) for e in edges]
     if len(set(edges)) != len(edges):
         raise GraphFormatError("duplicate edges in graph JSON")
     return SimpleGraph.from_edges(n, edges)

@@ -201,6 +201,10 @@ def ring_from_table(
     laws over every triple; it is gated by `validation_cap` and can only be
     skipped with an explicit validate=False.
     """
+    if not isinstance(moduli, (list, tuple)) or any(
+            isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in moduli):
+        raise DimensionMismatch(f"moduli must be a list of integers, not floats or "
+                                f"booleans, got {moduli!r}")
     moduli = tuple(int(d) for d in moduli)
     if not moduli or any(d < 1 for d in moduli):
         raise DimensionMismatch(f"moduli must be positive, got {list(moduli)}")

@@ -1,17 +1,26 @@
-"""Neighborhood matrices and their exact or numeric spectra.
+"""Neighborhood matrices and their spectra by two independent routes.
 
-The exact path computes the characteristic polynomial of each distinct
-support block multimodularly (int64 arithmetic modulo word-size primes,
-combined by the Chinese remainder theorem up to a proven coefficient
-bound) and extracts integer eigenvalues; it either proves the spectrum
-integral or reports the integer part found.  The numeric path is a
-symmetric eigensolve whose output is clustered into multiplicities.  The
-two never share intermediate results, so each can serve as a check on
-the other.
+Both matrices are block-diagonal over the connected components of their
+support, so each matrix is split into its support blocks once, and
+identical blocks are grouped by content.  matrix_spectra is the single
+dispatch between the routes, and applies both to every distinct block:
+
+* the exact route computes the characteristic polynomial multimodularly
+  (int64 arithmetic modulo word-size primes, combined by the Chinese
+  remainder theorem up to a proven coefficient bound) and extracts its
+  integer roots; it either proves the spectrum integral or reports the
+  integer part found.  It declines matrices with a support block above
+  the exact cap.
+* the numeric route is a symmetric eigensolve per block, merged and
+  clustered into multiplicities.
+
+The two never share intermediate results, so each can serve as a check
+on the other.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,10 +32,15 @@ from .charpoly import (
     check_charpoly,
     gershgorin_bound,
     integer_roots,
-    support_components,
 )
 from .config import exact_cap
-from .graphs import CliqueUnion, SimpleGraph, clique_decomposition, delta2_all
+from .graphs import (
+    CliqueUnion,
+    SimpleGraph,
+    clique_decomposition,
+    connected_components,
+    delta2_all,
+)
 
 NUMERIC_CLUSTER_TOL = 1e-8
 NUMERIC_MATCH_TOL = 1e-6
@@ -68,6 +82,21 @@ class IntSymMatrix:
     @property
     def n(self) -> int:
         return int(self.values.shape[0])
+
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """Distinct diagonal blocks over the components of the support,
+        each with the number of components that carry it.
+
+        The zero diagonal and symmetry make the support a simple graph.
+        """
+        distinct: dict[bytes, list] = {}
+        for comp in connected_components(SimpleGraph(self.n, self.values != 0)):
+            block = self.values[np.ix_(comp, comp)]
+            block.setflags(write=False)
+            # blocks are square with one dtype, so equal bytes mean equal blocks
+            distinct.setdefault(block.tobytes(), [block, 0])[1] += 1
+        return tuple((block, count) for block, count in distinct.values())
 
 
 @dataclass(frozen=True)
@@ -144,41 +173,43 @@ def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
 def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
     """Integer eigenvalues by exact computation.
 
-    The characteristic polynomial is computed exactly for each distinct
-    support block and checked for shape and trace; integer roots are read
-    off the divisors of each trailing nonzero coefficient within the
-    row-sum eigenvalue bound.  If the polynomial splits completely the
-    full spectrum is returned, else the integer part found so far.
+    The characteristic polynomial of each distinct support block is
+    computed exactly and checked for shape and trace; integer roots are
+    read off the divisors of its trailing nonzero coefficient within the
+    row-sum eigenvalue bound.  If every polynomial splits completely the
+    full spectrum is returned, else the integer part found.  Raises
+    ExactCapExceeded, before any work, if a block exceeds the exact cap.
     """
     cap = exact_cap()
-    if m.n > cap:
-        raise ExactCapExceeded(f"matrix dimension {m.n} exceeds the exact path cap {cap}")
-    rows = m.values.tolist()
+    largest = max((block.shape[0] for block, _ in m.blocks), default=0)
+    if largest > cap:
+        raise ExactCapExceeded(
+            f"support block of dimension {largest} exceeds the exact path cap {cap}")
     roots: Counter[int] = Counter()
     residual = 0
-    cache: dict[tuple, tuple[list[tuple[int, int]], int]] = {}
-    for comp in support_components(m.values):
-        block = [[rows[i][j] for j in comp] for i in comp]
-        key = tuple(tuple(r) for r in block)
-        if key not in cache:
-            poly = charpoly_dense(block)
-            check_charpoly(poly, len(block), sum(block[i][i] for i in range(len(block))))
-            cache[key] = integer_roots(poly, gershgorin_bound(block))
-        found, left = cache[key]
+    for block, count in m.blocks:
+        rows = block.tolist()
+        poly = charpoly_dense(rows)
+        check_charpoly(poly, len(rows), int(np.trace(block)))
+        found, left = integer_roots(poly, gershgorin_bound(rows))
         for value, mult in found:
-            roots[value] += mult
-        residual += left
+            roots[value] += mult * count
+        residual += left * count
     if residual:
         return NotFullyIntegral(tuple(sorted(roots.items())), residual)
     return SpectrumMultiset(True, tuple(sorted(roots.items())))
 
 
 def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
-    """Floating point eigenvalues clustered into multiplicities."""
+    """Floating point eigenvalues of each distinct support block, merged
+    and clustered into multiplicities on the whole matrix's scale."""
     if m.n == 0:
         return SpectrumMultiset(False, ())
     try:
-        eigs = np.linalg.eigvalsh(m.values.astype(np.float64))
+        eigs = np.sort(np.concatenate([
+            np.repeat(np.linalg.eigvalsh(block.astype(np.float64)), count)
+            for block, count in m.blocks
+        ]))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolve failed: {exc}") from None
     scale = max(1.0, float(np.abs(m.values).max()) * m.n)
@@ -191,6 +222,41 @@ def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
             clusters.append([float(v)])
     pairs = tuple((sum(c) / len(c), len(c)) for c in clusters)
     return SpectrumMultiset(False, pairs)
+
+
+@dataclass(frozen=True)
+class MatrixSpectra:
+    """What both routes found for one matrix.
+
+    exact is None when some support block exceeds the exact cap.  The
+    reported spectrum is the exact one when it is complete, else the
+    numeric one.
+    """
+
+    exact: SpectrumMultiset | NotFullyIntegral | None
+    numeric: SpectrumMultiset
+
+    @property
+    def method(self) -> str:
+        return "exact" if isinstance(self.exact, SpectrumMultiset) else "numeric"
+
+    @property
+    def spectrum(self) -> SpectrumMultiset:
+        return self.exact if isinstance(self.exact, SpectrumMultiset) else self.numeric
+
+    @property
+    def integral(self) -> bool | None:
+        """True or False as the exact route proved it, None above the cap."""
+        return None if self.exact is None else isinstance(self.exact, SpectrumMultiset)
+
+
+def matrix_spectra(m: IntSymMatrix) -> MatrixSpectra:
+    """Both routes on one matrix: the single exact-or-numeric dispatch."""
+    try:
+        exact = exact_spectrum(m)
+    except ExactCapExceeded:
+        exact = None
+    return MatrixSpectra(exact, numeric_spectrum(m))
 
 
 def spectra_agree(exact: SpectrumMultiset | NotFullyIntegral,
@@ -230,8 +296,8 @@ def classify(g: SimpleGraph) -> EnergyReport:
     """Full spectral report for a graph.
 
     Clique unions take the closed-form fast path; anything else goes
-    through the exact spectrum when the dimension allows it, falling back
-    to the numeric eigensolve (which leaves integrality undetermined).
+    through matrix_spectra, which reports the numeric spectrum when the
+    exact one is incomplete or, above the exact cap, undetermined.
     """
     from .theorems import (
         clique_union_cn_energy,
@@ -252,19 +318,9 @@ def classify(g: SimpleGraph) -> EnergyReport:
         cn_e = clique_union_cn_energy(decomposition)
         integral: bool | None = True
     else:
-        msn = msn_matrix(g)
-        cn = cn_matrix(g)
-        if g.n <= exact_cap():
-            s = exact_spectrum(msn)
-            if isinstance(s, SpectrumMultiset):
-                msn_s, integral = s, True
-            else:
-                msn_s, integral = numeric_spectrum(msn), False
-            cs = exact_spectrum(cn)
-            cn_s = cs if isinstance(cs, SpectrumMultiset) else numeric_spectrum(cn)
-        else:
-            msn_s, integral = numeric_spectrum(msn), None
-            cn_s = numeric_spectrum(cn)
+        msn = matrix_spectra(msn_matrix(g))
+        msn_s, integral = msn.spectrum, msn.integral
+        cn_s = matrix_spectra(cn_matrix(g)).spectrum
         msn_e = msn_s.energy()
         cn_e = cn_s.energy()
     esn, ecn = reference_energies(g.n)

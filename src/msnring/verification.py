@@ -1,9 +1,14 @@
 """Cross-checks of computed commuting graphs against the closed forms.
 
 verify_ring runs three phases: ring-level hypothesis checks, an
-independent graph computation (decomposition, exact spectrum, numeric
-cross-check), and a comparison against the predicted decompositions.
-All outcomes are verdicts on the report, never exceptions.
+independent graph computation, and a comparison against the predicted
+decompositions.  The graph computation takes both spectra from
+spectra.matrix_spectra, the single exact-or-numeric dispatch, and
+requires its two routes to agree.  Where every support block is within
+the exact cap, the exact msn spectrum is compared with the closed form;
+above it the numeric one is, so no closed form ever stands in for a
+computed spectrum.  All outcomes are verdicts on the report, never
+exceptions.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT_ENUMERATION_CAP, exact_cap
+from .config import DEFAULT_ENUMERATION_CAP
 from .graphs import (
     CliqueUnion,
     NotCliqueUnion,
@@ -45,12 +50,13 @@ from .rings import (
     zn,
 )
 from .spectra import (
+    NUMERIC_MATCH_TOL,
+    MatrixSpectra,
     NotFullyIntegral,
-    SpectrumMultiset,
     cn_matrix,
     exact_spectrum,
+    matrix_spectra,
     msn_matrix,
-    numeric_spectrum,
     spectra_agree,
 )
 from .theorems import (
@@ -127,11 +133,12 @@ def _need(cond: bool, detail: str) -> None:
         raise _Unmet(detail)
 
 
-def _prime_power(order: int, exp: int, given: int | None) -> int:
+def _prime_power(order: int, given: int | None, exp: int | None = None) -> int:
     factors = prime_factors(order)
     _need(len(factors) == 1, f"|R| = {order} is not a prime power")
     (pp, e), = factors.items()
-    _need(e == exp, f"|R| = {order} = {pp}^{e} does not have exponent {exp}")
+    _need(exp is None or e == exp,
+          f"|R| = {order} = {pp}^{e} does not have exponent {exp}")
     _need(given is None or given == pp,
           f"|R| = {order} conflicts with the supplied p = {given}")
     return pp
@@ -203,7 +210,7 @@ def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
         _need(count == want, f"ring has {count} centralizers, not {want}")
         return {"m": m}
     if tid is TheoremId.C2_2D:
-        pp = _prime_power_any(order, p)
+        pp = _prime_power(order, p)
         count = centralizer_count(ring)
         _need(count == pp + 2, f"ring has {count} centralizers, not p + 2 = {pp + 2}")
         return {"p": pp, "m": m}
@@ -220,19 +227,19 @@ def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
         _need(pr == want, f"commuting probability is {pr}, not {want}")
         return {"p": smallest, "m": m}
     if tid is TheoremId.C2_4A:
-        return {"p": _prime_power(order, 2, p)}
+        return {"p": _prime_power(order, p, 2)}
     if tid is TheoremId.C2_4B:
         _need(has_unity(ring) is not None, "ring has no unity")
-        return {"p": _prime_power(order, 3, p)}
+        return {"p": _prime_power(order, p, 3)}
     if tid in (TheoremId.T3_1A, TheoremId.T3_1B):
         _need(has_unity(ring) is not None, "ring has no unity")
-        pp = _prime_power(order, 4, p)
+        pp = _prime_power(order, p, 4)
         want = pp if tid is TheoremId.T3_1A else pp * pp
         _need(m == want, f"|Z(R)| = {m}, not {want}")
         return {"p": pp}
     if tid in (TheoremId.T3_3A, TheoremId.T3_3B):
         _need(has_unity(ring) is not None, "ring has no unity")
-        pp = _prime_power(order, 5, p)
+        pp = _prime_power(order, p, 5)
         _need(not center_is_field(ring), "the center is a field")
         want = pp * pp if tid is TheoremId.T3_3A else pp ** 3
         _need(m == want, f"|Z(R)| = {m}, not {want}")
@@ -259,15 +266,6 @@ def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
               "some non-central element has a non-commutative centralizer")
         return {"m": m, "sizes": tuple(noncentral_centralizer_sizes(ring))}
     raise ValueError(f"no hypothesis checker for {theorem!r}")
-
-
-def _prime_power_any(order: int, given: int | None) -> int:
-    factors = prime_factors(order)
-    _need(len(factors) == 1, f"|R| = {order} is not a prime power")
-    (pp, _), = factors.items()
-    _need(given is None or given == pp,
-          f"|R| = {order} conflicts with the supplied p = {given}")
-    return pp
 
 
 def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
@@ -299,7 +297,10 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
                           kwargs)
         kwargs["t"] = dec.parts[0][0] + 1
 
-    computed, failure = _compute_report(graph, dec)
+    msn = matrix_spectra(msn_matrix(graph))
+    cn = matrix_spectra(cn_matrix(graph))
+    computed = _computed(graph, dec, msn, cn)
+    failure = _route_failure(msn, cn)
     if failure is not None:
         return report(Verdict.FAIL, failure, kwargs, computed)
 
@@ -314,17 +315,16 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
         return report(Verdict.FAIL,
                       f"computed {dec} is not among the predicted decompositions",
                       params, computed, predicted)
-    want = clique_union_msn_spectrum(dec)
-    got = SpectrumMultiset.from_json_dict(computed["msn_spectrum"])
-    if got.pairs != want.pairs:
+    # Both sides have n eigenvalues, so agreement is equality on an exact
+    # spectrum and agreement within NUMERIC_MATCH_TOL on a numeric one.
+    got = msn.spectrum
+    if not spectra_agree(clique_union_msn_spectrum(dec), got):
         return report(Verdict.FAIL, "computed msn spectrum differs from the closed form",
                       params, computed, predicted)
-    if computed["msn_energy"] != clique_union_msn_energy(dec):
+    energy_tol = 0 if got.exact else NUMERIC_MATCH_TOL * graph.n
+    if abs(got.energy() - clique_union_msn_energy(dec)) > energy_tol:
         return report(Verdict.FAIL, "computed msn energy differs from the closed form",
                       params, computed, predicted)
-    if not computed["msn_integral"]:
-        return report(Verdict.FAIL, "msn spectrum is not integral", params,
-                      computed, predicted)
     if computed["msn_hyperenergetic"]:
         return report(Verdict.FAIL, "graph is msn-hyperenergetic", params,
                       computed, predicted)
@@ -332,53 +332,49 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
     return report(Verdict.PASS, detail, params, computed, predicted)
 
 
-def _compute_report(graph: SimpleGraph, dec: CliqueUnion) -> tuple[dict, str | None]:
-    """Independent computation of both spectra with a numeric cross-check.
+def _route_failure(msn: MatrixSpectra, cn: MatrixSpectra) -> str | None:
+    """Why the exact and numeric routes fail to confirm each other, if they do."""
+    if isinstance(msn.exact, NotFullyIntegral):
+        return (f"msn spectrum is not fully integral: residual degree "
+                f"{msn.exact.residual_degree}")
+    for name, result in (("msn", msn), ("cn", cn)):
+        if result.exact is not None and not spectra_agree(result.exact, result.numeric):
+            return f"numeric {name} spectrum does not match the exact one"
+    return None
 
-    Below the exact-path cap the msn spectrum comes from the exact
-    eigensolver, not from the closed form, so the comparison in
-    verify_ring is a genuine dual route.
-    """
-    msn = msn_matrix(graph)
-    cn = cn_matrix(graph)
-    failure = None
-    if graph.n <= exact_cap():
-        ex = exact_spectrum(msn)
-        if isinstance(ex, NotFullyIntegral):
-            failure = (f"msn spectrum is not fully integral: residual degree "
-                       f"{ex.residual_degree}")
-            msn_s = numeric_spectrum(msn)
-            integral = False
-        else:
-            msn_s = ex
-            integral = True
-        cx = exact_spectrum(cn)
-        cn_s = cx if isinstance(cx, SpectrumMultiset) else numeric_spectrum(cn)
-    else:
-        msn_s = clique_union_msn_spectrum(dec)
-        cn_s = clique_union_cn_spectrum(dec)
-        integral = True
-    if failure is None and not spectra_agree(msn_s, numeric_spectrum(msn)):
-        failure = "numeric msn spectrum does not match the exact one"
-    if failure is None and not spectra_agree(cn_s, numeric_spectrum(cn)):
-        failure = "numeric cn spectrum does not match the exact one"
+
+def _computed(graph: SimpleGraph, dec: CliqueUnion,
+              msn: MatrixSpectra, cn: MatrixSpectra) -> dict:
     esn_ref, ecn_ref = reference_energies(graph.n)
-    computed = {
+    return {
         "n": graph.n,
         "decomposition": str(dec),
-        "msn_energy": msn_s.energy(),
-        "cn_energy": cn_s.energy(),
-        "msn_integral": integral,
-        "msn_hyperenergetic": msn_s.energy() > esn_ref,
-        "cn_hyperenergetic": cn_s.energy() > ecn_ref,
-        "msn_spectrum": msn_s.to_json_dict(),
-        "cn_spectrum": cn_s.to_json_dict(),
+        "msn_energy": msn.spectrum.energy(),
+        "cn_energy": cn.spectrum.energy(),
+        "msn_integral": msn.integral,
+        "msn_method": msn.method,
+        "cn_method": cn.method,
+        "msn_hyperenergetic": msn.spectrum.energy() > esn_ref,
+        "cn_hyperenergetic": cn.spectrum.energy() > ecn_ref,
+        "msn_spectrum": msn.spectrum.to_json_dict(),
+        "cn_spectrum": cn.spectrum.to_json_dict(),
     }
-    return computed, failure
 
 
 _Q_DEPENDENT = {TheoremId.T4_1A, TheoremId.T4_1B, TheoremId.T4_3,
                 TheoremId.T4_4A, TheoremId.T4_4B, TheoremId.T4_4C}
+
+# A finite ring is the direct sum of its p-primary ideals, and a ring of
+# prime order q is commutative, so the order-q summand is central and q
+# divides |Z(R)|.  No ring at all meets these hypotheses.
+_WHY_NO_MODEL = ("; the order-q summand of a finite ring is a commutative ideal, "
+                 "so q divides |Z(R)|")
+_NO_MODEL = {
+    **dict.fromkeys((TheoremId.T4_1A, TheoremId.T4_1B),
+                    "no ring has |R| = p^2 q with |Z(R)| = 1" + _WHY_NO_MODEL),
+    **dict.fromkeys((TheoremId.T4_4A, TheoremId.T4_4B, TheoremId.T4_4C),
+                    "no ring has |R| = p^3 q with |Z(R)| = p^2" + _WHY_NO_MODEL),
+}
 
 
 def builtin_instance(theorem: TheoremId, p: int, q: int | None = None) -> FiniteRing | None:
@@ -444,9 +440,8 @@ def sweep(theorems, ps, qs=()) -> list[VerificationReport]:
                     unsupported(tid, str(exc), params)
                     continue
                 if ring is None:
-                    unsupported(tid,
-                                "no built-in ring family realizes these hypotheses",
-                                params)
+                    unsupported(tid, _NO_MODEL.get(
+                        tid, "no built-in ring family realizes these hypotheses"), params)
                     continue
                 reports.append(verify_ring(ring, tid, p=p, q=q))
     return reports

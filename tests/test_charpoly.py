@@ -8,16 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msnring.charpoly import (
-    char_polynomial,
     charpoly_dense,
     divide_linear,
     gershgorin_bound,
     integer_roots,
     modular_prime,
-    poly_mul,
     prime_bits,
-    support_components,
 )
+
+
+def poly_mul(a, b):
+    """Product of two ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def fraction_charpoly(block):
@@ -131,34 +137,6 @@ def test_prime_size_keeps_int64_products_exact():
     assert prime_bits(4096) == 25
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-def test_char_polynomial_matches_dense(seed, n):
-    rng = np.random.default_rng(seed)
-    block = random_sym(rng, n)
-    assert char_polynomial(block) == charpoly_dense(block)
-
-
-def test_char_polynomial_reuses_identical_blocks():
-    # two disjoint copies of the same triangle: factor appears squared
-    tri = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    m = np.zeros((6, 6), dtype=int)
-    m[:3, :3] = tri
-    m[3:, 3:] = tri
-    factor = charpoly_dense(tri.tolist())
-    assert char_polynomial(m) == poly_mul(factor, factor)
-
-
-def test_support_components():
-    m = np.zeros((5, 5), dtype=int)
-    m[0, 1] = m[1, 0] = 4
-    m[2, 3] = m[3, 2] = 1
-    assert support_components(m) == [[0, 1], [2, 3], [4]]
-    # diagonal entries do not connect anything
-    d = np.diag([3, 3, 3])
-    assert support_components(d) == [[0], [1], [2]]
-
-
 def test_gershgorin_bound():
     assert gershgorin_bound([]) == 0
     assert gershgorin_bound([[0, -4, 1], [-4, 0, 0], [1, 0, 0]]) == 5
@@ -209,9 +187,9 @@ def test_integer_roots_reconstruct(root_list):
     assert sorted(rebuilt) == sorted(root_list)
 
 
-def test_char_polynomial_diagonal():
-    assert char_polynomial(np.diag([1, 1])) == [1, -2, 1]
-    assert char_polynomial(np.zeros((3, 3), dtype=int)) == [0, 0, 0, 1]
+def test_charpoly_dense_diagonal():
+    assert charpoly_dense([[1, 0], [0, 1]]) == [1, -2, 1]
+    assert charpoly_dense([[0] * 3] * 3) == [0, 0, 0, 1]
 
 
 def test_poly_mul():

@@ -266,6 +266,16 @@ def test_non_integer_ring_file_exits_two(tmp_path, capsys, table):
     assert "integers" in err
 
 
+@pytest.mark.parametrize("edges", [[[0.7, 1.2]], [[True, 2]], [[None, 1]], 7])
+def test_non_integer_graph_edges_exit_two(tmp_path, capsys, edges):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 3, "edges": edges}))
+    code, out, err = run(capsys, "classify", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error: graph JSON edge" in err
+
+
 def test_oversized_graph_header_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MSNRING_UNIVERSE_CAP", "10")
     path = tmp_path / "big.txt"

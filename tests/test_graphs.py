@@ -225,6 +225,16 @@ def test_graph_files_capped_before_allocation(monkeypatch):
             parse_graph_json(f'{{"n": {bad}, "edges": []}}')
 
 
+@pytest.mark.parametrize("edges", [
+    "[[0.7, 1.2]]", "[[0, 1.0]]", "[[true, 2]]", "[[null, 1]]", '[[0, "1"]]',
+    "[[0, 1, 2]]", "[[0]]", "[0]", '"0 1"', "{}", "null",
+])
+def test_graph_json_rejects_non_integer_edges(edges):
+    # each of these used to load coerced by int() or to raise a TypeError
+    with pytest.raises(GraphFormatError, match="edge"):
+        parse_graph_json(f'{{"n": 3, "edges": {edges}}}')
+
+
 def test_graph_json_round_trip(tmp_path):
     g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
     back = parse_graph_json(to_graph_json(g))

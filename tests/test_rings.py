@@ -303,6 +303,14 @@ def test_ring_from_table_rejects_non_integer_entries():
     assert ring_from_table((2,), [[0, 0], [0, 1]]).table.tolist() == [[0, 0], [0, 1]]
 
 
+def test_ring_from_table_rejects_non_integer_moduli():
+    # [2.5] used to load with moduli (2,), and a bare 2 raised a TypeError
+    for moduli in ([2.5], [2.0], [True, True], (np.float64(2),), 2, "2"):
+        with pytest.raises(DimensionMismatch, match="moduli must be a list of integers"):
+            ring_from_table(moduli, [[0, 0], [0, 1]])
+    assert ring_from_table([np.int64(2)], [[0, 0], [0, 1]]).moduli == (2,)
+
+
 def test_save_load_round_trip(tmp_path):
     ring = upper_triangular_ring(2)
     path = tmp_path / "ut2.json"

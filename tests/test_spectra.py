@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msnring import spectra
+from msnring.charpoly import charpoly_dense, gershgorin_bound, integer_roots
 from msnring.graphs import CliqueUnion, SimpleGraph, clique_union_graph, connected_components
 from msnring.spectra import (
+    NUMERIC_CLUSTER_TOL,
     EnergyReport,
     ExactCapExceeded,
     IntSymMatrix,
@@ -19,6 +22,7 @@ from msnring.spectra import (
     classify,
     cn_matrix,
     exact_spectrum,
+    matrix_spectra,
     msn_matrix,
     numeric_spectrum,
     spectra_agree,
@@ -149,6 +153,91 @@ def test_exact_cap(monkeypatch):
         exact_spectrum(msn_matrix(complete_graph(4)))
     # at the cap is still allowed
     assert exact_spectrum(msn_matrix(complete_graph(3))).exact
+
+
+def test_exact_cap_applies_per_block(monkeypatch):
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
+    s = exact_spectrum(msn_matrix(clique_union_graph(CliqueUnion(((3, 2),)))))
+    assert s.pairs == ((-4, 4), (8, 2))
+
+
+# --- support blocks ---
+
+
+def test_support_blocks():
+    v = np.zeros((7, 7), dtype=np.int64)
+    for (i, j), w in (((0, 1), 4), ((2, 3), 1), ((4, 5), 4)):
+        v[i, j] = v[j, i] = w
+    blocks = [(b.tolist(), count) for b, count in IntSymMatrix(v).blocks]
+    assert blocks == [([[0, 4], [4, 0]], 2), ([[0, 1], [1, 0]], 1), ([[0]], 1)]
+    assert IntSymMatrix(np.zeros((0, 0), dtype=np.int64)).blocks == ()
+
+
+def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
+    # two disjoint triangles, one listed as 3-4-5 and one as 0-1-2
+    calls = []
+
+    def counting(block):
+        calls.append(block)
+        return charpoly_dense(block)
+
+    monkeypatch.setattr(spectra, "charpoly_dense", counting)
+    g = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    assert exact_spectrum(cn_matrix(g)).pairs == ((-1, 4), (2, 2))
+    assert calls == [[[0, 1, 1], [1, 0, 1], [1, 1, 0]]]
+
+
+def disjoint_union(parts, perm_seed):
+    """Each (seed, size, copies) random graph repeated, then relabelled."""
+    edges, n = [], 0
+    for seed, size, copies in parts:
+        g = random_graph(seed, size, p=0.6)
+        for _ in range(copies):
+            edges += [(u + n, v + n) for u, v in g.edges()]
+            n += size
+    perm = np.random.default_rng(perm_seed).permutation(n)
+    return SimpleGraph.from_edges(
+        n, [tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in edges])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3)),
+                min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_matrix_spectra_per_block_equal_whole_matrix(parts, perm_seed):
+    g = disjoint_union(parts, perm_seed)
+    for m in (msn_matrix(g), cn_matrix(g)):
+        result = matrix_spectra(m)
+        whole = np.linalg.eigvalsh(m.values.astype(np.float64))
+        merged = [v for v, mult in result.numeric.pairs for _ in range(mult)]
+        # a cluster mean sits within n cluster tolerances of each member
+        tol = NUMERIC_CLUSTER_TOL * max(1.0, float(m.values.max(initial=0)) * m.n) * m.n
+        assert np.allclose(merged, whole, rtol=0, atol=tol + 1e-9)
+        if m.n <= 16:
+            rows = m.values.tolist()
+            roots, residual = integer_roots(charpoly_dense(rows), gershgorin_bound(rows))
+            want = (NotFullyIntegral(tuple(roots), residual) if residual
+                    else SpectrumMultiset(True, tuple(roots)))
+            assert result.exact == want
+
+
+def test_matrix_spectra_above_cap(monkeypatch):
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
+    result = matrix_spectra(msn_matrix(complete_graph(4)))
+    assert result.exact is None
+    assert result.method == "numeric" and result.integral is None
+    assert result.spectrum is result.numeric
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "4")
+    result = matrix_spectra(msn_matrix(complete_graph(4)))
+    assert result.method == "exact" and result.integral is True
+    assert result.spectrum is result.exact
+
+
+def test_matrix_spectra_not_fully_integral():
+    result = matrix_spectra(msn_matrix(path_graph(3)))
+    assert isinstance(result.exact, NotFullyIntegral)
+    assert result.method == "numeric" and result.integral is False
+    assert result.spectrum is result.numeric
 
 
 # --- numeric spectra and agreement ---

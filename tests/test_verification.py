@@ -91,6 +91,30 @@ def test_pass_report_contents():
     assert rep.computed["msn_spectrum"] == {"exact": True, "pairs": [[-1, 3], [1, 3]]}
 
 
+def test_exact_cap_applies_per_block(monkeypatch):
+    # 4K6 on 24 vertices: every block fits under a cap of 6
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "6")
+    rep = verify_ring(upper_triangular_ring(3), TheoremId.C2_4B)
+    assert rep.verdict is Verdict.PASS, rep.detail
+    assert rep.computed["msn_method"] == "exact"
+    assert rep.computed["cn_method"] == "exact"
+    assert rep.computed["msn_integral"] is True
+    assert rep.computed["msn_spectrum"] == {"exact": True,
+                                            "pairs": [[-25, 20], [125, 4]]}
+
+
+def test_above_cap_passes_on_the_numeric_route(monkeypatch):
+    # no closed form stands in for the computed spectrum above the cap
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
+    rep = verify_ring(upper_triangular_ring(3), TheoremId.C2_4B)
+    assert rep.verdict is Verdict.PASS, rep.detail
+    assert rep.computed["msn_method"] == "numeric"
+    assert rep.computed["cn_method"] == "numeric"
+    assert rep.computed["msn_integral"] is None
+    assert rep.computed["msn_spectrum"]["exact"] is False
+    assert rep.computed["msn_energy"] == pytest.approx(1000)
+
+
 # --- HYPOTHESIS_NOT_MET on genuine rings ---
 
 
@@ -223,7 +247,7 @@ def test_sweep_pass_rows_and_determinism():
 
 
 def test_sweep_unsupported_reasons():
-    rep, = sweep([TheoremId.T4_1A], [2], [3])
+    rep, = sweep([TheoremId.C2_2A], [3])
     assert rep.verdict is Verdict.UNSUPPORTED
     assert rep.detail == "no built-in ring family realizes these hypotheses"
 
@@ -243,6 +267,20 @@ def test_sweep_unsupported_reasons():
     assert rep.verdict is Verdict.UNSUPPORTED
     assert "above the universe cap" in rep.detail
     assert rep.ring_spec == "none"
+
+
+@pytest.mark.parametrize("theorem,shape", [
+    (TheoremId.T4_1A, "p^2 q with |Z(R)| = 1"),
+    (TheoremId.T4_1B, "p^2 q with |Z(R)| = 1"),
+    (TheoremId.T4_4A, "p^3 q with |Z(R)| = p^2"),
+    (TheoremId.T4_4B, "p^3 q with |Z(R)| = p^2"),
+    (TheoremId.T4_4C, "p^3 q with |Z(R)| = p^2"),
+])
+def test_sweep_names_hypotheses_no_ring_meets(theorem, shape):
+    rep, = sweep([theorem], [2], [3])
+    assert rep.verdict is Verdict.UNSUPPORTED
+    assert rep.detail.startswith(f"no ring has |R| = {shape}; ")
+    assert rep.detail.endswith("so q divides |Z(R)|")
 
 
 def test_sweep_mixed_grid():
