@@ -1,10 +1,13 @@
 """Simple graphs, commuting graphs, and clique union structure.
 
-The second neighborhood of a vertex collects everything within distance
-two: the neighbors together with the neighbors' neighbors, the vertex
-itself excluded.  This is the convention under which every vertex of a
-K_m component has second-degree sum (m-1)^2, which the closed forms
-elsewhere in the package rely on.
+The commuting graph is read off the ring's one commute mask
+(FiniteRing.commutes).  The second neighborhood of a vertex collects
+everything within distance two: the neighbors together with the
+neighbors' neighbors, the vertex itself excluded.  This is the convention
+under which every vertex of a K_m component has second-degree sum
+(m-1)^2, which the closed forms elsewhere in the package rely on.
+Distance two and the cn matrix both come from common_neighbours, the one
+product of the adjacency with itself, taken per connected component.
 """
 
 from __future__ import annotations
@@ -157,23 +160,13 @@ class NotCliqueUnion:
 
 def commuting_graph(ring: FiniteRing) -> SimpleGraph:
     """Graph on the non-central elements, joining commuting pairs."""
-    commute = ring.table == ring.table.T
-    central = np.all(commute, axis=1)
-    vertices = np.flatnonzero(~central)
+    vertices = np.flatnonzero(~ring.commutes.all(axis=1))
     if vertices.size == 0:
         raise CommutativeRing(f"{ring.name} is commutative; the commuting graph is empty")
-    adj = commute[np.ix_(vertices, vertices)].copy()
+    adj = ring.commutes[np.ix_(vertices, vertices)]
     np.fill_diagonal(adj, False)
     labels = tuple(str(ring.coords(int(i))) for i in vertices)
     return SimpleGraph(len(vertices), adj, labels)
-
-
-def _distance_two_mask(g: SimpleGraph) -> np.ndarray:
-    a = g.adjacency
-    paths = a.astype(np.float64) @ a.astype(np.float64)
-    reach = a | (paths > 0.5)
-    np.fill_diagonal(reach, False)
-    return reach
 
 
 def second_neighborhood(g: SimpleGraph, v: int) -> set[int]:
@@ -196,11 +189,7 @@ def delta2(g: SimpleGraph, v: int) -> int:
 
 def delta2_all(g: SimpleGraph) -> np.ndarray:
     """delta2 for every vertex at once."""
-    if g.n == 0:
-        return np.zeros(0, dtype=np.int64)
-    reach = _distance_two_mask(g)
-    deg = g.degrees().astype(np.float64)
-    return np.rint(reach.astype(np.float64) @ deg).astype(np.int64)
+    return (g.adjacency | (common_neighbours(g) > 0)).astype(np.int64) @ g.degrees()
 
 
 def connected_components(g: SimpleGraph) -> list[list[int]]:
@@ -221,6 +210,21 @@ def connected_components(g: SimpleGraph) -> list[list[int]]:
         seen |= mask
         comps.append([int(i) for i in np.flatnonzero(mask)])
     return comps
+
+
+def common_neighbours(g: SimpleGraph) -> np.ndarray:
+    """Shared-neighbour counts of every vertex pair, zero on the diagonal.
+
+    Walks of length two stay inside a component, so the product of the
+    adjacency with itself runs once per connected component.
+    """
+    counts = np.zeros((g.n, g.n), dtype=np.int64)
+    for comp in connected_components(g):
+        block = np.ix_(comp, comp)
+        a = g.adjacency[block].astype(np.float64)
+        counts[block] = np.rint(a @ a)
+    np.fill_diagonal(counts, 0)
+    return counts
 
 
 def clique_decomposition(g: SimpleGraph) -> CliqueUnion | NotCliqueUnion:

@@ -9,6 +9,7 @@ from a closed-form coordinate rule; user tables are validated exhaustively.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -100,9 +101,17 @@ class FiniteRing:
     def order(self) -> int:
         return int(self.table.shape[0])
 
+    @functools.cached_property
+    def commutes(self) -> np.ndarray:
+        """Read-only symmetric mask, true at [i, j] when ij = ji; row i
+        is the centralizer of element i."""
+        mask = self.table == self.table.T
+        mask.setflags(write=False)
+        return mask
+
     @property
     def is_commutative(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return bool(self.commutes.all())
 
     def coords(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.order:
@@ -249,9 +258,9 @@ def ring_noncomm_p2(p: int) -> FiniteRing:
     Matrices with zero bottom row, the smallest non-commutative family;
     its center is the zero element alone.
     """
+    _check_universe(p * p, "nc_p2")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    _check_universe(p * p, "nc_p2")
     a, b = _coord_arrays((p, p))
     pa = (a[:, None] * a[None, :]) % p
     pb = (a[:, None] * b[None, :]) % p
@@ -261,9 +270,9 @@ def ring_noncomm_p2(p: int) -> FiniteRing:
 
 def matrix_ring_2x2(p: int) -> FiniteRing:
     """Full ring of 2x2 matrices over F_p, coordinates (a, b, c, d) row-wise."""
+    _check_universe(p ** 4, "mat2")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    _check_universe(p ** 4, "mat2")
     a, b, c, d = _coord_arrays((p, p, p, p))
 
     def mul(x, y):
@@ -279,9 +288,9 @@ def matrix_ring_2x2(p: int) -> FiniteRing:
 
 def upper_triangular_ring(p: int) -> FiniteRing:
     """Ring of upper triangular 2x2 matrices over F_p, coordinates (a, b, c)."""
+    _check_universe(p ** 3, "ut2")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    _check_universe(p ** 3, "ut2")
     a, b, c = _coord_arrays((p, p, p))
 
     def mul(x, y):
@@ -307,8 +316,7 @@ def direct_product(r: FiniteRing, s: FiniteRing) -> FiniteRing:
 
 def center(ring: FiniteRing) -> CentralizerSet:
     """Elements commuting with the whole ring."""
-    mask = np.all(ring.table == ring.table.T, axis=1)
-    return CentralizerSet(tuple(int(i) for i in np.flatnonzero(mask)))
+    return CentralizerSet(tuple(int(i) for i in np.flatnonzero(ring.commutes.all(axis=1))))
 
 
 def centralizer(ring: FiniteRing, r: RingElement | int) -> CentralizerSet:
@@ -316,12 +324,7 @@ def centralizer(ring: FiniteRing, r: RingElement | int) -> CentralizerSet:
     i = r.index if isinstance(r, RingElement) else int(r)
     if not 0 <= i < ring.order:
         raise IndexError(f"element index {i} out of range")
-    mask = ring.table[:, i] == ring.table[i, :]
-    return CentralizerSet(tuple(int(j) for j in np.flatnonzero(mask)))
-
-
-def _centralizer_masks(ring: FiniteRing) -> np.ndarray:
-    return ring.table == ring.table.T
+    return CentralizerSet(tuple(int(j) for j in np.flatnonzero(ring.commutes[i])))
 
 
 def centralizer_count(ring: FiniteRing) -> int:
@@ -330,14 +333,21 @@ def centralizer_count(ring: FiniteRing) -> int:
     Central elements contribute the single set R, so a commutative ring
     counts 1.
     """
-    masks = _centralizer_masks(ring)
-    return len({masks[:, i].tobytes() for i in range(ring.order)})
+    return len({row.tobytes() for row in ring.commutes})
 
 
 def commuting_probability(ring: FiniteRing) -> Fraction:
     """Probability that an ordered pair commutes, in lowest terms."""
-    masks = _centralizer_masks(ring)
-    return Fraction(int(masks.sum()), ring.order ** 2)
+    return Fraction(int(ring.commutes.sum()), ring.order ** 2)
+
+
+def _noncentral_centralizers(ring: FiniteRing) -> list[np.ndarray]:
+    """Distinct centralizer masks of the non-central elements."""
+    distinct: dict[bytes, np.ndarray] = {}
+    for i in np.flatnonzero(~ring.commutes.all(axis=1)):
+        row = ring.commutes[i]
+        distinct.setdefault(row.tobytes(), row)
+    return list(distinct.values())
 
 
 def is_cc_ring(ring: FiniteRing) -> bool | None:
@@ -347,31 +357,13 @@ def is_cc_ring(ring: FiniteRing) -> bool | None:
     """
     if ring.is_commutative:
         return None
-    masks = _centralizer_masks(ring)
-    central = np.all(masks, axis=0)
-    seen = set()
-    for i in np.flatnonzero(~central):
-        key = masks[:, i].tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        members = np.flatnonzero(masks[:, i])
-        sub = ring.table[np.ix_(members, members)]
-        if not np.array_equal(sub, sub.T):
-            return False
-    return True
+    return all(ring.commutes[np.ix_(members, members)].all()
+               for members in map(np.flatnonzero, _noncentral_centralizers(ring)))
 
 
 def noncentral_centralizer_sizes(ring: FiniteRing) -> list[int]:
     """Sorted sizes of the distinct centralizers of non-central elements."""
-    masks = _centralizer_masks(ring)
-    central = np.all(masks, axis=0)
-    distinct = {}
-    for i in np.flatnonzero(~central):
-        key = masks[:, i].tobytes()
-        if key not in distinct:
-            distinct[key] = int(masks[:, i].sum())
-    return sorted(distinct.values())
+    return sorted(int(mask.sum()) for mask in _noncentral_centralizers(ring))
 
 
 def has_unity(ring: FiniteRing) -> int | None:

@@ -1,9 +1,13 @@
-"""Neighborhood matrices and their spectra by two independent routes.
+"""Neighborhood matrices, their spectra by two independent routes, and
+the closed forms for clique unions.
 
-Both matrices are block-diagonal over the connected components of their
-support, so each matrix is split into its support blocks once, and
-identical blocks are grouped by content.  matrix_spectra is the single
-dispatch between the routes, and applies both to every distinct block:
+Both matrices are built from one per-component common-neighbour count
+(graphs.common_neighbours): the cn matrix is that count, and the msn
+matrix reads distance two off it.  Both are block-diagonal over the
+connected components of their support, so each matrix is split into its
+support blocks once, and identical blocks are grouped by content.
+matrix_spectra is the single dispatch between the routes, and applies
+both to every distinct block:
 
 * the exact route computes the characteristic polynomial multimodularly
   (int64 arithmetic modulo word-size primes, combined by the Chinese
@@ -38,6 +42,7 @@ from .graphs import (
     CliqueUnion,
     SimpleGraph,
     clique_decomposition,
+    common_neighbours,
     connected_components,
     delta2_all,
 )
@@ -154,6 +159,39 @@ class NotFullyIntegral:
     residual_degree: int
 
 
+def clique_union_msn_spectrum(parts: CliqueUnion) -> SpectrumMultiset:
+    counts: Counter[int] = Counter()
+    for m, l in parts.parts:
+        if m > 1:
+            counts[-((m - 1) ** 2)] += l * (m - 1)
+        counts[(m - 1) ** 3] += l
+    return SpectrumMultiset(True, tuple(sorted(counts.items())))
+
+
+def clique_union_msn_energy(parts: CliqueUnion) -> int:
+    return 2 * sum(l * (m - 1) ** 3 for m, l in parts.parts)
+
+
+def clique_union_cn_spectrum(parts: CliqueUnion) -> SpectrumMultiset:
+    counts: Counter[int] = Counter()
+    for m, l in parts.parts:
+        counts[(m - 1) * (m - 2)] += l
+        if m > 1:
+            counts[-(m - 2)] += l * (m - 1)
+    return SpectrumMultiset(True, tuple(sorted(counts.items())))
+
+
+def clique_union_cn_energy(parts: CliqueUnion) -> int:
+    return 2 * sum(l * (m - 1) * (m - 2) for m, l in parts.parts)
+
+
+def reference_energies(n: int) -> tuple[int, int]:
+    """Both energies of the complete graph on n vertices."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return 2 * (n - 1) ** 3, 2 * (n - 1) * (n - 2)
+
+
 def msn_matrix(g: SimpleGraph) -> IntSymMatrix:
     """Minimum second-degree matrix: entry min(d2(u), d2(v)) on edges."""
     d2 = delta2_all(g)
@@ -163,11 +201,7 @@ def msn_matrix(g: SimpleGraph) -> IntSymMatrix:
 
 def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
     """Common neighborhood matrix: shared neighbor counts off diagonal."""
-    a = g.adjacency.astype(np.float64)
-    vals = np.rint(a @ a).astype(np.int64)
-    if g.n:
-        np.fill_diagonal(vals, 0)
-    return IntSymMatrix(vals)
+    return IntSymMatrix(common_neighbours(g))
 
 
 def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
@@ -299,14 +333,6 @@ def classify(g: SimpleGraph) -> EnergyReport:
     through matrix_spectra, which reports the numeric spectrum when the
     exact one is incomplete or, above the exact cap, undetermined.
     """
-    from .theorems import (
-        clique_union_cn_energy,
-        clique_union_cn_spectrum,
-        clique_union_msn_energy,
-        clique_union_msn_spectrum,
-        reference_energies,
-    )
-
     if g.n < 1:
         raise SpectraError("classification requires at least one vertex")
     dec = clique_decomposition(g)

@@ -1,8 +1,8 @@
-"""Closed-form spectra and energies for clique unions, plus the
-per-family predictions used by the verifier.
+"""Per-family predictions used by the verifier.
 
 Every prediction here reduces to the same two facts about a disjoint
-union of complete graphs l_1 K_{m_1} + ... + l_r K_{m_r}:
+union of complete graphs l_1 K_{m_1} + ... + l_r K_{m_r}, whose closed
+forms live in the spectra module and are re-exported here:
 
   msn spectrum: eigenvalue -(m_i - 1)^2 with multiplicity l_i (m_i - 1)
                 and (m_i - 1)^3 with multiplicity l_i, merged across parts;
@@ -15,14 +15,21 @@ and enumerate the admissible (l_i) solutions of the stated constraints.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .config import DEFAULT_ENUMERATION_CAP
 from .graphs import CliqueUnion
 from .rings import is_prime
-from .spectra import SpectrumMultiset
+# the closed forms are part of this module's public names
+from .spectra import (
+    SpectrumMultiset,
+    clique_union_cn_energy,
+    clique_union_cn_spectrum,
+    clique_union_msn_energy,
+    clique_union_msn_spectrum,
+    reference_energies,
+)
 
 
 class TheoremId(Enum):
@@ -59,39 +66,6 @@ class TheoremId(Enum):
 
 class HypothesisViolated(Exception):
     """An arithmetic precondition of a prediction does not hold."""
-
-
-def clique_union_msn_spectrum(parts: CliqueUnion) -> SpectrumMultiset:
-    counts: Counter[int] = Counter()
-    for m, l in parts.parts:
-        if m > 1:
-            counts[-((m - 1) ** 2)] += l * (m - 1)
-        counts[(m - 1) ** 3] += l
-    return SpectrumMultiset(True, tuple(sorted(counts.items())))
-
-
-def clique_union_msn_energy(parts: CliqueUnion) -> int:
-    return 2 * sum(l * (m - 1) ** 3 for m, l in parts.parts)
-
-
-def clique_union_cn_spectrum(parts: CliqueUnion) -> SpectrumMultiset:
-    counts: Counter[int] = Counter()
-    for m, l in parts.parts:
-        counts[(m - 1) * (m - 2)] += l
-        if m > 1:
-            counts[-(m - 2)] += l * (m - 1)
-    return SpectrumMultiset(True, tuple(sorted(counts.items())))
-
-
-def clique_union_cn_energy(parts: CliqueUnion) -> int:
-    return 2 * sum(l * (m - 1) * (m - 2) for m, l in parts.parts)
-
-
-def reference_energies(n: int) -> tuple[int, int]:
-    """Both energies of the complete graph on n vertices."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return 2 * (n - 1) ** 3, 2 * (n - 1) * (n - 2)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,16 @@ def test_bad_sweep_range_exits_two(capsys):
     code, _, err = run(capsys, "sweep", "--theorems", "t2_1", "--p-range", "2,x")
     assert code == 2
     assert "comma-separated integer list" in err
+
+
+@pytest.mark.parametrize("family", ["nc_p2", "mat2", "ut2"])
+def test_huge_prime_fails_fast(capsys, family):
+    # 10^18 + 3 is prime: the size cap must reject it before any primality test
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ring-info", "--spec", f"{family}:p=1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "universe cap" in err
 
 
 def test_module_entry_point():

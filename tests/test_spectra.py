@@ -206,7 +206,8 @@ def disjoint_union(parts, perm_seed):
        st.integers(0, 2**32 - 1))
 def test_matrix_spectra_per_block_equal_whole_matrix(parts, perm_seed):
     g = disjoint_union(parts, perm_seed)
-    for m in (msn_matrix(g), cn_matrix(g)):
+    for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
+        assert np.array_equal(m.values, brute(g))
         result = matrix_spectra(m)
         whole = np.linalg.eigvalsh(m.values.astype(np.float64))
         merged = [v for v, mult in result.numeric.pairs for _ in range(mult)]
