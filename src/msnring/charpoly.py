@@ -1,30 +1,43 @@
-"""Exact characteristic polynomials and integer root extraction.
+"""Exact integer spectra: a power-sum certificate, characteristic
+polynomials and integer root extraction.
 
 Polynomials are lists of Python ints in ascending degree order, so
 coeffs[i] multiplies x**i and the leading coefficient of a monic
-polynomial is the final 1.  Everything here is exact.  The
-characteristic polynomial is computed multimodularly: a Hessenberg
-reduction and leading-minor recurrence in int64 modulo word-size primes,
-combined by the Chinese remainder theorem until the modulus exceeds a
-proven bound on the coefficients, derived from the row-sum bound on the
-eigenvalues.  No floating point enters.
+polynomial is the final 1.  Every result here is exact.  Both exact
+routines work in int64 modulo word-size primes and take primes until
+their product exceeds a proven bound derived from the row-sum bound on
+the eigenvalues:
+
+* certified_roots proves a candidate integer spectrum of a symmetric
+  matrix from its power sums tr(A**k), or declines.  The candidates may
+  come from anywhere, a rounded float eigensolve included: they are a
+  guess that the check either proves or rejects.
+* charpoly_dense computes the characteristic polynomial by a Hessenberg
+  reduction and leading-minor recurrence per prime, combined by the
+  Chinese remainder theorem; integer_roots then reads off its integer
+  roots.  No floating point enters this route.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
+from collections.abc import Iterator
 
 import numpy as np
 
 from .rings import is_prime
 
 
-def gershgorin_bound(block: list[list[int]]) -> int:
+def gershgorin_bound(block) -> int:
     """Bound on the absolute value of any eigenvalue: max row sum."""
-    if not block:
+    a = np.asarray(block, dtype=np.int64)
+    if a.size == 0:
         return 0
-    return max(sum(abs(v) for v in row) for row in block)
+    if max(int(a.max()), -int(a.min())) * a.shape[1] >= 2**63:
+        a = a.astype(object)  # Python ints, so the row sums cannot overflow
+    return int(np.abs(a).sum(axis=1).max())
 
 
 def prime_bits(n: int) -> int:
@@ -44,6 +57,83 @@ def modular_prime(bits: int, i: int) -> int:
     while not is_prime(q):
         q -= 1
     return q
+
+
+def crt_primes(limit: int, bits: int) -> Iterator[int]:
+    """modular_prime(bits, 0), modular_prime(bits, 1), ... until their
+    product exceeds limit."""
+    modulus, i = 1, 0
+    while modulus <= limit:
+        p = modular_prime(bits, i)
+        yield p
+        modulus *= p
+        i += 1
+
+
+def charpoly_bound(n: int, b: int) -> int:
+    """Twice a bound on the coefficients of the characteristic polynomial
+    of an n x n matrix whose eigenvalues lie in [-b, b]."""
+    return 2 * max(math.comb(n, k) * b**k for k in range(n + 1))
+
+
+def power_sum_bound(n: int, b: int, s: int) -> int:
+    """Twice a bound on |tr(A**k)| for k <= 2s, with A n x n and its
+    eigenvalues in [-b, b]."""
+    return 2 * n * max(b, 1) ** (2 * s)
+
+
+def certified_roots(a: np.ndarray, hint) -> list[tuple[int, int]] | None:
+    """The integer spectrum of a symmetric integer matrix a, proven, or
+    None when the hint does not round to it.
+
+    The n hint values are rounded to s distinct integer candidates l_i
+    with multiplicities m_i.  The result is sorted (l_i, m_i) pairs,
+    returned only if tr(a**k) == sum_i m_i * l_i**k for k = 0..2s.  That
+    proves it.  The eigenvalues e_j of a are real, because a is
+    symmetric, so agreement of every power sum up to 2s gives, for
+    q(x) = prod_i (x - l_i) of degree s,
+
+        sum_j q(e_j)**2 = sum_i m_i * q(l_i)**2 = 0,
+
+    so every e_j is some l_i.  With true multiplicities n_i, the sums
+    for k = 0..s-1 then read sum_i (n_i - m_i) * l_i**k = 0, a
+    Vandermonde system on distinct l_i, so n_i = m_i.
+
+    Candidates beyond the row-sum bound b are declined.  Then both sides
+    of every identity are at most n * b**(2s) in absolute value, so the
+    identities are checked modulo primes whose product exceeds
+    power_sum_bound(n, b, s).  Per prime, a**2..a**s take s - 1 int64
+    matrix products, and tr(a**(i+j)) is the sum of the elementwise
+    product of a**i and a**j, since a**j is symmetric.  Until the check
+    passes the hint proves nothing, so any hint, however wrong, is safe.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[0]
+    if not np.array_equal(a, a.T):
+        raise ValueError("certified_roots needs a symmetric matrix")
+    hint = np.asarray(hint, dtype=np.float64)
+    if hint.shape != (n,) or not np.isfinite(hint).all():
+        return None
+    b = gershgorin_bound(a)
+    roots = sorted(Counter(int(v) for v in np.rint(hint)).items())
+    if any(abs(v) > b for v, _ in roots):
+        return None
+    s = len(roots)
+    sums = [sum(m * v**k for v, m in roots) for k in range(2 * s + 1)]
+    trace = int(np.trace(a))
+    for p in crt_primes(power_sum_bound(n, b, s), prime_bits(n)):
+        powers = [None, a % p]
+        for _ in range(s - 1):
+            powers.append(powers[-1] @ powers[1] % p)
+        # every elementwise product is below p**2 and is reduced before the
+        # sum, so no int64 sum of n * n terms can overflow
+        traces = [n, trace] + [
+            int((powers[k // 2] * powers[k - k // 2] % p).sum())
+            for k in range(2, 2 * s + 1)
+        ]
+        if any((t - want) % p for t, want in zip(traces, sums)):
+            return None
+    return roots
 
 
 def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -87,9 +177,9 @@ def charpoly_dense(block: list[list[int]]) -> list[int]:
 
     Multimodular: the polynomial is computed modulo word-size primes and
     combined by the Chinese remainder theorem until the modulus M exceeds
-    2 * max_k C(n, k) * B**k, with B the row-sum eigenvalue bound.  That
-    bounds every coefficient, so the symmetric residues mod M are the
-    integer coefficients themselves.
+    charpoly_bound(n, B) = 2 * max_k C(n, k) * B**k, with B the row-sum
+    eigenvalue bound.  That bounds every coefficient, so the symmetric
+    residues mod M are the integer coefficients themselves.
     """
     n = len(block)
     if n == 0:
@@ -97,19 +187,13 @@ def charpoly_dense(block: list[list[int]]) -> list[int]:
     if n == 1:
         return [-block[0][0], 1]
     a = np.array(block, dtype=np.int64)
-    b = gershgorin_bound(block)
-    limit = 2 * max(math.comb(n, k) * b**k for k in range(n + 1))
-    bits = prime_bits(n)
     coeffs = [0] * (n + 1)
     modulus = 1
-    i = 0
-    while modulus <= limit:
-        p = modular_prime(bits, i)
+    for p in crt_primes(charpoly_bound(n, gershgorin_bound(block)), prime_bits(n)):
         inv = pow(modulus % p, -1, p)
         for j, r in enumerate(_charpoly_mod(a, p).tolist()):
             coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
         modulus *= p
-        i += 1
     half = modulus // 2
     return [c - modulus if c > half else c for c in coeffs]
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENV_UNIVERSE_CAP, universe_cap
-from .rings import FiniteRing
+from .rings import FiniteRing, parse_decimal
 
 
 class GraphError(Exception):
@@ -278,9 +278,9 @@ def parse_edge_list_text(text: str) -> SimpleGraph:
     if not rows or len(rows[0]) != 2:
         raise GraphFormatError("edge list must start with a line: n m")
     try:
-        n, m = int(rows[0][0]), int(rows[0][1])
+        n, m = parse_decimal(rows[0][0]), parse_decimal(rows[0][1])
         _check_vertex_count(n)
-        edges = [(int(a), int(b)) for a, b in rows[1:]]
+        edges = [(parse_decimal(a), parse_decimal(b)) for a, b in rows[1:]]
     except ValueError as exc:
         raise GraphFormatError(f"malformed edge list: {exc}") from None
     if len(edges) != m:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -465,6 +466,22 @@ class RingSpecError(RingError):
     pass
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def parse_decimal(text: str) -> int:
+    """An integer written in ASCII decimal digits, with an optional
+    leading minus sign.
+
+    Raises ValueError on anything else, including what int() accepts
+    beyond that: digits of other scripts, underscores, a plus sign and
+    surrounding whitespace.
+    """
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"invalid decimal integer {text!r}")
+    return int(text)
+
+
 def _split_product_args(body: str) -> list[str]:
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(body):
@@ -503,7 +520,7 @@ def parse_ring_spec(spec: str) -> FiniteRing:
     if name != key or not value:
         raise RingSpecError(f"{family} takes a single parameter {key}=<int>")
     try:
-        n = int(value)
+        n = parse_decimal(value)
     except ValueError:
         raise RingSpecError(f"parameter {key}={value!r} is not an integer") from None
     return builder(n)

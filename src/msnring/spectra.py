@@ -9,12 +9,15 @@ support blocks once, and identical blocks are grouped by content.
 matrix_spectra is the single dispatch between the routes, and applies
 both to every distinct block:
 
-* the exact route computes the characteristic polynomial multimodularly
-  (int64 arithmetic modulo word-size primes, combined by the Chinese
-  remainder theorem up to a proven coefficient bound) and extracts its
-  integer roots; it either proves the spectrum integral or reports the
-  integer part found.  It declines matrices with a support block above
-  the exact cap.
+* the exact route first tries to certify an integer spectrum: its own
+  float eigensolve of the block, rounded, is only a hint, which
+  charpoly.certified_roots proves exactly from the power sums tr(A**k)
+  modulo word-size primes, or rejects.  A block it does not settle gets
+  the characteristic polynomial multimodularly (int64 arithmetic modulo
+  word-size primes, combined by the Chinese remainder theorem up to a
+  proven coefficient bound) and its integer roots.  So the route either
+  proves the spectrum integral or reports the integer part found.  It
+  declines matrices with a support block above the exact cap.
 * the numeric route is a symmetric eigensolve per block, merged and
   clustered into multiplicities.
 
@@ -28,14 +31,20 @@ import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .charpoly import (
+    certified_roots,
+    charpoly_bound,
     charpoly_dense,
     check_charpoly,
+    crt_primes,
     gershgorin_bound,
     integer_roots,
+    power_sum_bound,
+    prime_bits,
 )
 from .config import exact_cap
 from .graphs import (
@@ -204,14 +213,50 @@ def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
     return IntSymMatrix(common_neighbours(g))
 
 
+def _cluster_tol(values: np.ndarray) -> float:
+    """Clustering tolerance for the eigenvalues of a nonempty matrix."""
+    return NUMERIC_CLUSTER_TOL * max(1.0, float(np.abs(values).max()) * values.shape[0])
+
+
+def _block_roots(block: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+    """Integer roots with multiplicity of one block, and the residual degree.
+
+    A rounded eigensolve of the block suggests an integer spectrum, which
+    certified_roots proves or rejects.  It is tried only when every
+    eigenvalue lies within the clustering tolerance of an integer and its
+    primes, one pass of s - 1 matrix products each, number no more than
+    the characteristic polynomial would need.  Otherwise, or if it
+    declines, the characteristic polynomial is computed, checked for
+    shape and trace, and its integer roots are read off the divisors of
+    its trailing nonzero coefficient within the row-sum eigenvalue bound.
+    """
+    n, b = block.shape[0], gershgorin_bound(block)
+    try:
+        hint = np.linalg.eigvalsh(block.astype(np.float64))
+    except np.linalg.LinAlgError:
+        hint = np.full(n, np.nan)  # fails the test below
+    near = np.abs(hint - np.rint(hint)) <= _cluster_tol(block)
+    if hint.shape == (n,) and near.all():
+        s = len(np.unique(np.rint(hint)))
+        bits = prime_bits(n)
+        cost = (s - 1) * sum(1 for _ in crt_primes(power_sum_bound(n, b, s), bits))
+        # the polynomial's primes are counted only up to cost
+        if sum(1 for _ in islice(crt_primes(charpoly_bound(n, b), bits), cost)) == cost:
+            found = certified_roots(block, hint)
+            if found is not None:
+                return found, 0
+    poly = charpoly_dense(block.tolist())
+    check_charpoly(poly, n, int(np.trace(block)))
+    return integer_roots(poly, b)
+
+
 def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
     """Integer eigenvalues by exact computation.
 
-    The characteristic polynomial of each distinct support block is
-    computed exactly and checked for shape and trace; integer roots are
-    read off the divisors of its trailing nonzero coefficient within the
-    row-sum eigenvalue bound.  If every polynomial splits completely the
-    full spectrum is returned, else the integer part found.  Raises
+    Each distinct support block's integer roots are proven, by the
+    power-sum certificate or from the characteristic polynomial (see
+    _block_roots).  If every block's spectrum is integral the full
+    spectrum is returned, else the integer part found.  Raises
     ExactCapExceeded, before any work, if a block exceeds the exact cap.
     """
     cap = exact_cap()
@@ -222,10 +267,7 @@ def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
     roots: Counter[int] = Counter()
     residual = 0
     for block, count in m.blocks:
-        rows = block.tolist()
-        poly = charpoly_dense(rows)
-        check_charpoly(poly, len(rows), int(np.trace(block)))
-        found, left = integer_roots(poly, gershgorin_bound(rows))
+        found, left = _block_roots(block)
         for value, mult in found:
             roots[value] += mult * count
         residual += left * count
@@ -246,8 +288,7 @@ def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
         ]))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolve failed: {exc}") from None
-    scale = max(1.0, float(np.abs(m.values).max()) * m.n)
-    tol = NUMERIC_CLUSTER_TOL * scale
+    tol = _cluster_tol(m.values)
     clusters: list[list[float]] = [[float(eigs[0])]]
     for v in eigs[1:]:
         if float(v) - clusters[-1][-1] < tol:

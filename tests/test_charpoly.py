@@ -1,13 +1,18 @@
 """Exact characteristic polynomials against a rational oracle, numpy and
-hand-built factors."""
+hand-built factors, and the power-sum certificate against them."""
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msnring.graphs import CliqueUnion, SimpleGraph, clique_union_graph
+from msnring.spectra import cn_matrix, msn_matrix
+
 from msnring.charpoly import (
+    certified_roots,
     charpoly_dense,
     divide_linear,
     gershgorin_bound,
@@ -195,3 +200,119 @@ def test_charpoly_dense_diagonal():
 def test_poly_mul():
     assert poly_mul([1], [5, 1]) == [5, 1]
     assert poly_mul([-1, 1], [1, 1]) == [-1, 0, 1]
+
+
+# --- the power-sum certificate ---
+
+
+def oracle_roots(block):
+    """Integer roots of the characteristic polynomial, or None unless it splits."""
+    roots, residual = integer_roots(charpoly_dense(block), gershgorin_bound(block))
+    return None if residual else roots
+
+
+def expand(roots):
+    return [v for v, m in roots for _ in range(m)]
+
+
+def test_certified_roots_needs_power_sums_up_to_2s():
+    k4 = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
+    # -3 and 1 (x3) match tr(A^k) for k <= 2 but not tr(A^3) = 24
+    assert certified_roots(np.array(k4), [-3, 1, 1, 1]) is None
+    assert certified_roots(np.array(k4), [3, -1, -1, -1]) == [(-1, 3), (3, 1)]
+    # float hints are rounded first, in any order
+    assert certified_roots(np.array(k4), [-0.9, 3.2, -1.1, -1.0]) == [(-1, 3), (3, 1)]
+
+
+def kab(a, b):
+    return SimpleGraph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def integral_test_blocks():
+    """Support blocks of clique-union msn/cn matrices and of K_{a,b}."""
+    g = clique_union_graph(CliqueUnion(((2, 1), (3, 1), (4, 1), (6, 1), (9, 1))))
+    graphs = [g] + [kab(a, b) for a, b in ((1, 4), (2, 2), (3, 3), (2, 8), (2, 3))]
+    for graph in graphs:
+        for m in (msn_matrix(graph), cn_matrix(graph)):
+            for block, _ in m.blocks:
+                if oracle_roots(block.tolist()) is not None:
+                    yield block
+
+
+def test_certified_roots_rejects_hints_off_by_one_value_or_multiplicity():
+    blocks = list(integral_test_blocks())
+    assert len(blocks) >= 15
+    for block in blocks:
+        truth = oracle_roots(block.tolist())
+        values = expand(truth)
+        assert certified_roots(block, values) == truth
+        for i in range(len(values)):
+            for delta in (-1, 1):
+                wrong = values.copy()
+                wrong[i] += delta
+                assert certified_roots(block, wrong) is None
+            # one copy of values[i] taken from one distinct value to another
+            for v, _ in truth:
+                if v != values[i]:
+                    wrong = values.copy()
+                    wrong[i] = v
+                    assert certified_roots(block, wrong) is None
+
+
+def test_certified_roots_declines_malformed_hints():
+    block = np.array([[0, 2], [2, 0]])
+    for hint in ([2], [2, -2, 0], [np.nan, 2], [np.inf, -2], [5, -5]):
+        assert certified_roots(block, hint) is None
+    assert certified_roots(block, [2, -2]) == [(-2, 1), (2, 1)]
+    with pytest.raises(ValueError):
+        certified_roots(np.array([[0, 1], [2, 0]]), [1, -1])
+
+
+def integral_or_random_sym(rng, kind, n):
+    """A symmetric integer matrix; every kind but "random" has an integer
+    spectrum, hidden by a random permutation."""
+    if kind == "random":
+        a = rng.integers(-3, 4, size=(n, n))
+        return np.triu(a) + np.triu(a, 1).T
+    if kind == "hadamard":
+        h = np.ones((1, 1), dtype=np.int64)
+        while h.shape[0] < n:
+            h = np.block([[h, h], [h, -h]])
+        a = h @ np.diag(rng.integers(-3, 4, size=h.shape[0])) @ h.T
+    else:
+        # blocks c*J + d*I, with eigenvalues c*size + d and d
+        sizes, left = [], n
+        while left:
+            sizes.append(int(rng.integers(1, left + 1)))
+            left -= sizes[-1]
+        a = np.zeros((n, n), dtype=np.int64)
+        start = 0
+        for size in sizes:
+            c, d = rng.integers(-4, 5, size=2)
+            a[start:start + size, start:start + size] = c
+            a[start:start + size, start:start + size] += d * np.eye(size, dtype=np.int64)
+            start += size
+    perm = rng.permutation(a.shape[0])
+    return a[np.ix_(perm, perm)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 16),
+       st.sampled_from(["random", "hadamard", "cliques"]))
+def test_certified_roots_accepts_exactly_the_true_integer_spectrum(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    a = integral_or_random_sym(rng, kind, n)
+    rows = a.tolist()
+    hint = np.linalg.eigvalsh(a.astype(np.float64))
+    truth = oracle_roots(rows)
+    got = certified_roots(a, hint)
+    rounded = sorted(int(v) for v in np.rint(hint))
+    if truth is not None and expand(truth) == rounded:
+        assert got == truth
+    else:
+        assert got is None
+    if got is not None and len(rows) <= 16:
+        poly = [1]
+        for v in expand(got):
+            poly = poly_mul(poly, [-v, 1])
+        assert poly == fraction_charpoly(rows)

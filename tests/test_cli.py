@@ -277,6 +277,24 @@ def test_non_integer_graph_edges_exit_two(tmp_path, capsys, edges):
     assert "error: graph JSON edge" in err
 
 
+@pytest.mark.parametrize("spec", ["nc_p2:p=\u0663", "zn:n=1_0"])
+def test_non_ascii_decimal_ring_spec_exits_two(capsys, spec):
+    code, out, err = run(capsys, "ring-info", "--spec", spec)
+    assert code == 2
+    assert out == ""
+    assert "is not an integer" in err
+
+
+@pytest.mark.parametrize("text", ["2 1\n0 \u0661\n", "2 1\n0 1_0\n"])
+def test_non_ascii_decimal_edge_list_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert "invalid decimal integer" in err
+
+
 def test_oversized_graph_header_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MSNRING_UNIVERSE_CAP", "10")
     path = tmp_path / "big.txt"

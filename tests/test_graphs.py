@@ -210,6 +210,16 @@ def test_edge_list_rejects_malformed():
         parse_edge_list_text("3 2\n0 1\n0 1\n")  # duplicate
 
 
+@pytest.mark.parametrize("text", [
+    "2 1\n0 \u0661\n",  # Arabic-Indic digit one
+    "2 1\n0 +1\n", "\uff12 1\n0 1\n", "2 1_0\n", "1_0 0\n", "2 1\n0 1.0\n",
+])
+def test_edge_list_rejects_non_ascii_decimal_integers(text):
+    # int() would have read each of these as a number
+    with pytest.raises(GraphFormatError, match="invalid decimal integer"):
+        parse_edge_list_text(text)
+
+
 def test_graph_files_capped_before_allocation(monkeypatch):
     monkeypatch.setenv("MSNRING_UNIVERSE_CAP", "10")
     assert parse_edge_list_text("10 1\n0 9\n").n == 10

@@ -335,6 +335,21 @@ def test_parse_ring_spec():
             parse_ring_spec(bad)
 
 
+@pytest.mark.parametrize("spec", [
+    "nc_p2:p=\u0663", "zn:n=1_0", "zn:n=+6", "zn:n= 6", "zn:n=6.0", "mat2:p=\uff12",
+    "prod(zn:n=2,zn:n=\u0663)",
+])
+def test_parse_ring_spec_rejects_non_ascii_decimal_integers(spec):
+    # int() would have read each parameter as a number
+    with pytest.raises(RingSpecError, match="is not an integer"):
+        parse_ring_spec(spec)
+
+
+def test_parse_ring_spec_negative_keeps_constructor_message():
+    with pytest.raises(DimensionMismatch, match="n must be at least 1"):
+        parse_ring_spec("zn:n=-3")
+
+
 def test_parse_ring_spec_file(tmp_path):
     path = tmp_path / "ring.json"
     save_ring(zn(4), path)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msnring import spectra
-from msnring.charpoly import charpoly_dense, gershgorin_bound, integer_roots
+from msnring.charpoly import certified_roots, charpoly_dense, gershgorin_bound, integer_roots
 from msnring.graphs import CliqueUnion, SimpleGraph, clique_union_graph, connected_components
 from msnring.spectra import (
     NUMERIC_CLUSTER_TOL,
@@ -174,7 +174,68 @@ def test_support_blocks():
 
 
 def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
-    # two disjoint triangles, one listed as 3-4-5 and one as 0-1-2
+    # two disjoint triangles, one listed as 3-4-5 and one as 0-1-2; each
+    # distinct block is settled once, by the certificate or, when that
+    # declines, by the characteristic polynomial
+    triangle = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    g = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    for declines in (False, True):
+        certified, charpolys = [], []
+
+        def certify(block, hint):
+            certified.append(block.tolist())
+            return None if declines else certified_roots(block, hint)
+
+        def charpoly(block):
+            charpolys.append(block)
+            return charpoly_dense(block)
+
+        monkeypatch.setattr(spectra, "certified_roots", certify)
+        monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
+        assert exact_spectrum(cn_matrix(g)).pairs == ((-1, 4), (2, 2))
+        assert certified == [triangle]
+        assert charpolys == ([triangle] if declines else [])
+
+
+def charpoly_oracle(m):
+    """exact_spectrum's answer from the whole matrix's characteristic polynomial."""
+    rows = m.values.tolist()
+    roots, residual = integer_roots(charpoly_dense(rows), gershgorin_bound(rows))
+    if residual:
+        return NotFullyIntegral(tuple(roots), residual)
+    return SpectrumMultiset(True, tuple(roots))
+
+
+def no_convergence(_):
+    raise np.linalg.LinAlgError("no convergence")
+
+
+GARBAGE_HINTS = {
+    "one value off": lambda e: np.concatenate([e[:-1], e[-1:] + 1]),
+    "one multiplicity moved": lambda e: np.concatenate([e[:1], e[:-1]]),
+    "negated": lambda e: -e,
+    "zeros": np.zeros_like,
+    "noise": lambda e: np.random.default_rng(0).normal(size=e.shape) * 50,
+    "nan": lambda e: np.full_like(e, np.nan),
+    "too short": lambda e: e[1:],
+    "no convergence": no_convergence,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GARBAGE_HINTS))
+def test_exact_spectrum_never_trusts_its_hint(monkeypatch, kind):
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: GARBAGE_HINTS[kind](np.rint(eigvalsh(a))))
+    graphs = [clique_union_graph(CliqueUnion(((1, 1), (2, 2), (4, 1), (5, 3)))),
+              complete_graph(6)]
+    graphs += [random_graph(seed, 7 + seed % 5) for seed in range(8)]
+    for g in graphs:
+        for m in (msn_matrix(g), cn_matrix(g)):
+            assert exact_spectrum(m) == charpoly_oracle(m)
+
+
+def test_clique_blocks_settle_without_charpoly(monkeypatch):
     calls = []
 
     def counting(block):
@@ -182,9 +243,22 @@ def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
         return charpoly_dense(block)
 
     monkeypatch.setattr(spectra, "charpoly_dense", counting)
-    g = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-    assert exact_spectrum(cn_matrix(g)).pairs == ((-1, 4), (2, 2))
-    assert calls == [[[0, 1, 1], [1, 0, 1], [1, 1, 0]]]
+    parts = CliqueUnion(((4, 2), (5, 1), (7, 3), (12, 1), (40, 1)))
+    g = clique_union_graph(parts)
+    assert exact_spectrum(msn_matrix(g)) == spectra.clique_union_msn_spectrum(parts)
+    assert exact_spectrum(cn_matrix(g)) == spectra.clique_union_cn_spectrum(parts)
+    assert calls == []
+
+
+def test_exact_spectrum_bounded_time_on_largest_clique_block():
+    # K256 is the largest block the default exact cap admits; the
+    # characteristic polynomial route took about 25 s on it
+    parts = CliqueUnion(((256, 1),))
+    g = clique_union_graph(parts)
+    start = time.perf_counter()
+    assert exact_spectrum(msn_matrix(g)) == spectra.clique_union_msn_spectrum(parts)
+    assert exact_spectrum(cn_matrix(g)) == spectra.clique_union_cn_spectrum(parts)
+    assert time.perf_counter() - start < 5.0
 
 
 def disjoint_union(parts, perm_seed):
@@ -215,11 +289,7 @@ def test_matrix_spectra_per_block_equal_whole_matrix(parts, perm_seed):
         tol = NUMERIC_CLUSTER_TOL * max(1.0, float(m.values.max(initial=0)) * m.n) * m.n
         assert np.allclose(merged, whole, rtol=0, atol=tol + 1e-9)
         if m.n <= 16:
-            rows = m.values.tolist()
-            roots, residual = integer_roots(charpoly_dense(rows), gershgorin_bound(rows))
-            want = (NotFullyIntegral(tuple(roots), residual) if residual
-                    else SpectrumMultiset(True, tuple(roots)))
-            assert result.exact == want
+            assert result.exact == charpoly_oracle(m)
 
 
 def test_matrix_spectra_above_cap(monkeypatch):
