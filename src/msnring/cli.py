@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 
-from .config import ENV_EXACT_CAP, ENV_UNIVERSE_CAP
+from .config import ENV_EXACT_CAP, ENV_UNIVERSE_CAP, parse_decimal
 from .graphs import (
     GraphError,
     SimpleGraph,
@@ -151,9 +151,16 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict is Verdict.PASS else 1
 
 
+def _decimal(text: str) -> int:
+    try:
+        return parse_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [parse_decimal(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
 
@@ -236,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check one ring against one closed form")
     p_ver.add_argument("--theorem", required=True, help="theorem id, e.g. t3_1a")
     p_ver.add_argument("--spec", required=True)
-    p_ver.add_argument("--p", type=int)
-    p_ver.add_argument("--q", type=int)
-    p_ver.add_argument("--t", type=int)
+    p_ver.add_argument("--p", type=_decimal)
+    p_ver.add_argument("--q", type=_decimal)
+    p_ver.add_argument("--t", type=_decimal)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
 
@@ -250,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_prop = sub.add_parser("property-suite", help="clique-union energy property checks")
-    p_prop.add_argument("--seed", type=int, default=1)
-    p_prop.add_argument("--trials", type=int, default=500)
+    p_prop.add_argument("--seed", type=_decimal, default=1)
+    p_prop.add_argument("--trials", type=_decimal, default=500)
     p_prop.add_argument("--json", action="store_true")
     p_prop.set_defaults(func=_cmd_property_suite)
 

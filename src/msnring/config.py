@@ -1,6 +1,7 @@
-"""Runtime limits shared across the package."""
+"""Runtime limits shared across the package, and the reader of user integers."""
 
 import os
+import re
 
 DEFAULT_UNIVERSE_CAP = 5000
 DEFAULT_EXACT_CAP = 256
@@ -10,12 +11,34 @@ DEFAULT_ENUMERATION_CAP = 10_000
 ENV_UNIVERSE_CAP = "MSNRING_UNIVERSE_CAP"
 ENV_EXACT_CAP = "MSNRING_EXACT_CAP"
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def parse_decimal(text: str) -> int:
+    """An integer written in ASCII decimal digits, with an optional
+    leading minus sign.
+
+    Raises ValueError on anything else, including what int() accepts
+    beyond that: digits of other scripts, underscores, a plus sign and
+    surrounding whitespace.
+    """
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"invalid decimal integer {text!r}")
+    return int(text)
+
+
+def _env_int(name: str, default: int) -> int:
+    try:
+        return parse_decimal(os.environ.get(name, str(default)))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
 
 def universe_cap() -> int:
     """Largest ring order any constructor will build."""
-    return int(os.environ.get(ENV_UNIVERSE_CAP, DEFAULT_UNIVERSE_CAP))
+    return _env_int(ENV_UNIVERSE_CAP, DEFAULT_UNIVERSE_CAP)
 
 
 def exact_cap() -> int:
     """Largest support block dimension accepted by the exact spectrum path."""
-    return int(os.environ.get(ENV_EXACT_CAP, DEFAULT_EXACT_CAP))
+    return _env_int(ENV_EXACT_CAP, DEFAULT_EXACT_CAP)

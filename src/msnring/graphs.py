@@ -6,20 +6,23 @@ everything within distance two: the neighbors together with the
 neighbors' neighbors, the vertex itself excluded.  This is the convention
 under which every vertex of a K_m component has second-degree sum
 (m-1)^2, which the closed forms elsewhere in the package rely on.
-Distance two and the cn matrix both come from common_neighbours, the one
-product of the adjacency with itself, taken per connected component.
+A graph's components are labelled once, cached as SimpleGraph.components,
+and are the one source of block structure: the clique decomposition,
+common_neighbours (the one product of the adjacency with itself),
+distance two and the msn/cn matrices are all built per component.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import ENV_UNIVERSE_CAP, universe_cap
-from .rings import FiniteRing, parse_decimal
+from .config import ENV_UNIVERSE_CAP, parse_decimal, universe_cap
+from .rings import FiniteRing
 
 
 class GraphError(Exception):
@@ -44,7 +47,6 @@ class SimpleGraph:
 
     n: int
     adjacency: np.ndarray = field(repr=False)
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         a = self.adjacency
@@ -59,7 +61,7 @@ class SimpleGraph:
         a.setflags(write=False)
 
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None) -> "SimpleGraph":
+    def from_edges(cls, n: int, edges) -> "SimpleGraph":
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -67,7 +69,12 @@ class SimpleGraph:
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             adj[u, v] = adj[v, u] = True
-        return cls(n, adj, tuple(labels) if labels is not None else None)
+        return cls(n, adj)
+
+    @functools.cached_property
+    def components(self) -> tuple[np.ndarray, ...]:
+        """The connected components, labelled once per graph."""
+        return connected_components(self.adjacency)
 
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -126,10 +133,7 @@ class CliqueUnion:
 
     @classmethod
     def from_sizes(cls, sizes) -> "CliqueUnion":
-        counts: dict[int, int] = {}
-        for m in sizes:
-            counts[int(m)] = counts.get(int(m), 0) + 1
-        return cls(tuple(sorted(counts.items())))
+        return cls.of((m, 1) for m in sizes)
 
     @property
     def n(self) -> int:
@@ -165,8 +169,7 @@ def commuting_graph(ring: FiniteRing) -> SimpleGraph:
         raise CommutativeRing(f"{ring.name} is commutative; the commuting graph is empty")
     adj = ring.commutes[np.ix_(vertices, vertices)]
     np.fill_diagonal(adj, False)
-    labels = tuple(str(ring.coords(int(i))) for i in vertices)
-    return SimpleGraph(len(vertices), adj, labels)
+    return SimpleGraph(len(vertices), adj)
 
 
 def second_neighborhood(g: SimpleGraph, v: int) -> set[int]:
@@ -189,55 +192,56 @@ def delta2(g: SimpleGraph, v: int) -> int:
 
 def delta2_all(g: SimpleGraph) -> np.ndarray:
     """delta2 for every vertex at once."""
-    return (g.adjacency | (common_neighbours(g) > 0)).astype(np.int64) @ g.degrees()
+    degrees = g.degrees()
+    out = np.zeros(g.n, dtype=np.int64)
+    for comp, counts in zip(g.components, common_neighbours(g)):
+        out[comp] = (g.adjacency[comp[:, None], comp] | (counts > 0)) @ degrees[comp]
+    return out
 
 
-def connected_components(g: SimpleGraph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest vertex."""
-    a = g.adjacency
-    seen = np.zeros(g.n, dtype=bool)
-    comps: list[list[int]] = []
-    for seed in range(g.n):
-        if seen[seed]:
-            continue
-        mask = np.zeros(g.n, dtype=bool)
-        mask[seed] = True
+def connected_components(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Components of a symmetric boolean array, as ascending index arrays
+    ordered by smallest vertex."""
+    n = len(adjacency)
+    unseen = np.ones(n, dtype=bool)
+    comps: list[np.ndarray] = []
+    while unseen.any():
+        mask = np.zeros(n, dtype=bool)
+        mask[unseen.argmax()] = True  # the smallest vertex not yet placed
         frontier = mask.copy()
         while frontier.any():
-            nxt = a[frontier].any(axis=0) & ~mask
+            nxt = adjacency[frontier].any(axis=0) & ~mask
             mask |= nxt
             frontier = nxt
-        seen |= mask
-        comps.append([int(i) for i in np.flatnonzero(mask)])
-    return comps
+        unseen &= ~mask
+        comps.append(np.flatnonzero(mask))
+    return tuple(comps)
 
 
-def common_neighbours(g: SimpleGraph) -> np.ndarray:
-    """Shared-neighbour counts of every vertex pair, zero on the diagonal.
-
-    Walks of length two stay inside a component, so the product of the
-    adjacency with itself runs once per connected component.
-    """
-    counts = np.zeros((g.n, g.n), dtype=np.int64)
-    for comp in connected_components(g):
-        block = np.ix_(comp, comp)
-        a = g.adjacency[block].astype(np.float64)
-        counts[block] = np.rint(a @ a)
-    np.fill_diagonal(counts, 0)
-    return counts
+def common_neighbours(g: SimpleGraph) -> tuple[np.ndarray, ...]:
+    """Shared-neighbour counts as one int64 block per component of
+    g.components, zero on the diagonal; vertices in different components
+    share no neighbour."""
+    blocks = []
+    for comp in g.components:
+        a = g.adjacency[comp[:, None], comp].astype(np.float64)
+        counts = np.rint(a @ a).astype(np.int64)
+        np.fill_diagonal(counts, 0)
+        blocks.append(counts)
+    return tuple(blocks)
 
 
 def clique_decomposition(g: SimpleGraph) -> CliqueUnion | NotCliqueUnion:
     """Decompose into complete components, or witness why that fails."""
     sizes: list[int] = []
-    for comp in connected_components(g):
-        sub = g.adjacency[np.ix_(comp, comp)]
+    for comp in g.components:
+        sub = g.adjacency[comp[:, None], comp]
         expected_missing = len(comp)  # only the diagonal may be False
         if int(sub.sum()) != len(comp) * len(comp) - expected_missing:
             off = ~sub
             np.fill_diagonal(off, False)
             i, j = np.argwhere(off)[0]
-            return NotCliqueUnion((comp[int(i)], comp[int(j)]))
+            return NotCliqueUnion((int(comp[i]), int(comp[j])))
         sizes.append(len(comp))
     return CliqueUnion.from_sizes(sizes)
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_VALIDATION_CAP, universe_cap
+from .config import DEFAULT_VALIDATION_CAP, parse_decimal, universe_cap
 
 
 class RingError(Exception):
@@ -308,10 +307,9 @@ def direct_product(r: FiniteRing, s: FiniteRing) -> FiniteRing:
     """Componentwise product ring on the concatenated coordinates."""
     order = r.order * s.order
     _check_universe(order, f"prod({r.name},{s.name})")
-    ns = s.order
-    left = np.repeat(np.repeat(r.table.astype(np.int64), ns, axis=0), ns, axis=1)
-    right = np.tile(s.table.astype(np.int64), (r.order, r.order))
-    table = (left * ns + right).astype(np.int32)
+    # entry (i |S| + k, j |S| + l) is r[i, j] |S| + s[k, l], below the order
+    table = (r.table[:, None, :, None] * s.order
+             + s.table[None, :, None, :]).reshape(order, order)
     return _freeze(FiniteRing(f"prod({r.name},{s.name})", r.moduli + s.moduli, table))
 
 
@@ -464,22 +462,6 @@ _BUILTIN_FAMILIES = {
 
 class RingSpecError(RingError):
     pass
-
-
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def parse_decimal(text: str) -> int:
-    """An integer written in ASCII decimal digits, with an optional
-    leading minus sign.
-
-    Raises ValueError on anything else, including what int() accepts
-    beyond that: digits of other scripts, underscores, a plus sign and
-    surrounding whitespace.
-    """
-    if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"invalid decimal integer {text!r}")
-    return int(text)
 
 
 def _split_product_args(body: str) -> list[str]:

@@ -1,13 +1,15 @@
 """Neighborhood matrices, their spectra by two independent routes, and
 the closed forms for clique unions.
 
-Both matrices are built from one per-component common-neighbour count
+Both matrices are built one graph component at a time, in the order of
+SimpleGraph.components, from one per-component common-neighbour count
 (graphs.common_neighbours): the cn matrix is that count, and the msn
-matrix reads distance two off it.  Both are block-diagonal over the
-connected components of their support, so each matrix is split into its
-support blocks once, and identical blocks are grouped by content.
-matrix_spectra is the single dispatch between the routes, and applies
-both to every distinct block:
+matrix reads distance two off it.  So an IntSymMatrix is block-diagonal
+by construction and holds only its diagonal parts.  Each distinct part
+is split once more over the components of its own support, which can
+refine the graph's (the cn matrix of K_{a,b} splits into its two sides),
+and identical blocks are grouped by content.  matrix_spectra is the single
+dispatch between the routes, and applies both to every distinct block:
 
 * the exact route first tries to certify an integer spectrum: its own
   float eigensolve of the block, rounded, is only a hint, which
@@ -72,45 +74,55 @@ class NoConvergence(SpectraError):
     pass
 
 
+def _grouped(pairs) -> tuple[tuple[np.ndarray, int], ...]:
+    """(square array, count) pairs with equal arrays merged, in first-seen order."""
+    seen: dict[tuple[str, bytes], list] = {}
+    for a, count in pairs:
+        # the arrays are square, so equal dtype and bytes mean equal arrays
+        seen.setdefault((a.dtype.str, a.tobytes()), [a, 0])[1] += count
+    return tuple((a, count) for a, count in seen.values())
+
+
 @dataclass(frozen=True, eq=False)
 class IntSymMatrix:
-    """Symmetric nonnegative integer matrix with a zero diagonal."""
+    """Block-diagonal symmetric nonnegative integer matrix with a zero
+    diagonal, stored as its diagonal parts only; every part is checked.
+    msn_matrix and cn_matrix give one part per SimpleGraph.components."""
 
-    values: np.ndarray = field(repr=False)
+    parts: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise SpectraError(f"matrix must be square, got shape {v.shape}")
-        if not np.issubdtype(v.dtype, np.integer):
-            raise SpectraError("matrix entries must be integers")
-        if v.size:
-            if np.any(np.diagonal(v) != 0):
+        for v in self.parts:
+            if v.ndim != 2 or v.shape[0] != v.shape[1]:
+                raise SpectraError(f"matrix part must be square, got shape {v.shape}")
+            if v.dtype.kind not in "iu":
+                raise SpectraError("matrix entries must be integers")
+            if np.diagonal(v).any():
                 raise SpectraError("matrix diagonal must be zero")
-            if not np.array_equal(v, v.T):
+            if (v != v.T).any():
                 raise SpectraError("matrix must be symmetric")
-            if v.min() < 0:
+            if v.min(initial=0) < 0:
                 raise SpectraError("matrix entries must be nonnegative")
-        v.setflags(write=False)
+            v.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return int(self.values.shape[0])
+        return sum(v.shape[0] for v in self.parts)
 
     @functools.cached_property
     def blocks(self) -> tuple[tuple[np.ndarray, int], ...]:
         """Distinct diagonal blocks over the components of the support,
         each with the number of components that carry it.
 
-        The zero diagonal and symmetry make the support a simple graph.
+        Each distinct part is split once, over the components of its own
+        support, which the zero diagonal and symmetry make a simple graph.
         """
-        distinct: dict[bytes, list] = {}
-        for comp in connected_components(SimpleGraph(self.n, self.values != 0)):
-            block = self.values[np.ix_(comp, comp)]
+        found = _grouped((part[comp[:, None], comp], copies)
+                         for part, copies in _grouped((v, 1) for v in self.parts)
+                         for comp in connected_components(part != 0))
+        for block, _ in found:
             block.setflags(write=False)
-            # blocks are square with one dtype, so equal bytes mean equal blocks
-            distinct.setdefault(block.tobytes(), [block, 0])[1] += 1
-        return tuple((block, count) for block, count in distinct.values())
+        return found
 
 
 @dataclass(frozen=True)
@@ -204,8 +216,9 @@ def reference_energies(n: int) -> tuple[int, int]:
 def msn_matrix(g: SimpleGraph) -> IntSymMatrix:
     """Minimum second-degree matrix: entry min(d2(u), d2(v)) on edges."""
     d2 = delta2_all(g)
-    vals = np.minimum.outer(d2, d2) * g.adjacency
-    return IntSymMatrix(vals.astype(np.int64))
+    return IntSymMatrix(tuple(
+        np.minimum(d2[comp, None], d2[comp]) * g.adjacency[comp[:, None], comp]
+        for comp in g.components))
 
 
 def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
@@ -213,9 +226,9 @@ def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
     return IntSymMatrix(common_neighbours(g))
 
 
-def _cluster_tol(values: np.ndarray) -> float:
-    """Clustering tolerance for the eigenvalues of a nonempty matrix."""
-    return NUMERIC_CLUSTER_TOL * max(1.0, float(np.abs(values).max()) * values.shape[0])
+def _cluster_tol(peak: int, n: int) -> float:
+    """Clustering tolerance for the eigenvalues of an n x n matrix with largest entry peak."""
+    return NUMERIC_CLUSTER_TOL * max(1.0, float(peak) * n)
 
 
 def _block_roots(block: np.ndarray) -> tuple[list[tuple[int, int]], int]:
@@ -235,7 +248,7 @@ def _block_roots(block: np.ndarray) -> tuple[list[tuple[int, int]], int]:
         hint = np.linalg.eigvalsh(block.astype(np.float64))
     except np.linalg.LinAlgError:
         hint = np.full(n, np.nan)  # fails the test below
-    near = np.abs(hint - np.rint(hint)) <= _cluster_tol(block)
+    near = np.abs(hint - np.rint(hint)) <= _cluster_tol(block.max(), n)
     if hint.shape == (n,) and near.all():
         s = len(np.unique(np.rint(hint)))
         bits = prime_bits(n)
@@ -288,7 +301,7 @@ def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
         ]))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolve failed: {exc}") from None
-    tol = _cluster_tol(m.values)
+    tol = _cluster_tol(max(block.max() for block, _ in m.blocks), m.n)
     clusters: list[list[float]] = [[float(eigs[0])]]
     for v in eigs[1:]:
         if float(v) - clusters[-1][-1] < tol:

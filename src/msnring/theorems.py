@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .config import DEFAULT_ENUMERATION_CAP
 from .graphs import CliqueUnion
@@ -114,6 +115,12 @@ def _require_prime(value, name: str) -> int:
     return value
 
 
+def _require_distinct_primes(p, q) -> tuple[int, int]:
+    pp, qq = _require_prime(p, "p"), _require_prime(q, "q")
+    _require(pp != qq, f"p and q must be distinct primes, got p = q = {pp}")
+    return pp, qq
+
+
 def _require_pos(value, name: str) -> int:
     _require(value is not None, f"parameter {name} is required")
     _require(isinstance(value, int) and value >= 1, f"{name} = {value!r} must be a positive integer")
@@ -124,20 +131,31 @@ def _single(theorem, params, pairs) -> ClosedFormPrediction:
     return ClosedFormPrediction(theorem, tuple(params.items()), (CliqueUnion.of(pairs),))
 
 
-def _two_size_family(theorem, params, total, weight2, size1, size2,
-                     cap) -> ClosedFormPrediction:
-    """All l1*1 + l2*weight2 = total splits into l1 K_size1 + l2 K_size2."""
-    decs = []
-    hit_cap = False
-    l2 = 0
-    while l2 * weight2 <= total:
-        l1 = total - l2 * weight2
-        if len(decs) >= cap:
-            hit_cap = True
-            break
-        decs.append(CliqueUnion.of([(size1, l1), (size2, l2)]))
-        l2 += 1
-    return ClosedFormPrediction(theorem, tuple(params.items()), tuple(decs), hit_cap)
+def _family(theorem, params, total, weights, sizes, cap,
+            unsolvable: str | None = None) -> ClosedFormPrediction:
+    """Every l_1 K_{sizes[0]} + ... + l_k K_{sizes[k-1]} with
+    l_1 weights[0] + ... + l_k weights[k-1] = total, at most cap of them.
+
+    The last count is outermost and ascending, and l_1 is settled by
+    divisibility.  cap_exceeded says that more solutions exist.  With
+    unsolvable given, an empty list raises HypothesisViolated with it.
+    """
+
+    def counts(rest, k):
+        if k == 1:
+            if rest % weights[0] == 0:
+                yield (rest // weights[0],)
+            return
+        for lk in range(rest // weights[k - 1] + 1):
+            for head in counts(rest - lk * weights[k - 1], k - 1):
+                yield head + (lk,)
+
+    limit = max(cap, 0)
+    found = list(islice(counts(total, len(weights)), limit + 1))
+    decs = tuple(CliqueUnion.of(zip(sizes, ls)) for ls in found[:limit])
+    if unsolvable is not None:
+        _require(bool(decs), unsolvable)
+    return ClosedFormPrediction(theorem, tuple(params.items()), decs, len(found) > limit)
 
 
 def predict(theorem: TheoremId, *, p: int | None = None, q: int | None = None,
@@ -171,22 +189,20 @@ def predict(theorem: TheoremId, *, p: int | None = None, q: int | None = None,
         return _single(tid, {"p": pp, "m": pp}, [(pp * (pp - 1), pp + 1)])
     if tid is TheoremId.T3_1A:
         pp = _require_prime(p, "p")
-        return _two_size_family(tid, {"p": pp}, pp * pp + pp + 1, pp + 1,
-                                pp * (pp - 1), pp * (pp * pp - 1), cap)
+        return _family(tid, {"p": pp}, pp * pp + pp + 1, (1, pp + 1),
+                       (pp * (pp - 1), pp * (pp * pp - 1)), cap)
     if tid is TheoremId.T3_1B:
         pp = _require_prime(p, "p")
         return _single(tid, {"p": pp}, [(pp * pp * (pp - 1), pp + 1)])
     if tid is TheoremId.T3_3A:
         pp = _require_prime(p, "p")
-        return _two_size_family(tid, {"p": pp}, pp * pp + pp + 1, pp + 1,
-                                pp * pp * (pp - 1), pp * pp * (pp * pp - 1), cap)
+        return _family(tid, {"p": pp}, pp * pp + pp + 1, (1, pp + 1),
+                       (pp * pp * (pp - 1), pp * pp * (pp * pp - 1)), cap)
     if tid is TheoremId.T3_3B:
         pp = _require_prime(p, "p")
         return _single(tid, {"p": pp}, [(pp ** 3 * (pp - 1), pp + 1)])
     if tid is TheoremId.T4_1A:
-        pp = _require_prime(p, "p")
-        qq = _require_prime(q, "q")
-        _require(pp != qq, f"p and q must be distinct primes, got p = q = {pp}")
+        pp, qq = _require_distinct_primes(p, q)
         tt = _require_pos(t, "t")
         allowed = {pp, qq, pp * pp, pp * qq}
         _require(tt in allowed, f"t = {tt} is not in {sorted(allowed)}")
@@ -196,43 +212,16 @@ def predict(theorem: TheoremId, *, p: int | None = None, q: int | None = None,
         return _single(tid, {"p": pp, "q": qq, "t": tt},
                        [(tt - 1, order1 // (tt - 1))])
     if tid is TheoremId.T4_1B:
-        pp = _require_prime(p, "p")
-        qq = _require_prime(q, "q")
-        _require(pp != qq, f"p and q must be distinct primes, got p = q = {pp}")
+        pp, qq = _require_distinct_primes(p, q)
         total = pp * pp * qq - 1
-        weights = [pp - 1, qq - 1, pp * pp - 1, pp * qq - 1]
-        sizes4 = list(weights)
-        decs: list[CliqueUnion] = []
-        hit_cap = False
-        for l4 in range(total // weights[3] + 1):
-            r4 = total - l4 * weights[3]
-            for l3 in range(r4 // weights[2] + 1):
-                r3 = r4 - l3 * weights[2]
-                for l2 in range(r3 // weights[1] + 1):
-                    rem = r3 - l2 * weights[1]
-                    if rem % weights[0]:
-                        continue
-                    if len(decs) >= cap:
-                        hit_cap = True
-                        break
-                    l1 = rem // weights[0]
-                    decs.append(CliqueUnion.of(
-                        list(zip(sizes4, (l1, l2, l3, l4)))))
-                if hit_cap:
-                    break
-            if hit_cap:
-                break
-        _require(bool(decs), f"no nonnegative solutions partition {total}")
-        return ClosedFormPrediction(tid, (("p", pp), ("q", qq)), tuple(decs), hit_cap)
+        weights = (pp - 1, qq - 1, pp * pp - 1, pp * qq - 1)
+        return _family(tid, {"p": pp, "q": qq}, total, weights, weights, cap,
+                       f"no nonnegative solutions partition {total}")
     if tid is TheoremId.T4_3:
-        pp = _require_prime(p, "p")
-        qq = _require_prime(q, "q")
-        _require(pp != qq, f"p and q must be distinct primes, got p = q = {pp}")
+        pp, qq = _require_distinct_primes(p, q)
         return _single(tid, {"p": pp, "q": qq}, [(pp * qq * (pp - 1), pp + 1)])
     if tid is TheoremId.T4_4A or tid is TheoremId.T4_4B:
-        pp = _require_prime(p, "p")
-        qq = _require_prime(q, "q")
-        _require(pp != qq, f"p and q must be distinct primes, got p = q = {pp}")
+        pp, qq = _require_distinct_primes(p, q)
         tt = pp if tid is TheoremId.T4_4A else qq
         total = pp * qq - 1
         _require(total % (tt - 1) == 0,
@@ -240,25 +229,11 @@ def predict(theorem: TheoremId, *, p: int | None = None, q: int | None = None,
         return _single(tid, {"p": pp, "q": qq},
                        [(pp * pp * (tt - 1), total // (tt - 1))])
     if tid is TheoremId.T4_4C:
-        pp = _require_prime(p, "p")
-        qq = _require_prime(q, "q")
-        _require(pp != qq, f"p and q must be distinct primes, got p = q = {pp}")
+        pp, qq = _require_distinct_primes(p, q)
         total = pp * qq - 1
-        decs = []
-        hit_cap = False
-        for l2 in range(total // (qq - 1) + 1):
-            rem = total - l2 * (qq - 1)
-            if rem % (pp - 1):
-                continue
-            if len(decs) >= cap:
-                hit_cap = True
-                break
-            l1 = rem // (pp - 1)
-            decs.append(CliqueUnion.of([(pp * pp * (pp - 1), l1),
-                                        (pp * pp * (qq - 1), l2)]))
-        _require(bool(decs),
-                 f"no nonnegative solutions to (p-1) l1 + (q-1) l2 = {total}")
-        return ClosedFormPrediction(tid, (("p", pp), ("q", qq)), tuple(decs), hit_cap)
+        return _family(tid, {"p": pp, "q": qq}, total, (pp - 1, qq - 1),
+                       (pp * pp * (pp - 1), pp * pp * (qq - 1)), cap,
+                       f"no nonnegative solutions to (p-1) l1 + (q-1) l2 = {total}")
     if tid is TheoremId.T5_1:
         mm = _require_pos(m, "m")
         _require(sizes is not None and len(tuple(sizes)) > 0,

@@ -502,22 +502,17 @@ def _check_clique_union(parts: CliqueUnion,
     """
     problems: list[str] = []
     g = clique_union_graph(parts)
-    ex = exact_spectrum(msn_matrix(g))
-    if isinstance(ex, NotFullyIntegral):
-        problems.append(f"{parts}: msn spectrum not integral")
-    else:
-        if ex.pairs != clique_union_msn_spectrum(parts).pairs:
-            problems.append(f"{parts}: msn spectrum differs from closed form")
-        if ex.energy() != clique_union_msn_energy(parts):
-            problems.append(f"{parts}: msn energy differs from closed form")
-    cx = exact_spectrum(cn_matrix(g))
-    if isinstance(cx, NotFullyIntegral):
-        problems.append(f"{parts}: cn spectrum not integral")
-    else:
-        if cx.pairs != clique_union_cn_spectrum(parts).pairs:
-            problems.append(f"{parts}: cn spectrum differs from closed form")
-        if cx.energy() != clique_union_cn_energy(parts):
-            problems.append(f"{parts}: cn energy differs from closed form")
+    for name, matrix, spectrum, energy in (
+            ("msn", msn_matrix, clique_union_msn_spectrum, clique_union_msn_energy),
+            ("cn", cn_matrix, clique_union_cn_spectrum, clique_union_cn_energy)):
+        ex = exact_spectrum(matrix(g))
+        if isinstance(ex, NotFullyIntegral):
+            problems.append(f"{parts}: {name} spectrum not integral")
+            continue
+        if ex.pairs != spectrum(parts).pairs:
+            problems.append(f"{parts}: {name} spectrum differs from closed form")
+        if ex.energy() != energy(parts):
+            problems.append(f"{parts}: {name} energy differs from closed form")
     esn_ref, ecn_ref = reference_energies(g.n)
     e_sn = clique_union_msn_energy(parts)
     e_cn = clique_union_cn_energy(parts)

@@ -343,3 +343,38 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "order: 4" in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["٢", "1_0", "+2", "2.0"])
+def test_non_ascii_decimal_sweep_range_exits_two(capsys, value):
+    code, out, err = run(capsys, "sweep", "--theorems", "t2_1", "--p-range", f"3,{value}")
+    assert code == 2
+    assert out == ""
+    assert "comma-separated integer list" in err
+    code, _, err = run(capsys, "sweep", "--theorems", "t4_3", "--p-range", "2",
+                       "--q-range", value)
+    assert code == 2
+    assert "--q-range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "t2_1", "--spec", "nc_p2:p=3", "--p", "٣"],
+    ["verify", "--theorem", "t4_1a", "--spec", "ut2:p=2", "--t", "1_0"],
+    ["verify", "--theorem", "t4_3", "--spec", "ut2:p=2", "--q", "+3"],
+    ["property-suite", "--seed", "١"],
+    ["property-suite", "--trials", "1_0"],
+])
+def test_non_ascii_decimal_flags_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid decimal integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", ["MSNRING_EXACT_CAP", "MSNRING_UNIVERSE_CAP"])
+def test_non_ascii_decimal_cap_exits_two(capsys, monkeypatch, env):
+    monkeypatch.setenv(env, "1_0")
+    code, out, err = run(capsys, "spectrum", "--matrix", "msn", "--spec", "ut2:p=2")
+    assert code == 2
+    assert out == ""
+    assert env in err and "invalid decimal integer" in err

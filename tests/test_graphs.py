@@ -112,11 +112,13 @@ def test_simple_graph_validation():
 
 def test_connected_components():
     g = SimpleGraph.from_edges(6, [(0, 3), (3, 5), (1, 2)])
-    assert connected_components(g) == [[0, 3, 5], [1, 2], [4]]
+    assert [c.tolist() for c in connected_components(g.adjacency)] == [[0, 3, 5], [1, 2], [4]]
+    assert [c.tolist() for c in g.components] == [[0, 3, 5], [1, 2], [4]]
+    assert g.components is g.components  # labelled once per graph
 
 
 def brute_decomposition(g):
-    comps = connected_components(g)
+    comps = connected_components(g.adjacency)
     for comp in comps:
         for u, v in itertools.combinations(comp, 2):
             if not g.has_edge(u, v):
@@ -167,7 +169,6 @@ def test_commuting_graph_ut2():
     g = commuting_graph(upper_triangular_ring(2))
     assert g.n == 6
     assert clique_decomposition(g) == CliqueUnion.of([(2, 3)])
-    assert g.labels is not None and len(g.labels) == 6
 
 
 def test_commuting_graph_brute_force_edges():

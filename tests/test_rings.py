@@ -100,6 +100,25 @@ def test_direct_product_is_componentwise():
             assert r.coords(r.multiply(i, j)) == want
 
 
+def repeat_tile_product_table(r, s):
+    """The product table built from int64 repeat and tile copies."""
+    ns = s.order
+    left = np.repeat(np.repeat(r.table.astype(np.int64), ns, axis=0), ns, axis=1)
+    right = np.tile(s.table.astype(np.int64), (r.order, r.order))
+    return left * ns + right
+
+
+def test_direct_product_table_matches_repeat_tile_oracle():
+    small = (zn(1), zn(3), ring_noncomm_p2(2), upper_triangular_ring(2),
+             matrix_ring_2x2(2))
+    for r, s in itertools.product(small, repeat=2):
+        table = direct_product(r, s).table
+        assert table.dtype == np.int32
+        assert np.array_equal(table, repeat_tile_product_table(r, s))
+        with pytest.raises(ValueError):
+            table[0, 0] = 1  # read-only
+
+
 def test_builtin_tables_satisfy_ring_axioms():
     for ring in (zn(6), ring_noncomm_p2(2), ring_noncomm_p2(3),
                  upper_triangular_ring(2), matrix_ring_2x2(2),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from msnring import spectra
 from msnring.charpoly import certified_roots, charpoly_dense, gershgorin_bound, integer_roots
-from msnring.graphs import CliqueUnion, SimpleGraph, clique_union_graph, connected_components
+from msnring.graphs import CliqueUnion, SimpleGraph, clique_decomposition, clique_union_graph
 from msnring.spectra import (
     NUMERIC_CLUSTER_TOL,
     EnergyReport,
@@ -43,6 +43,14 @@ def random_graph(seed, n, p=0.4):
     return SimpleGraph.from_edges(n, edges)
 
 
+def dense(m, g):
+    """The parts of m, placed by g.components into one n x n array."""
+    out = np.zeros((g.n, g.n), dtype=np.int64)
+    for comp, part in zip(g.components, m.parts, strict=True):
+        out[np.ix_(comp, comp)] = part
+    return out
+
+
 def brute_delta2(g, v):
     reach = set(g.neighbors(v))
     for u in list(reach):
@@ -72,49 +80,66 @@ def brute_cn(g):
 
 
 def test_msn_matrix_path3():
-    m = msn_matrix(path_graph(3))
-    assert m.values.tolist() == [[0, 2, 0], [2, 0, 2], [0, 2, 0]]
+    g = path_graph(3)
+    assert dense(msn_matrix(g), g).tolist() == [[0, 2, 0], [2, 0, 2], [0, 2, 0]]
 
 
 def test_msn_matrix_complete():
-    m = msn_matrix(complete_graph(4))
+    g = complete_graph(4)
     expected = 9 * (np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
-    assert np.array_equal(m.values, expected)
+    assert np.array_equal(dense(msn_matrix(g), g), expected)
 
 
 def test_cn_matrix_hand_values():
-    assert cn_matrix(path_graph(3)).values.tolist() == [
+    g = path_graph(3)
+    assert dense(cn_matrix(g), g).tolist() == [
         [0, 0, 1],
         [0, 0, 0],
         [1, 0, 0],
     ]
-    k5 = cn_matrix(complete_graph(5))
+    g = complete_graph(5)
     expected = 3 * (np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
-    assert np.array_equal(k5.values, expected)
+    assert np.array_equal(dense(cn_matrix(g), g), expected)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9))
 def test_matrices_match_brute_force(seed, n):
     g = random_graph(seed, n)
-    assert np.array_equal(msn_matrix(g).values, brute_msn(g))
-    assert np.array_equal(cn_matrix(g).values, brute_cn(g))
+    assert np.array_equal(dense(msn_matrix(g), g), brute_msn(g))
+    assert np.array_equal(dense(cn_matrix(g), g), brute_cn(g))
+
+
+INVALID_PARTS = {
+    "not square": np.zeros((2, 3), dtype=int),
+    "float dtype": np.zeros((2, 2)),
+    "diagonal": np.array([[1, 0], [0, 0]]),
+    "asymmetric": np.array([[0, 1], [2, 0]]),
+    "negative": np.array([[0, -1], [-1, 0]]),
+    "not two-dimensional": np.zeros(4, dtype=int),
+}
 
 
 def test_int_sym_matrix_validation():
+    for part in INVALID_PARTS.values():
+        with pytest.raises(SpectraError):
+            IntSymMatrix((part,))
     with pytest.raises(SpectraError):
-        IntSymMatrix(np.zeros((2, 3), dtype=int))
-    with pytest.raises(SpectraError):
-        IntSymMatrix(np.zeros((2, 2)))  # float dtype
-    with pytest.raises(SpectraError):
-        IntSymMatrix(np.array([[1, 0], [0, 0]]))  # diagonal
-    with pytest.raises(SpectraError):
-        IntSymMatrix(np.array([[0, 1], [2, 0]]))  # asymmetric
-    with pytest.raises(SpectraError):
-        IntSymMatrix(np.array([[0, -1], [-1, 0]]))  # negative
-    m = IntSymMatrix(np.array([[0, 1], [1, 0]]))
+        IntSymMatrix(np.array([[0, 1], [1, 0]]))  # a dense array is not a tuple of parts
+    m = IntSymMatrix((np.array([[0, 1], [1, 0]]),))
     with pytest.raises(ValueError):
-        m.values[0, 1] = 5  # read-only
+        m.parts[0][0, 1] = 5  # read-only
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID_PARTS))
+def test_int_sym_matrix_checks_every_part(kind):
+    valid = [np.array([[0, 3], [3, 0]]), np.zeros((1, 1), dtype=int),
+             np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])]
+    assert IntSymMatrix(tuple(valid)).n == 6
+    for at in range(len(valid) + 1):
+        parts = valid[:at] + [INVALID_PARTS[kind]] + valid[at:]
+        with pytest.raises(SpectraError):
+            IntSymMatrix(tuple(parts))
 
 
 # --- exact spectra ---
@@ -168,9 +193,13 @@ def test_support_blocks():
     v = np.zeros((7, 7), dtype=np.int64)
     for (i, j), w in (((0, 1), 4), ((2, 3), 1), ((4, 5), 4)):
         v[i, j] = v[j, i] = w
-    blocks = [(b.tolist(), count) for b, count in IntSymMatrix(v).blocks]
+    blocks = [(b.tolist(), count) for b, count in IntSymMatrix((v,)).blocks]
     assert blocks == [([[0, 4], [4, 0]], 2), ([[0, 1], [1, 0]], 1), ([[0]], 1)]
-    assert IntSymMatrix(np.zeros((0, 0), dtype=np.int64)).blocks == ()
+    # the same matrix held as two parts has the same blocks
+    split = IntSymMatrix((v[:4, :4], v[4:, 4:]))
+    assert [(b.tolist(), count) for b, count in split.blocks] == blocks
+    assert IntSymMatrix(()).blocks == ()
+    assert IntSymMatrix((np.zeros((0, 0), dtype=np.int64),)).blocks == ()
 
 
 def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
@@ -197,9 +226,9 @@ def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
         assert charpolys == ([triangle] if declines else [])
 
 
-def charpoly_oracle(m):
+def charpoly_oracle(m, g):
     """exact_spectrum's answer from the whole matrix's characteristic polynomial."""
-    rows = m.values.tolist()
+    rows = dense(m, g).tolist()
     roots, residual = integer_roots(charpoly_dense(rows), gershgorin_bound(rows))
     if residual:
         return NotFullyIntegral(tuple(roots), residual)
@@ -232,7 +261,7 @@ def test_exact_spectrum_never_trusts_its_hint(monkeypatch, kind):
     graphs += [random_graph(seed, 7 + seed % 5) for seed in range(8)]
     for g in graphs:
         for m in (msn_matrix(g), cn_matrix(g)):
-            assert exact_spectrum(m) == charpoly_oracle(m)
+            assert exact_spectrum(m) == charpoly_oracle(m, g)
 
 
 def test_clique_blocks_settle_without_charpoly(monkeypatch):
@@ -281,15 +310,16 @@ def disjoint_union(parts, perm_seed):
 def test_matrix_spectra_per_block_equal_whole_matrix(parts, perm_seed):
     g = disjoint_union(parts, perm_seed)
     for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
-        assert np.array_equal(m.values, brute(g))
+        values = dense(m, g)
+        assert np.array_equal(values, brute(g))
         result = matrix_spectra(m)
-        whole = np.linalg.eigvalsh(m.values.astype(np.float64))
+        whole = np.linalg.eigvalsh(values.astype(np.float64))
         merged = [v for v, mult in result.numeric.pairs for _ in range(mult)]
         # a cluster mean sits within n cluster tolerances of each member
-        tol = NUMERIC_CLUSTER_TOL * max(1.0, float(m.values.max(initial=0)) * m.n) * m.n
+        tol = NUMERIC_CLUSTER_TOL * max(1.0, float(values.max(initial=0)) * m.n) * m.n
         assert np.allclose(merged, whole, rtol=0, atol=tol + 1e-9)
         if m.n <= 16:
-            assert result.exact == charpoly_oracle(m)
+            assert result.exact == charpoly_oracle(m, g)
 
 
 def test_matrix_spectra_above_cap(monkeypatch):
@@ -323,7 +353,7 @@ def test_numeric_spectrum_clusters_multiplicities():
 
 
 def test_numeric_spectrum_empty():
-    s = numeric_spectrum(IntSymMatrix(np.zeros((0, 0), dtype=int)))
+    s = numeric_spectrum(IntSymMatrix(()))
     assert s.pairs == ()
 
 
@@ -338,7 +368,7 @@ def test_exact_and_numeric_agree(seed, n):
 def test_exact_spectrum_bounded_time_on_dense_random_graph():
     # coefficient growth in the exact path would turn this into minutes
     g = random_graph(64, 64, p=0.5)
-    assert len(connected_components(g)) == 1
+    assert len(g.components) == 1
     start = time.perf_counter()
     for m in (msn_matrix(g), cn_matrix(g)):
         assert spectra_agree(exact_spectrum(m), numeric_spectrum(m))
@@ -450,3 +480,44 @@ def test_classify_relabeling_invariant():
             for (va, _), (vb, _) in zip(sa.pairs, sb.pairs)
         )
     assert math.isclose(a.msn_energy, b.msn_energy, rel_tol=1e-12)
+
+
+# --- block structure: nothing of size n x n beyond the adjacency ---
+
+
+def test_clique_union_memory_stays_below_n_squared():
+    import tracemalloc
+
+    parts = CliqueUnion(((100, 31),))
+    g = clique_union_graph(parts)
+    n = g.n
+    tracemalloc.start()
+    try:
+        assert clique_decomposition(g) == parts
+        msn = matrix_spectra(msn_matrix(g))
+        cn = matrix_spectra(cn_matrix(g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert msn.exact == spectra.clique_union_msn_spectrum(parts)
+    assert cn.exact == spectra.clique_union_cn_spectrum(parts)
+    assert peak < n * n, f"peak {peak} bytes for n = {n}"
+
+
+def test_blocks_split_each_distinct_part_once(monkeypatch):
+    from msnring import graphs
+    splits = []
+    real = graphs.connected_components
+
+    def counting(adjacency):
+        splits.append(adjacency.shape[0])
+        return real(adjacency)
+
+    g = clique_union_graph(CliqueUnion(((2, 3), (3, 4), (5, 2))))
+    m = cn_matrix(g)
+    monkeypatch.setattr(spectra, "connected_components", counting)
+    # each K2 part splits into two zero blocks, which join the isolated ones
+    k5 = 3 * (np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
+    assert [(b.tolist(), count) for b, count in m.blocks] == [
+        ([[0]], 6), ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 4), (k5.tolist(), 2)]
+    assert splits == [2, 3, 5]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from msnring.graphs import CliqueUnion, clique_union_graph
 from msnring.spectra import cn_matrix, exact_spectrum, msn_matrix
 from msnring.theorems import (
+    ClosedFormPrediction,
     HypothesisViolated,
     TheoremId,
     clique_union_cn_energy,
@@ -226,3 +227,80 @@ def test_small_unions_helper_is_exhaustive():
     # multisets of clique sizes with total <= 8: partitions of 1..8
     partitions = [1, 2, 3, 5, 7, 11, 15, 22]
     assert count == sum(partitions)
+
+
+def frozen_family_decompositions(tid, p, q, cap):
+    """The hand-written enumeration loops predict used before they were
+    merged into one helper: (decompositions, cap_exceeded, error)."""
+    decs, hit_cap = [], False
+    if tid in (TheoremId.T3_1A, TheoremId.T3_3A):
+        total, weight2 = p * p + p + 1, p + 1
+        scale = 1 if tid is TheoremId.T3_1A else p
+        size1, size2 = scale * p * (p - 1), scale * p * (p * p - 1)
+        l2 = 0
+        while l2 * weight2 <= total:
+            l1 = total - l2 * weight2
+            if len(decs) >= cap:
+                hit_cap = True
+                break
+            decs.append(CliqueUnion.of([(size1, l1), (size2, l2)]))
+            l2 += 1
+        return decs, hit_cap, None
+    if tid is TheoremId.T4_1B:
+        total = p * p * q - 1
+        weights = [p - 1, q - 1, p * p - 1, p * q - 1]
+        for l4 in range(total // weights[3] + 1):
+            r4 = total - l4 * weights[3]
+            for l3 in range(r4 // weights[2] + 1):
+                r3 = r4 - l3 * weights[2]
+                for l2 in range(r3 // weights[1] + 1):
+                    rem = r3 - l2 * weights[1]
+                    if rem % weights[0]:
+                        continue
+                    if len(decs) >= cap:
+                        hit_cap = True
+                        break
+                    l1 = rem // weights[0]
+                    decs.append(CliqueUnion.of(list(zip(weights, (l1, l2, l3, l4)))))
+                if hit_cap:
+                    break
+            if hit_cap:
+                break
+        return decs, hit_cap, None if decs else f"no nonnegative solutions partition {total}"
+    total = p * q - 1
+    for l2 in range(total // (q - 1) + 1):
+        rem = total - l2 * (q - 1)
+        if rem % (p - 1):
+            continue
+        if len(decs) >= cap:
+            hit_cap = True
+            break
+        decs.append(CliqueUnion.of([(p * p * (p - 1), rem // (p - 1)),
+                                    (p * p * (q - 1), l2)]))
+    error = f"no nonnegative solutions to (p-1) l1 + (q-1) l2 = {total}"
+    return decs, hit_cap, None if decs else error
+
+
+@pytest.mark.parametrize("tid", [TheoremId.T3_1A, TheoremId.T3_3A,
+                                 TheoremId.T4_1B, TheoremId.T4_4C])
+def test_predict_enumeration_matches_frozen_loops(tid):
+    primes = [2, 3, 5, 7, 11, 13]
+    two_primes = tid in (TheoremId.T4_1B, TheoremId.T4_4C)
+    for p in primes:
+        for q in (primes if two_primes else [None]):
+            if p == q:
+                continue
+            for cap in (0, 1, 3, None):
+                kwargs = {} if cap is None else {"cap": cap}
+                decs, hit_cap, error = frozen_family_decompositions(
+                    tid, p, q, 10_000 if cap is None else cap)
+                if error is not None:
+                    with pytest.raises(HypothesisViolated) as exc:
+                        predict(tid, p=p, q=q, **kwargs)
+                    assert str(exc.value) == error
+                    continue
+                params = {"p": p} if q is None else {"p": p, "q": q}
+                want = ClosedFormPrediction(tid, tuple(params.items()), tuple(decs), hit_cap)
+                got = predict(tid, p=p, q=q, **kwargs)
+                assert got == want
+                assert got.to_json_dict() == want.to_json_dict()

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from msnring.graphs import CliqueUnion
+from msnring.graphs import CliqueUnion, SimpleGraph, commuting_graph
 from msnring.rings import (
     center,
     direct_product,
@@ -15,6 +15,7 @@ from msnring.rings import (
     upper_triangular_ring,
     zn,
 )
+from msnring.spectra import classify
 from msnring.theorems import TheoremId, clique_union_msn_energy
 from msnring.verification import (
     REPORT_CSV_HEADER,
@@ -392,3 +393,43 @@ def test_property_suite_report_json():
     assert d["seed"] == 1 and d["trials"] == 5
     assert d["enumerated"] == 11
     assert d["counterexamples"] == []
+
+
+def count_whole_graph_labellings(monkeypatch, n):
+    """Patch connected_components at every name the package calls it by;
+    the returned list gets one entry per call on an n x n array."""
+    from msnring import graphs, spectra
+    whole = []
+    real = graphs.connected_components
+
+    def counting(adjacency):
+        if adjacency.shape == (n, n):
+            whole.append(adjacency.shape)
+        return real(adjacency)
+
+    monkeypatch.setattr(graphs, "connected_components", counting)
+    monkeypatch.setattr(spectra, "connected_components", counting)
+    return whole
+
+
+@pytest.mark.parametrize("ring, theorem", [
+    (lambda: upper_triangular_ring(3), TheoremId.C2_4B),
+    (lambda: direct_product(matrix_ring_2x2(2), zn(2)), TheoremId.T3_3A),
+])
+def test_verify_ring_labels_the_graph_once(monkeypatch, ring, theorem):
+    ring = ring()
+    whole = count_whole_graph_labellings(monkeypatch, commuting_graph(ring).n)
+    assert verify_ring(ring, theorem).verdict is Verdict.PASS
+    assert len(whole) == 1
+
+
+def test_classify_labels_the_graph_once(monkeypatch):
+    # a path, a 4-cycle with a chord, K_{2,3}, a triangle and an isolated
+    # vertex: not a clique union, so both matrices are built and split
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3), (3, 5)]
+    edges += [(7 + u, 9 + v) for u in range(2) for v in range(3)]
+    edges += [(12, 13), (12, 14), (13, 14)]
+    g = SimpleGraph.from_edges(16, edges)
+    whole = count_whole_graph_labellings(monkeypatch, g.n)
+    assert classify(g).decomposition is None
+    assert len(whole) == 1
