@@ -160,9 +160,12 @@ def _decimal(text: str) -> int:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [parse_decimal(x.strip()) for x in text.split(",") if x.strip()]
+        values = [parse_decimal(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
+        values = []
+    if not values:
+        raise ValueError(f"{flag} expects a comma-separated integer list, got {text!r}")
+    return values
 
 
 def _cmd_sweep(args) -> int:

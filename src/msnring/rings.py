@@ -3,8 +3,11 @@
 A ring is stored as its additive group Z_{d1} x ... x Z_{dk} together with a
 full multiplication table on element indices.  Indices enumerate the mixed
 radix coordinate tuples in row-major order (first modulus most significant),
-so index 0 is always the additive identity.  Built-in families fill the table
-from a closed-form coordinate rule; user tables are validated exhaustively.
+so index 0 is always the additive identity.  User tables are validated
+exhaustively.  Built-in families are square matrices over Z_m with some entries
+fixed at zero and one coordinate per free entry, in row-major order: zn is the
+1x1 case, and nc_p2, ut2 and mat2 are 2x2 over F_p with a zero bottom row, a
+zero (1, 0) entry and no fixed entry.  One builder fills all their tables.
 """
 
 from __future__ import annotations
@@ -158,6 +161,30 @@ def _add_table(moduli: tuple[int, ...]) -> np.ndarray:
     return np.ravel_multi_index(sums, moduli).astype(np.int32)
 
 
+def _row_block(cells_per_row: int) -> int:
+    """Rows per block, so that a block's temporaries hold about 2^22 cells."""
+    return max(1, (1 << 22) // max(1, cells_per_row))
+
+
+def _matrix_ring(name: str, m: int, free: tuple[tuple[int, int], ...]) -> FiniteRing:
+    """Square matrices over Z_m, zero outside the product-closed row-major
+    positions `free`, with coordinate j the entry at free[j].  Entry (r, c) of
+    xy is sum_k x[r, k] y[k, c] mod m, in int64 for one row block at a time."""
+    moduli = (m,) * len(free)
+    order, dim = math.prod(moduli), 1 + max(map(max, free))
+    mats = np.zeros((dim, dim, order), dtype=np.int64)
+    for (r, c), coord in zip(free, _coord_arrays(moduli)):
+        mats[r, c] = coord
+    table = np.zeros((order, order), dtype=np.int32)
+    block = _row_block(order)
+    for start in range(0, order, block):
+        rows = table[start:start + block]
+        for r, c in free:
+            rows *= m
+            rows += mats[r, :, start:start + block].T @ mats[:, c] % m
+    return _freeze(FiniteRing(name, moduli, table))
+
+
 def validate_ring_axioms(moduli: tuple[int, ...], table: np.ndarray) -> None:
     """Exhaustively check associativity and both distributive laws.
 
@@ -166,7 +193,7 @@ def validate_ring_axioms(moduli: tuple[int, ...], table: np.ndarray) -> None:
     """
     n = table.shape[0]
     add = _add_table(moduli)
-    block = max(1, (1 << 22) // max(1, n * n))
+    block = _row_block(n * n)
     for start in range(0, n, block):
         rows = table[start:start + block]
         lhs = table[rows]            # [x, j, k] = (a_x b_j) c_k
@@ -219,7 +246,11 @@ def ring_from_table(
         raise DimensionMismatch(f"moduli must be positive, got {list(moduli)}")
     n = math.prod(moduli)
     _check_universe(n, "table ring")
-    arr = np.asarray(table)
+    try:
+        arr = np.asarray(table)
+    except ValueError:
+        raise DimensionMismatch(f"table must be a square integer array of order {n}, "
+                                "not a ragged list") from None
     if arr.shape != (n, n):
         raise DimensionMismatch(f"table shape {arr.shape} does not match order {n}")
     # Booleans are ints to Python, and numpy folds a mixed list into int64.
@@ -247,9 +278,7 @@ def zn(n: int) -> FiniteRing:
     if n < 1:
         raise DimensionMismatch("n must be at least 1")
     _check_universe(n, "zn")
-    i = np.arange(n, dtype=np.int64)
-    table = ((i[:, None] * i[None, :]) % n).astype(np.int32)
-    return _freeze(FiniteRing(f"zn:n={n}", (n,), table))
+    return _matrix_ring(f"zn:n={n}", n, ((0, 0),))
 
 
 def ring_noncomm_p2(p: int) -> FiniteRing:
@@ -261,11 +290,7 @@ def ring_noncomm_p2(p: int) -> FiniteRing:
     _check_universe(p * p, "nc_p2")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    a, b = _coord_arrays((p, p))
-    pa = (a[:, None] * a[None, :]) % p
-    pb = (a[:, None] * b[None, :]) % p
-    table = (pa * p + pb).astype(np.int32)
-    return _freeze(FiniteRing(f"nc_p2:p={p}", (p, p), table))
+    return _matrix_ring(f"nc_p2:p={p}", p, ((0, 0), (0, 1)))
 
 
 def matrix_ring_2x2(p: int) -> FiniteRing:
@@ -273,17 +298,7 @@ def matrix_ring_2x2(p: int) -> FiniteRing:
     _check_universe(p ** 4, "mat2")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    a, b, c, d = _coord_arrays((p, p, p, p))
-
-    def mul(x, y):
-        return (x[:, None] * y[None, :]) % p
-
-    e = (mul(a, a) + mul(b, c)) % p
-    f = (mul(a, b) + mul(b, d)) % p
-    g = (mul(c, a) + mul(d, c)) % p
-    h = (mul(c, b) + mul(d, d)) % p
-    table = (((e * p + f) * p + g) * p + h).astype(np.int32)
-    return _freeze(FiniteRing(f"mat2:p={p}", (p, p, p, p), table))
+    return _matrix_ring(f"mat2:p={p}", p, ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 def upper_triangular_ring(p: int) -> FiniteRing:
@@ -291,16 +306,7 @@ def upper_triangular_ring(p: int) -> FiniteRing:
     _check_universe(p ** 3, "ut2")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    a, b, c = _coord_arrays((p, p, p))
-
-    def mul(x, y):
-        return (x[:, None] * y[None, :]) % p
-
-    e = mul(a, a)
-    f = (mul(a, b) + mul(b, c)) % p
-    g = mul(c, c)
-    table = ((e * p + f) * p + g).astype(np.int32)
-    return _freeze(FiniteRing(f"ut2:p={p}", (p, p, p), table))
+    return _matrix_ring(f"ut2:p={p}", p, ((0, 0), (0, 1), (1, 1)))
 
 
 def direct_product(r: FiniteRing, s: FiniteRing) -> FiniteRing:

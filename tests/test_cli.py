@@ -267,6 +267,15 @@ def test_non_integer_ring_file_exits_two(tmp_path, capsys, table):
     assert "integers" in err
 
 
+def test_ragged_ring_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"name": "bad", "moduli": [2], "table": [[0, 0], [0]]}))
+    code, out, err = run(capsys, "ring-info", "--spec", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert "error: table must be a square integer array" in err
+
+
 @pytest.mark.parametrize("edges", [[[0.7, 1.2]], [[True, 2]], [[None, 1]], 7])
 def test_non_integer_graph_edges_exit_two(tmp_path, capsys, edges):
     path = tmp_path / "graph.json"
@@ -321,6 +330,18 @@ def test_bad_sweep_range_exits_two(capsys):
     code, _, err = run(capsys, "sweep", "--theorems", "t2_1", "--p-range", "2,x")
     assert code == 2
     assert "comma-separated integer list" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--p-range", ""), ("--p-range", ","),
+                                         ("--p-range", " , "), ("--q-range", ",")])
+def test_empty_sweep_range_exits_two(capsys, flag, value):
+    # these used to run no instance and exit 0
+    ranges = {"--p-range": "2", "--q-range": "3", flag: value}
+    code, out, err = run(capsys, "sweep", "--theorems", "t4_3",
+                         *(arg for item in ranges.items() for arg in item))
+    assert code == 2
+    assert out == ""
+    assert f"{flag} expects a comma-separated integer list" in err
 
 
 @pytest.mark.parametrize("family", ["nc_p2", "mat2", "ut2"])

@@ -7,6 +7,7 @@ type) against brute-force recomputation.
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -117,6 +118,85 @@ def test_direct_product_table_matches_repeat_tile_oracle():
         assert np.array_equal(table, repeat_tile_product_table(r, s))
         with pytest.raises(ValueError):
             table[0, 0] = 1  # read-only
+
+
+def outer_product_table(family, p):
+    """The table filled from |R|^2-sized int64 outer products, as the
+    constructors did before the row-blocked builder."""
+    def mul(x, y):
+        return (x[:, None] * y[None, :]) % p
+
+    if family == "zn":
+        i = np.arange(p, dtype=np.int64)
+        return ((i[:, None] * i[None, :]) % p).astype(np.int32)
+    if family == "nc_p2":
+        a, b = np.unravel_index(np.arange(p ** 2), (p, p))
+        return (mul(a, a) * p + mul(a, b)).astype(np.int32)
+    if family == "ut2":
+        a, b, c = np.unravel_index(np.arange(p ** 3), (p, p, p))
+        e, f, g = mul(a, a), (mul(a, b) + mul(b, c)) % p, mul(c, c)
+        return ((e * p + f) * p + g).astype(np.int32)
+    a, b, c, d = np.unravel_index(np.arange(p ** 4), (p, p, p, p))
+    e = (mul(a, a) + mul(b, c)) % p
+    f = (mul(a, b) + mul(b, d)) % p
+    g = (mul(c, a) + mul(d, c)) % p
+    h = (mul(c, b) + mul(d, d)) % p
+    return (((e * p + f) * p + g) * p + h).astype(np.int32)
+
+
+BUILDERS = {"zn": zn, "nc_p2": ring_noncomm_p2, "ut2": upper_triangular_ring,
+            "mat2": matrix_ring_2x2}
+ARITY = {"zn": 1, "nc_p2": 2, "ut2": 3, "mat2": 4}
+
+
+def test_builtin_tables_match_outer_product_oracle():
+    cases = [("zn", n) for n in range(1, 61)]
+    for family, top in (("nc_p2", 31), ("ut2", 7), ("mat2", 5)):
+        cases += [(family, p) for p in range(2, top + 1) if is_prime(p)]
+    for family, p in cases:
+        ring = BUILDERS[family](p)
+        assert ring.name == f"{family}:{'n' if family == 'zn' else 'p'}={p}"
+        assert ring.moduli == (p,) * ARITY[family]
+        assert ring.table.dtype == np.int32
+        assert not ring.table.flags.writeable
+        assert np.array_equal(ring.table, outer_product_table(family, p)), (family, p)
+
+
+def coordinate_rule_row(family, p, x, y):
+    """Coordinates of x * y for one element x against every element y,
+    in int64, from the family's closed-form product."""
+    if family == "zn":
+        return ((x[0] * y[0]) % p,)
+    if family == "nc_p2":
+        (a, b), (c, d) = x, y
+        return (a * c) % p, (a * d) % p
+    if family == "ut2":
+        (a, b, c), (d, e, f) = x, y
+        return (a * d) % p, (a * e + b * f) % p, (c * f) % p
+    (a, b, c, d), (e, f, g, h) = x, y
+    return ((a * e + b * g) % p, (a * f + b * h) % p,
+            (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+@pytest.mark.parametrize("family, p", [("nc_p2", 67), ("mat2", 7), ("ut2", 17),
+                                       ("zn", 4999)])
+def test_largest_builtin_tables_are_built_in_row_blocks(family, p):
+    # the largest p each family admits under the default universe cap, and
+    # zn near it: the fill crosses several row blocks, and must stay within
+    # one table plus bounded block temporaries, with no |R|^2 int64 array
+    tracemalloc.start()
+    try:
+        ring = BUILDERS[family](p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ring.table.nbytes + (128 << 20)
+    moduli = (p,) * ARITY[family]
+    y = [c.astype(np.int64) for c in np.unravel_index(np.arange(ring.order), moduli)]
+    for i in range(ring.order):
+        x = [int(c) for c in np.unravel_index(i, moduli)]
+        want = np.ravel_multi_index(coordinate_rule_row(family, p, x, y), moduli)
+        assert np.array_equal(ring.table[i], want), (family, p, i)
 
 
 def test_builtin_tables_satisfy_ring_axioms():
@@ -313,6 +393,12 @@ def test_ring_from_table_shape_errors():
         ring_from_table((2,), [[0, 0], [0, 7]])
     with pytest.raises(SizeCapExceeded):
         ring_from_table((600,), np.zeros((600, 600), dtype=int), validation_cap=512)
+
+
+@pytest.mark.parametrize("table", [[[0, 0], [0]], [[0, 0], 0], [[0, [0]], [0, 0]]])
+def test_ring_from_table_rejects_ragged_table(table):
+    with pytest.raises(DimensionMismatch, match="square integer array"):
+        ring_from_table([2], table)
 
 
 def test_ring_from_table_rejects_non_integer_entries():
