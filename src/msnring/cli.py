@@ -86,19 +86,14 @@ def _cmd_graph_build(args) -> int:
     return 0
 
 
-def _spectrum_of(graph: SimpleGraph, which: str):
-    matrix = msn_matrix(graph) if which == "msn" else cn_matrix(graph)
-    return matrix_spectra(matrix).spectrum
-
-
 def _cmd_spectrum(args) -> int:
     graph = _graph_from_args(args)
-    spectrum = _spectrum_of(graph, args.matrix)
+    spectra = matrix_spectra(msn_matrix(graph) if args.matrix == "msn" else cn_matrix(graph))
+    spectrum = spectra.spectrum
     if args.json:
         print(spectrum.to_json())
         return 0
-    print(f"{args.matrix} matrix on {graph.n} vertices "
-          f"({'exact' if spectrum.exact else 'numeric'})")
+    print(f"{args.matrix} matrix on {graph.n} vertices ({spectra.method})")
     print(f"spectrum: {_format_pairs(spectrum.pairs)}")
     print(f"energy: {spectrum.energy()}")
     return 0
@@ -108,20 +103,7 @@ def _cmd_classify(args) -> int:
     graph = _graph_from_args(args)
     report = classify(graph)
     if args.json:
-        out = {
-            "n": report.n,
-            "decomposition": str(report.decomposition) if report.decomposition else None,
-            "msn_energy": report.msn_energy,
-            "cn_energy": report.cn_energy,
-            "msn_integral": report.msn_integral,
-            "msn_hyperenergetic": report.msn_hyperenergetic,
-            "cn_hyperenergetic": report.cn_hyperenergetic,
-            "esn_complete": report.esn_complete,
-            "ecn_complete": report.ecn_complete,
-            "msn_spectrum": report.msn_spectrum.to_json_dict(),
-            "cn_spectrum": report.cn_spectrum.to_json_dict(),
-        }
-        print(json.dumps(out, sort_keys=True))
+        print(json.dumps(report.to_json_dict(), sort_keys=True))
         return 0
     print(f"n: {report.n}")
     dec = str(report.decomposition) if report.decomposition else "not a clique union"

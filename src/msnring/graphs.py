@@ -281,6 +281,12 @@ def parse_edge_list_text(text: str) -> SimpleGraph:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise GraphFormatError("edge list must start with a line: n m")
+    if set(map(len, rows)) != {2}:
+        # name the first row without two fields; line numbers count blank lines
+        i, fields = next((i, f) for i, f in enumerate(map(str.split, text.splitlines()), 1)
+                         if f and len(f) != 2)
+        raise GraphFormatError(
+            f"malformed edge list: line {i} has {len(fields)} fields, expected 2")
     try:
         n, m = parse_decimal(rows[0][0]), parse_decimal(rows[0][1])
         _check_vertex_count(n)

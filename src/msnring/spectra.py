@@ -365,19 +365,66 @@ def spectra_agree(exact: SpectrumMultiset | NotFullyIntegral,
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energies and spectral predicates of one graph."""
+    """The one report of a graph: classify returns it, and verify_ring
+    carries it as VerificationReport.computed.  msn_method and cn_method
+    are exact or numeric (MatrixSpectra.method), or closed_form on
+    classify's clique-union fast path.  to_json_dict is the only place its
+    JSON keys are written."""
 
     n: int
     decomposition: CliqueUnion | None
-    msn_energy: int | float
-    cn_energy: int | float
-    msn_integral: bool | None
-    msn_hyperenergetic: bool
-    cn_hyperenergetic: bool
-    esn_complete: int
-    ecn_complete: int
     msn_spectrum: SpectrumMultiset
     cn_spectrum: SpectrumMultiset
+    msn_integral: bool | None
+    msn_method: str
+    cn_method: str
+
+    @classmethod
+    def from_spectra(cls, n: int, decomposition: CliqueUnion | None,
+                     msn: MatrixSpectra, cn: MatrixSpectra) -> "EnergyReport":
+        return cls(n, decomposition, msn.spectrum, cn.spectrum, msn.integral,
+                   msn.method, cn.method)
+
+    @property
+    def msn_energy(self) -> int | float:
+        return self.msn_spectrum.energy()
+
+    @property
+    def cn_energy(self) -> int | float:
+        return self.cn_spectrum.energy()
+
+    @property
+    def esn_complete(self) -> int:
+        return reference_energies(self.n)[0]
+
+    @property
+    def ecn_complete(self) -> int:
+        return reference_energies(self.n)[1]
+
+    @property
+    def msn_hyperenergetic(self) -> bool:
+        return self.msn_energy > self.esn_complete
+
+    @property
+    def cn_hyperenergetic(self) -> bool:
+        return self.cn_energy > self.ecn_complete
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "decomposition": None if self.decomposition is None else str(self.decomposition),
+            "msn_energy": self.msn_energy,
+            "cn_energy": self.cn_energy,
+            "msn_integral": self.msn_integral,
+            "msn_method": self.msn_method,
+            "cn_method": self.cn_method,
+            "msn_hyperenergetic": self.msn_hyperenergetic,
+            "cn_hyperenergetic": self.cn_hyperenergetic,
+            "esn_complete": self.esn_complete,
+            "ecn_complete": self.ecn_complete,
+            "msn_spectrum": self.msn_spectrum.to_json_dict(),
+            "cn_spectrum": self.cn_spectrum.to_json_dict(),
+        }
 
 
 def classify(g: SimpleGraph) -> EnergyReport:
@@ -390,30 +437,9 @@ def classify(g: SimpleGraph) -> EnergyReport:
     if g.n < 1:
         raise SpectraError("classification requires at least one vertex")
     dec = clique_decomposition(g)
-    decomposition = dec if isinstance(dec, CliqueUnion) else None
-    if decomposition is not None:
-        msn_s = clique_union_msn_spectrum(decomposition)
-        msn_e = clique_union_msn_energy(decomposition)
-        cn_s = clique_union_cn_spectrum(decomposition)
-        cn_e = clique_union_cn_energy(decomposition)
-        integral: bool | None = True
-    else:
-        msn = matrix_spectra(msn_matrix(g))
-        msn_s, integral = msn.spectrum, msn.integral
-        cn_s = matrix_spectra(cn_matrix(g)).spectrum
-        msn_e = msn_s.energy()
-        cn_e = cn_s.energy()
-    esn, ecn = reference_energies(g.n)
-    return EnergyReport(
-        n=g.n,
-        decomposition=decomposition,
-        msn_energy=msn_e,
-        cn_energy=cn_e,
-        msn_integral=integral,
-        msn_hyperenergetic=msn_e > esn,
-        cn_hyperenergetic=cn_e > ecn,
-        esn_complete=esn,
-        ecn_complete=ecn,
-        msn_spectrum=msn_s,
-        cn_spectrum=cn_s,
-    )
+    if isinstance(dec, CliqueUnion):
+        return EnergyReport(g.n, dec, clique_union_msn_spectrum(dec),
+                            clique_union_cn_spectrum(dec), True,
+                            "closed_form", "closed_form")
+    return EnergyReport.from_spectra(g.n, None, matrix_spectra(msn_matrix(g)),
+                                     matrix_spectra(cn_matrix(g)))

@@ -8,7 +8,8 @@ requires its two routes to agree.  Where every support block is within
 the exact cap, the exact msn spectrum is compared with the closed form;
 above it the numeric one is, so no closed form ever stands in for a
 computed spectrum.  All outcomes are verdicts on the report, never
-exceptions.
+exceptions.  A report holds the graph's spectra.EnergyReport, as classify
+gives it, and the theorems.ClosedFormPrediction; to_json_dict converts both.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .config import DEFAULT_ENUMERATION_CAP
 from .graphs import (
     CliqueUnion,
     NotCliqueUnion,
-    SimpleGraph,
     clique_decomposition,
     clique_union_graph,
     commuting_graph,
@@ -51,6 +49,7 @@ from .rings import (
 )
 from .spectra import (
     NUMERIC_MATCH_TOL,
+    EnergyReport,
     MatrixSpectra,
     NotFullyIntegral,
     cn_matrix,
@@ -60,6 +59,7 @@ from .spectra import (
     spectra_agree,
 )
 from .theorems import (
+    ClosedFormPrediction,
     HypothesisViolated,
     TheoremId,
     clique_union_cn_energy,
@@ -89,8 +89,8 @@ class VerificationReport:
     params: tuple[tuple[str, object], ...]
     verdict: Verdict
     detail: str
-    computed: dict | None
-    predicted: dict | None
+    computed: EnergyReport | None
+    predicted: ClosedFormPrediction | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,19 +99,18 @@ class VerificationReport:
             "params": {k: _jsonable(v) for k, v in self.params},
             "verdict": self.verdict.value,
             "detail": self.detail,
-            "computed": self.computed,
-            "predicted": self.predicted,
+            "computed": None if self.computed is None else self.computed.to_json_dict(),
+            "predicted": None if self.predicted is None else self.predicted.to_json_dict(),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def csv_row(self) -> tuple[str, ...]:
-        dec = ""
-        energy = ""
-        if self.computed:
-            dec = str(self.computed.get("decomposition") or "")
-            energy = str(self.computed.get("msn_energy", ""))
+        dec = energy = ""
+        if self.computed is not None:
+            dec = str(self.computed.decomposition or "")
+            energy = str(self.computed.msn_energy)
         return (self.theorem.value, self.ring_spec, self.verdict.value,
                 self.detail, dec, energy)
 
@@ -275,8 +274,7 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
     """Check one ring instance against one closed-form result."""
 
     def report(verdict, detail, params=(), computed=None, predicted=None):
-        return VerificationReport(theorem, ring.name, tuple(params.items())
-                                  if isinstance(params, dict) else tuple(params),
+        return VerificationReport(theorem, ring.name, tuple(dict(params).items()),
                                   verdict, detail, computed, predicted)
 
     try:
@@ -286,8 +284,11 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
 
     graph = commuting_graph(ring)
     dec = clique_decomposition(graph)
+    msn = matrix_spectra(msn_matrix(graph))
+    cn = matrix_spectra(cn_matrix(graph))
+    computed = EnergyReport.from_spectra(
+        graph.n, dec if isinstance(dec, CliqueUnion) else None, msn, cn)
     if isinstance(dec, NotCliqueUnion):
-        computed = {"n": graph.n, "decomposition": None}
         return report(Verdict.FAIL, f"not a union of cliques: {dec}", kwargs, computed)
 
     if theorem is TheoremId.T4_1A and kwargs.get("t") is None:
@@ -297,9 +298,6 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
                           kwargs)
         kwargs["t"] = dec.parts[0][0] + 1
 
-    msn = matrix_spectra(msn_matrix(graph))
-    cn = matrix_spectra(cn_matrix(graph))
-    computed = _computed(graph, dec, msn, cn)
     failure = _route_failure(msn, cn)
     if failure is not None:
         return report(Verdict.FAIL, failure, kwargs, computed)
@@ -309,27 +307,26 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
     except HypothesisViolated as violated:
         return report(Verdict.HYPOTHESIS_NOT_MET, str(violated), kwargs, computed)
 
-    predicted = prediction.to_json_dict()
     params = dict(prediction.params)
     if not prediction.admits(dec):
         return report(Verdict.FAIL,
                       f"computed {dec} is not among the predicted decompositions",
-                      params, computed, predicted)
+                      params, computed, prediction)
     # Both sides have n eigenvalues, so agreement is equality on an exact
     # spectrum and agreement within NUMERIC_MATCH_TOL on a numeric one.
     got = msn.spectrum
     if not spectra_agree(clique_union_msn_spectrum(dec), got):
         return report(Verdict.FAIL, "computed msn spectrum differs from the closed form",
-                      params, computed, predicted)
+                      params, computed, prediction)
     energy_tol = 0 if got.exact else NUMERIC_MATCH_TOL * graph.n
-    if abs(got.energy() - clique_union_msn_energy(dec)) > energy_tol:
+    if abs(computed.msn_energy - clique_union_msn_energy(dec)) > energy_tol:
         return report(Verdict.FAIL, "computed msn energy differs from the closed form",
-                      params, computed, predicted)
-    if computed["msn_hyperenergetic"]:
+                      params, computed, prediction)
+    if computed.msn_hyperenergetic:
         return report(Verdict.FAIL, "graph is msn-hyperenergetic", params,
-                      computed, predicted)
-    detail = f"{dec}; msn energy {computed['msn_energy']}"
-    return report(Verdict.PASS, detail, params, computed, predicted)
+                      computed, prediction)
+    detail = f"{dec}; msn energy {computed.msn_energy}"
+    return report(Verdict.PASS, detail, params, computed, prediction)
 
 
 def _route_failure(msn: MatrixSpectra, cn: MatrixSpectra) -> str | None:
@@ -341,24 +338,6 @@ def _route_failure(msn: MatrixSpectra, cn: MatrixSpectra) -> str | None:
         if result.exact is not None and not spectra_agree(result.exact, result.numeric):
             return f"numeric {name} spectrum does not match the exact one"
     return None
-
-
-def _computed(graph: SimpleGraph, dec: CliqueUnion,
-              msn: MatrixSpectra, cn: MatrixSpectra) -> dict:
-    esn_ref, ecn_ref = reference_energies(graph.n)
-    return {
-        "n": graph.n,
-        "decomposition": str(dec),
-        "msn_energy": msn.spectrum.energy(),
-        "cn_energy": cn.spectrum.energy(),
-        "msn_integral": msn.integral,
-        "msn_method": msn.method,
-        "cn_method": cn.method,
-        "msn_hyperenergetic": msn.spectrum.energy() > esn_ref,
-        "cn_hyperenergetic": cn.spectrum.energy() > ecn_ref,
-        "msn_spectrum": msn.spectrum.to_json_dict(),
-        "cn_spectrum": cn.spectrum.to_json_dict(),
-    }
 
 
 _Q_DEPENDENT = {TheoremId.T4_1A, TheoremId.T4_1B, TheoremId.T4_3,

@@ -70,9 +70,9 @@ def test_criterion_02_order_p_squared():
         rep = verify_ring(ring_noncomm_p2(p), TheoremId.C2_4A)
         assert rep.verdict is Verdict.PASS, rep.detail
         want = CliqueUnion.of([(p - 1, p + 1)])
-        assert rep.computed["decomposition"] == str(want)
-        assert rep.computed["msn_energy"] == energies[p]
-        assert rep.computed["msn_energy"] == 2 * (p + 1) * (p - 2) ** 3
+        assert str(rep.computed.decomposition) == str(want)
+        assert rep.computed.msn_energy == energies[p]
+        assert rep.computed.msn_energy == 2 * (p + 1) * (p - 2) ** 3
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"criterion 02: PASS - energies 0/8/324 for p=2,3,5 in {elapsed:.3f}s")
@@ -85,8 +85,8 @@ def test_criterion_03_order_p_cubed_with_unity():
         rep = verify_ring(upper_triangular_ring(p), TheoremId.C2_4B)
         assert rep.verdict is Verdict.PASS, rep.detail
         dec, energy = expected[p]
-        assert rep.computed["decomposition"] == dec
-        assert rep.computed["msn_energy"] == energy
+        assert str(rep.computed.decomposition) == dec
+        assert rep.computed.msn_energy == energy
         assert energy == 2 * (p + 1) * ((p - 1) * p - 1) ** 3
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -100,9 +100,9 @@ def test_criterion_04_order_p_fourth_small_center():
         rep = verify_ring(matrix_ring_2x2(p), TheoremId.T3_1A)
         assert rep.verdict is Verdict.PASS, rep.detail
         dec, energy = expected[p]
-        assert rep.computed["decomposition"] == dec
-        assert rep.computed["msn_energy"] == energy
-        assert rep.computed["decomposition"] in rep.predicted["decompositions"]
+        assert str(rep.computed.decomposition) == dec
+        assert rep.computed.msn_energy == energy
+        assert rep.computed.decomposition in rep.predicted.decompositions
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"criterion 04: PASS - 7K2 and 13K6, energies 14/3250 in {elapsed:.3f}s")
@@ -113,8 +113,8 @@ def test_criterion_05_order_p_fourth_square_center():
     ring = direct_product(upper_triangular_ring(2), zn(2))
     rep = verify_ring(ring, TheoremId.T3_1B)
     assert rep.verdict is Verdict.PASS, rep.detail
-    assert rep.computed["decomposition"] == "3K4"
-    assert rep.computed["msn_energy"] == 162
+    assert str(rep.computed.decomposition) == "3K4"
+    assert rep.computed.msn_energy == 162
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"criterion 05: PASS - 3K4 with energy 162 in {elapsed:.3f}s")
@@ -125,8 +125,8 @@ def test_criterion_06_order_p_fifth():
     ring = direct_product(matrix_ring_2x2(2), zn(2))
     rep = verify_ring(ring, TheoremId.T3_3A)
     assert rep.verdict is Verdict.PASS, rep.detail
-    assert rep.computed["decomposition"] == "7K4"
-    assert rep.computed["msn_energy"] == 378
+    assert str(rep.computed.decomposition) == "7K4"
+    assert rep.computed.msn_energy == 378
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"criterion 06: PASS - 7K4 with energy 378 in {elapsed:.3f}s")
@@ -137,8 +137,8 @@ def test_criterion_07_order_p_cubed_q():
     ring = direct_product(upper_triangular_ring(2), zn(3))
     rep = verify_ring(ring, TheoremId.T4_3)
     assert rep.verdict is Verdict.PASS, rep.detail
-    assert rep.computed["decomposition"] == "3K6"
-    assert rep.computed["msn_energy"] == 750
+    assert str(rep.computed.decomposition) == "3K6"
+    assert rep.computed.msn_energy == 750
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"criterion 07: PASS - 3K6 with energy 750 in {elapsed:.3f}s")

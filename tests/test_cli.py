@@ -120,6 +120,23 @@ def test_classify_json(capsys):
     assert data["esn_complete"] == 2 * 5**3
 
 
+def test_classify_json_has_the_verify_report_keys(capsys):
+    code, out, _ = run(capsys, "classify", "--spec", "ut2:p=3", "--json")
+    assert code == 0
+    classified = json.loads(out)
+    code, out, _ = run(capsys, "verify", "--theorem", "c2_4b", "--spec", "ut2:p=3", "--json")
+    assert code == 0
+    computed = json.loads(out)["computed"]
+    assert set(classified) == set(computed)
+    assert len(classified) == 13
+    assert classified["msn_method"] == classified["cn_method"] == "closed_form"
+    assert computed["msn_method"] == computed["cn_method"] == "exact"
+    assert computed["esn_complete"] == classified["esn_complete"] == 2 * 23**3
+    assert computed["ecn_complete"] == classified["ecn_complete"] == 2 * 23 * 22
+    shared = set(classified) - {"msn_method", "cn_method"}
+    assert {k: classified[k] for k in shared} == {k: computed[k] for k in shared}
+
+
 def test_classify_human_non_clique_union(tmp_path, capsys):
     path = tmp_path / "p3.txt"
     path.write_text("3 2\n0 1\n1 2\n")
@@ -302,6 +319,18 @@ def test_non_ascii_decimal_edge_list_exits_two(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert "invalid decimal integer" in err
+
+
+@pytest.mark.parametrize("text,line,fields", [("3 2\n0 1\n2\n", 3, 1),
+                                               ("3 1\n\n0 1 2\n", 3, 3)])
+def test_edge_list_row_without_two_fields_exits_two(tmp_path, capsys, text, line, fields):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"error: malformed edge list: line {line} has {fields} fields, expected 2" in err
+    assert "unpack" not in err
 
 
 def test_oversized_graph_header_exits_two(tmp_path, capsys, monkeypatch):

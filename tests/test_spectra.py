@@ -429,6 +429,7 @@ def test_classify_complete_graph():
     assert rep.msn_energy == 2 * 4**3
     assert rep.cn_energy == 2 * 4 * 3
     assert rep.msn_integral is True
+    assert rep.msn_method == rep.cn_method == "closed_form"
     # matches its own reference values exactly, so not hyperenergetic
     assert rep.esn_complete == rep.msn_energy
     assert rep.ecn_complete == rep.cn_energy
@@ -451,6 +452,17 @@ def test_classify_path3():
     assert math.isclose(rep.msn_energy, 4 * math.sqrt(2), rel_tol=1e-12)
     assert rep.cn_spectrum.exact
     assert rep.cn_energy == 2
+    assert (rep.msn_method, rep.cn_method) == ("numeric", "exact")
+
+
+def test_classify_cycle4_is_exact_without_a_clique_union():
+    rep = classify(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    assert rep.decomposition is None
+    assert rep.msn_integral is True
+    assert rep.msn_method == rep.cn_method == "exact"
+    assert rep.msn_spectrum.pairs == ((-12, 1), (0, 2), (12, 1))
+    assert rep.cn_spectrum.pairs == ((-2, 2), (2, 2))
+    assert rep.to_json_dict()["msn_method"] == "exact"
 
 
 def test_classify_beyond_cap(monkeypatch):
@@ -458,6 +470,8 @@ def test_classify_beyond_cap(monkeypatch):
     rep = classify(path_graph(4))
     assert rep.msn_integral is None
     assert not rep.msn_spectrum.exact
+    # the cn matrix of P4 splits into two 2 x 2 blocks, under the cap
+    assert (rep.msn_method, rep.cn_method) == ("numeric", "exact")
 
 
 def test_classify_requires_vertices():

@@ -74,10 +74,10 @@ def doctored_ring(moduli, commuting_pairs, name, central=()):
 def test_builtin_instances_pass(theorem, ring_factory, kwargs):
     rep = verify_ring(ring_factory(), theorem, **kwargs)
     assert rep.verdict is Verdict.PASS, rep.detail
-    assert rep.computed["msn_integral"] is True
-    assert not rep.computed["msn_hyperenergetic"]
-    assert rep.computed["decomposition"] in rep.predicted["decompositions"]
-    assert rep.computed["msn_energy"] in rep.predicted["energies"]
+    assert rep.computed.msn_integral is True
+    assert not rep.computed.msn_hyperenergetic
+    assert rep.computed.decomposition in rep.predicted.decompositions
+    assert rep.computed.msn_energy in rep.predicted.energies()
 
 
 def test_pass_report_contents():
@@ -85,11 +85,12 @@ def test_pass_report_contents():
     assert rep.verdict is Verdict.PASS
     assert rep.ring_spec == "ut2:p=2"
     assert rep.detail == "3K2; msn energy 6"
-    assert rep.computed["n"] == 6
-    assert rep.computed["cn_energy"] == 0
+    assert rep.computed.n == 6
+    assert rep.computed.cn_energy == 0
     assert dict(rep.params)["p"] == 2
     # spectra in the report round-trip through JSON
-    assert rep.computed["msn_spectrum"] == {"exact": True, "pairs": [[-1, 3], [1, 3]]}
+    assert rep.to_json_dict()["computed"]["msn_spectrum"] == {"exact": True,
+                                                              "pairs": [[-1, 3], [1, 3]]}
 
 
 def test_exact_cap_applies_per_block(monkeypatch):
@@ -97,11 +98,11 @@ def test_exact_cap_applies_per_block(monkeypatch):
     monkeypatch.setenv("MSNRING_EXACT_CAP", "6")
     rep = verify_ring(upper_triangular_ring(3), TheoremId.C2_4B)
     assert rep.verdict is Verdict.PASS, rep.detail
-    assert rep.computed["msn_method"] == "exact"
-    assert rep.computed["cn_method"] == "exact"
-    assert rep.computed["msn_integral"] is True
-    assert rep.computed["msn_spectrum"] == {"exact": True,
-                                            "pairs": [[-25, 20], [125, 4]]}
+    assert rep.computed.msn_method == "exact"
+    assert rep.computed.cn_method == "exact"
+    assert rep.computed.msn_integral is True
+    assert rep.to_json_dict()["computed"]["msn_spectrum"] == {"exact": True,
+                                                              "pairs": [[-25, 20], [125, 4]]}
 
 
 def test_above_cap_passes_on_the_numeric_route(monkeypatch):
@@ -109,11 +110,11 @@ def test_above_cap_passes_on_the_numeric_route(monkeypatch):
     monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
     rep = verify_ring(upper_triangular_ring(3), TheoremId.C2_4B)
     assert rep.verdict is Verdict.PASS, rep.detail
-    assert rep.computed["msn_method"] == "numeric"
-    assert rep.computed["cn_method"] == "numeric"
-    assert rep.computed["msn_integral"] is None
-    assert rep.computed["msn_spectrum"]["exact"] is False
-    assert rep.computed["msn_energy"] == pytest.approx(1000)
+    assert rep.computed.msn_method == "numeric"
+    assert rep.computed.cn_method == "numeric"
+    assert rep.computed.msn_integral is None
+    assert rep.computed.msn_spectrum.exact is False
+    assert rep.computed.msn_energy == pytest.approx(1000)
 
 
 # --- HYPOTHESIS_NOT_MET on genuine rings ---
@@ -179,8 +180,8 @@ def test_fail_wrong_component_count():
     rep = verify_ring(bad, TheoremId.C2_4A)
     assert rep.verdict is Verdict.FAIL
     assert "not among the predicted decompositions" in rep.detail
-    assert rep.computed["decomposition"] == "2K1"
-    assert "3K1" in rep.predicted["decompositions"]
+    assert str(rep.computed.decomposition) == "2K1"
+    assert "3K1" in rep.to_json_dict()["predicted"]["decompositions"]
 
 
 def test_fail_not_a_clique_union():
@@ -190,7 +191,12 @@ def test_fail_not_a_clique_union():
     rep = verify_ring(bad, TheoremId.T2_1)
     assert rep.verdict is Verdict.FAIL
     assert rep.detail.startswith("not a union of cliques")
-    assert rep.computed == {"n": 8, "decomposition": None}
+    # the same full report classify gives, with no decomposition
+    assert rep.computed == classify(commuting_graph(bad))
+    assert rep.computed.n == 8
+    assert rep.computed.decomposition is None
+    assert rep.computed.msn_integral is False
+    assert rep.predicted is None
 
 
 # --- inferred t for the p^2 q family ---
@@ -202,7 +208,7 @@ def test_t4_1a_infers_t_from_uniform_components():
     rep = verify_ring(bad, TheoremId.T4_1A)
     assert rep.verdict is Verdict.PASS
     assert dict(rep.params)["t"] == 2
-    assert rep.computed["decomposition"] == "11K1"
+    assert str(rep.computed.decomposition) == "11K1"
 
 
 def test_t4_1a_mixed_sizes_need_explicit_t():
@@ -223,7 +229,7 @@ def test_t4_1b_on_doctored_instance():
     bad = doctored_ring((2, 2, 3), [], name="doctored-12")
     rep = verify_ring(bad, TheoremId.T4_1B)
     assert rep.verdict is Verdict.PASS
-    assert rep.computed["decomposition"] == "11K1"
+    assert str(rep.computed.decomposition) == "11K1"
 
 
 # --- center_is_field ---
@@ -309,6 +315,42 @@ def test_report_json_schema():
     assert data["verdict"] == "PASS"
     assert data["params"] == {"p": 2, "m": 1}
     assert data["computed"]["msn_spectrum"]["exact"] is True
+
+
+def _doctored_not_a_clique_union():
+    return verify_ring(doctored_ring((3, 3), [(1, 2), (2, 3), (3, 4)], name="doctored-9"),
+                       TheoremId.T2_1)
+
+
+@pytest.mark.parametrize("make,verdict,dec", [
+    (lambda: verify_ring(upper_triangular_ring(2), TheoremId.C2_4B), Verdict.PASS, "3K2"),
+    (lambda: verify_ring(zn(6), TheoremId.T2_1), Verdict.HYPOTHESIS_NOT_MET, None),
+    (_doctored_not_a_clique_union, Verdict.FAIL, None),
+])
+def test_report_shapes_to_json_and_csv(make, verdict, dec):
+    rep = make()
+    assert rep.verdict is verdict
+    data = rep.to_json_dict()
+    row = rep.csv_row()
+    assert row[:4] == (rep.theorem.value, rep.ring_spec, verdict.value, rep.detail)
+    if verdict is Verdict.HYPOTHESIS_NOT_MET:
+        assert rep.computed is None and rep.predicted is None
+        assert data["computed"] is None and data["predicted"] is None
+        assert row[4:] == ("", "")
+        return
+    assert data["computed"] == rep.computed.to_json_dict()
+    assert len(data["computed"]) == 13
+    assert data["computed"]["decomposition"] == dec
+    assert data["computed"]["msn_energy"] == rep.computed.msn_energy
+    assert row[4:] == (dec or "", str(rep.computed.msn_energy))
+    if verdict is Verdict.PASS:
+        assert data["predicted"] == rep.predicted.to_json_dict()
+        assert dec in data["predicted"]["decompositions"]
+        assert row[5] == "6"
+    else:
+        assert data["predicted"] is None
+        assert row[5] != ""
+    assert json.loads(rep.to_json()) == data
 
 
 def test_report_csv_row():
