@@ -10,12 +10,16 @@ A graph's components are labelled once, cached as SimpleGraph.components,
 and are the one source of block structure: the clique decomposition,
 common_neighbours (the one product of the adjacency with itself),
 distance two and the msn/cn matrices are all built per component.
+Graph files are plain edge lists, read by one line and field grammar
+(parse_edge_list_text), or JSON; both end in SimpleGraph.from_edges,
+which checks and places all the pairs as one integer array.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,13 +66,22 @@ class SimpleGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "SimpleGraph":
+        """Graph on 0..n-1 from (u, v) pairs: a (k, 2) integer array or any
+        iterable of integer pairs.  The first pair in input order that is out
+        of range or a self-loop is reported."""
         adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            adj[u, v] = adj[v, u] = True
+        pairs = _edge_pairs(edges)
+        u, v = pairs[:, 0], pairs[:, 1]
+        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        bad = outside | (u == v)
+        if bad.any():
+            i = int(bad.argmax())
+            a, b = pairs[i]
+            if outside[i]:
+                raise VertexOutOfRange(f"edge ({a}, {b}) outside 0..{n - 1}")
+            raise GraphFormatError(f"self-loop at vertex {a}")
+        u, v = u.astype(np.intp, copy=False), v.astype(np.intp, copy=False)
+        adj[u, v] = adj[v, u] = True
         return cls(n, adj)
 
     @functools.cached_property
@@ -264,6 +277,32 @@ def to_edge_list_text(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The edge-list grammar: lines end at "\n", fields are split by ASCII
+# whitespace.  _EDGE_LIST matches a well-formed list whose fields are
+# decimals of at most 18 digits, so that every one of them fits int64.
+_WS = r"[ \t\r\f\v]"
+_ROW = rf"{_WS}*-?[0-9]{{1,18}}{_WS}+-?[0-9]{{1,18}}{_WS}*"
+_EDGE_LIST = re.compile(rf"(?:{_WS}*\n)*{_ROW}(?:\n(?:{_ROW}|{_WS}*))*")
+_FIELD = re.compile(r"[^ \t\r\f\v]+")
+
+
+def _edge_pairs(edges) -> np.ndarray:
+    """Edges as a (k, 2) array: int64, or object when an endpoint is a
+    Python int beyond int64 (numpy would make those floats)."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+        if not edges:
+            return np.empty((0, 2), dtype=np.int64)
+    pairs = np.asarray(edges)
+    if pairs.dtype.kind not in "iuO":
+        pairs = np.array(edges, dtype=object)
+    if pairs.dtype == object and not all(isinstance(x, (int, np.integer)) for x in pairs.flat):
+        raise TypeError("edge endpoints must be integers")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be pairs, got an array of shape {pairs.shape}")
+    return pairs
+
+
 def _check_vertex_count(n: int) -> None:
     """Reject a header vertex count before anything is allocated for it.
 
@@ -278,31 +317,64 @@ def _check_vertex_count(n: int) -> None:
 
 
 def parse_edge_list_text(text: str) -> SimpleGraph:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
-        raise GraphFormatError("edge list must start with a line: n m")
-    if set(map(len, rows)) != {2}:
-        # name the first row without two fields; line numbers count blank lines
-        i, fields = next((i, f) for i, f in enumerate(map(str.split, text.splitlines()), 1)
-                         if f and len(f) != 2)
-        raise GraphFormatError(
-            f"malformed edge list: line {i} has {len(fields)} fields, expected 2")
+    """Read the plain edge-list format.
+
+    A line ends only at "\\n"; fields are separated by ASCII whitespace
+    (space, tab, CR, FF, VT) and every other character belongs to a field.
+    The first non-blank line is the header "n m", every later non-blank
+    line one edge "u v", and each field an ASCII decimal integer.  A text
+    that fits this grammar with fields of at most 18 digits, the common
+    case, is checked by one regex and converted by one numpy call; any
+    other text takes a line-by-line walk that names its first error.
+    """
+    fast = _EDGE_LIST.fullmatch(text) is not None
+    tokens = text.split() if fast else _edge_list_fields(text)
     try:
-        n, m = parse_decimal(rows[0][0]), parse_decimal(rows[0][1])
+        n, m = parse_decimal(tokens[0]), parse_decimal(tokens[1])
         _check_vertex_count(n)
-        edges = [(parse_decimal(a), parse_decimal(b)) for a, b in rows[1:]]
+        if fast:  # every token is a decimal of at most 18 digits, so fits int64
+            pairs = np.array(tokens[2:], dtype=np.int64).reshape(-1, 2)
+        else:  # Python ints, which may exceed int64 until range-checked
+            pairs = np.array([parse_decimal(t) for t in tokens[2:]], dtype=object).reshape(-1, 2)
     except ValueError as exc:
         raise GraphFormatError(f"malformed edge list: {exc}") from None
-    if len(edges) != m:
-        raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
-    seen = set()
-    for u, v in edges:
-        if not u < v:
-            raise GraphFormatError(f"edges must satisfy u < v, got ({u}, {v})")
-        if (u, v) in seen:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-    return SimpleGraph.from_edges(n, edges)
+    if len(pairs) != m:
+        raise GraphFormatError(f"header announces {m} edges, found {len(pairs)}")
+    _check_ascending_distinct(pairs)
+    return SimpleGraph.from_edges(n, pairs)
+
+
+def _edge_list_fields(text: str) -> list[str]:
+    """Every field of an edge list, in order.  Raises the header error if
+    the first non-blank line has not two fields, else the field-count error
+    for the first non-blank line that has not."""
+    rows = [(i, fields) for i, fields in enumerate(map(_FIELD.findall, text.split("\n")), 1)
+            if fields]
+    if not rows or len(rows[0][1]) != 2:
+        raise GraphFormatError("edge list must start with a line: n m")
+    for i, fields in rows:  # line numbers count blank lines
+        if len(fields) != 2:
+            raise GraphFormatError(
+                f"malformed edge list: line {i} has {len(fields)} fields, expected 2")
+    return [f for _, fields in rows for f in fields]
+
+
+def _check_ascending_distinct(pairs: np.ndarray) -> None:
+    """Reject the first edge in input order with u >= v or seen before."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = u >= v
+    # lexsort is stable, so within a run of equal pairs every index but the
+    # first is a repeat; it also sorts the object arrays of the slow path
+    order = np.lexsort((v, u))
+    ordered = pairs[order]
+    repeats = order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
+    bad[repeats] = True
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = pairs[i]
+        if not a < b:
+            raise GraphFormatError(f"edges must satisfy u < v, got ({a}, {b})")
+        raise GraphFormatError(f"duplicate edge ({a}, {b})")
 
 
 def to_graph_json(g: SimpleGraph) -> str:
@@ -340,7 +412,8 @@ def parse_graph_json(text: str) -> SimpleGraph:
 
 def load_graph(path: str | Path) -> SimpleGraph:
     """Read a graph file, JSON or plain edge list."""
-    text = Path(path).read_text()
+    with open(path, newline="") as fh:  # untranslated, so a line ends only at \n
+        text = fh.read()
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_edge_list_text(text)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import msnring
+from msnring import cli
 from msnring.cli import main
 
 
@@ -333,6 +334,28 @@ def test_edge_list_row_without_two_fields_exits_two(tmp_path, capsys, text, line
     assert "unpack" not in err
 
 
+def test_form_feed_edge_list_loads_as_a_path(tmp_path, capsys):
+    # a form feed separates fields; it used to end the line
+    plain, fed = tmp_path / "plain.txt", tmp_path / "fed.txt"
+    plain.write_bytes(b"3 2\n0 1\n1 2\n")
+    fed.write_bytes(b"3 2\n0\x0c1\n1 2\n")
+    code, out, err = run(capsys, "classify", "--graph", str(fed), "--json")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "classify", "--graph", str(plain), "--json")
+
+
+@pytest.mark.parametrize("text", ["3 1\n0 \u00a01\n", "3 1\n0 1\u2028\n"])
+def test_non_ascii_whitespace_in_edge_list_exits_two(tmp_path, capsys, text):
+    # str.split used to drop the no-break space, and str.splitlines to end
+    # the line at the line separator
+    path = tmp_path / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "spectrum", "--matrix", "msn", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error: malformed edge list: invalid decimal integer" in err
+
+
 def test_oversized_graph_header_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MSNRING_UNIVERSE_CAP", "10")
     path = tmp_path / "big.txt"
@@ -353,6 +376,52 @@ def test_argparse_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def run_any(capsys, argv):
+    """Exit code and output of one call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+REUSE_SEQUENCE = [
+    ["spectrum", "--matrix", "msn", "--spec", "ut2:p=2", "--json"],
+    ["spectrum", "--matrix", "msn", "--spec", "ut2:p=2"],
+    ["classify", "--spec", "ut2:p=2"],
+    ["spectrum", "--matrix", "msn"],  # usage error: no graph source
+    ["sweep", "--theorems", "t2_1", "--p-range", "2"],  # default --q-range
+]
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys):
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(run_any(capsys, argv))
+    cli._parser.cache_clear()
+    reused = [run_any(capsys, argv) for argv in REUSE_SEQUENCE]
+    assert cli._parser.cache_info().misses == 1  # built once for all five calls
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0]
+    assert reused[1][1].startswith("msn matrix on 6 vertices")  # --json did not stick
+
+
+def test_parser_is_built_on_first_call_not_at_import():
+    src = str(Path(msnring.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import contextlib, io, msnring.cli as c\n"
+            "before = c._parser.cache_info().currsize\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    c.main(['ring-info', '--spec', 'zn:n=4'])\n"
+            "print(before, c._parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_bad_sweep_range_exits_two(capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msnring.config import parse_decimal, universe_cap
 from msnring.graphs import (
     CliqueUnion,
     CommutativeRing,
@@ -108,6 +109,27 @@ def test_simple_graph_validation():
         SimpleGraph.from_edges(2, [(0, 0)])
     with pytest.raises(VertexOutOfRange):
         SimpleGraph.from_edges(2, [(0, 5)])
+
+
+def test_from_edges_reports_the_first_bad_pair_in_input_order():
+    with pytest.raises(GraphFormatError, match="self-loop at vertex 0"):
+        SimpleGraph.from_edges(2, [(0, 0), (0, 5)])
+    with pytest.raises(VertexOutOfRange, match=r"edge \(0, 5\) outside 0\.\.1"):
+        SimpleGraph.from_edges(2, [(0, 5), (0, 0)])
+    # Python ints beyond int64 stay exact in the message; numpy alone would
+    # have turned 2**63 into a float
+    for big in (2 ** 63, 10 ** 24):
+        with pytest.raises(VertexOutOfRange, match=rf"edge \(0, {big}\) outside"):
+            SimpleGraph.from_edges(3, [(0, big)])
+    with pytest.raises(TypeError):
+        SimpleGraph.from_edges(3, [(0, 1.0)])
+
+
+def test_from_edges_accepts_generators_and_arrays():
+    assert SimpleGraph.from_edges(4, itertools.combinations(range(4), 2)).edge_count == 6
+    assert SimpleGraph.from_edges(4, iter([])).edge_count == 0
+    g = SimpleGraph.from_edges(4, np.array([[0, 3], [1, 2]], dtype=np.int64))
+    assert g.edges() == [(0, 3), (1, 2)]
 
 
 def test_connected_components():
@@ -219,6 +241,176 @@ def test_edge_list_rejects_non_ascii_decimal_integers(text):
     # int() would have read each of these as a number
     with pytest.raises(GraphFormatError, match="invalid decimal integer"):
         parse_edge_list_text(text)
+
+
+def reference_parse_edge_list_text(text):
+    """The edge-list reader before the whole-text check, kept as an oracle:
+    str.splitlines and str.split, one parse_decimal per token and one
+    Python pass per edge.  Returns the adjacency."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    if not rows or len(rows[0]) != 2:
+        raise GraphFormatError("edge list must start with a line: n m")
+    if set(map(len, rows)) != {2}:
+        i, fields = next((i, f) for i, f in enumerate(map(str.split, text.splitlines()), 1)
+                         if f and len(f) != 2)
+        raise GraphFormatError(
+            f"malformed edge list: line {i} has {len(fields)} fields, expected 2")
+    try:
+        n, m = parse_decimal(rows[0][0]), parse_decimal(rows[0][1])
+        cap = universe_cap()
+        if not 0 <= n <= cap:
+            raise GraphFormatError(
+                f"vertex count {n} outside 0..{cap} (raise MSNRING_UNIVERSE_CAP to allow more)")
+        edges = [(parse_decimal(a), parse_decimal(b)) for a, b in rows[1:]]
+    except ValueError as exc:
+        raise GraphFormatError(f"malformed edge list: {exc}") from None
+    if len(edges) != m:
+        raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
+    seen = set()
+    for u, v in edges:
+        if not u < v:
+            raise GraphFormatError(f"edges must satisfy u < v, got ({u}, {v})")
+        if (u, v) in seen:
+            raise GraphFormatError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}")
+        adj[u, v] = adj[v, u] = True
+    return adj
+
+
+# Tokens on which both readers agree: the new grammar differs only in which
+# whitespace characters split lines and fields, and none is drawn here.
+ODD_TOKENS = ["-1", "-0", "7", "10", str(10 ** 18 - 1), str(10 ** 18), str(2 ** 63), "9" * 19,
+              str(10 ** 24), "-" + str(10 ** 24), "0" * 20 + "1",
+              "x", "1_0", "+1", "1.0", "\u0661", "\uff11"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A valid edge list, then mutations of its edges, header and field
+    counts, then a random layout: blank lines, CRLF, leading and trailing
+    whitespace."""
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [[str(u), str(v)] for u, v in edges]
+    for _ in range(draw(st.integers(0, 3)) if edges else 0):
+        i = draw(st.integers(0, len(edges) - 1))
+        kind = draw(st.sampled_from(["swap", "duplicate", "token"]))
+        if kind == "swap":
+            edges[i] = edges[i][::-1]
+        elif kind == "duplicate":
+            edges.insert(draw(st.integers(i + 1, len(edges))), list(edges[i]))
+        else:
+            edges[i][draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_TOKENS))
+    header = [str(n), str(len(edges))]
+    kind = draw(st.sampled_from(["keep", "keep", "token", "count"]))
+    if kind == "token":
+        header[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_TOKENS))
+    elif kind == "count":
+        header[1] = str(len(edges) + draw(st.sampled_from([-1, 1])))
+    rows = [header] + edges
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows[i].append(draw(st.sampled_from(["0", "1", "x"])))
+        elif rows[i]:
+            rows[i].pop()
+    space = st.sampled_from([" ", "\t", "  ", " \t"])
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = []
+    for fields in rows:
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t \t"])))  # a blank line
+        sep = draw(space)
+        lines.append(draw(pad) + sep.join(fields) + draw(pad))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def parse_outcome(parse, text):
+    """The adjacency as nested lists, or the exception's type and message."""
+    try:
+        return "ok", parse(text).tolist()
+    except (GraphFormatError, VertexOutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+def parsed_adjacency(text):
+    return parse_edge_list_text(text).adjacency
+
+
+@settings(deadline=None, max_examples=400)
+@given(edge_list_texts())
+def test_edge_list_parser_matches_line_by_line_reference(text):
+    assert parse_outcome(parsed_adjacency, text) == \
+        parse_outcome(reference_parse_edge_list_text, text)
+
+
+def test_edge_list_parser_error_order_on_fixed_cases():
+    cases = [
+        "", "\n \n", "3\n0 1\n", "3 1 0\n", "x 1\n0 1\n", "3 1\n0 1\n2\n",
+        "99999 1\n0 x\n", "3 x\n0 1\n", "3 1\n0 x\n", "3 2\n0 1\n",
+        "3 3\n0 1\n0 1\n2 1\n", "3 3\n2 1\n0 1\n0 1\n", "3 2\n0 5\n0 5\n",
+        "3 2\n0 5\n1 0\n", "3 2\n0 1\n0 -1\n", f"3 1\n0 {10 ** 24}\n",
+        f"3 1\n{10 ** 24} 0\n", f"{10 ** 24} 0\n", f"3 {10 ** 24}\n",
+        "3 1\n0 " + "0" * 30 + "2\n",
+    ]
+    for text in cases:
+        assert parse_outcome(parsed_adjacency, text) == \
+            parse_outcome(reference_parse_edge_list_text, text), text
+
+
+def test_valid_edge_list_converts_edges_without_parse_decimal(monkeypatch):
+    import msnring.graphs as graphs
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_decimal(text)
+
+    monkeypatch.setattr(graphs, "parse_decimal", counted)
+    g = parse_edge_list_text(to_edge_list_text(complete_graph(12)))
+    assert g.edge_count == 66
+    assert calls == ["12", "66"]  # the header only
+
+
+@pytest.mark.parametrize("sep", [" ", "\t", "\r", "\f", "\v", " \f\v "])
+def test_edge_list_fields_split_at_ascii_whitespace_only(sep):
+    # form feed and vertical tab used to break the line, and a lone CR too
+    g = parse_edge_list_text(f"3 2\n0{sep}1\n1 2\n")
+    assert g.edges() == [(0, 1), (1, 2)]
+
+
+def test_edge_list_form_feed_is_not_a_line_break():
+    with pytest.raises(GraphFormatError, match="line 2 has 3 fields, expected 2"):
+        parse_edge_list_text("3 1\n0\x0c1 2\n")
+
+
+@pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                                  "\u2028", "\u2029", "\u3000"])
+def test_edge_list_non_ascii_whitespace_is_part_of_a_field(char):
+    # str.split and str.splitlines treat each of these as a separator
+    with pytest.raises(GraphFormatError, match="invalid decimal integer"):
+        parse_edge_list_text(f"3 1\n0 {char}1\n")
+    with pytest.raises(GraphFormatError, match="line 2 has 1 fields, expected 2"):
+        parse_edge_list_text(f"3 1\n0{char}1\n")
+
+
+def test_edge_list_files_keep_their_line_ends(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"3 2\r\n0 1\r\n\r\n1 2\r\n")  # CRLF still loads
+    assert load_graph(path).edges() == [(0, 1), (1, 2)]
+    path.write_bytes(b"3 1\n0\r1\n")  # a lone CR separates fields
+    assert load_graph(path).edges() == [(0, 1)]
+    path.write_bytes(b"3 1\r0 1\r")  # and does not end a line
+    with pytest.raises(GraphFormatError, match="must start with a line"):
+        load_graph(path)
 
 
 def test_graph_files_capped_before_allocation(monkeypatch):
