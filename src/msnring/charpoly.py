@@ -14,8 +14,12 @@ the eigenvalues:
   guess that the check either proves or rejects.
 * charpoly_dense computes the characteristic polynomial by a Hessenberg
   reduction and leading-minor recurrence per prime, combined by the
-  Chinese remainder theorem; integer_roots then reads off its integer
-  roots.  No floating point enters this route.
+  Chinese remainder theorem.  The primes are reduced in stacks, one
+  (primes x n x n) array at a time, so the Python work of a column is
+  paid once per stack, not once per prime.  integer_roots then reads
+  off its integer roots: the candidates are screened modulo one prime,
+  and exact synthetic division decides.  No floating point enters this
+  route.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import functools
 import math
 from collections import Counter
 from collections.abc import Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -136,64 +141,88 @@ def certified_roots(a: np.ndarray, hint) -> list[tuple[int, int]] | None:
     return roots
 
 
-def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Characteristic polynomial of a modulo p, ascending residues in 0..p-1.
+# Cells of one stack of residue matrices: charpoly_dense reduces
+# max(1, _STACK_CELLS // n**2) primes at a time, which keeps each column's
+# temporaries in cache.
+_STACK_CELLS = 2**15
 
-    Reduces to upper Hessenberg form by similarity over F_p, pivoting on
-    the first nonzero entry below the subdiagonal, then runs the
-    leading-minor recurrence with one matrix-vector product per step.
+
+def _charpoly_mods(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Characteristic polynomials of a modulo each of the primes, as a
+    (len(primes), n + 1) array of ascending residues in 0..p-1.
+
+    Reduces a stack of one copy of a per prime to upper Hessenberg form by
+    similarity over each F_p, then runs the leading-minor recurrence with
+    one matrix-vector product per step and prime.  Every step works on the
+    whole stack at once.  Each prime pivots on its own first nonzero entry
+    below the subdiagonal; a prime whose column is zero below the diagonal
+    gets the inverse 0, which makes its elimination step a no-op.
     """
     n = a.shape[0]
-    h = a % p
+    mod = np.array(primes, dtype=np.int64)[:, None]
+    h = a % mod[:, :, None]
     for c in range(n - 2):
-        nz = np.flatnonzero(h[c + 1:, c])
-        if nz.size == 0:
-            continue
-        piv = c + 1 + int(nz[0])
-        if piv != c + 1:
-            h[[c + 1, piv]] = h[[piv, c + 1]]
-            h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
-        f = h[c + 2:, c] * pow(int(h[c + 1, c]), -1, p) % p
-        h[c + 2:, c:] = (h[c + 2:, c:] - np.outer(f, h[c + 1, c:])) % p
-        h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ f) % p
-    # polys[k] holds the characteristic polynomial of the leading k x k minor;
-    # beta[i] the product of the subdiagonal entries h[i, i-1] .. h[k-1, k-2].
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    beta = np.zeros(n + 1, dtype=np.int64)
+        if not h[:, c + 1, c].all():
+            # argmax is 0 for a zero column, which then swaps nothing
+            off = (h[:, c + 1:, c] != 0).argmax(axis=1)
+            swap = np.flatnonzero(off)
+            piv = c + 1 + off[swap]
+            h[swap, c + 1], h[swap, piv] = h[swap, piv], h[swap, c + 1]
+            h[swap, :, c + 1], h[swap, :, piv] = h[swap, :, piv], h[swap, :, c + 1]
+        inv = np.array([pow(x, -1, p) if x else 0
+                        for x, p in zip(h[:, c + 1, c].tolist(), primes)], dtype=np.int64)
+        f = h[:, c + 2:, c] * inv[:, None] % mod
+        h[:, c + 2:, c:] = ((h[:, c + 2:, c:] - f[:, :, None] * h[:, c + 1, None, c:])
+                            % mod[:, :, None])
+        h[:, :, c + 1] = (h[:, :, c + 1] + (h[:, :, c + 2:] @ f[:, :, None])[:, :, 0]) % mod
+    # polys[:, k, :k + 1] holds the characteristic polynomials of the leading
+    # k x k minors, of degree k; beta[:, i] the products of the subdiagonal
+    # entries h[:, i, i-1] .. h[:, k-1, k-2].
+    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    beta = np.zeros((len(primes), n + 1), dtype=np.int64)
     for k in range(1, n + 1):
         if k > 1:
-            beta[k - 1] = 1
-            beta[1:k] = beta[1:k] * h[k - 1, k - 2] % p
-        w = h[:k - 1, k - 1] * beta[1:k] % p
-        cur = w @ polys[:k - 1] + h[k - 1, k - 1] * polys[k - 1]
-        cur[1:] -= polys[k - 1, :-1]
-        polys[k] = -cur % p
-    return polys[n]
+            beta[:, k - 1] = 1
+            beta[:, 1:k] = beta[:, 1:k] * h[:, k - 1, k - 2, None] % mod
+        w = h[:, :k - 1, k - 1] * beta[:, 1:k] % mod
+        cur = polys[:, k, :k + 1]  # a view of row k, still zero
+        cur[:, :k] = ((w[:, None, :] @ polys[:, :k - 1, :k])[:, 0]
+                      + h[:, k - 1, k - 1, None] * polys[:, k - 1, :k])
+        cur[:, 1:] -= polys[:, k - 1, :k]
+        cur[:] = -cur % mod
+    return polys[:, n]
 
 
-def charpoly_dense(block: list[list[int]]) -> list[int]:
+def charpoly_dense(block) -> list[int]:
     """Characteristic polynomial of a small integer matrix, exactly.
 
+    block is any 2-D integer array-like; the coefficients are Python ints.
     Multimodular: the polynomial is computed modulo word-size primes and
     combined by the Chinese remainder theorem until the modulus M exceeds
     charpoly_bound(n, B) = 2 * max_k C(n, k) * B**k, with B the row-sum
     eigenvalue bound.  That bounds every coefficient, so the symmetric
-    residues mod M are the integer coefficients themselves.
+    residues mod M are the integer coefficients themselves.  The primes
+    are reduced in stacks of max(1, _STACK_CELLS // n**2), one
+    _charpoly_mods call per stack, so the Python work of the reduction is
+    paid once per column and stack, not once per column and prime.
     """
     n = len(block)
     if n == 0:
         return [1]
     if n == 1:
-        return [-block[0][0], 1]
+        return [-int(block[0][0]), 1]
     a = np.array(block, dtype=np.int64)
+    primes = crt_primes(charpoly_bound(n, gershgorin_bound(a)), prime_bits(n))
+    size = max(1, _STACK_CELLS // n**2)
     coeffs = [0] * (n + 1)
     modulus = 1
-    for p in crt_primes(charpoly_bound(n, gershgorin_bound(block)), prime_bits(n)):
-        inv = pow(modulus % p, -1, p)
-        for j, r in enumerate(_charpoly_mod(a, p).tolist()):
-            coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
-        modulus *= p
+    while stack := list(islice(primes, size)):
+        for p, residues in zip(stack, _charpoly_mods(a, stack).tolist()):
+            inv = pow(modulus % p, -1, p)
+            for j, r in enumerate(residues):
+                coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
+            modulus *= p
     half = modulus // 2
     return [c - modulus if c > half else c for c in coeffs]
 
@@ -221,10 +250,15 @@ def divide_linear(coeffs: list[int], r: int) -> tuple[list[int], int]:
 def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]], int]:
     """All integer roots with multiplicity, plus the residual degree.
 
-    Candidates are the divisors of the trailing nonzero coefficient, up
-    to the given magnitude bound; multiplicity comes from repeated exact
-    synthetic division.  The residual degree counts what is left after
-    every integer root has been divided out.
+    Candidates are d and -d for the divisors d of the trailing nonzero
+    coefficient, up to the given magnitude bound, in that order.  One
+    Horner pass in int64 evaluates the polynomial at every candidate
+    modulo p = modular_prime(prime_bits(n), 0), the first prime of an
+    n x n charpoly with n = len(coeffs) - 1, and only candidates whose
+    value is 0 mod p are tried.  A root's value is 0, so no root is
+    screened out; what decides is repeated exact synthetic division,
+    which also gives the multiplicity.  The residual degree counts what
+    is left after every integer root has been divided out.
     """
     work = list(coeffs)
     roots: dict[int, int] = {}
@@ -237,16 +271,21 @@ def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]],
     if len(work) > 1:
         c0 = work[0]
         limit = min(bound, abs(c0))
-        for d in range(1, limit + 1):
-            if c0 % d:
-                continue
-            for r in (d, -d):
-                while len(work) > 1:
-                    q, rem = divide_linear(work, r)
-                    if rem != 0:
-                        break
-                    roots[r] = roots.get(r, 0) + 1
-                    work = q
+        divisors = np.array([d for d in range(1, limit + 1) if c0 % d == 0], dtype=np.int64)
+        candidates = np.column_stack([divisors, -divisors]).ravel()
+        p = modular_prime(prime_bits(len(coeffs) - 1), 0)
+        x = candidates % p
+        # every value stays below p, so acc * x + c < p**2 < 2**63
+        acc = np.zeros_like(x)
+        for c in reversed(work):
+            acc = (acc * x + c % p) % p
+        for r in candidates[acc == 0].tolist():
+            while len(work) > 1:
+                q, rem = divide_linear(work, r)
+                if rem != 0:
+                    break
+                roots[r] = roots.get(r, 0) + 1
+                work = q
             if len(work) == 1:
                 break
     return sorted(roots.items()), len(work) - 1

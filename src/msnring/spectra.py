@@ -258,7 +258,7 @@ def _block_roots(block: np.ndarray) -> tuple[list[tuple[int, int]], int]:
             found = certified_roots(block, hint)
             if found is not None:
                 return found, 0
-    poly = charpoly_dense(block.tolist())
+    poly = charpoly_dense(block)
     check_charpoly(poly, n, int(np.trace(block)))
     return integer_roots(poly, b)
 

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msnring import charpoly
 from msnring.graphs import CliqueUnion, SimpleGraph, clique_union_graph
 from msnring.spectra import cn_matrix, msn_matrix
 
 from msnring.charpoly import (
+    _charpoly_mods,
     certified_roots,
+    charpoly_bound,
     charpoly_dense,
+    crt_primes,
     divide_linear,
     gershgorin_bound,
     integer_roots,
@@ -70,6 +74,64 @@ def fraction_charpoly(block):
         polys.append(cur)
     assert all(co.denominator == 1 for co in polys[n])
     return [int(co) for co in polys[n]]
+
+
+def reference_charpoly_mod(a, p):
+    """Characteristic polynomial of a modulo one prime p, ascending residues.
+
+    The one-prime-at-a-time Hessenberg reduction and leading-minor
+    recurrence that _charpoly_mods runs on a stack of primes.
+    """
+    n = a.shape[0]
+    h = a % p
+    for c in range(n - 2):
+        nz = np.flatnonzero(h[c + 1:, c])
+        if nz.size == 0:
+            continue
+        piv = c + 1 + int(nz[0])
+        if piv != c + 1:
+            h[[c + 1, piv]] = h[[piv, c + 1]]
+            h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
+        f = h[c + 2:, c] * pow(int(h[c + 1, c]), -1, p) % p
+        h[c + 2:, c:] = (h[c + 2:, c:] - np.outer(f, h[c + 1, c:])) % p
+        h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ f) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    beta = np.zeros(n + 1, dtype=np.int64)
+    for k in range(1, n + 1):
+        if k > 1:
+            beta[k - 1] = 1
+            beta[1:k] = beta[1:k] * h[k - 1, k - 2] % p
+        w = h[:k - 1, k - 1] * beta[1:k] % p
+        cur = w @ polys[:k - 1] + h[k - 1, k - 1] * polys[k - 1]
+        cur[1:] -= polys[k - 1, :-1]
+        polys[k] = -cur % p
+    return polys[n]
+
+
+def reference_charpoly_dense(block):
+    """charpoly_dense with one reference_charpoly_mod call per prime."""
+    a = np.array(block, dtype=np.int64)
+    n = a.shape[0]
+    coeffs, modulus = [0] * (n + 1), 1
+    for p in crt_primes(charpoly_bound(n, gershgorin_bound(a)), prime_bits(n)):
+        inv = pow(modulus % p, -1, p)
+        for j, r in enumerate(reference_charpoly_mod(a, p).tolist()):
+            coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
+        modulus *= p
+    return [c - modulus if c > modulus // 2 else c for c in coeffs]
+
+
+def counted_charpoly_mods(monkeypatch):
+    """Replace _charpoly_mods by a wrapper that records each stack of primes."""
+    stacks = []
+
+    def counted(a, primes):
+        stacks.append(list(primes))
+        return _charpoly_mods(a, primes)
+
+    monkeypatch.setattr(charpoly, "_charpoly_mods", counted)
+    return stacks
 
 
 def random_sym(rng, n, low=-3, high=3):
@@ -131,6 +193,95 @@ def test_charpoly_dense_matches_fraction_oracle(seed, n, kind):
     assert charpoly_dense(block) == fraction_charpoly(block)
 
 
+def stacked_test_matrix(rng, n, kind, primes):
+    if kind == "zero":
+        return np.zeros((n, n), dtype=np.int64)
+    if kind == "wide":
+        a = rng.integers(-10**4, 10**4 + 1, size=(n, n))
+        a[rng.random((n, n)) < 0.3] = 0
+        return a
+    # multiples of one prime of the stack, the first or a later one, vanish
+    # modulo that prime only, so it alone meets zero pivots and swaps rows;
+    # a sprinkle of multiples of a second prime makes two primes swap
+    # at different columns
+    a = rng.integers(-3, 4, size=(n, n))
+    a[rng.random((n, n)) < 0.6] *= primes[int(rng.integers(len(primes)))]
+    a[rng.random((n, n)) < 0.1] *= primes[int(rng.integers(len(primes)))]
+    return a
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6),
+       st.sampled_from(["wide", "zero", "prime_multiples"]))
+def test_charpoly_mods_matches_reference_prime_by_prime(seed, n, count, kind):
+    rng = np.random.default_rng(seed)
+    primes = [modular_prime(prime_bits(n), i) for i in range(count)]
+    a = stacked_test_matrix(rng, n, kind, primes)
+    got = _charpoly_mods(a.copy(), primes)
+    assert got.shape == (count, n + 1) and got.dtype == np.int64
+    for p, row in zip(primes, got):
+        assert row.tolist() == reference_charpoly_mod(a, p).tolist()
+
+
+def test_charpoly_mods_pivots_each_prime_on_its_own_column():
+    # below the diagonal, column 0 reads p0*p1, p1, 1, 0: the first prime
+    # pivots on row 2, the second on row 3 and the third keeps row 1
+    primes = [modular_prime(prime_bits(5), i) for i in range(3)]
+    p01 = primes[0] * primes[1]
+    a = np.array([[1, p01, primes[1], 1, 0],
+                  [p01, 2, 1, 0, 1],
+                  [primes[1], 1, 0, 1, 0],
+                  [1, 0, 1, 3, 1],
+                  [0, 1, 0, 1, 0]], dtype=np.int64)
+    got = _charpoly_mods(a, primes)
+    for p, row in zip(primes, got):
+        assert row.tolist() == reference_charpoly_mod(a, p).tolist()
+
+
+def test_charpoly_dense_at_n64_spans_several_stacks(monkeypatch):
+    rng = np.random.default_rng(64)
+    block = random_sym(rng, 64, -9, 9)
+    stacks = counted_charpoly_mods(monkeypatch)
+    got = charpoly_dense(block)
+    primes = list(crt_primes(charpoly_bound(64, gershgorin_bound(block)), prime_bits(64)))
+    size = max(1, charpoly._STACK_CELLS // 64**2)
+    assert len(stacks) == -(-len(primes) // size) >= 2
+    assert [p for stack in stacks for p in stack] == primes
+    assert got == reference_charpoly_dense(block)
+
+
+def random_graph_blocks(seed, sizes):
+    """msn and cn blocks of seeded random graphs, as the classify route sees them."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        g = SimpleGraph.from_edges(n, edges)
+        for m in (msn_matrix(g), cn_matrix(g)):
+            for block, _ in m.blocks:
+                yield block
+
+
+def test_charpoly_dense_takes_one_stack_per_block_up_to_n28(monkeypatch):
+    stacks = counted_charpoly_mods(monkeypatch)
+    blocks = list(random_graph_blocks(1, range(8, 29, 4)))
+    rng = np.random.default_rng(28)
+    blocks.append(rng.integers(-10**4, 10**4 + 1, size=(28, 28)))
+    for block in blocks:
+        before = len(stacks)
+        assert charpoly_dense(block) == reference_charpoly_dense(block)
+        assert len(stacks) == before + 1
+    assert max(len(stack) for stack in stacks) > 1
+
+
+def test_charpoly_dense_accepts_arrays_and_returns_python_ints():
+    for block in ([[5]], [[0, 1], [1, 0]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]]):
+        a = np.array(block, dtype=np.int64)
+        got = charpoly_dense(a)
+        assert got == charpoly_dense(block)
+        assert all(type(c) is int for c in got)
+    assert charpoly_dense(np.zeros((0, 0), dtype=np.int64)) == [1]
+
+
 def test_prime_size_keeps_int64_products_exact():
     # checked on the primes alone: no 4096-dimension polynomial is computed
     for n in (2, 3, 16, 255, 256, 257, 4096):
@@ -190,6 +341,65 @@ def test_integer_roots_reconstruct(root_list):
     for r, mult in roots:
         rebuilt.extend([r] * mult)
     assert sorted(rebuilt) == sorted(root_list)
+
+
+def reference_integer_roots(coeffs, bound):
+    """integer_roots without the modular screen: every divisor is divided."""
+    work = list(coeffs)
+    roots = {}
+    k = 0
+    while k < len(work) - 1 and work[k] == 0:
+        k += 1
+    if k:
+        roots[0] = k
+        work = work[k:]
+    if len(work) > 1:
+        c0 = work[0]
+        limit = min(bound, abs(c0))
+        for d in range(1, limit + 1):
+            if c0 % d:
+                continue
+            for r in (d, -d):
+                while len(work) > 1:
+                    q, rem = divide_linear(work, r)
+                    if rem != 0:
+                        break
+                    roots[r] = roots.get(r, 0) + 1
+                    work = q
+            if len(work) == 1:
+                break
+    return sorted(roots.items()), len(work) - 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(-40, 40), max_size=8), st.integers(0, 3),
+       st.lists(st.integers(-50, 50), max_size=4), st.integers(0, 45))
+def test_integer_roots_screen_matches_unscreened_loop(root_list, zeros, extra, bound):
+    # roots up to and beyond the bound, repeated roots, trailing zeros and
+    # a factor that need not split
+    poly = [0] * zeros + [1]
+    for r in root_list:
+        poly = poly_mul(poly, [-r, 1])
+    poly = poly_mul(poly, extra + [1])
+    assert integer_roots(poly, bound) == reference_integer_roots(poly, bound)
+
+
+def test_integer_roots_screen_passes_false_positives_to_exact_division(monkeypatch):
+    # P(x) = x^2 + (p - 3) x + 2 has P(1) = p and P(2) = 2p, both 0 mod p,
+    # and no integer root; 1 and 2 divide c0 = 2, and -1, -2 are screened out
+    p = modular_prime(prime_bits(2), 0)
+    poly = [2, p - 3, 1]
+    assert [divide_linear(poly, r)[1] for r in (1, 2)] == [p, 2 * p]
+    tried = []
+
+    def counted(coeffs, r):
+        tried.append(r)
+        return divide_linear(coeffs, r)
+
+    monkeypatch.setattr(charpoly, "divide_linear", counted)
+    assert integer_roots(poly, bound=2) == ([], 2)
+    assert tried == [1, 2]
+    assert reference_integer_roots(poly, 2) == ([], 2)
 
 
 def test_charpoly_dense_diagonal():

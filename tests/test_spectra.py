@@ -216,7 +216,7 @@ def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
             return None if declines else certified_roots(block, hint)
 
         def charpoly(block):
-            charpolys.append(block)
+            charpolys.append(block.tolist())  # the int64 block, not a list
             return charpoly_dense(block)
 
         monkeypatch.setattr(spectra, "certified_roots", certify)
