@@ -6,10 +6,10 @@ everything within distance two: the neighbors together with the
 neighbors' neighbors, the vertex itself excluded.  This is the convention
 under which every vertex of a K_m component has second-degree sum
 (m-1)^2, which the closed forms elsewhere in the package rely on.
-A graph's components are labelled once, cached as SimpleGraph.components,
-and are the one source of block structure: the clique decomposition,
-common_neighbours (the one product of the adjacency with itself),
-distance two and the msn/cn matrices are all built per component.
+A graph's components are labelled once and grouped once by adjacency
+block (SimpleGraph.components, .classes); the clique decomposition,
+common_neighbours, distance two and the msn/cn matrices are all built
+once per class, however many components carry its block.
 Graph files are plain edge lists, read by one line and field grammar
 (parse_edge_list_text), or JSON; both end in SimpleGraph.from_edges,
 which checks and places all the pairs as one integer array.
@@ -88,6 +88,17 @@ class SimpleGraph:
     def components(self) -> tuple[np.ndarray, ...]:
         """The connected components, labelled once per graph."""
         return connected_components(self.adjacency)
+
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The components grouped by read-only adjacency block (equal bytes,
+        equal block), first seen first: each with a (copies, size) array."""
+        seen: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
+        for comp in self.components:
+            block = self.adjacency[comp[:, None], comp]
+            block.setflags(write=False)
+            seen.setdefault(block.tobytes(), (block, []))[1].append(comp)
+        return tuple((block, np.array(comps)) for block, comps in seen.values())
 
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -205,10 +216,9 @@ def delta2(g: SimpleGraph, v: int) -> int:
 
 def delta2_all(g: SimpleGraph) -> np.ndarray:
     """delta2 for every vertex at once."""
-    degrees = g.degrees()
     out = np.zeros(g.n, dtype=np.int64)
-    for comp, counts in zip(g.components, common_neighbours(g)):
-        out[comp] = (g.adjacency[comp[:, None], comp] | (counts > 0)) @ degrees[comp]
+    for (block, comps), counts in zip(g.classes, common_neighbours(g)):
+        out[comps] = (block | (counts > 0)) @ block.sum(axis=1)
     return out
 
 
@@ -232,12 +242,12 @@ def connected_components(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def common_neighbours(g: SimpleGraph) -> tuple[np.ndarray, ...]:
-    """Shared-neighbour counts as one int64 block per component of
-    g.components, zero on the diagonal; vertices in different components
-    share no neighbour."""
+    """Shared-neighbour counts as one int64 block per class of g.classes,
+    zero on the diagonal; vertices in different components share no
+    neighbour."""
     blocks = []
-    for comp in g.components:
-        a = g.adjacency[comp[:, None], comp].astype(np.float64)
+    for block, _ in g.classes:
+        a = block.astype(np.float64)
         counts = np.rint(a @ a).astype(np.int64)
         np.fill_diagonal(counts, 0)
         blocks.append(counts)
@@ -245,18 +255,14 @@ def common_neighbours(g: SimpleGraph) -> tuple[np.ndarray, ...]:
 
 
 def clique_decomposition(g: SimpleGraph) -> CliqueUnion | NotCliqueUnion:
-    """Decompose into complete components, or witness why that fails."""
-    sizes: list[int] = []
-    for comp in g.components:
-        sub = g.adjacency[comp[:, None], comp]
-        expected_missing = len(comp)  # only the diagonal may be False
-        if int(sub.sum()) != len(comp) * len(comp) - expected_missing:
-            off = ~sub
-            np.fill_diagonal(off, False)
-            i, j = np.argwhere(off)[0]
-            return NotCliqueUnion((int(comp[i]), int(comp[j])))
-        sizes.append(len(comp))
-    return CliqueUnion.from_sizes(sizes)
+    """Decompose into complete components, or witness why that fails in
+    the first incomplete component, which is the first of its class."""
+    for block, comps in g.classes:
+        missing = ~(block | np.eye(len(block), dtype=bool))
+        if missing.any():
+            i, j = np.argwhere(missing)[0]
+            return NotCliqueUnion((int(comps[0, i]), int(comps[0, j])))
+    return CliqueUnion.of((len(block), len(comps)) for block, comps in g.classes)
 
 
 def clique_union_graph(parts: CliqueUnion) -> SimpleGraph:

@@ -372,11 +372,11 @@ def noncentral_centralizer_sizes(ring: FiniteRing) -> list[int]:
 
 
 def has_unity(ring: FiniteRing) -> int | None:
-    """Index of the two-sided multiplicative identity, or None."""
+    """The two-sided identity's index, or None; being central, its row equals its column."""
     idx = np.arange(ring.order)
-    for e in range(ring.order):
-        if np.array_equal(ring.table[e, :], idx) and np.array_equal(ring.table[:, e], idx):
-            return e
+    for e in np.flatnonzero(ring.commutes.all(axis=1)):
+        if np.array_equal(ring.table[e], idx):
+            return int(e)
     return None
 
 

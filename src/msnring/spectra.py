@@ -1,18 +1,17 @@
 """Neighborhood matrices, their spectra by two independent routes, and
 the closed forms for clique unions.
 
-Both matrices are built one graph component at a time, in the order of
-SimpleGraph.components, from one per-component common-neighbour count
-(graphs.common_neighbours): the cn matrix is that count, and the msn
-matrix reads distance two off it.  So an IntSymMatrix is block-diagonal
-by construction and holds only its diagonal parts.  Each distinct part
-is split once more over the components of its own support, which can
-refine the graph's (the cn matrix of K_{a,b} splits into its two sides),
-and identical blocks are grouped by content.  matrix_spectra is the single
-dispatch between the routes, and applies both to every distinct block:
+Both matrices are built once per class of SimpleGraph.classes (one
+distinct component block) from its common-neighbour count: the cn matrix
+is that count, and the msn matrix reads distance two off it.  An
+IntSymMatrix holds distinct diagonal blocks with counts.  An msn block
+stays whole, as its support is its class's connected adjacency (a vertex
+with a neighbour u has delta2 >= deg(u) >= 1).  A cn block is split over
+its support's components (the cn matrix of K_{a,b} splits into its two
+sides), equal pieces grouped.  matrix_spectra dispatches both routes:
 
-* the exact route first tries to certify an integer spectrum: its own
-  float eigensolve of the block, rounded, is only a hint, which
+* the exact route first tries to certify an integer spectrum: the
+  matrix's float eigensolve of the block, rounded, is only a hint, which
   charpoly.certified_roots proves exactly from the power sums tr(A**k)
   modulo word-size primes, or rejects.  A block it does not settle gets
   the characteristic polynomial multimodularly (int64 arithmetic modulo
@@ -20,11 +19,11 @@ dispatch between the routes, and applies both to every distinct block:
   proven coefficient bound) and its integer roots.  So the route either
   proves the spectrum integral or reports the integer part found.  It
   declines matrices with a support block above the exact cap.
-* the numeric route is a symmetric eigensolve per block, merged and
+* the numeric route is that symmetric eigensolve per block, merged and
   clustered into multiplicities.
 
-The two never share intermediate results, so each can serve as a check
-on the other.
+They share only the unproven float eigensolve, which the exact route
+uses as a hint, so each can serve as a check on the other.
 """
 
 from __future__ import annotations
@@ -85,44 +84,40 @@ def _grouped(pairs) -> tuple[tuple[np.ndarray, int], ...]:
 
 @dataclass(frozen=True, eq=False)
 class IntSymMatrix:
-    """Block-diagonal symmetric nonnegative integer matrix with a zero
-    diagonal, stored as its diagonal parts only; every part is checked.
-    msn_matrix and cn_matrix give one part per SimpleGraph.components."""
+    """Block-diagonal symmetric nonnegative integer matrix with zero
+    diagonal, as checked (distinct block, positive count) pairs: msn_matrix
+    gives one per graph class, cn_matrix one per class support component."""
 
-    parts: tuple[np.ndarray, ...] = field(repr=False)
+    blocks: tuple[tuple[np.ndarray, int], ...] = field(repr=False)
 
     def __post_init__(self):
-        for v in self.parts:
-            if v.ndim != 2 or v.shape[0] != v.shape[1]:
-                raise SpectraError(f"matrix part must be square, got shape {v.shape}")
+        for v, count in self.blocks:
+            if v.ndim != 2 or v.shape[0] != v.shape[1] or not v.size:
+                raise SpectraError(f"matrix block must be a nonempty square, got shape {v.shape}")
             if v.dtype.kind not in "iu":
                 raise SpectraError("matrix entries must be integers")
             if np.diagonal(v).any():
                 raise SpectraError("matrix diagonal must be zero")
             if (v != v.T).any():
                 raise SpectraError("matrix must be symmetric")
-            if v.min(initial=0) < 0:
+            if v.min() < 0:
                 raise SpectraError("matrix entries must be nonnegative")
+            if not isinstance(count, int) or count < 1:
+                raise SpectraError(f"block count must be a positive integer, got {count!r}")
             v.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return sum(v.shape[0] for v in self.parts)
+        return sum(v.shape[0] * count for v, count in self.blocks)
 
     @functools.cached_property
-    def blocks(self) -> tuple[tuple[np.ndarray, int], ...]:
-        """Distinct diagonal blocks over the components of the support,
-        each with the number of components that carry it.
-
-        Each distinct part is split once, over the components of its own
-        support, which the zero diagonal and symmetry make a simple graph.
-        """
-        found = _grouped((part[comp[:, None], comp], copies)
-                         for part, copies in _grouped((v, 1) for v in self.parts)
-                         for comp in connected_components(part != 0))
-        for block, _ in found:
-            block.setflags(write=False)
-        return found
+    def eigenvalues(self) -> tuple[np.ndarray, ...]:
+        """The one float eigensolve: each distinct block's eigenvalues,
+        ascending.  Raises NoConvergence if a solve fails."""
+        try:
+            return tuple(np.linalg.eigvalsh(block.astype(np.float64)) for block, _ in self.blocks)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"symmetric eigensolve failed: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -217,13 +212,16 @@ def msn_matrix(g: SimpleGraph) -> IntSymMatrix:
     """Minimum second-degree matrix: entry min(d2(u), d2(v)) on edges."""
     d2 = delta2_all(g)
     return IntSymMatrix(tuple(
-        np.minimum(d2[comp, None], d2[comp]) * g.adjacency[comp[:, None], comp]
-        for comp in g.components))
+        (np.minimum(d2[comps[0], None], d2[comps[0]]) * block, len(comps))
+        for block, comps in g.classes))
 
 
 def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
     """Common neighborhood matrix: shared neighbor counts off diagonal."""
-    return IntSymMatrix(common_neighbours(g))
+    return IntSymMatrix(_grouped(
+        (counts[comp[:, None], comp], len(comps))
+        for counts, (_, comps) in zip(common_neighbours(g), g.classes)
+        for comp in connected_components(counts != 0)))
 
 
 def _cluster_tol(peak: int, n: int) -> float:
@@ -231,11 +229,11 @@ def _cluster_tol(peak: int, n: int) -> float:
     return NUMERIC_CLUSTER_TOL * max(1.0, float(peak) * n)
 
 
-def _block_roots(block: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+def _block_roots(block: np.ndarray, hint: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     """Integer roots with multiplicity of one block, and the residual degree.
 
-    A rounded eigensolve of the block suggests an integer spectrum, which
-    certified_roots proves or rejects.  It is tried only when every
+    The hint, the block's float eigenvalues, suggests an integer spectrum
+    that certified_roots proves or rejects.  It is tried only when every
     eigenvalue lies within the clustering tolerance of an integer and its
     primes, one pass of s - 1 matrix products each, number no more than
     the characteristic polynomial would need.  Otherwise, or if it
@@ -244,10 +242,6 @@ def _block_roots(block: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     its trailing nonzero coefficient within the row-sum eigenvalue bound.
     """
     n, b = block.shape[0], gershgorin_bound(block)
-    try:
-        hint = np.linalg.eigvalsh(block.astype(np.float64))
-    except np.linalg.LinAlgError:
-        hint = np.full(n, np.nan)  # fails the test below
     near = np.abs(hint - np.rint(hint)) <= _cluster_tol(block.max(), n)
     if hint.shape == (n,) and near.all():
         s = len(np.unique(np.rint(hint)))
@@ -266,21 +260,25 @@ def _block_roots(block: np.ndarray) -> tuple[list[tuple[int, int]], int]:
 def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
     """Integer eigenvalues by exact computation.
 
-    Each distinct support block's integer roots are proven, by the
-    power-sum certificate or from the characteristic polynomial (see
-    _block_roots).  If every block's spectrum is integral the full
-    spectrum is returned, else the integer part found.  Raises
-    ExactCapExceeded, before any work, if a block exceeds the exact cap.
+    Each distinct block's integer roots are proven, by the power-sum
+    certificate (hinted by m.eigenvalues, NaN if they failed) or from
+    the characteristic polynomial; see _block_roots.  If every block's
+    spectrum is integral it is returned whole, else the integer part found.
+    Raises ExactCapExceeded, before any work, if a block exceeds the cap.
     """
     cap = exact_cap()
     largest = max((block.shape[0] for block, _ in m.blocks), default=0)
     if largest > cap:
         raise ExactCapExceeded(
             f"support block of dimension {largest} exceeds the exact path cap {cap}")
+    try:
+        hints = m.eigenvalues
+    except NoConvergence:
+        hints = tuple(np.full(len(block), np.nan) for block, _ in m.blocks)
     roots: Counter[int] = Counter()
     residual = 0
-    for block, count in m.blocks:
-        found, left = _block_roots(block)
+    for (block, count), hint in zip(m.blocks, hints):
+        found, left = _block_roots(block, hint)
         for value, mult in found:
             roots[value] += mult * count
         residual += left * count
@@ -290,17 +288,12 @@ def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
 
 
 def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
-    """Floating point eigenvalues of each distinct support block, merged
+    """m.eigenvalues, the float eigenvalues of each distinct block, merged
     and clustered into multiplicities on the whole matrix's scale."""
     if m.n == 0:
         return SpectrumMultiset(False, ())
-    try:
-        eigs = np.sort(np.concatenate([
-            np.repeat(np.linalg.eigvalsh(block.astype(np.float64)), count)
-            for block, count in m.blocks
-        ]))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolve failed: {exc}") from None
+    eigs = np.sort(np.concatenate([
+        np.repeat(values, count) for values, (_, count) in zip(m.eigenvalues, m.blocks)]))
     tol = _cluster_tol(max(block.max() for block, _ in m.blocks), m.n)
     clusters: list[list[float]] = [[float(eigs[0])]]
     for v in eigs[1:]:

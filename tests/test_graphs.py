@@ -168,6 +168,43 @@ def test_clique_decomposition_matches_brute_force():
             assert sorted(got.component_sizes()) == want
 
 
+def per_component_decomposition(g):
+    """clique_decomposition as one loop over g.components, kept as an oracle."""
+    sizes = []
+    for comp in g.components:
+        sub = g.adjacency[np.ix_(comp, comp)]
+        if int(sub.sum()) != len(comp) * (len(comp) - 1):
+            off = ~sub
+            np.fill_diagonal(off, False)
+            i, j = np.argwhere(off)[0]
+            return NotCliqueUnion((int(comp[i]), int(comp[j])))
+        sizes.append(len(comp))
+    return CliqueUnion.from_sizes(sizes)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4),
+                          st.booleans()), min_size=1, max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_clique_decomposition_per_class_matches_per_component(pieces, perm_seed):
+    # each piece a complete graph or a random one, repeated, then relabelled
+    edges, n = [], 0
+    for seed, size, copies, complete in pieces:
+        rng = np.random.default_rng(seed)
+        piece = [(u, v) for u, v in itertools.combinations(range(size), 2)
+                 if complete or rng.random() < 0.6]
+        for _ in range(copies):
+            edges += [(u + n, v + n) for u, v in piece]
+            n += size
+    perm = np.random.default_rng(perm_seed).permutation(n)
+    g = SimpleGraph.from_edges(n, [tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in edges])
+    assert clique_decomposition(g) == per_component_decomposition(g)
+    assert sum(len(comps) for _, comps in g.classes) == len(g.components)
+    for block, comps in g.classes:
+        for comp in comps:
+            assert np.array_equal(g.adjacency[np.ix_(comp, comp)], block)
+
+
 def test_clique_union_normalization():
     parts = CliqueUnion.of([(3, 1), (2, 2), (3, 0), (2, 1)])
     assert parts.parts == ((2, 3), (3, 1))

@@ -268,6 +268,35 @@ def test_has_unity():
     assert has_unity(direct_product(ut, zn(2))) is not None
 
 
+def brute_unity(ring):
+    """The first element whose row and column of the table are both the identity map."""
+    idx = np.arange(ring.order)
+    for e in range(ring.order):
+        if np.array_equal(ring.table[e], idx) and np.array_equal(ring.table[:, e], idx):
+            return e
+    return None
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"{family}:p={p}" for family in ("nc_p2", "mat2", "ut2") for p in (2, 3)),
+    "nc_p2:p=5", "ut2:p=5",
+    *(f"zn:n={n}" for n in (1, 2, 6, 9, 12)),
+    "prod(nc_p2:p=2,zn:n=2)", "prod(ut2:p=2,zn:n=3)", "prod(mat2:p=2,zn:n=2)",
+    "prod(nc_p2:p=2,nc_p2:p=2)", "prod(ut2:p=2,mat2:p=2)",
+])
+def test_has_unity_matches_a_scan_of_every_element(spec):
+    ring = parse_ring_spec(spec)
+    want = brute_unity(ring)
+    assert has_unity(ring) == want
+    if spec.startswith(("nc_p2", "prod(nc_p2")):
+        # left identities exist, so a row alone does not make a unity
+        idx = np.arange(ring.order)
+        assert want is None
+        assert any(np.array_equal(row, idx) for row in ring.table)
+    else:
+        assert type(has_unity(ring)) is int
+
+
 def test_is_cc_ring():
     assert is_cc_ring(zn(8)) is None
     for ring in (ring_noncomm_p2(3), upper_triangular_ring(3), matrix_ring_2x2(2)):

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from msnring import spectra
 from msnring.charpoly import certified_roots, charpoly_dense, gershgorin_bound, integer_roots
-from msnring.graphs import CliqueUnion, SimpleGraph, clique_decomposition, clique_union_graph
+from msnring.graphs import (
+    CliqueUnion,
+    SimpleGraph,
+    clique_decomposition,
+    clique_union_graph,
+    common_neighbours,
+    connected_components,
+)
 from msnring.spectra import (
     NUMERIC_CLUSTER_TOL,
     EnergyReport,
@@ -43,12 +50,20 @@ def random_graph(seed, n, p=0.4):
     return SimpleGraph.from_edges(n, edges)
 
 
-def dense(m, g):
-    """The parts of m, placed by g.components into one n x n array."""
-    out = np.zeros((g.n, g.n), dtype=np.int64)
-    for comp, part in zip(g.components, m.parts, strict=True):
-        out[np.ix_(comp, comp)] = part
-    return out
+def blocks(m):
+    """m.blocks as a sorted list of (nested list, count) pairs."""
+    return sorted((b.tolist(), count) for b, count in m.blocks)
+
+
+def dense(values):
+    """What IntSymMatrix.blocks must hold for the whole matrix values: its
+    diagonal blocks over the components of its support, grouped by bytes
+    and counted, as a sorted list of (nested list, count) pairs."""
+    seen = {}
+    for comp in connected_components(values != 0):
+        block = values[np.ix_(comp, comp)]
+        seen.setdefault(block.tobytes(), [block, 0])[1] += 1
+    return sorted((b.tolist(), count) for b, count in seen.values())
 
 
 def brute_delta2(g, v):
@@ -81,33 +96,34 @@ def brute_cn(g):
 
 def test_msn_matrix_path3():
     g = path_graph(3)
-    assert dense(msn_matrix(g), g).tolist() == [[0, 2, 0], [2, 0, 2], [0, 2, 0]]
+    assert blocks(msn_matrix(g)) == [([[0, 2, 0], [2, 0, 2], [0, 2, 0]], 1)]
+    assert dense(brute_msn(g)) == blocks(msn_matrix(g))
 
 
 def test_msn_matrix_complete():
     g = complete_graph(4)
     expected = 9 * (np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
-    assert np.array_equal(dense(msn_matrix(g), g), expected)
+    assert blocks(msn_matrix(g)) == [(expected.tolist(), 1)]
 
 
 def test_cn_matrix_hand_values():
     g = path_graph(3)
-    assert dense(cn_matrix(g), g).tolist() == [
-        [0, 0, 1],
-        [0, 0, 0],
-        [1, 0, 0],
-    ]
+    # [[0, 0, 1], [0, 0, 0], [1, 0, 0]], split over its support
+    assert blocks(cn_matrix(g)) == [([[0]], 1), ([[0, 1], [1, 0]], 1)]
+    assert dense(brute_cn(g)) == blocks(cn_matrix(g))
     g = complete_graph(5)
     expected = 3 * (np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
-    assert np.array_equal(dense(cn_matrix(g), g), expected)
+    assert blocks(cn_matrix(g)) == [(expected.tolist(), 1)]
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9))
 def test_matrices_match_brute_force(seed, n):
     g = random_graph(seed, n)
-    assert np.array_equal(dense(msn_matrix(g), g), brute_msn(g))
-    assert np.array_equal(dense(cn_matrix(g), g), brute_cn(g))
+    for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
+        assert blocks(m) == dense(brute(g))
+        assert len(m.blocks) == len(blocks(m))  # no block listed twice
+        assert m.n == g.n
 
 
 INVALID_PARTS = {
@@ -117,27 +133,33 @@ INVALID_PARTS = {
     "asymmetric": np.array([[0, 1], [2, 0]]),
     "negative": np.array([[0, -1], [-1, 0]]),
     "not two-dimensional": np.zeros(4, dtype=int),
+    "empty": np.zeros((0, 0), dtype=int),
 }
 
 
 def test_int_sym_matrix_validation():
     for part in INVALID_PARTS.values():
         with pytest.raises(SpectraError):
-            IntSymMatrix((part,))
+            IntSymMatrix(((part, 1),))
+    edge = np.array([[0, 1], [1, 0]])
+    for count in (0, -1, 1.0, None):
+        with pytest.raises(SpectraError):
+            IntSymMatrix(((edge, count),))
     with pytest.raises(SpectraError):
-        IntSymMatrix(np.array([[0, 1], [1, 0]]))  # a dense array is not a tuple of parts
-    m = IntSymMatrix((np.array([[0, 1], [1, 0]]),))
+        IntSymMatrix(edge)  # a dense array is not a tuple of (block, count) pairs
+    m = IntSymMatrix(((edge, 3),))
+    assert m.n == 6
     with pytest.raises(ValueError):
-        m.parts[0][0, 1] = 5  # read-only
+        m.blocks[0][0][0, 1] = 5  # read-only
 
 
 @pytest.mark.parametrize("kind", sorted(INVALID_PARTS))
 def test_int_sym_matrix_checks_every_part(kind):
-    valid = [np.array([[0, 3], [3, 0]]), np.zeros((1, 1), dtype=int),
-             np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])]
+    valid = [(np.array([[0, 3], [3, 0]]), 1), (np.zeros((1, 1), dtype=int), 1),
+             (np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 1)]
     assert IntSymMatrix(tuple(valid)).n == 6
     for at in range(len(valid) + 1):
-        parts = valid[:at] + [INVALID_PARTS[kind]] + valid[at:]
+        parts = valid[:at] + [(INVALID_PARTS[kind], 1)] + valid[at:]
         with pytest.raises(SpectraError):
             IntSymMatrix(tuple(parts))
 
@@ -190,16 +212,23 @@ def test_exact_cap_applies_per_block(monkeypatch):
 
 
 def test_support_blocks():
-    v = np.zeros((7, 7), dtype=np.int64)
-    for (i, j), w in (((0, 1), 4), ((2, 3), 1), ((4, 5), 4)):
-        v[i, j] = v[j, i] = w
-    blocks = [(b.tolist(), count) for b, count in IntSymMatrix((v,)).blocks]
-    assert blocks == [([[0, 4], [4, 0]], 2), ([[0, 1], [1, 0]], 1), ([[0]], 1)]
-    # the same matrix held as two parts has the same blocks
-    split = IntSymMatrix((v[:4, :4], v[4:, 4:]))
-    assert [(b.tolist(), count) for b, count in split.blocks] == blocks
-    assert IntSymMatrix(()).blocks == ()
-    assert IntSymMatrix((np.zeros((0, 0), dtype=np.int64),)).blocks == ()
+    # K_{1,3} centred at 0, K_{1,3} centred at 7, an isolated vertex and the
+    # path 9-10-11-12: four classes, whose cn blocks split over their support
+    edges = [(0, 1), (0, 2), (0, 3), (4, 7), (5, 7), (6, 7), (9, 10), (10, 11), (11, 12)]
+    g = SimpleGraph.from_edges(13, edges)
+    assert len(g.classes) == 4
+    triangle = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    m = cn_matrix(g)
+    assert [(b.tolist(), count) for b, count in m.blocks] == [
+        ([[0]], 3), (triangle, 2), ([[0, 1], [1, 0]], 2)]
+    assert blocks(m) == dense(brute_cn(g))
+    # the msn matrix is not split: one block per class, shaped as the class
+    msn = msn_matrix(g)
+    assert [b.shape for b, _ in msn.blocks] == [b.shape for b, _ in g.classes]
+    assert blocks(msn) == dense(brute_msn(g))
+    empty = SimpleGraph.from_edges(0, [])
+    assert msn_matrix(empty).blocks == cn_matrix(empty).blocks == ()
+    assert IntSymMatrix(()).n == 0
 
 
 def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
@@ -226,9 +255,9 @@ def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
         assert charpolys == ([triangle] if declines else [])
 
 
-def charpoly_oracle(m, g):
+def charpoly_oracle(values):
     """exact_spectrum's answer from the whole matrix's characteristic polynomial."""
-    rows = dense(m, g).tolist()
+    rows = values.tolist()
     roots, residual = integer_roots(charpoly_dense(rows), gershgorin_bound(rows))
     if residual:
         return NotFullyIntegral(tuple(roots), residual)
@@ -260,8 +289,8 @@ def test_exact_spectrum_never_trusts_its_hint(monkeypatch, kind):
               complete_graph(6)]
     graphs += [random_graph(seed, 7 + seed % 5) for seed in range(8)]
     for g in graphs:
-        for m in (msn_matrix(g), cn_matrix(g)):
-            assert exact_spectrum(m) == charpoly_oracle(m, g)
+        for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
+            assert exact_spectrum(m) == charpoly_oracle(brute(g))
 
 
 def test_clique_blocks_settle_without_charpoly(monkeypatch):
@@ -310,8 +339,8 @@ def disjoint_union(parts, perm_seed):
 def test_matrix_spectra_per_block_equal_whole_matrix(parts, perm_seed):
     g = disjoint_union(parts, perm_seed)
     for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
-        values = dense(m, g)
-        assert np.array_equal(values, brute(g))
+        values = brute(g)
+        assert blocks(m) == dense(values)
         result = matrix_spectra(m)
         whole = np.linalg.eigvalsh(values.astype(np.float64))
         merged = [v for v, mult in result.numeric.pairs for _ in range(mult)]
@@ -319,7 +348,7 @@ def test_matrix_spectra_per_block_equal_whole_matrix(parts, perm_seed):
         tol = NUMERIC_CLUSTER_TOL * max(1.0, float(values.max(initial=0)) * m.n) * m.n
         assert np.allclose(merged, whole, rtol=0, atol=tol + 1e-9)
         if m.n <= 16:
-            assert result.exact == charpoly_oracle(m, g)
+            assert result.exact == charpoly_oracle(values)
 
 
 def test_matrix_spectra_above_cap(monkeypatch):
@@ -528,10 +557,83 @@ def test_blocks_split_each_distinct_part_once(monkeypatch):
         return real(adjacency)
 
     g = clique_union_graph(CliqueUnion(((2, 3), (3, 4), (5, 2))))
-    m = cn_matrix(g)
     monkeypatch.setattr(spectra, "connected_components", counting)
+    m = cn_matrix(g)
     # each K2 part splits into two zero blocks, which join the isolated ones
     k5 = 3 * (np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
     assert [(b.tolist(), count) for b, count in m.blocks] == [
         ([[0]], 6), ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 4), (k5.tolist(), 2)]
     assert splits == [2, 3, 5]
+
+
+def test_one_eigensolve_per_distinct_block(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    graphs = [clique_union_graph(CliqueUnion(((1, 2), (3, 4), (6, 2)))),
+              disjoint_union([(5, 5, 3), (6, 4, 2)], 9), path_graph(5)]
+    for g in graphs:
+        for m in (msn_matrix(g), cn_matrix(g)):
+            calls.clear()
+            result = matrix_spectra(m)
+            assert len(calls) == len(m.blocks)
+            assert sorted(calls) == sorted(b.shape for b, _ in m.blocks)
+            assert spectra_agree(result.exact, result.numeric)
+    # above the exact cap only the numeric route reads the eigensolve
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "2")
+    m = msn_matrix(graphs[0])
+    calls.clear()
+    assert matrix_spectra(m).exact is None
+    assert len(calls) == len(m.blocks) == 3
+
+
+def test_numeric_spectrum_reports_a_failed_eigensolve(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    m = cn_matrix(complete_graph(4))
+    with pytest.raises(spectra.NoConvergence, match="symmetric eigensolve failed: no convergence"):
+        numeric_spectrum(m)
+    # the exact route still proves the spectrum from the polynomial
+    assert exact_spectrum(m).pairs == ((-2, 3), (6, 1))
+
+
+def test_msn_needs_no_split_and_cn_splits_once_per_class(monkeypatch):
+    from msnring import graphs
+    splits = []
+    real = graphs.connected_components
+
+    def counting(adjacency):
+        splits.append(adjacency.shape[0])
+        return real(adjacency)
+
+    g = disjoint_union([(5, 5, 3), (6, 4, 2), (7, 3, 1)], 4)
+    classes = g.classes  # the graph's own labelling, before the patch
+    monkeypatch.setattr(graphs, "connected_components", counting)
+    monkeypatch.setattr(spectra, "connected_components", counting)
+    msn_matrix(g)
+    assert splits == []
+    cn_matrix(g)
+    assert splits == [len(block) for block, _ in classes]
+
+
+def test_relabelled_clique_union_is_one_class():
+    parts = CliqueUnion(((100, 31),))
+    edges = clique_union_graph(parts).edges()
+    perm = np.random.default_rng(31).permutation(parts.n)
+    g = SimpleGraph.from_edges(
+        parts.n, [tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in edges])
+    assert len(g.components) == 31
+    assert len(g.classes) == 1
+    block, comps = g.classes[0]
+    assert comps.shape == (31, 100)
+    assert sorted(comps.ravel().tolist()) == list(range(parts.n))
+    # one common-neighbour product, for the one class
+    (counts,) = common_neighbours(g)
+    assert np.array_equal(counts, 98 * (np.ones((100, 100), dtype=int) - np.eye(100, dtype=int)))
+    assert clique_decomposition(g) == parts
+    assert [count for _, count in msn_matrix(g).blocks] == [31]
+    assert matrix_spectra(cn_matrix(g)).exact == spectra.clique_union_cn_spectrum(parts)
