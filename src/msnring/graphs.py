@@ -8,8 +8,9 @@ under which every vertex of a K_m component has second-degree sum
 (m-1)^2, which the closed forms elsewhere in the package rely on.
 A graph's components are labelled once and grouped once by adjacency
 block (SimpleGraph.components, .classes); the clique decomposition,
-common_neighbours, distance two and the msn/cn matrices are all built
-once per class, however many components carry its block.
+the common neighbours (counted once per graph, SimpleGraph.common_neighbours),
+distance two and the msn/cn matrices are all built once per class, however
+many components carry its block.
 Graph files are plain edge lists, read by one line and field grammar
 (parse_edge_list_text), or JSON; both end in SimpleGraph.from_edges,
 which checks and places all the pairs as one integer array.
@@ -60,7 +61,7 @@ class SimpleGraph:
             raise GraphFormatError("adjacency must be boolean")
         if self.n and np.any(np.diagonal(a)):
             raise GraphFormatError("self-loops are not allowed")
-        if not np.array_equal(a, a.T):
+        if not _is_symmetric(a):
             raise GraphFormatError("adjacency must be symmetric")
         a.setflags(write=False)
 
@@ -99,6 +100,13 @@ class SimpleGraph:
             block.setflags(write=False)
             seen.setdefault(block.tobytes(), (block, []))[1].append(comp)
         return tuple((block, np.array(comps)) for block, comps in seen.values())
+
+    @functools.cached_property
+    def common_neighbours(self) -> tuple[np.ndarray, ...]:
+        """Shared-neighbour counts as one read-only int64 block per class,
+        counted once per graph; vertices in different components share no
+        neighbour."""
+        return tuple(_shared_neighbours(block) for block, _ in self.classes)
 
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -186,14 +194,40 @@ class NotCliqueUnion:
         return f"vertices {u} and {v} share a component but are not adjacent"
 
 
+_TILE = 256
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """a == a.T, compared tile (i, j) against tile (j, i) transposed: every
+    cell is read, and each tile pair fits in cache, unlike a strided a.T."""
+    n, t = len(a), _TILE
+    return all(np.array_equal(a[i:i + t, j:j + t], a[j:j + t, i:i + t].T)
+               for i in range(0, n, t) for j in range(i, n, t))
+
+
+def _noncentral_commutes(ring: FiniteRing) -> np.ndarray:
+    """A new copy of the commute mask on the non-central elements.  When a
+    factor of a product is commutative, those elements are the other
+    factor's non-central ones times all of it, and the mask is the other
+    factor's block repeated."""
+    if ring.factors:
+        r, s = ring.factors
+        if s.is_commutative:  # vertices a |S| + k: a non-central in r, any k
+            block = _noncentral_commutes(r)
+            return np.repeat(np.repeat(block, s.order, axis=0), s.order, axis=1)
+        if r.is_commutative:  # vertices i |S| + b: any i, b non-central in s
+            return np.tile(_noncentral_commutes(s), (r.order, r.order))
+    vertices = np.flatnonzero(~ring.central)
+    return ring.commutes[np.ix_(vertices, vertices)]
+
+
 def commuting_graph(ring: FiniteRing) -> SimpleGraph:
     """Graph on the non-central elements, joining commuting pairs."""
-    vertices = np.flatnonzero(~ring.commutes.all(axis=1))
-    if vertices.size == 0:
+    if ring.is_commutative:
         raise CommutativeRing(f"{ring.name} is commutative; the commuting graph is empty")
-    adj = ring.commutes[np.ix_(vertices, vertices)]
+    adj = _noncentral_commutes(ring)
     np.fill_diagonal(adj, False)
-    return SimpleGraph(len(vertices), adj)
+    return SimpleGraph(len(adj), adj)
 
 
 def second_neighborhood(g: SimpleGraph, v: int) -> set[int]:
@@ -217,7 +251,7 @@ def delta2(g: SimpleGraph, v: int) -> int:
 def delta2_all(g: SimpleGraph) -> np.ndarray:
     """delta2 for every vertex at once."""
     out = np.zeros(g.n, dtype=np.int64)
-    for (block, comps), counts in zip(g.classes, common_neighbours(g)):
+    for (block, comps), counts in zip(g.classes, g.common_neighbours):
         out[comps] = (block | (counts > 0)) @ block.sum(axis=1)
     return out
 
@@ -241,17 +275,13 @@ def connected_components(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(comps)
 
 
-def common_neighbours(g: SimpleGraph) -> tuple[np.ndarray, ...]:
-    """Shared-neighbour counts as one int64 block per class of g.classes,
-    zero on the diagonal; vertices in different components share no
-    neighbour."""
-    blocks = []
-    for block, _ in g.classes:
-        a = block.astype(np.float64)
-        counts = np.rint(a @ a).astype(np.int64)
-        np.fill_diagonal(counts, 0)
-        blocks.append(counts)
-    return tuple(blocks)
+def _shared_neighbours(block: np.ndarray) -> np.ndarray:
+    """Shared-neighbour counts of one adjacency block, zero on the diagonal."""
+    a = block.astype(np.float64)
+    counts = np.rint(a @ a).astype(np.int64)
+    np.fill_diagonal(counts, 0)
+    counts.setflags(write=False)
+    return counts
 
 
 def clique_decomposition(g: SimpleGraph) -> CliqueUnion | NotCliqueUnion:

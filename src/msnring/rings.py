@@ -1,13 +1,16 @@
 """Finite rings on explicit additive coordinates.
 
-A ring is stored as its additive group Z_{d1} x ... x Z_{dk} together with a
-full multiplication table on element indices.  Indices enumerate the mixed
-radix coordinate tuples in row-major order (first modulus most significant),
-so index 0 is always the additive identity.  User tables are validated
-exhaustively.  Built-in families are square matrices over Z_m with some entries
-fixed at zero and one coordinate per free entry, in row-major order: zn is the
-1x1 case, and nc_p2, ut2 and mat2 are 2x2 over F_p with a zero bottom row, a
-zero (1, 0) entry and no fixed entry.  One builder fills all their tables.
+A ring is stored as its additive group Z_{d1} x ... x Z_{dk} together with
+either a multiplication table on element indices or, for a direct product,
+its two factors.  A product builds its table only when `table` is read: its
+commute mask, its central elements and any rows of its table come from the
+factors'.  Indices enumerate the mixed radix coordinate tuples in row-major
+order (first modulus most significant), so index 0 is always the additive
+identity.  User tables are validated exhaustively.  Built-in families are
+square matrices over Z_m with some entries fixed at zero and one coordinate
+per free entry, in row-major order: zn is the 1x1 case, and nc_p2, ut2 and
+mat2 are 2x2 over F_p with a zero bottom row, a zero (1, 0) entry and no
+fixed entry.  One builder fills all their tables.
 """
 
 from __future__ import annotations
@@ -96,25 +99,65 @@ class CentralizerSet:
 
 @dataclass(frozen=True, eq=False)
 class FiniteRing:
+    """A ring on element indices.  A table ring is made by `_freeze`, which
+    stores its table; a direct product holds its two `factors`."""
+
     name: str
     moduli: tuple[int, ...]
-    table: np.ndarray = field(repr=False)
+    factors: tuple[FiniteRing, FiniteRing] | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
-        return int(self.table.shape[0])
+        return math.prod(self.moduli)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Read-only int32 multiplication table, built for a product on first read."""
+        r, s = self.factors
+        # entry (i |S| + k, j |S| + l) is r[i, j] |S| + s[k, l], below the order
+        table = (r.table[:, None, :, None] * s.order
+                 + s.table[None, :, None, :]).reshape(self.order, self.order)
+        table.setflags(write=False)
+        return table
 
     @functools.cached_property
     def commutes(self) -> np.ndarray:
         """Read-only symmetric mask, true at [i, j] when ij = ji; row i
         is the centralizer of element i."""
-        mask = self.table == self.table.T
+        if self.factors:
+            r, s = self.factors
+            # [i |S| + k, j |S| + l] is r.commutes[i, j] and s.commutes[k, l]
+            mask = (r.commutes[:, None, :, None]
+                    & s.commutes[None, :, None, :]).reshape(self.order, self.order)
+        else:
+            mask = self.table == self.table.T
+        mask.setflags(write=False)
+        return mask
+
+    @functools.cached_property
+    def central(self) -> np.ndarray:
+        """Read-only mask of the central elements."""
+        if self.factors:
+            r, s = self.factors
+            mask = (r.central[:, None] & s.central[None, :]).ravel()
+        else:
+            mask = self.commutes.all(axis=1)
         mask.setflags(write=False)
         return mask
 
     @property
     def is_commutative(self) -> bool:
-        return bool(self.commutes.all())
+        return bool(self.central.all())
+
+    def rows(self, indices) -> np.ndarray:
+        """The table rows of an array of element indices, as a new int32 array."""
+        indices = np.asarray(indices, dtype=np.intp)
+        if not self.factors:
+            return self.table[indices]
+        r, s = self.factors
+        i, k = np.divmod(indices, s.order)
+        return (r.rows(i)[:, :, None] * s.order
+                + s.rows(k)[:, None, :]).reshape(len(indices), self.order)
 
     def coords(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.order:
@@ -130,7 +173,11 @@ class FiniteRing:
         return RingElement(index, self.coords(index))
 
     def multiply(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
+        if not self.factors:
+            return int(self.table[i, j])
+        r, s = self.factors
+        (a, k), (b, l) = divmod(i, s.order), divmod(j, s.order)
+        return r.multiply(a, b) * s.order + s.multiply(k, l)
 
     def add(self, i: int, j: int) -> int:
         a, b = self.coords(i), self.coords(j)
@@ -140,8 +187,11 @@ class FiniteRing:
         return f"FiniteRing({self.name}, order={self.order})"
 
 
-def _freeze(ring: FiniteRing) -> FiniteRing:
-    ring.table.setflags(write=False)
+def _freeze(name: str, moduli: tuple[int, ...], table: np.ndarray) -> FiniteRing:
+    """A table ring holding `table`, made read-only."""
+    table.setflags(write=False)
+    ring = FiniteRing(name, moduli)
+    ring.__dict__["table"] = table  # where the cached property keeps it
     return ring
 
 
@@ -182,7 +232,7 @@ def _matrix_ring(name: str, m: int, free: tuple[tuple[int, int], ...]) -> Finite
         for r, c in free:
             rows *= m
             rows += mats[r, :, start:start + block].T @ mats[:, c] % m
-    return _freeze(FiniteRing(name, moduli, table))
+    return _freeze(name, moduli, table)
 
 
 def validate_ring_axioms(moduli: tuple[int, ...], table: np.ndarray) -> None:
@@ -270,7 +320,7 @@ def ring_from_table(
             )
         _check_zero_laws(arr)
         validate_ring_axioms(moduli, arr)
-    return _freeze(FiniteRing(name, moduli, arr))
+    return _freeze(name, moduli, arr)
 
 
 def zn(n: int) -> FiniteRing:
@@ -310,18 +360,15 @@ def upper_triangular_ring(p: int) -> FiniteRing:
 
 
 def direct_product(r: FiniteRing, s: FiniteRing) -> FiniteRing:
-    """Componentwise product ring on the concatenated coordinates."""
-    order = r.order * s.order
-    _check_universe(order, f"prod({r.name},{s.name})")
-    # entry (i |S| + k, j |S| + l) is r[i, j] |S| + s[k, l], below the order
-    table = (r.table[:, None, :, None] * s.order
-             + s.table[None, :, None, :]).reshape(order, order)
-    return _freeze(FiniteRing(f"prod({r.name},{s.name})", r.moduli + s.moduli, table))
+    """Componentwise product ring on the concatenated coordinates; it keeps
+    its factors and builds its table only when `table` is read."""
+    _check_universe(r.order * s.order, f"prod({r.name},{s.name})")
+    return FiniteRing(f"prod({r.name},{s.name})", r.moduli + s.moduli, (r, s))
 
 
 def center(ring: FiniteRing) -> CentralizerSet:
     """Elements commuting with the whole ring."""
-    return CentralizerSet(tuple(int(i) for i in np.flatnonzero(ring.commutes.all(axis=1))))
+    return CentralizerSet(tuple(int(i) for i in np.flatnonzero(ring.central)))
 
 
 def centralizer(ring: FiniteRing, r: RingElement | int) -> CentralizerSet:
@@ -349,7 +396,7 @@ def commuting_probability(ring: FiniteRing) -> Fraction:
 def _noncentral_centralizers(ring: FiniteRing) -> list[np.ndarray]:
     """Distinct centralizer masks of the non-central elements."""
     distinct: dict[bytes, np.ndarray] = {}
-    for i in np.flatnonzero(~ring.commutes.all(axis=1)):
+    for i in np.flatnonzero(~ring.central):
         row = ring.commutes[i]
         distinct.setdefault(row.tobytes(), row)
     return list(distinct.values())
@@ -372,11 +419,16 @@ def noncentral_centralizer_sizes(ring: FiniteRing) -> list[int]:
 
 
 def has_unity(ring: FiniteRing) -> int | None:
-    """The two-sided identity's index, or None; being central, its row equals its column."""
+    """The two-sided identity's index, or None; being central, its row
+    equals its column, so only central rows are read, a row block at a time."""
     idx = np.arange(ring.order)
-    for e in np.flatnonzero(ring.commutes.all(axis=1)):
-        if np.array_equal(ring.table[e], idx):
-            return int(e)
+    central = np.flatnonzero(ring.central)
+    block = _row_block(ring.order)
+    for start in range(0, central.size, block):
+        chunk = central[start:start + block]
+        hits = np.flatnonzero((ring.rows(chunk) == idx).all(axis=1))
+        if hits.size:
+            return int(chunk[hits[0]])
     return None
 
 

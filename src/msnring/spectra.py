@@ -52,7 +52,6 @@ from .graphs import (
     CliqueUnion,
     SimpleGraph,
     clique_decomposition,
-    common_neighbours,
     connected_components,
     delta2_all,
 )
@@ -220,7 +219,7 @@ def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
     """Common neighborhood matrix: shared neighbor counts off diagonal."""
     return IntSymMatrix(_grouped(
         (counts[comp[:, None], comp], len(comps))
-        for counts, (_, comps) in zip(common_neighbours(g), g.classes)
+        for counts, (_, comps) in zip(g.common_neighbours, g.classes)
         for comp in connected_components(counts != 0)))
 
 

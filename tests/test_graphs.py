@@ -111,6 +111,25 @@ def test_simple_graph_validation():
         SimpleGraph.from_edges(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("cell", [
+    (10, 20),     # a diagonal tile
+    (10, 300),    # an off-diagonal tile
+    (300, 10),    # its mirror
+    (560, 590),   # the partial last diagonal tile
+    (100, 590),   # the partial last column of tiles
+    (599, 3),     # the partial last row of tiles
+])
+def test_tiled_symmetry_check_rejects_one_flipped_cell(cell):
+    # 600 vertices: two full 256-wide tiles and a partial one of 88
+    rng = np.random.default_rng(600)
+    upper = np.triu(rng.random((600, 600)) < 0.3, k=1)
+    adj = upper | upper.T
+    SimpleGraph(600, adj.copy())
+    adj[cell] = not adj[cell]
+    with pytest.raises(GraphFormatError, match="^adjacency must be symmetric$"):
+        SimpleGraph(600, adj)
+
+
 def test_from_edges_reports_the_first_bad_pair_in_input_order():
     with pytest.raises(GraphFormatError, match="self-loop at vertex 0"):
         SimpleGraph.from_edges(2, [(0, 0), (0, 5)])

@@ -120,6 +120,13 @@ def test_direct_product_table_matches_repeat_tile_oracle():
             table[0, 0] = 1  # read-only
 
 
+def test_product_multiply_reads_the_factors_not_the_table():
+    ring = parse_ring_spec("prod(ut2:p=2,zn:n=3)")
+    products = [[ring.multiply(i, j) for j in range(ring.order)] for i in range(ring.order)]
+    assert "table" not in ring.__dict__
+    assert products == ring.table.tolist()
+
+
 def outer_product_table(family, p):
     """The table filled from |R|^2-sized int64 outer products, as the
     constructors did before the row-blocked builder."""

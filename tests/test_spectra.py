@@ -1,5 +1,6 @@
 """Neighborhood matrices, exact spectra, and the numeric cross-check."""
 
+import itertools
 import math
 import time
 
@@ -8,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msnring import spectra
+from msnring import graphs, spectra
 from msnring.charpoly import certified_roots, charpoly_dense, gershgorin_bound, integer_roots
 from msnring.graphs import (
     CliqueUnion,
     SimpleGraph,
     clique_decomposition,
     clique_union_graph,
-    common_neighbours,
     connected_components,
 )
 from msnring.spectra import (
@@ -494,6 +494,25 @@ def test_classify_cycle4_is_exact_without_a_clique_union():
     assert rep.to_json_dict()["msn_method"] == "exact"
 
 
+def test_classify_counts_common_neighbours_once_per_class(monkeypatch):
+    # a path, two triangles and a K4: three classes, and both matrices
+    # read the one count of each
+    edges = [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8)]
+    edges += list(itertools.combinations(range(9, 13), 2))
+    g = SimpleGraph.from_edges(13, edges)
+    products = []
+
+    def shared(block):
+        products.append(len(block))
+        return shared_neighbours(block)
+
+    shared_neighbours = graphs._shared_neighbours
+    monkeypatch.setattr(graphs, "_shared_neighbours", shared)
+    assert classify(g).decomposition is None  # so both matrices are built
+    assert products == [3, 3, 4]
+    assert len(g.classes) == 3
+
+
 def test_classify_beyond_cap(monkeypatch):
     monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
     rep = classify(path_graph(4))
@@ -632,7 +651,7 @@ def test_relabelled_clique_union_is_one_class():
     assert comps.shape == (31, 100)
     assert sorted(comps.ravel().tolist()) == list(range(parts.n))
     # one common-neighbour product, for the one class
-    (counts,) = common_neighbours(g)
+    (counts,) = g.common_neighbours
     assert np.array_equal(counts, 98 * (np.ones((100, 100), dtype=int) - np.eye(100, dtype=int)))
     assert clique_decomposition(g) == parts
     assert [count for _, count in msn_matrix(g).blocks] == [31]

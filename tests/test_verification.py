@@ -9,7 +9,9 @@ from msnring.graphs import CliqueUnion, SimpleGraph, commuting_graph
 from msnring.rings import (
     center,
     direct_product,
+    has_unity,
     matrix_ring_2x2,
+    parse_ring_spec,
     ring_from_table,
     ring_noncomm_p2,
     upper_triangular_ring,
@@ -22,6 +24,7 @@ from msnring.verification import (
     PropertySuiteReport,
     Verdict,
     VerificationReport,
+    builtin_instance,
     center_is_field,
     centralizer_energy_formula,
     enumerate_clique_unions,
@@ -239,6 +242,54 @@ def test_center_is_field():
     assert center_is_field(upper_triangular_ring(2))  # center is F_2
     assert not center_is_field(ring_noncomm_p2(2))  # trivial center
     assert not center_is_field(direct_product(upper_triangular_ring(2), zn(4)))
+
+
+def table_center_is_field(table):
+    """center_is_field by element loops over a materialised table."""
+    n = len(table)
+    z = [a for a in range(n) if all(table[a, b] == table[b, a] for b in range(n))]
+    nonzero = [a for a in z if a]
+    unity = [e for e in nonzero if all(table[e, x] == x == table[x, e] for x in z)]
+    return (bool(nonzero) and all(table[a, b] in z for a in z for b in z) and bool(unity)
+            and all(table[a, b] for a in nonzero for b in nonzero))
+
+
+@pytest.mark.parametrize("spec", [
+    "prod(mat2:p=3,zn:n=3)",               # commutative second factor
+    "prod(zn:n=4,ut2:p=2)",                # commutative first factor
+    "prod(nc_p2:p=2,ut2:p=2)",             # two non-commutative factors
+    "prod(prod(ut2:p=2,zn:n=2),zn:n=3)",   # nested product
+    "prod(nc_p2:p=2,zn:n=2)",              # no unity
+    "prod(ut2:p=3,zn:n=1)",                # a center that is a field
+])
+def test_product_factor_route_matches_its_table(spec):
+    ring = parse_ring_spec(spec)
+    commutes, central = ring.commutes, ring.central
+    rows = ring.rows(np.arange(ring.order))
+    unity, field = has_unity(ring), center_is_field(ring)
+    adjacency = commuting_graph(ring).adjacency
+    assert "table" not in ring.__dict__  # all of the above came from the factors
+    table = ring.table
+    mask = table == table.T
+    noncentral = ~mask.all(axis=1)
+    idx = np.arange(ring.order)
+    units = [e for e in idx if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)]
+    assert np.array_equal(commutes, mask)
+    assert np.array_equal(central, ~noncentral)
+    assert rows.dtype == np.int32 and np.array_equal(rows, table)
+    assert unity == (int(units[0]) if units else None)
+    assert field == table_center_is_field(table)
+    assert np.array_equal(adjacency, mask[np.ix_(noncentral, noncentral)]
+                          & ~np.eye(int(noncentral.sum()), dtype=bool))
+
+
+@pytest.mark.parametrize("theorem", [TheoremId.T3_3A, TheoremId.T3_3B])
+def test_verify_ring_never_builds_the_product_table(theorem):
+    ring = builtin_instance(theorem, 5)
+    assert ring.order == 3125
+    rep = verify_ring(ring, theorem)
+    assert rep.verdict is Verdict.PASS, rep.detail
+    assert "table" not in ring.__dict__
 
 
 # --- sweep ---
