@@ -1,7 +1,7 @@
 """Simple graphs, commuting graphs, and clique union structure.
 
-The commuting graph is read off the ring's one commute mask
-(FiniteRing.commutes).  The second neighborhood of a vertex collects
+The commuting graph is the ring's commute mask on its non-central
+elements (FiniteRing.noncentral_commutes).  The second neighborhood of a vertex collects
 everything within distance two: the neighbors together with the
 neighbors' neighbors, the vertex itself excluded.  This is the convention
 under which every vertex of a K_m component has second-degree sum
@@ -205,27 +205,11 @@ def _is_symmetric(a: np.ndarray) -> bool:
                for i in range(0, n, t) for j in range(i, n, t))
 
 
-def _noncentral_commutes(ring: FiniteRing) -> np.ndarray:
-    """A new copy of the commute mask on the non-central elements.  When a
-    factor of a product is commutative, those elements are the other
-    factor's non-central ones times all of it, and the mask is the other
-    factor's block repeated."""
-    if ring.factors:
-        r, s = ring.factors
-        if s.is_commutative:  # vertices a |S| + k: a non-central in r, any k
-            block = _noncentral_commutes(r)
-            return np.repeat(np.repeat(block, s.order, axis=0), s.order, axis=1)
-        if r.is_commutative:  # vertices i |S| + b: any i, b non-central in s
-            return np.tile(_noncentral_commutes(s), (r.order, r.order))
-    vertices = np.flatnonzero(~ring.central)
-    return ring.commutes[np.ix_(vertices, vertices)]
-
-
 def commuting_graph(ring: FiniteRing) -> SimpleGraph:
     """Graph on the non-central elements, joining commuting pairs."""
     if ring.is_commutative:
         raise CommutativeRing(f"{ring.name} is commutative; the commuting graph is empty")
-    adj = _noncentral_commutes(ring)
+    adj = ring.noncentral_commutes()
     np.fill_diagonal(adj, False)
     return SimpleGraph(len(adj), adj)
 

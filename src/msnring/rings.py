@@ -104,7 +104,8 @@ class FiniteRing:
 
     name: str
     moduli: tuple[int, ...]
-    factors: tuple[FiniteRing, FiniteRing] | None = field(default=None, repr=False)
+    factors: tuple[FiniteRing, FiniteRing] | None = field(default=None, repr=False,
+                                                          kw_only=True)
 
     @property
     def order(self) -> int:
@@ -113,10 +114,9 @@ class FiniteRing:
     @functools.cached_property
     def table(self) -> np.ndarray:
         """Read-only int32 multiplication table, built for a product on first read."""
-        r, s = self.factors
-        # entry (i |S| + k, j |S| + l) is r[i, j] |S| + s[k, l], below the order
-        table = (r.table[:, None, :, None] * s.order
-                 + s.table[None, :, None, :]).reshape(self.order, self.order)
+        if self.factors is None:
+            raise RingError(f"{self.name} has neither a table nor factors")
+        table = self.rows(np.arange(self.order))
         table.setflags(write=False)
         return table
 
@@ -148,6 +148,18 @@ class FiniteRing:
     @property
     def is_commutative(self) -> bool:
         return bool(self.central.all())
+
+    def noncentral_commutes(self) -> np.ndarray:
+        """A new copy of the commute mask on the non-central elements.  When
+        the second factor of a product is commutative, those elements are
+        a |S| + k for every non-central a of the first and every k, and the
+        mask is the first factor's block with each cell repeated |S| x |S|."""
+        if self.factors and self.factors[1].is_commutative:
+            r, s = self.factors
+            block = r.noncentral_commutes()
+            return np.repeat(np.repeat(block, s.order, axis=0), s.order, axis=1)
+        vertices = np.flatnonzero(~self.central)
+        return self.commutes[np.ix_(vertices, vertices)]
 
     def rows(self, indices) -> np.ndarray:
         """The table rows of an array of element indices, as a new int32 array."""
@@ -363,7 +375,7 @@ def direct_product(r: FiniteRing, s: FiniteRing) -> FiniteRing:
     """Componentwise product ring on the concatenated coordinates; it keeps
     its factors and builds its table only when `table` is read."""
     _check_universe(r.order * s.order, f"prod({r.name},{s.name})")
-    return FiniteRing(f"prod({r.name},{s.name})", r.moduli + s.moduli, (r, s))
+    return FiniteRing(f"prod({r.name},{s.name})", r.moduli + s.moduli, factors=(r, s))
 
 
 def center(ring: FiniteRing) -> CentralizerSet:

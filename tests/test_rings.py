@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from msnring.rings import (
     AxiomViolation,
     DimensionMismatch,
+    FiniteRing,
     NotPrime,
+    RingError,
     RingSpecError,
     SizeCapExceeded,
     additive_quotient_type,
@@ -118,6 +120,14 @@ def test_direct_product_table_matches_repeat_tile_oracle():
         assert np.array_equal(table, repeat_tile_product_table(r, s))
         with pytest.raises(ValueError):
             table[0, 0] = 1  # read-only
+
+
+def test_factors_is_keyword_only_and_a_ring_needs_a_table_or_factors():
+    table = zn(3).table
+    with pytest.raises(TypeError):
+        FiniteRing("zn:n=3", (3,), table)  # the old positional table argument
+    with pytest.raises(RingError, match="neither a table nor factors"):
+        FiniteRing("bare", (3,)).table
 
 
 def test_product_multiply_reads_the_factors_not_the_table():
