@@ -10,7 +10,10 @@ identity.  User tables are validated exhaustively.  Built-in families are
 square matrices over Z_m with some entries fixed at zero and one coordinate
 per free entry, in row-major order: zn is the 1x1 case, and nc_p2, ut2 and
 mat2 are 2x2 over F_p with a zero bottom row, a zero (1, 0) entry and no
-fixed entry.  One builder fills all their tables.
+fixed entry.  One builder fills all their tables.  The invariants are read
+off the commute and central masks: the distinct centralizers are the
+distinct rows of the commute mask, and the additive type of R / Z(R) comes
+from counting the elements whose p^k-multiples are central.
 """
 
 from __future__ import annotations
@@ -144,6 +147,11 @@ class FiniteRing:
             mask = self.commutes.all(axis=1)
         mask.setflags(write=False)
         return mask
+
+    @functools.cached_property
+    def centralizers(self) -> tuple[np.ndarray, ...]:
+        """The distinct rows of `commutes`, first seen first, as read-only views."""
+        return tuple({row.tobytes(): row for row in self.commutes}.values())
 
     @property
     def is_commutative(self) -> bool:
@@ -397,7 +405,7 @@ def centralizer_count(ring: FiniteRing) -> int:
     Central elements contribute the single set R, so a commutative ring
     counts 1.
     """
-    return len({row.tobytes() for row in ring.commutes})
+    return len(ring.centralizers)
 
 
 def commuting_probability(ring: FiniteRing) -> Fraction:
@@ -407,11 +415,7 @@ def commuting_probability(ring: FiniteRing) -> Fraction:
 
 def _noncentral_centralizers(ring: FiniteRing) -> list[np.ndarray]:
     """Distinct centralizer masks of the non-central elements."""
-    distinct: dict[bytes, np.ndarray] = {}
-    for i in np.flatnonzero(~ring.central):
-        row = ring.commutes[i]
-        distinct.setdefault(row.tobytes(), row)
-    return list(distinct.values())
+    return [row for row in ring.centralizers if not row.all()]
 
 
 def is_cc_ring(ring: FiniteRing) -> bool | None:
@@ -444,82 +448,32 @@ def has_unity(ring: FiniteRing) -> int | None:
     return None
 
 
-def _smith_diagonal(mat: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Small dense version with exact integer arithmetic; returns nonnegative
-    entries in divisibility order, padded with zeros up to min(rows, cols).
-    """
-    m = [row[:] for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    out: list[int] = []
-    r = c = 0
-    while r < rows and c < cols:
-        pivot = None
-        best = None
-        for i in range(r, rows):
-            for j in range(c, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        m[r], m[i0] = m[i0], m[r]
-        for row in m:
-            row[c], row[j0] = row[j0], row[c]
-        while True:
-            reduced = False
-            for i in range(r + 1, rows):
-                if m[i][c]:
-                    f = m[i][c] // m[r][c]
-                    for j in range(c, cols):
-                        m[i][j] -= f * m[r][j]
-                    if m[i][c]:
-                        m[r], m[i] = m[i], m[r]
-                        reduced = True
-            for j in range(c + 1, cols):
-                if m[r][j]:
-                    f = m[r][j] // m[r][c]
-                    for i in range(r, rows):
-                        m[i][j] -= f * m[i][c]
-                    if m[r][j]:
-                        for i in range(rows):
-                            m[i][c], m[i][j] = m[i][j], m[i][c]
-                        reduced = True
-            if not reduced:
-                break
-        out.append(abs(m[r][c]))
-        r += 1
-        c += 1
-    out += [0] * (min(rows, cols) - len(out))
-    # enforce the divisibility chain d1 | d2 | ...
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            a, b = out[i], out[j]
-            if a and b and b % a:
-                g = math.gcd(a, b)
-                out[i], out[j] = g, a * b // g
-            elif a == 0 and b:
-                out[i], out[j] = b, 0
-    return out
-
-
 def additive_quotient_type(ring: FiniteRing) -> list[int]:
-    """Invariant factors of the additive group R / Z(R).
+    """Invariant factors of the additive group Q = R / Z(R), ascending, each
+    dividing the next; the trivial quotient gives [].
 
-    Computed from the relation lattice spanned by the moduli and the center
-    coordinates; the trivial quotient gives [].
+    For a prime p, x + Z(R) lies in Q[p^k] exactly when p^k x is central,
+    so counting those x gives |Z(R)| |Q[p^k]|.  Each step in k multiplies
+    that count by p once per cyclic p-factor of order at least p^k, so the
+    j-th largest invariant factor takes a p at every step with more than j.
     """
-    z = center(ring)
-    k = len(ring.moduli)
-    columns = [[d if i == j else 0 for i in range(k)] for j, d in enumerate(ring.moduli)]
-    columns += [list(ring.coords(i)) for i in z.elements]
-    mat = [[col[i] for col in columns] for i in range(k)]
-    diag = _smith_diagonal(mat)
-    factors = [d for d in diag if d > 1]
-    assert math.prod(factors) == ring.order // z.size
-    return factors
+    size = int(ring.central.sum())
+    factors: list[int] = []  # largest first
+    for p in prime_factors(ring.order // size):
+        coords, counted = _coord_arrays(ring.moduli), size
+        while True:
+            coords = tuple(c * p % d for c, d in zip(coords, ring.moduli))
+            count = int(ring.central[np.ravel_multi_index(coords, ring.moduli)].sum())
+            ratio, rank = count // counted, 0
+            while ratio % p == 0:
+                ratio, rank = ratio // p, rank + 1
+            if rank == 0:
+                break
+            factors += [1] * (rank - len(factors))
+            factors[:rank] = [f * p for f in factors[:rank]]
+            counted = count
+    assert math.prod(factors) == ring.order // size
+    return factors[::-1]
 
 
 _BUILTIN_FAMILIES = {

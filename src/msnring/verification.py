@@ -22,7 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT_ENUMERATION_CAP
 from .graphs import (
     CliqueUnion,
     NotCliqueUnion,
@@ -125,13 +124,9 @@ def _jsonable(v):
     return v
 
 
-class _Unmet(Exception):
-    pass
-
-
 def _need(cond: bool, detail: str) -> None:
     if not cond:
-        raise _Unmet(detail)
+        raise HypothesisViolated(detail)
 
 
 def _prime_power(order: int, given: int | None, exp: int | None = None) -> int:
@@ -184,7 +179,7 @@ def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
                       p: int | None, q: int | None, t: int | None) -> dict:
     """Named ring-level hypothesis checks; returns the predict() kwargs.
 
-    Raises _Unmet naming the first failed hypothesis.
+    Raises HypothesisViolated naming the first failed hypothesis.
     """
     _need(not ring.is_commutative, "ring is commutative")
     order = ring.order
@@ -267,8 +262,7 @@ def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
 
 def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
                 p: int | None = None, q: int | None = None,
-                t: int | None = None,
-                cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
+                t: int | None = None) -> VerificationReport:
     """Check one ring instance against one closed-form result."""
 
     def report(verdict, detail, params=(), computed=None, predicted=None):
@@ -277,8 +271,8 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
 
     try:
         kwargs = _check_hypotheses(ring, theorem, p, q, t)
-    except _Unmet as unmet:
-        return report(Verdict.HYPOTHESIS_NOT_MET, str(unmet))
+    except HypothesisViolated as violated:
+        return report(Verdict.HYPOTHESIS_NOT_MET, str(violated))
 
     graph = commuting_graph(ring)
     dec = clique_decomposition(graph)
@@ -301,7 +295,7 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
         return report(Verdict.FAIL, failure, kwargs, computed)
 
     try:
-        prediction = predict(theorem, cap=cap, **kwargs)
+        prediction = predict(theorem, **kwargs)
     except HypothesisViolated as violated:
         return report(Verdict.HYPOTHESIS_NOT_MET, str(violated), kwargs, computed)
 

@@ -322,6 +322,26 @@ def test_is_cc_ring():
     assert is_cc_ring(doubled) is False
 
 
+@pytest.mark.parametrize("spec", ["prod(nc_p2:p=2,ut2:p=2)", "prod(mat2:p=2,zn:n=2)",
+                                  "prod(prod(ut2:p=2,zn:n=2),zn:n=3)"])
+def test_centralizer_census_on_products_matches_multiply(spec):
+    ring = parse_ring_spec(spec)
+    elements = range(ring.order)
+    centralizers = [frozenset(y for y in elements
+                              if ring.multiply(x, y) == ring.multiply(y, x))
+                    for x in elements]
+    distinct = set(centralizers)
+    noncentral = [c for c in distinct if len(c) < ring.order]
+    commutative = all(ring.multiply(a, b) == ring.multiply(b, a)
+                      for c in noncentral for a in c for b in c)
+    assert centralizer_count(ring) == len(distinct)
+    assert noncentral_centralizer_sizes(ring) == sorted(map(len, noncentral))
+    assert is_cc_ring(ring) is (commutative if noncentral else None)
+    assert [set(np.flatnonzero(row)) for row in ring.centralizers] == \
+        list(dict.fromkeys(centralizers))
+    assert not any(row.flags.writeable for row in ring.centralizers)
+
+
 def test_noncentral_centralizer_sizes_multiset():
     # three distinct centralizers of equal size must appear three times
     assert noncentral_centralizer_sizes(upper_triangular_ring(2)) == [4, 4, 4]
@@ -378,9 +398,29 @@ def abelian_census(factors):
     return dict(counts)
 
 
+def pair_ring(m):
+    """Pairs over Z_m with (a, b)(c, d) = (ac, ad); its center is zero alone."""
+    a, b = divmod(np.arange(m * m), m)
+    table = (a[:, None] * a[None, :] % m) * m + a[:, None] * b[None, :] % m
+    return ring_from_table((m, m), table, name=f"pairs:m={m}")
+
+
+def quotient_type_rings():
+    """Quotients of exponent p and, past elementary abelian, of Z_4, Z_6 and
+    mixed-prime types, with their expected invariant factors."""
+    return (
+        (ring_noncomm_p2(2), [2, 2]), (ring_noncomm_p2(5), [5, 5]),
+        (upper_triangular_ring(3), [3, 3]), (matrix_ring_2x2(2), [2, 2, 2]),
+        (direct_product(upper_triangular_ring(2), zn(2)), [2, 2]),
+        (pair_ring(4), [4, 4]), (pair_ring(6), [6, 6]),
+        (direct_product(pair_ring(4), ring_noncomm_p2(2)), [2, 2, 4, 4]),
+        (parse_ring_spec("prod(nc_p2:p=2,nc_p2:p=3)"), [6, 6]),
+        (parse_ring_spec("prod(mat2:p=2,nc_p2:p=5)"), [2, 10, 10]),
+    )
+
+
 def test_additive_quotient_type_against_order_census():
-    for ring in (ring_noncomm_p2(2), ring_noncomm_p2(5), upper_triangular_ring(3),
-                 matrix_ring_2x2(2), direct_product(upper_triangular_ring(2), zn(2))):
+    for ring, _ in quotient_type_rings():
         reported = tuple(additive_quotient_type(ring))
         n = ring.order // center(ring).size
         candidates = abelian_types(n)
@@ -395,7 +435,8 @@ def test_additive_quotient_type_expected_values():
     for p in PRIMES:
         assert additive_quotient_type(ring_noncomm_p2(p)) == [p, p]
         assert additive_quotient_type(upper_triangular_ring(p)) == [p, p]
-    assert additive_quotient_type(matrix_ring_2x2(2)) == [2, 2, 2]
+    for ring, want in quotient_type_rings():
+        assert additive_quotient_type(ring) == want, ring.name
 
 
 def test_not_prime_rejected():
