@@ -2,7 +2,10 @@
 
 verify_ring runs three phases: ring-level hypothesis checks, an
 independent graph computation, and a comparison against the predicted
-decompositions.  The graph computation takes both spectra from
+decompositions.  FAMILIES is the one table of theorem families: each
+row holds a result's hypotheses on |R| and |Z(R)| and its built-in ring,
+or why no ring has them; the hypothesis checks, builtin_instance and
+sweep all read it.  The graph computation takes both spectra from
 spectra.matrix_spectra, the single exact-or-numeric dispatch, and
 requires its two routes to agree.  Where every support block is within
 the exact cap, the exact msn spectrum is compared with the closed form;
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -63,6 +67,7 @@ from .theorems import (
     ClosedFormPrediction,
     HypothesisViolated,
     TheoremId,
+    _require,
     clique_union_cn_energy,
     clique_union_cn_spectrum,
     clique_union_msn_energy,
@@ -124,35 +129,77 @@ def _jsonable(v):
     return v
 
 
-def _need(cond: bool, detail: str) -> None:
-    if not cond:
-        raise HypothesisViolated(detail)
+@dataclass(frozen=True)
+class Family:
+    """What one result assumes of |R| and |Z(R)|, and its built-in ring.
+
+    _check_hypotheses checks the fields in their order: a unity; the
+    shape of |R|, "p^e", "p^e q" or "p^k" for any e; a center that is not
+    a field; |Z(R)| = center(p) or center(p, q), reported as center_name
+    followed by the value.  model(p, q) builds a ring with every
+    hypothesis, or gives None for a p the family does not cover;
+    no_model says why no ring at all has them.
+    """
+
+    unity: bool = False
+    order: str = ""
+    center_not_field: bool = False
+    center: Callable[..., int] | None = None
+    center_name: str = ""
+    model: Callable[[int, int | None], FiniteRing | None] | None = None
+    no_model: str = ""
+
+    @property
+    def takes_q(self) -> bool:
+        return self.order.endswith(" q")
 
 
-def _prime_power(order: int, given: int | None, exp: int | None = None) -> int:
-    factors = prime_factors(order)
-    _need(len(factors) == 1, f"|R| = {order} is not a prime power")
-    (pp, e), = factors.items()
-    _need(exp is None or e == exp,
-          f"|R| = {order} = {pp}^{e} does not have exponent {exp}")
-    _need(given is None or given == pp,
-          f"|R| = {order} conflicts with the supplied p = {given}")
-    return pp
+def _prime_q(q: int) -> int:
+    if not is_prime(q):
+        raise NotPrime(f"q = {q} is not prime")
+    return q
 
 
-def _two_prime_shape(order: int, pexp: int, given_p: int | None,
-                     given_q: int | None) -> tuple[int, int]:
-    factors = prime_factors(order)
-    _need(len(factors) == 2, f"|R| = {order} is not of the form p^{pexp} q")
-    by_exp = {e: pp for pp, e in factors.items()}
-    _need(set(by_exp) == {pexp, 1},
-          f"|R| = {order} is not of the form p^{pexp} q")
-    pp, qq = by_exp[pexp], by_exp[1]
-    _need(given_p is None or given_p == pp,
-          f"|R| = {order} conflicts with the supplied p = {given_p}")
-    _need(given_q is None or given_q == qq,
-          f"|R| = {order} conflicts with the supplied q = {given_q}")
-    return pp, qq
+# A finite ring is the direct sum of its p-primary ideals, and a ring of
+# prime order q is commutative, so the order-q summand is central.
+_WHY = "; the order-q summand of a finite ring is a commutative ideal, so q divides |Z(R)|"
+_P2Q = Family(order="p^2 q", center=lambda p, q: 1,
+              no_model="no ring has |R| = p^2 q with |Z(R)| = 1" + _WHY)
+_P3Q = Family(unity=True, order="p^3 q", center=lambda p, q: p * p, center_name="p^2 = ",
+              no_model="no ring has |R| = p^3 q with |Z(R)| = p^2" + _WHY)
+
+# The models look the constructors up by name when called, so the
+# benchmark's traced run, which rebinds module names, times each build.
+FAMILIES: dict[TheoremId, Family] = {
+    TheoremId.T2_1: Family(model=lambda p, q: ring_noncomm_p2(p)),
+    TheoremId.C2_2A: Family(model=lambda p, q: ring_noncomm_p2(p) if p == 2 else None),
+    TheoremId.C2_2B: Family(model=lambda p, q: ring_noncomm_p2(p) if p == 3 else None),
+    TheoremId.C2_2C: Family(model=lambda p, q: ring_noncomm_p2(p) if p == 5 else None),
+    TheoremId.C2_2D: Family(order="p^k", model=lambda p, q: ring_noncomm_p2(p)),
+    TheoremId.C2_3A: Family(model=lambda p, q: ring_noncomm_p2(p) if p == 2 else None),
+    TheoremId.C2_3B: Family(model=lambda p, q: ring_noncomm_p2(p)),
+    TheoremId.C2_4A: Family(order="p^2", model=lambda p, q: ring_noncomm_p2(p)),
+    TheoremId.C2_4B: Family(unity=True, order="p^3", model=lambda p, q: upper_triangular_ring(p)),
+    TheoremId.T3_1A: Family(unity=True, order="p^4", center=lambda p: p,
+                            model=lambda p, q: matrix_ring_2x2(p)),
+    TheoremId.T3_1B: Family(unity=True, order="p^4", center=lambda p: p * p,
+                            model=lambda p, q: direct_product(upper_triangular_ring(p), zn(p))),
+    TheoremId.T3_3A: Family(unity=True, order="p^5", center_not_field=True,
+                            center=lambda p: p * p,
+                            model=lambda p, q: direct_product(matrix_ring_2x2(p), zn(p))),
+    TheoremId.T3_3B: Family(unity=True, order="p^5", center_not_field=True,
+                            center=lambda p: p ** 3,
+                            model=lambda p, q: direct_product(upper_triangular_ring(p), zn(p * p))),
+    TheoremId.T4_1A: _P2Q,
+    TheoremId.T4_1B: _P2Q,
+    TheoremId.T4_3: Family(unity=True, order="p^3 q", center=lambda p, q: p * q,
+                           center_name="pq = ", model=lambda p, q: direct_product(
+                               upper_triangular_ring(p), zn(_prime_q(q)))),
+    TheoremId.T4_4A: _P3Q,
+    TheoremId.T4_4B: _P3Q,
+    TheoremId.T4_4C: _P3Q,
+    TheoremId.T5_1: Family(model=lambda p, q: upper_triangular_ring(p)),
+}
 
 
 def center_is_field(ring: FiniteRing) -> bool:
@@ -175,89 +222,91 @@ def center_is_field(ring: FiniteRing) -> bool:
     return bool((t[np.ix_(nonzero, nonzero)] != 0).all())
 
 
+def _order_primes(order: int, shape: str, p: int | None, q: int | None) -> dict:
+    """{"p": ...}, and "q" for a shape with q, read off |R| = order.
+
+    Raises HypothesisViolated if |R| has another shape, or primes other
+    than a supplied p or q.
+    """
+    power, _, with_q = shape.partition(" ")
+    exp = power.removeprefix("p^")
+    factors = prime_factors(order)
+    if with_q:
+        by_exp = {e: r for r, e in factors.items()}
+        _require(len(factors) == 2 and set(by_exp) == {int(exp), 1},
+                 f"|R| = {order} is not of the form {shape}")
+        primes = {"p": by_exp[int(exp)], "q": by_exp[1]}
+    else:
+        _require(len(factors) == 1, f"|R| = {order} is not a prime power")
+        (pp, e), = factors.items()
+        _require(exp in ("k", str(e)),
+                 f"|R| = {order} = {pp}^{e} does not have exponent {exp}")
+        primes = {"p": pp}
+    for name, given in (("p", p), ("q", q)):
+        _require(given is None or primes.get(name, given) == given,
+                 f"|R| = {order} conflicts with the supplied {name} = {given}")
+    return primes
+
+
 def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
                       p: int | None, q: int | None, t: int | None) -> dict:
     """Named ring-level hypothesis checks; returns the predict() kwargs.
 
-    Raises HypothesisViolated naming the first failed hypothesis.
+    The theorem's FAMILIES row comes first, then the ring invariant that
+    some results assume.  Raises HypothesisViolated naming the first
+    failed hypothesis.
     """
-    _need(not ring.is_commutative, "ring is commutative")
-    order = ring.order
+    _require(not ring.is_commutative, "ring is commutative")
     m = center(ring).size
-    tid = theorem
+    family = FAMILIES[theorem]
+    if family.unity:
+        _require(has_unity(ring) is not None, "ring has no unity")
+    kwargs = _order_primes(ring.order, family.order, p, q) if family.order else {}
+    if family.center_not_field:
+        _require(not center_is_field(ring), "the center is a field")
+    if family.center is not None:
+        want = family.center(**kwargs)
+        _require(m == want, f"|Z(R)| = {m}, not {family.center_name}{want}")
 
+    tid = theorem
+    if tid is TheoremId.T4_1A:
+        return kwargs | {"t": t}
     if tid is TheoremId.T2_1:
         aqt = additive_quotient_type(ring)
         if p is None:
-            _need(len(aqt) == 2 and aqt[0] == aqt[1] and is_prime(aqt[0]),
-                  f"additive quotient type {aqt} is not of the form [p, p]")
+            _require(len(aqt) == 2 and aqt[0] == aqt[1] and is_prime(aqt[0]),
+                     f"additive quotient type {aqt} is not of the form [p, p]")
             p = aqt[0]
         else:
-            _need(aqt == [p, p],
-                  f"additive quotient type {aqt} differs from [{p}, {p}]")
-        return {"p": p, "m": m}
-    if tid in (TheoremId.C2_2A, TheoremId.C2_2B, TheoremId.C2_2C):
+            _require(aqt == [p, p], f"additive quotient type {aqt} differs from [{p}, {p}]")
+        kwargs["p"] = p
+    elif tid in (TheoremId.C2_2A, TheoremId.C2_2B, TheoremId.C2_2C):
         want = {TheoremId.C2_2A: 4, TheoremId.C2_2B: 5, TheoremId.C2_2C: 7}[tid]
         count = centralizer_count(ring)
-        _need(count == want, f"ring has {count} centralizers, not {want}")
-        return {"m": m}
-    if tid is TheoremId.C2_2D:
-        pp = _prime_power(order, p)
+        _require(count == want, f"ring has {count} centralizers, not {want}")
+    elif tid is TheoremId.C2_2D:
         count = centralizer_count(ring)
-        _need(count == pp + 2, f"ring has {count} centralizers, not p + 2 = {pp + 2}")
-        return {"p": pp, "m": m}
-    if tid is TheoremId.C2_3A:
+        _require(count == kwargs["p"] + 2,
+                 f"ring has {count} centralizers, not p + 2 = {kwargs['p'] + 2}")
+    elif tid is TheoremId.C2_3A:
         pr = commuting_probability(ring)
-        _need(pr == Fraction(5, 8), f"commuting probability is {pr}, not 5/8")
-        return {"m": m}
-    if tid is TheoremId.C2_3B:
-        smallest = min(prime_factors(order))
-        _need(p is None or p == smallest,
-              f"smallest prime divisor of |R| = {order} is {smallest}, not {p}")
+        _require(pr == Fraction(5, 8), f"commuting probability is {pr}, not 5/8")
+    elif tid is TheoremId.C2_3B:
+        smallest = min(prime_factors(ring.order))
+        _require(p is None or p == smallest,
+                 f"smallest prime divisor of |R| = {ring.order} is {smallest}, not {p}")
         pr = commuting_probability(ring)
         want = Fraction(smallest * smallest + smallest - 1, smallest ** 3)
-        _need(pr == want, f"commuting probability is {pr}, not {want}")
-        return {"p": smallest, "m": m}
-    if tid is TheoremId.C2_4A:
-        return {"p": _prime_power(order, p, 2)}
-    if tid is TheoremId.C2_4B:
-        _need(has_unity(ring) is not None, "ring has no unity")
-        return {"p": _prime_power(order, p, 3)}
-    if tid in (TheoremId.T3_1A, TheoremId.T3_1B):
-        _need(has_unity(ring) is not None, "ring has no unity")
-        pp = _prime_power(order, p, 4)
-        want = pp if tid is TheoremId.T3_1A else pp * pp
-        _need(m == want, f"|Z(R)| = {m}, not {want}")
-        return {"p": pp}
-    if tid in (TheoremId.T3_3A, TheoremId.T3_3B):
-        _need(has_unity(ring) is not None, "ring has no unity")
-        pp = _prime_power(order, p, 5)
-        _need(not center_is_field(ring), "the center is a field")
-        want = pp * pp if tid is TheoremId.T3_3A else pp ** 3
-        _need(m == want, f"|Z(R)| = {m}, not {want}")
-        return {"p": pp}
-    if tid in (TheoremId.T4_1A, TheoremId.T4_1B):
-        pp, qq = _two_prime_shape(order, 2, p, q)
-        _need(m == 1, f"|Z(R)| = {m}, not 1")
-        out = {"p": pp, "q": qq}
-        if tid is TheoremId.T4_1A:
-            out["t"] = t
-        return out
-    if tid is TheoremId.T4_3:
-        _need(has_unity(ring) is not None, "ring has no unity")
-        pp, qq = _two_prime_shape(order, 3, p, q)
-        _need(m == pp * qq, f"|Z(R)| = {m}, not pq = {pp * qq}")
-        return {"p": pp, "q": qq}
-    if tid in (TheoremId.T4_4A, TheoremId.T4_4B, TheoremId.T4_4C):
-        _need(has_unity(ring) is not None, "ring has no unity")
-        pp, qq = _two_prime_shape(order, 3, p, q)
-        _need(m == pp * pp, f"|Z(R)| = {m}, not p^2 = {pp * pp}")
-        return {"p": pp, "q": qq}
-    if tid is TheoremId.T5_1:
-        _need(is_cc_ring(ring) is True,
-              "some non-central element has a non-commutative centralizer")
+        _require(pr == want, f"commuting probability is {pr}, not {want}")
+        kwargs["p"] = smallest
+    elif tid is TheoremId.T5_1:
+        _require(is_cc_ring(ring) is True,
+                 "some non-central element has a non-commutative centralizer")
         return {"m": m, "sizes": tuple(noncentral_centralizer_sizes(ring))}
-    raise ValueError(f"no hypothesis checker for {theorem!r}")
+    else:
+        return kwargs
+    # the predictions for these invariant families also take |Z(R)|
+    return kwargs | {"m": m}
 
 
 def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
@@ -332,51 +381,17 @@ def _route_failure(msn: MatrixSpectra, cn: MatrixSpectra) -> str | None:
     return None
 
 
-_Q_DEPENDENT = {TheoremId.T4_1A, TheoremId.T4_1B, TheoremId.T4_3,
-                TheoremId.T4_4A, TheoremId.T4_4B, TheoremId.T4_4C}
-
-# A finite ring is the direct sum of its p-primary ideals, and a ring of
-# prime order q is commutative, so the order-q summand is central and q
-# divides |Z(R)|.  No ring at all meets these hypotheses.
-_WHY_NO_MODEL = ("; the order-q summand of a finite ring is a commutative ideal, "
-                 "so q divides |Z(R)|")
-_NO_MODEL = {
-    **dict.fromkeys((TheoremId.T4_1A, TheoremId.T4_1B),
-                    "no ring has |R| = p^2 q with |Z(R)| = 1" + _WHY_NO_MODEL),
-    **dict.fromkeys((TheoremId.T4_4A, TheoremId.T4_4B, TheoremId.T4_4C),
-                    "no ring has |R| = p^3 q with |Z(R)| = p^2" + _WHY_NO_MODEL),
-}
-
-
 def builtin_instance(theorem: TheoremId, p: int, q: int | None = None) -> FiniteRing | None:
-    """A built-in ring satisfying the theorem's hypotheses, if one exists.
+    """The model ring of the theorem's FAMILIES row, if it has one.
 
-    May raise NotPrime or SizeCapExceeded for out-of-range parameters.
+    A family that takes q has none without a q.  May raise NotPrime when
+    p, or after it q, is not prime, and SizeCapExceeded for out-of-range
+    parameters.
     """
-    tid = theorem
-    if tid in (TheoremId.T2_1, TheoremId.C2_2D, TheoremId.C2_3B, TheoremId.C2_4A):
-        return ring_noncomm_p2(p)
-    if tid in (TheoremId.C2_2A, TheoremId.C2_3A):
-        return ring_noncomm_p2(2) if p == 2 else None
-    if tid is TheoremId.C2_2B:
-        return ring_noncomm_p2(3) if p == 3 else None
-    if tid is TheoremId.C2_2C:
-        return ring_noncomm_p2(5) if p == 5 else None
-    if tid in (TheoremId.C2_4B, TheoremId.T5_1):
-        return upper_triangular_ring(p)
-    if tid is TheoremId.T3_1A:
-        return matrix_ring_2x2(p)
-    if tid is TheoremId.T3_1B:
-        return direct_product(upper_triangular_ring(p), zn(p))
-    if tid is TheoremId.T3_3A:
-        return direct_product(matrix_ring_2x2(p), zn(p))
-    if tid is TheoremId.T3_3B:
-        return direct_product(upper_triangular_ring(p), zn(p * p))
-    if tid is TheoremId.T4_3:
-        if q is None:
-            return None
-        return direct_product(upper_triangular_ring(p), zn(q))
-    return None
+    family = FAMILIES[theorem]
+    if family.model is None or (family.takes_q and q is None):
+        return None
+    return family.model(p, q)
 
 
 def sweep(theorems, ps, qs=()) -> list[VerificationReport]:
@@ -394,7 +409,8 @@ def sweep(theorems, ps, qs=()) -> list[VerificationReport]:
             reason, None, None))
 
     for tid in theorems:
-        needs_q = tid in _Q_DEPENDENT
+        family = FAMILIES[tid]
+        needs_q = family.takes_q
         q_values = list(qs) if needs_q and qs else [None]
         for p in ps:
             for q in q_values:
@@ -411,8 +427,8 @@ def sweep(theorems, ps, qs=()) -> list[VerificationReport]:
                     unsupported(tid, str(exc), params)
                     continue
                 if ring is None:
-                    unsupported(tid, _NO_MODEL.get(
-                        tid, "no built-in ring family realizes these hypotheses"), params)
+                    unsupported(tid, family.no_model
+                                or "no built-in ring family realizes these hypotheses", params)
                     continue
                 reports.append(verify_ring(ring, tid, p=p, q=q))
     return reports

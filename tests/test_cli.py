@@ -201,6 +201,18 @@ def test_sweep_reports_unsupported(capsys):
     assert "UNSUPPORTED 1" in out
 
 
+def test_sweep_reports_a_q_that_is_not_prime(capsys):
+    code, out, err = run(capsys, "sweep", "--theorems", "t4_3",
+                         "--p-range", "2", "--q-range", "0,4,3")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "t4_3  none  UNSUPPORTED  q = 0 is not prime",
+        "t4_3  none  UNSUPPORTED  q = 4 is not prime",
+        "t4_3  prod(ut2:p=2,zn:n=3)  PASS  3K6; msn energy 750",
+        "summary: PASS 1  FAIL 0  HYPOTHESIS_NOT_MET 0  UNSUPPORTED 2",
+    ]
+
+
 def test_sweep_csv_out(tmp_path, capsys):
     path = tmp_path / "reports.csv"
     code, out, _ = run(capsys, "sweep", "--theorems", "c2_4b",

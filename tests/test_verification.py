@@ -7,6 +7,7 @@ import pytest
 
 from msnring.graphs import CliqueUnion, SimpleGraph, commuting_graph
 from msnring.rings import (
+    NotPrime,
     center,
     direct_product,
     has_unity,
@@ -20,6 +21,7 @@ from msnring.rings import (
 from msnring.spectra import classify
 from msnring.theorems import TheoremId, clique_union_msn_energy
 from msnring.verification import (
+    FAMILIES,
     REPORT_CSV_HEADER,
     PropertySuiteReport,
     Verdict,
@@ -351,6 +353,75 @@ def test_sweep_mixed_grid():
         (3, 2): Verdict.PASS,
         (3, 3): Verdict.UNSUPPORTED,
     }
+
+
+def test_sweep_reports_a_q_that_is_not_prime_as_unsupported():
+    reports = sweep([TheoremId.T4_3], [2], [0, -3, 1, 4, 3])
+    assert [(r.verdict, r.detail, r.ring_spec) for r in reports[:4]] == [
+        (Verdict.UNSUPPORTED, f"q = {q} is not prime", "none") for q in (0, -3, 1, 4)]
+    assert reports[4].verdict is Verdict.PASS
+    assert reports[4].ring_spec == "prod(ut2:p=2,zn:n=3)"
+
+
+def test_builtin_instance_checks_p_before_q():
+    with pytest.raises(NotPrime, match="^q = 4 is not prime$"):
+        builtin_instance(TheoremId.T4_3, 2, 4)
+    with pytest.raises(NotPrime, match="^p = 4 is not prime$"):
+        builtin_instance(TheoremId.T4_3, 4, 6)
+
+
+NO_MODEL = {TheoremId.T4_1A, TheoremId.T4_1B,
+            TheoremId.T4_4A, TheoremId.T4_4B, TheoremId.T4_4C}
+
+
+def test_families_table_has_one_row_per_theorem():
+    assert list(FAMILIES) == list(TheoremId)
+    assert {tid for tid, family in FAMILIES.items() if family.model is None} == NO_MODEL
+    assert all(bool(family.no_model) == (tid in NO_MODEL) for tid, family in FAMILIES.items())
+
+
+def test_builtin_instance_builds_exactly_the_rows_with_a_model():
+    def built(tid, p):
+        q = 3 if FAMILIES[tid].takes_q else None
+        return builtin_instance(tid, p, q) is not None
+
+    # c2_2b and c2_2c are results about p = 3 and p = 5 alone
+    only_at = {TheoremId.C2_2B: 3, TheoremId.C2_2C: 5}
+    assert {tid for tid in TheoremId if built(tid, 2)} == set(TheoremId) - NO_MODEL - set(only_at)
+    assert all(built(tid, p) for tid, p in only_at.items())
+    for tid in NO_MODEL:
+        rep, = sweep([tid], [2], [3])
+        assert rep.verdict is Verdict.UNSUPPORTED
+        assert rep.detail == FAMILIES[tid].no_model
+        assert rep.detail.startswith("no ring has |R| = ")
+
+
+@pytest.mark.parametrize("theorem,spec,kwargs,detail", [
+    ("t2_1", "zn:n=6", {}, "ring is commutative"),
+    ("c2_2d", "prod(ut2:p=2,zn:n=3)", {}, "|R| = 24 is not a prime power"),
+    ("t3_3a", "mat2:p=2", {}, "|R| = 16 = 2^4 does not have exponent 5"),
+    ("t4_1a", "nc_p2:p=2", {}, "|R| = 4 is not of the form p^2 q"),
+    ("t4_4a", "prod(ut2:p=2,zn:n=4)", {}, "|R| = 32 is not of the form p^3 q"),
+    ("c2_4a", "nc_p2:p=3", {"p": 2}, "|R| = 9 conflicts with the supplied p = 2"),
+    ("t4_1a", "prod(nc_p2:p=3,zn:n=2)", {"q": 3},
+     "|R| = 18 conflicts with the supplied q = 3"),
+    ("c2_4b", "nc_p2:p=2", {}, "ring has no unity"),
+    ("t3_1a", "prod(ut2:p=2,zn:n=2)", {}, "|Z(R)| = 4, not 2"),
+    ("t4_4a", "prod(ut2:p=2,zn:n=3)", {}, "|Z(R)| = 6, not p^2 = 4"),
+    ("c2_2a", "nc_p2:p=3", {}, "ring has 5 centralizers, not 4"),
+    ("c2_2d", "mat2:p=2", {}, "ring has 8 centralizers, not p + 2 = 4"),
+    ("c2_3a", "nc_p2:p=3", {}, "commuting probability is 11/27, not 5/8"),
+    ("c2_3b", "nc_p2:p=2", {"p": 3}, "smallest prime divisor of |R| = 4 is 2, not 3"),
+    ("t2_1", "mat2:p=2", {}, "additive quotient type [2, 2, 2] is not of the form [p, p]"),
+    ("t2_1", "nc_p2:p=3", {"p": 2}, "additive quotient type [3, 3] differs from [2, 2]"),
+    ("t5_1", "prod(nc_p2:p=2,ut2:p=2)", {},
+     "some non-central element has a non-commutative centralizer"),
+])
+def test_each_hypothesis_message(theorem, spec, kwargs, detail):
+    rep = verify_ring(parse_ring_spec(spec), TheoremId.from_string(theorem), **kwargs)
+    assert rep.verdict is Verdict.HYPOTHESIS_NOT_MET
+    assert rep.detail == detail
+    assert rep.computed is None and rep.predicted is None
 
 
 # --- report serialization ---
