@@ -108,25 +108,8 @@ class SimpleGraph:
         neighbour."""
         return tuple(_shared_neighbours(block) for block, _ in self.classes)
 
-    def check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise VertexOutOfRange(f"vertex {v} outside 0..{self.n - 1}")
-
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return int(self.adjacency[v].sum())
-
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(np.int64)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return bool(self.adjacency[u, v])
-
-    def neighbors(self, v: int) -> list[int]:
-        self.check_vertex(v)
-        return [int(u) for u in np.flatnonzero(self.adjacency[v])]
 
     def edges(self) -> list[tuple[int, int]]:
         us, vs = np.nonzero(np.triu(self.adjacency, k=1))
@@ -162,10 +145,6 @@ class CliqueUnion:
                 continue
             merged[int(m)] = merged.get(int(m), 0) + int(l)
         return cls(tuple(sorted(merged.items())))
-
-    @classmethod
-    def from_sizes(cls, sizes) -> "CliqueUnion":
-        return cls.of((m, 1) for m in sizes)
 
     @property
     def n(self) -> int:
@@ -214,26 +193,9 @@ def commuting_graph(ring: FiniteRing) -> SimpleGraph:
     return SimpleGraph(len(adj), adj)
 
 
-def second_neighborhood(g: SimpleGraph, v: int) -> set[int]:
-    """Vertices within distance two of v, excluding v itself."""
-    g.check_vertex(v)
-    a = g.adjacency
-    reach = a[v].copy()
-    nbrs = np.flatnonzero(a[v])
-    if nbrs.size:
-        reach |= a[nbrs].any(axis=0)
-    reach[v] = False
-    return {int(u) for u in np.flatnonzero(reach)}
-
-
-def delta2(g: SimpleGraph, v: int) -> int:
-    """Sum of degrees over the second neighborhood of v."""
-    deg = g.degrees()
-    return sum(int(deg[u]) for u in second_neighborhood(g, v))
-
-
 def delta2_all(g: SimpleGraph) -> np.ndarray:
-    """delta2 for every vertex at once."""
+    """delta2 of every vertex: the sum of the degrees of the vertices
+    within distance two of it, itself excluded."""
     out = np.zeros(g.n, dtype=np.int64)
     for (block, comps), counts in zip(g.classes, g.common_neighbours):
         out[comps] = (block | (counts > 0)) @ block.sum(axis=1)

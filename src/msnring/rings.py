@@ -79,14 +79,6 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 @dataclass(frozen=True)
-class RingElement:
-    """An element identified by its index and additive coordinates."""
-
-    index: int
-    coords: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CentralizerSet:
     """A set of element indices, kept sorted."""
 
@@ -189,19 +181,12 @@ class FiniteRing:
             raise DimensionMismatch("coordinate arity does not match moduli")
         return int(np.ravel_multi_index(coords, self.moduli))
 
-    def element(self, index: int) -> RingElement:
-        return RingElement(index, self.coords(index))
-
     def multiply(self, i: int, j: int) -> int:
         if not self.factors:
             return int(self.table[i, j])
         r, s = self.factors
         (a, k), (b, l) = divmod(i, s.order), divmod(j, s.order)
         return r.multiply(a, b) * s.order + s.multiply(k, l)
-
-    def add(self, i: int, j: int) -> int:
-        a, b = self.coords(i), self.coords(j)
-        return self.index(tuple((x + y) % d for x, y, d in zip(a, b, self.moduli)))
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.name}, order={self.order})"
@@ -389,14 +374,6 @@ def direct_product(r: FiniteRing, s: FiniteRing) -> FiniteRing:
 def center(ring: FiniteRing) -> CentralizerSet:
     """Elements commuting with the whole ring."""
     return CentralizerSet(tuple(int(i) for i in np.flatnonzero(ring.central)))
-
-
-def centralizer(ring: FiniteRing, r: RingElement | int) -> CentralizerSet:
-    """Elements commuting with r."""
-    i = r.index if isinstance(r, RingElement) else int(r)
-    if not 0 <= i < ring.order:
-        raise IndexError(f"element index {i} out of range")
-    return CentralizerSet(tuple(int(j) for j in np.flatnonzero(ring.commutes[i])))
 
 
 def centralizer_count(ring: FiniteRing) -> int:

@@ -155,14 +155,6 @@ class SpectrumMultiset:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SpectrumMultiset":
-        exact = bool(data["exact"])
-        pairs = tuple(
-            (int(v) if exact else float(v), int(m)) for v, m in data["pairs"]
-        )
-        return cls(exact, pairs)
-
 
 @dataclass(frozen=True)
 class NotFullyIntegral:

@@ -2,10 +2,9 @@
 
 verify_ring runs three phases: ring-level hypothesis checks, an
 independent graph computation, and a comparison against the predicted
-decompositions.  FAMILIES is the one table of theorem families: each
-row holds a result's hypotheses on |R| and |Z(R)| and its built-in ring,
-or why no ring has them; the hypothesis checks, builtin_instance and
-sweep all read it.  The graph computation takes both spectra from
+decompositions.  The hypothesis checks, builtin_instance and sweep read
+the rows of theorems.FAMILIES, the one table of results, which this
+module re-exports.  The graph computation takes both spectra from
 spectra.matrix_spectra, the single exact-or-numeric dispatch, and
 requires its two routes to agree.  Where every support block is within
 the exact cap, the exact msn spectrum is compared with the closed form;
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,20 +35,9 @@ from .rings import (
     FiniteRing,
     NotPrime,
     SizeCapExceeded,
-    additive_quotient_type,
     center,
-    centralizer_count,
-    commuting_probability,
-    direct_product,
     has_unity,
-    is_cc_ring,
-    is_prime,
-    matrix_ring_2x2,
-    noncentral_centralizer_sizes,
     prime_factors,
-    ring_noncomm_p2,
-    upper_triangular_ring,
-    zn,
 )
 from .spectra import (
     NUMERIC_MATCH_TOL,
@@ -64,6 +51,7 @@ from .spectra import (
     spectra_agree,
 )
 from .theorems import (
+    FAMILIES,
     ClosedFormPrediction,
     HypothesisViolated,
     TheoremId,
@@ -129,79 +117,6 @@ def _jsonable(v):
     return v
 
 
-@dataclass(frozen=True)
-class Family:
-    """What one result assumes of |R| and |Z(R)|, and its built-in ring.
-
-    _check_hypotheses checks the fields in their order: a unity; the
-    shape of |R|, "p^e", "p^e q" or "p^k" for any e; a center that is not
-    a field; |Z(R)| = center(p) or center(p, q), reported as center_name
-    followed by the value.  model(p, q) builds a ring with every
-    hypothesis, or gives None for a p the family does not cover;
-    no_model says why no ring at all has them.
-    """
-
-    unity: bool = False
-    order: str = ""
-    center_not_field: bool = False
-    center: Callable[..., int] | None = None
-    center_name: str = ""
-    model: Callable[[int, int | None], FiniteRing | None] | None = None
-    no_model: str = ""
-
-    @property
-    def takes_q(self) -> bool:
-        return self.order.endswith(" q")
-
-
-def _prime_q(q: int) -> int:
-    if not is_prime(q):
-        raise NotPrime(f"q = {q} is not prime")
-    return q
-
-
-# A finite ring is the direct sum of its p-primary ideals, and a ring of
-# prime order q is commutative, so the order-q summand is central.
-_WHY = "; the order-q summand of a finite ring is a commutative ideal, so q divides |Z(R)|"
-_P2Q = Family(order="p^2 q", center=lambda p, q: 1,
-              no_model="no ring has |R| = p^2 q with |Z(R)| = 1" + _WHY)
-_P3Q = Family(unity=True, order="p^3 q", center=lambda p, q: p * p, center_name="p^2 = ",
-              no_model="no ring has |R| = p^3 q with |Z(R)| = p^2" + _WHY)
-
-# The models look the constructors up by name when called, so the
-# benchmark's traced run, which rebinds module names, times each build.
-FAMILIES: dict[TheoremId, Family] = {
-    TheoremId.T2_1: Family(model=lambda p, q: ring_noncomm_p2(p)),
-    TheoremId.C2_2A: Family(model=lambda p, q: ring_noncomm_p2(p) if p == 2 else None),
-    TheoremId.C2_2B: Family(model=lambda p, q: ring_noncomm_p2(p) if p == 3 else None),
-    TheoremId.C2_2C: Family(model=lambda p, q: ring_noncomm_p2(p) if p == 5 else None),
-    TheoremId.C2_2D: Family(order="p^k", model=lambda p, q: ring_noncomm_p2(p)),
-    TheoremId.C2_3A: Family(model=lambda p, q: ring_noncomm_p2(p) if p == 2 else None),
-    TheoremId.C2_3B: Family(model=lambda p, q: ring_noncomm_p2(p)),
-    TheoremId.C2_4A: Family(order="p^2", model=lambda p, q: ring_noncomm_p2(p)),
-    TheoremId.C2_4B: Family(unity=True, order="p^3", model=lambda p, q: upper_triangular_ring(p)),
-    TheoremId.T3_1A: Family(unity=True, order="p^4", center=lambda p: p,
-                            model=lambda p, q: matrix_ring_2x2(p)),
-    TheoremId.T3_1B: Family(unity=True, order="p^4", center=lambda p: p * p,
-                            model=lambda p, q: direct_product(upper_triangular_ring(p), zn(p))),
-    TheoremId.T3_3A: Family(unity=True, order="p^5", center_not_field=True,
-                            center=lambda p: p * p,
-                            model=lambda p, q: direct_product(matrix_ring_2x2(p), zn(p))),
-    TheoremId.T3_3B: Family(unity=True, order="p^5", center_not_field=True,
-                            center=lambda p: p ** 3,
-                            model=lambda p, q: direct_product(upper_triangular_ring(p), zn(p * p))),
-    TheoremId.T4_1A: _P2Q,
-    TheoremId.T4_1B: _P2Q,
-    TheoremId.T4_3: Family(unity=True, order="p^3 q", center=lambda p, q: p * q,
-                           center_name="pq = ", model=lambda p, q: direct_product(
-                               upper_triangular_ring(p), zn(_prime_q(q)))),
-    TheoremId.T4_4A: _P3Q,
-    TheoremId.T4_4B: _P3Q,
-    TheoremId.T4_4C: _P3Q,
-    TheoremId.T5_1: Family(model=lambda p, q: upper_triangular_ring(p)),
-}
-
-
 def center_is_field(ring: FiniteRing) -> bool:
     """Literal field test on the center: unity and no zero divisors.
 
@@ -250,63 +165,27 @@ def _order_primes(order: int, shape: str, p: int | None, q: int | None) -> dict:
 
 def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
                       p: int | None, q: int | None, t: int | None) -> dict:
-    """Named ring-level hypothesis checks; returns the predict() kwargs.
+    """The checks of the theorem's FAMILIES row; returns the predict() kwargs.
 
-    The theorem's FAMILIES row comes first, then the ring invariant that
-    some results assume.  Raises HypothesisViolated naming the first
-    failed hypothesis.
+    The kwargs are the parameters the row takes: p and q read off |R| or
+    by its invariant check, m = |Z(R)| and the given t.  Raises
+    HypothesisViolated naming the first failed hypothesis.
     """
     _require(not ring.is_commutative, "ring is commutative")
     m = center(ring).size
     family = FAMILIES[theorem]
     if family.unity:
         _require(has_unity(ring) is not None, "ring has no unity")
-    kwargs = _order_primes(ring.order, family.order, p, q) if family.order else {}
+    found = _order_primes(ring.order, family.order, p, q) if family.order else {}
     if family.center_not_field:
         _require(not center_is_field(ring), "the center is a field")
     if family.center is not None:
-        want = family.center(**kwargs)
+        want = family.center(**found)
         _require(m == want, f"|Z(R)| = {m}, not {family.center_name}{want}")
-
-    tid = theorem
-    if tid is TheoremId.T4_1A:
-        return kwargs | {"t": t}
-    if tid is TheoremId.T2_1:
-        aqt = additive_quotient_type(ring)
-        if p is None:
-            _require(len(aqt) == 2 and aqt[0] == aqt[1] and is_prime(aqt[0]),
-                     f"additive quotient type {aqt} is not of the form [p, p]")
-            p = aqt[0]
-        else:
-            _require(aqt == [p, p], f"additive quotient type {aqt} differs from [{p}, {p}]")
-        kwargs["p"] = p
-    elif tid in (TheoremId.C2_2A, TheoremId.C2_2B, TheoremId.C2_2C):
-        want = {TheoremId.C2_2A: 4, TheoremId.C2_2B: 5, TheoremId.C2_2C: 7}[tid]
-        count = centralizer_count(ring)
-        _require(count == want, f"ring has {count} centralizers, not {want}")
-    elif tid is TheoremId.C2_2D:
-        count = centralizer_count(ring)
-        _require(count == kwargs["p"] + 2,
-                 f"ring has {count} centralizers, not p + 2 = {kwargs['p'] + 2}")
-    elif tid is TheoremId.C2_3A:
-        pr = commuting_probability(ring)
-        _require(pr == Fraction(5, 8), f"commuting probability is {pr}, not 5/8")
-    elif tid is TheoremId.C2_3B:
-        smallest = min(prime_factors(ring.order))
-        _require(p is None or p == smallest,
-                 f"smallest prime divisor of |R| = {ring.order} is {smallest}, not {p}")
-        pr = commuting_probability(ring)
-        want = Fraction(smallest * smallest + smallest - 1, smallest ** 3)
-        _require(pr == want, f"commuting probability is {pr}, not {want}")
-        kwargs["p"] = smallest
-    elif tid is TheoremId.T5_1:
-        _require(is_cc_ring(ring) is True,
-                 "some non-central element has a non-commutative centralizer")
-        return {"m": m, "sizes": tuple(noncentral_centralizer_sizes(ring))}
-    else:
-        return kwargs
-    # the predictions for these invariant families also take |Z(R)|
-    return kwargs | {"m": m}
+    if family.invariant is not None:
+        found |= family.invariant(ring, found.get("p", p))
+    found |= {"m": m, "t": t}
+    return {name: found[name] for name in family.takes}
 
 
 def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
@@ -432,12 +311,6 @@ def sweep(theorems, ps, qs=()) -> list[VerificationReport]:
                     continue
                 reports.append(verify_ring(ring, tid, p=p, q=q))
     return reports
-
-
-def centralizer_energy_formula(ring: FiniteRing) -> int:
-    """2 sum (|S_i| - m - 1)^3 over the distinct non-central centralizers."""
-    m = center(ring).size
-    return 2 * sum((s - m - 1) ** 3 for s in noncentral_centralizer_sizes(ring))
 
 
 def enumerate_clique_unions(max_total: int) -> list[CliqueUnion]:

@@ -18,11 +18,13 @@ from msnring.graphs import (
     commuting_graph,
 )
 from msnring.rings import (
+    center,
     centralizer_count,
     commuting_probability,
     direct_product,
     is_cc_ring,
     matrix_ring_2x2,
+    noncentral_centralizer_sizes,
     ring_noncomm_p2,
     upper_triangular_ring,
     zn,
@@ -37,11 +39,16 @@ from msnring.spectra import (
 from msnring.theorems import TheoremId
 from msnring.verification import (
     Verdict,
-    centralizer_energy_formula,
     property_suite_clique_unions,
     sweep,
     verify_ring,
 )
+
+
+def centralizer_energy_formula(ring):
+    """2 sum (|S_i| - m - 1)^3 over the distinct non-central centralizers."""
+    m = center(ring).size
+    return 2 * sum((s - m - 1) ** 3 for s in noncentral_centralizer_sizes(ring))
 
 
 def complete_graph(n):

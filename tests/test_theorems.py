@@ -1,11 +1,15 @@
 """Closed forms against the exact-spectrum oracle, and the per-family
 predictions."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msnring.config import DEFAULT_ENUMERATION_CAP
 from msnring.graphs import CliqueUnion, clique_union_graph
+from msnring.rings import is_prime
 from msnring.spectra import cn_matrix, exact_spectrum, msn_matrix
 from msnring.theorems import (
     ClosedFormPrediction,
@@ -200,7 +204,7 @@ def test_predict_rejects_bad_parameters():
 
 def test_prediction_report_fields():
     pred = predict(TheoremId.T3_1B, p=3)
-    assert pred.params_dict() == {"p": 3}
+    assert dict(pred.params) == {"p": 3}
     d = pred.to_json_dict()
     assert d["theorem"] == "t3_1b"
     assert d["decompositions"] == ["4K18"]
@@ -210,10 +214,10 @@ def test_prediction_report_fields():
 
 def test_prediction_energies_and_spectra_consistent():
     pred = predict(TheoremId.T3_1A, p=2)
-    for dec, energy, spec in zip(pred.decompositions, pred.energies(), pred.spectra()):
+    for dec, energy in zip(pred.decompositions, pred.energies()):
         g = clique_union_graph(dec)
         s = exact_spectrum(msn_matrix(g))
-        assert s == spec
+        assert s == clique_union_msn_spectrum(dec)
         assert s.energy() == energy
 
 
@@ -304,3 +308,164 @@ def test_predict_enumeration_matches_frozen_loops(tid):
                 got = predict(tid, p=p, q=q, **kwargs)
                 assert got == want
                 assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_predict_reads_sizes_once():
+    from_iterator = predict(TheoremId.T5_1, m=2, sizes=iter((4, 4, 6)))
+    assert from_iterator == predict(TheoremId.T5_1, m=2, sizes=(4, 4, 6))
+    assert str(from_iterator.decompositions[0]) == "2K2 + 1K4"
+    assert from_iterator.energies() == (58,)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(theorem=TheoremId.T2_1, p=3, m=True),
+    dict(theorem=TheoremId.C2_2A, m=False),
+    dict(theorem=TheoremId.T5_1, m=True, sizes=(4,)),
+    dict(theorem=TheoremId.T4_1A, p=2, q=3, t=True),
+])
+def test_predict_rejects_a_boolean_as_a_positive_integer(kwargs):
+    name = "t" if "t" in kwargs else "m"
+    with pytest.raises(HypothesisViolated, match=f"{name} = (True|False) must be a positive integer"):
+        predict(**kwargs)
+
+
+def frozen_predict(tid, p=None, q=None, m=None, t=None, sizes=None,
+                   cap=DEFAULT_ENUMERATION_CAP):
+    """predict as one if-chain over the theorem ids, as it was before the
+    table of families, with its own parameter checks and enumeration."""
+
+    def require(cond, detail):
+        if not cond:
+            raise HypothesisViolated(detail)
+
+    def prime(value, name):
+        require(value is not None, f"parameter {name} is required")
+        require(isinstance(value, int) and is_prime(value), f"{name} = {value!r} is not prime")
+        return value
+
+    def distinct(p, q):
+        pp, qq = prime(p, "p"), prime(q, "q")
+        require(pp != qq, f"p and q must be distinct primes, got p = q = {pp}")
+        return pp, qq
+
+    def pos(value, name):
+        require(value is not None, f"parameter {name} is required")
+        require(isinstance(value, int) and value >= 1, f"{name} = {value!r} must be a positive integer")
+        return value
+
+    def single(params, pairs):
+        return ClosedFormPrediction(tid, tuple(params.items()), (CliqueUnion.of(pairs),))
+
+    def family(params, total, weights, sizes, unsolvable=None):
+        def counts(rest, k):
+            if k == 1:
+                if rest % weights[0] == 0:
+                    yield (rest // weights[0],)
+                return
+            for lk in range(rest // weights[k - 1] + 1):
+                for head in counts(rest - lk * weights[k - 1], k - 1):
+                    yield head + (lk,)
+
+        limit = max(cap, 0)
+        found = list(islice(counts(total, len(weights)), limit + 1))
+        decs = tuple(CliqueUnion.of(zip(sizes, ls)) for ls in found[:limit])
+        if unsolvable is not None:
+            require(bool(decs), unsolvable)
+        return ClosedFormPrediction(tid, tuple(params.items()), decs, len(found) > limit)
+
+    T = TheoremId
+    if tid in (T.T2_1, T.C2_2D, T.C2_3B):
+        pp, mm = prime(p, "p"), pos(m, "m")
+        return single({"p": pp, "m": mm}, [((pp - 1) * mm, pp + 1)])
+    if tid in (T.C2_2A, T.C2_3A):
+        mm = pos(m, "m")
+        return single({"p": 2, "m": mm}, [(mm, 3)])
+    if tid is T.C2_2B:
+        mm = pos(m, "m")
+        return single({"p": 3, "m": mm}, [(2 * mm, 4)])
+    if tid is T.C2_2C:
+        mm = pos(m, "m")
+        return single({"p": 5, "m": mm}, [(4 * mm, 6)])
+    if tid is T.C2_4A:
+        pp = prime(p, "p")
+        return single({"p": pp, "m": 1}, [(pp - 1, pp + 1)])
+    if tid is T.C2_4B:
+        pp = prime(p, "p")
+        return single({"p": pp, "m": pp}, [(pp * (pp - 1), pp + 1)])
+    if tid is T.T3_1A:
+        pp = prime(p, "p")
+        return family({"p": pp}, pp * pp + pp + 1, (1, pp + 1),
+                      (pp * (pp - 1), pp * (pp * pp - 1)))
+    if tid is T.T3_1B:
+        pp = prime(p, "p")
+        return single({"p": pp}, [(pp * pp * (pp - 1), pp + 1)])
+    if tid is T.T3_3A:
+        pp = prime(p, "p")
+        return family({"p": pp}, pp * pp + pp + 1, (1, pp + 1),
+                      (pp * pp * (pp - 1), pp * pp * (pp * pp - 1)))
+    if tid is T.T3_3B:
+        pp = prime(p, "p")
+        return single({"p": pp}, [(pp ** 3 * (pp - 1), pp + 1)])
+    if tid is T.T4_1A:
+        pp, qq = distinct(p, q)
+        tt = pos(t, "t")
+        allowed = {pp, qq, pp * pp, pp * qq}
+        require(tt in allowed, f"t = {tt} is not in {sorted(allowed)}")
+        order1 = pp * pp * qq - 1
+        require(order1 % (tt - 1) == 0,
+                f"(t - 1) = {tt - 1} does not divide p^2 q - 1 = {order1}")
+        return single({"p": pp, "q": qq, "t": tt}, [(tt - 1, order1 // (tt - 1))])
+    if tid is T.T4_1B:
+        pp, qq = distinct(p, q)
+        total = pp * pp * qq - 1
+        weights = (pp - 1, qq - 1, pp * pp - 1, pp * qq - 1)
+        return family({"p": pp, "q": qq}, total, weights, weights,
+                      f"no nonnegative solutions partition {total}")
+    if tid is T.T4_3:
+        pp, qq = distinct(p, q)
+        return single({"p": pp, "q": qq}, [(pp * qq * (pp - 1), pp + 1)])
+    if tid in (T.T4_4A, T.T4_4B):
+        pp, qq = distinct(p, q)
+        tt = pp if tid is T.T4_4A else qq
+        total = pp * qq - 1
+        require(total % (tt - 1) == 0, f"(t - 1) = {tt - 1} does not divide pq - 1 = {total}")
+        return single({"p": pp, "q": qq}, [(pp * pp * (tt - 1), total // (tt - 1))])
+    if tid is T.T4_4C:
+        pp, qq = distinct(p, q)
+        total = pp * qq - 1
+        return family({"p": pp, "q": qq}, total, (pp - 1, qq - 1),
+                      (pp * pp * (pp - 1), pp * pp * (qq - 1)),
+                      f"no nonnegative solutions to (p-1) l1 + (q-1) l2 = {total}")
+    assert tid is T.T5_1
+    mm = pos(m, "m")
+    require(sizes is not None and len(tuple(sizes)) > 0,
+            "parameter sizes (the centralizer orders) is required")
+    parts = []
+    for s in sizes:
+        require(isinstance(s, int) and s > mm, f"centralizer order {s!r} must exceed m = {mm}")
+        parts.append((s - mm, 1))
+    return single({"m": mm, "sizes": tuple(sizes)}, parts)
+
+
+@pytest.mark.parametrize("tid", list(TheoremId))
+def test_predict_matches_the_frozen_if_chain(tid):
+    primes = [None, -1, 0, 1, 2, 3, 4, 5, 7, 11, 2.0]
+    ts = [None, 0, 1, 2, 3, 4, 6, 9] if tid is TheoremId.T4_1A else [None]
+    sizes = [None, (), (4, 4, 6), (3, 5), ("a",)] if tid is TheoremId.T5_1 else [None]
+    for p in primes:
+        for q in primes:
+            for m in (None, 0, 1, 2, 4):
+                for t in ts:
+                    for s in sizes:
+                        for cap in (0, 3, None):
+                            kwargs = dict(p=p, q=q, m=m, t=t, sizes=s)
+                            if cap is not None:
+                                kwargs["cap"] = cap
+                            try:
+                                want = frozen_predict(tid, **kwargs)
+                            except HypothesisViolated as exc:
+                                with pytest.raises(HypothesisViolated) as got:
+                                    predict(tid, **kwargs)
+                                assert str(got.value) == str(exc), kwargs
+                                continue
+                            assert predict(tid, **kwargs) == want, kwargs

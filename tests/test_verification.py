@@ -12,6 +12,7 @@ from msnring.rings import (
     direct_product,
     has_unity,
     matrix_ring_2x2,
+    noncentral_centralizer_sizes,
     parse_ring_spec,
     ring_from_table,
     ring_noncomm_p2,
@@ -28,7 +29,6 @@ from msnring.verification import (
     VerificationReport,
     builtin_instance,
     center_is_field,
-    centralizer_energy_formula,
     enumerate_clique_unions,
     property_suite_clique_unions,
     sweep,
@@ -511,7 +511,9 @@ def test_centralizer_energy_formula_matches_spectrum(ring_factory):
     g = commuting_graph(ring)
     dec = clique_decomposition(g)
     assert isinstance(dec, CliqueUnion)
-    assert centralizer_energy_formula(ring) == clique_union_msn_energy(dec)
+    m = center(ring).size
+    formula = 2 * sum((s - m - 1) ** 3 for s in noncentral_centralizer_sizes(ring))
+    assert formula == clique_union_msn_energy(dec)
 
 
 # --- clique union enumeration and the property suite ---
