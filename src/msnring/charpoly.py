@@ -247,18 +247,51 @@ def divide_linear(coeffs: list[int], r: int) -> tuple[list[int], int]:
     return q, acc
 
 
+# Candidate divisors are screened this many at a time.
+_DIVISOR_CHUNK = 2**16
+
+
+def _divisors(c: int, limit: int) -> np.ndarray:
+    """The divisors d of a nonzero integer c with d <= limit, ascending,
+    as int64.
+
+    The candidates 1..limit are screened a chunk at a time by their exact
+    remainders: in int64 when |c| < 2**63, else by Horner's rule over the
+    16-bit limbs of |c|, where a remainder r < d < 2**47 keeps
+    r * 2**16 + limb below 2**63.
+    """
+    c = abs(c)
+    if c >= 2**63 and limit >= 2**47:
+        raise ArithmeticError(f"divisor screen of {c} up to {limit} is out of range")
+    top = 16 * ((c.bit_length() - 1) // 16)
+    limbs = [c >> s & 0xFFFF for s in range(top, -1, -16)]
+    found = []
+    for lo in range(1, limit + 1, _DIVISOR_CHUNK):
+        d = np.arange(lo, min(lo + _DIVISOR_CHUNK, limit + 1), dtype=np.int64)
+        if c < 2**63:
+            r = c % d
+        else:
+            r = np.zeros_like(d)
+            for limb in limbs:
+                r = ((r << 16) + limb) % d
+        found.append(d[r == 0])
+    return np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+
+
 def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]], int]:
     """All integer roots with multiplicity, plus the residual degree.
 
-    Candidates are d and -d for the divisors d of the trailing nonzero
-    coefficient, up to the given magnitude bound, in that order.  One
-    Horner pass in int64 evaluates the polynomial at every candidate
-    modulo p = modular_prime(prime_bits(n), 0), the first prime of an
-    n x n charpoly with n = len(coeffs) - 1, and only candidates whose
-    value is 0 mod p are tried.  A root's value is 0, so no root is
-    screened out; what decides is repeated exact synthetic division,
-    which also gives the multiplicity.  The residual degree counts what
-    is left after every integer root has been divided out.
+    A linear factor left after the root 0 has its root read off by one
+    exact division.  Otherwise the candidates are d and -d for the
+    divisors d of the trailing nonzero coefficient, up to the given
+    magnitude bound, in that order (_divisors).  One Horner pass in int64
+    evaluates the polynomial at every candidate modulo
+    p = modular_prime(prime_bits(n), 0), the first prime of an n x n
+    charpoly with n = len(coeffs) - 1, and only candidates whose value is
+    0 mod p are tried.  A root's value is 0, so no root is screened out;
+    what decides is repeated exact synthetic division, which also gives
+    the multiplicity.  The residual degree counts what is left after
+    every integer root has been divided out.
     """
     work = list(coeffs)
     roots: dict[int, int] = {}
@@ -268,10 +301,14 @@ def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]],
     if k:
         roots[0] = k
         work = work[k:]
-    if len(work) > 1:
+    if len(work) == 2:
+        r, rem = divmod(-work[0], work[1])
+        if rem == 0 and abs(r) <= bound:
+            roots[r] = 1
+            work = [work[1]]
+    elif len(work) > 2:
         c0 = work[0]
-        limit = min(bound, abs(c0))
-        divisors = np.array([d for d in range(1, limit + 1) if c0 % d == 0], dtype=np.int64)
+        divisors = _divisors(c0, min(bound, abs(c0)))
         candidates = np.column_stack([divisors, -divisors]).ravel()
         p = modular_prime(prime_bits(len(coeffs) - 1), 0)
         x = candidates % p

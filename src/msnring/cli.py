@@ -43,7 +43,8 @@ from .verification import (
 )
 
 _EPILOG = (
-    f"environment: {ENV_EXACT_CAP} overrides the exact-spectrum cap on each support block; "
+    f"environment: {ENV_EXACT_CAP} overrides the exact-spectrum cap on each support block "
+    "that is not a single twin class; "
     f"{ENV_UNIVERSE_CAP} overrides the ring-size cap. "
     "Ring specs: nc_p2:p=P, mat2:p=P, ut2:p=P, zn:n=N, prod(SPEC,SPEC), file:PATH."
 )

@@ -40,5 +40,7 @@ def universe_cap() -> int:
 
 
 def exact_cap() -> int:
-    """Largest support block dimension accepted by the exact spectrum path."""
+    """Largest support block dimension accepted by the exact spectrum
+    path; if it is at least 1, a block of a single twin class is accepted
+    at any size."""
     return _env_int(ENV_EXACT_CAP, DEFAULT_EXACT_CAP)

@@ -88,9 +88,6 @@ class CentralizerSet:
     def size(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.elements
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteRing:

@@ -10,20 +10,29 @@ with a neighbour u has delta2 >= deg(u) >= 1).  A cn block is split over
 its support's components (the cn matrix of K_{a,b} splits into its two
 sides), equal pieces grouped.  matrix_spectra dispatches both routes:
 
-* the exact route first tries to certify an integer spectrum: the
-  matrix's float eigensolve of the block, rounded, is only a hint, which
-  charpoly.certified_roots proves exactly from the power sums tr(A**k)
-  modulo word-size primes, or rejects.  A block it does not settle gets
-  the characteristic polynomial multimodularly (int64 arithmetic modulo
-  word-size primes, combined by the Chinese remainder theorem up to a
-  proven coefficient bound) and its integer roots.  So the route either
-  proves the spectrum integral or reports the integer part found.  It
-  declines matrices with a support block above the exact cap.
+* the exact route works in three steps on each distinct block.  First,
+  twin reduction: candidate twin classes (rows with equal closed support
+  and row sum, split further where they fail) are verified on the block,
+  each class of s vertices with inner entry a gives -a with multiplicity
+  s - 1, and the k x k quotient over the classes carries the rest; k = 1
+  is its own root.  A clique block, whose entries off the diagonal are
+  all equal, is one class, known from its largest entry and sum alone.
+  Second, for a twin-free block, the certificate: the block's float
+  eigensolve, rounded, is only a hint, which charpoly.certified_roots
+  proves exactly from the power sums tr(A**k) modulo word-size primes,
+  or rejects.  Third, for a quotient with 1 < k < n or a block the certificate does
+  not settle, the characteristic polynomial, computed multimodularly
+  (int64 arithmetic modulo word-size primes, combined by the Chinese
+  remainder theorem up to a proven coefficient bound), and its integer
+  roots.  So the route either proves the spectrum integral or reports
+  the integer part found.  It declines matrices with a block above the
+  exact cap that is not a single twin class.
 * the numeric route is that symmetric eigensolve per block, merged and
   clustered into multiplicities.
 
 They share only the unproven float eigensolve, which the exact route
-uses as a hint, so each can serve as a check on the other.
+uses as a hint on twin-free blocks, so each can serve as a check on the
+other.
 """
 
 from __future__ import annotations
@@ -220,21 +229,130 @@ def _cluster_tol(peak: int, n: int) -> float:
     return NUMERIC_CLUSTER_TOL * max(1.0, float(peak) * n)
 
 
-def _block_roots(block: np.ndarray, hint: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+def _row_labels(a: np.ndarray, extra=None) -> np.ndarray | None:
+    """A label per row of a 2-D array, numbered first seen first: rows
+    share one when they are equal and so are their values in extra.
+    None when every row has its own."""
+    data, width = a.tobytes(), a.shape[1] * a.itemsize
+    keys = [data[i:i + width] for i in range(0, len(data), width)]
+    if extra is not None:
+        keys = list(zip(extra, keys))
+    if len(set(keys)) == len(keys):
+        return None
+    seen: dict = {}
+    return np.array([seen.setdefault(key, len(seen)) for key in keys])
+
+
+def _verified(block: np.ndarray, labels: np.ndarray):
+    """(members by class, class starts, class sizes, inner entries) if
+    the labelled classes are twin classes of the block, else None.
+
+    The members are listed class by class, from the given starts, each
+    class first vertex first; that vertex is the class's representative.
+    A class's inner entry a lies between its representative and another
+    of its vertices (0 for a singleton).  With the block's diagonal set to
+    each vertex's a, every row must equal its representative's row.  Then
+    any two vertices x, y of a class agree off {x, y} and have the entry a
+    between them, so e_x - e_y is an eigenvector with eigenvalue -a.
+    """
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    reps = order[starts]
+    inner = block[reps, order[starts + (sizes > 1)]]
+    hat = block.copy()
+    np.fill_diagonal(hat, inner[labels])
+    if not (hat == hat[reps[labels]]).all():
+        return None
+    return order, starts, sizes, inner
+
+
+def _twin_classes(block: np.ndarray):
+    """Verified twin classes of a block, as _verified gives them, or None
+    if it has none beyond singletons.
+
+    Candidates are the closed twins, rows with equal closed support
+    (block != 0) | I and equal sums (twins share both), grouped by their
+    packed bytes.  No candidate is trusted (_verified).  Twins agree
+    outside their class, so candidates that fail are split by their rows
+    outside their class until they pass or stop splitting: in a cn block,
+    twin classes of different inner entries can share one closed support.
+    Open twins (equal rows, not adjacent) are not sought: a clique block
+    has none, and a twin-free block is settled whole.
+    """
+    if len(block) == 1:
+        return None
+    closed = block != 0
+    np.fill_diagonal(closed, True)
+    labels = _row_labels(np.packbits(closed, axis=1), block.sum(axis=1).tolist())
+    while labels is not None:
+        twins = _verified(block, labels)
+        if twins is not None:
+            return twins
+        outside = np.where(labels[:, None] == labels, 0, block)
+        refined = _row_labels(outside, labels.tolist())
+        if refined is not None and refined.max() == labels.max():
+            return None
+        labels = refined
+    return None
+
+
+def _single_class(block: np.ndarray) -> bool:
+    """Whether a block of two or more vertices is one twin class, as every
+    clique block is: all its entries off the diagonal are equal.  None
+    exceeds the largest, so they are equal when they sum to it each."""
+    n = len(block)
+    return n > 1 and int(block.max()) * n * (n - 1) == int(block.sum())
+
+
+def _twin_quotient(block: np.ndarray) -> tuple[Counter[int], np.ndarray]:
+    """The eigenvalues a block's twin classes give, and the matrix left.
+
+    A class of s vertices with inner entry a gives -a with multiplicity
+    s - 1 (_twin_classes).  The other eigenvalues are those of the k x k
+    quotient B[i, j] = sum of block[r_i, z] over the class C_j, with r_i
+    the representative of C_i: the classes form an equitable partition,
+    and B is similar to a symmetric matrix, so its eigenvalues are real.
+    A block without twins is returned as it is.
+    """
+    found: Counter[int] = Counter()
+    n = len(block)
+    if _single_class(block):
+        a = int(block.max())
+        found[-a] = n - 1
+        return found, np.array([[a * (n - 1)]])
+    twins = _twin_classes(block)
+    if twins is None:
+        return found, block
+    order, starts, sizes, inner = twins
+    for a, s in zip(inner.tolist(), sizes.tolist()):
+        if s > 1:
+            found[-a] += s - 1
+    rows = block[order[starts]][:, order].astype(np.int64)
+    quotient = np.add.reduceat(rows, starts, axis=1)
+    return found, quotient
+
+
+def _block_roots(block: np.ndarray, hint: np.ndarray | None) -> tuple[list[tuple[int, int]], int]:
     """Integer roots with multiplicity of one block, and the residual degree.
 
-    The hint, the block's float eigenvalues, suggests an integer spectrum
-    that certified_roots proves or rejects.  It is tried only when every
-    eigenvalue lies within the clustering tolerance of an integer and its
-    primes, one pass of s - 1 matrix products each, number no more than
-    the characteristic polynomial would need.  Otherwise, or if it
-    declines, the characteristic polynomial is computed, checked for
-    shape and trace, and its integer roots are read off the divisors of
-    its trailing nonzero coefficient within the row-sum eigenvalue bound.
+    A 1 x 1 block is its own root.  The hint, the block's float
+    eigenvalues, suggests an integer spectrum that certified_roots proves
+    or rejects.  It is tried only when every eigenvalue lies within the
+    clustering tolerance of an integer and its primes, one pass of s - 1
+    matrix products each, number no more than the characteristic
+    polynomial would need.  Without a hint (a twin quotient need not be
+    symmetric), or if it fails these tests, the characteristic polynomial
+    is computed, checked for shape and trace, and its integer roots are
+    read off the divisors of its trailing nonzero coefficient within the
+    row-sum eigenvalue bound.
     """
-    n, b = block.shape[0], gershgorin_bound(block)
-    near = np.abs(hint - np.rint(hint)) <= _cluster_tol(block.max(), n)
-    if hint.shape == (n,) and near.all():
+    n = block.shape[0]
+    if n == 1:
+        return [(int(block[0, 0]), 1)], 0
+    b = gershgorin_bound(block)
+    if hint is not None and hint.shape == (n,) and (
+            np.abs(hint - np.rint(hint)) <= _cluster_tol(block.max(), n)).all():
         s = len(np.unique(np.rint(hint)))
         bits = prime_bits(n)
         cost = (s - 1) * sum(1 for _ in crt_primes(power_sum_bound(n, b, s), bits))
@@ -248,29 +366,50 @@ def _block_roots(block: np.ndarray, hint: np.ndarray) -> tuple[list[tuple[int, i
     return integer_roots(poly, b)
 
 
+def _admitted(block: np.ndarray, cap: int) -> tuple[Counter[int], np.ndarray] | None:
+    """The block's _twin_quotient, or None if the exact cap declines it.
+
+    The cap bounds the block, unless the block is a single twin class and
+    the cap admits its 1 x 1 quotient.  That quotient needs no root
+    search, while the divisor screen of a larger quotient's polynomial
+    grows with the block's row sums, which the cap bounds.
+    """
+    if len(block) > cap and (cap < 1 or not _single_class(block)):
+        return None
+    return _twin_quotient(block)
+
+
 def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
     """Integer eigenvalues by exact computation.
 
-    Each distinct block's integer roots are proven, by the power-sum
-    certificate (hinted by m.eigenvalues, NaN if they failed) or from
-    the characteristic polynomial; see _block_roots.  If every block's
-    spectrum is integral it is returned whole, else the integer part found.
-    Raises ExactCapExceeded, before any work, if a block exceeds the cap.
+    Each distinct block is first reduced by its verified twin classes
+    (_twin_quotient).  The quotient's integer roots are then proven, by
+    the power-sum certificate when no twins were found (hinted by
+    m.eigenvalues, if they did not fail) or from the characteristic
+    polynomial; see _block_roots.  If every block's spectrum is integral
+    it is returned whole, else the integer part found.  Raises
+    ExactCapExceeded, before any root is sought, if the cap declines a
+    block (_admitted).
     """
     cap = exact_cap()
-    largest = max((block.shape[0] for block, _ in m.blocks), default=0)
-    if largest > cap:
-        raise ExactCapExceeded(
-            f"support block of dimension {largest} exceeds the exact path cap {cap}")
-    try:
-        hints = m.eigenvalues
-    except NoConvergence:
-        hints = tuple(np.full(len(block), np.nan) for block, _ in m.blocks)
+    reduced = []
+    for block, _ in m.blocks:
+        admitted = _admitted(block, cap)
+        if admitted is None:
+            raise ExactCapExceeded(
+                f"support block of dimension {len(block)} exceeds the exact path cap {cap}")
+        reduced.append(admitted)
+    hints = [None] * len(m.blocks)
+    if any(quotient is block for (block, _), (_, quotient) in zip(m.blocks, reduced)):
+        try:
+            hints = m.eigenvalues
+        except NoConvergence:
+            pass
     roots: Counter[int] = Counter()
     residual = 0
-    for (block, count), hint in zip(m.blocks, hints):
-        found, left = _block_roots(block, hint)
-        for value, mult in found:
+    for (block, count), (found, quotient), hint in zip(m.blocks, reduced, hints):
+        rest, left = _block_roots(quotient, hint if quotient is block else None)
+        for value, mult in [*found.items(), *rest]:
             roots[value] += mult * count
         residual += left * count
     if residual:
@@ -300,8 +439,9 @@ def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
 class MatrixSpectra:
     """What both routes found for one matrix.
 
-    exact is None when some support block exceeds the exact cap.  The
-    reported spectrum is the exact one when it is complete, else the
+    exact is None when the exact route declines a block for the cap
+    (exact_spectrum).
+    The reported spectrum is the exact one when it is complete, else the
     numeric one.
     """
 

@@ -343,6 +343,14 @@ def _parameter(name: str, value, checked: dict):
     return value
 
 
+def family_of(theorem: TheoremId) -> Family:
+    """The FAMILIES row of a theorem; ValueError for anything else."""
+    family = FAMILIES.get(theorem)
+    if family is None:
+        raise ValueError(f"no prediction for {theorem!r}")
+    return family
+
+
 def predict(theorem: TheoremId, *, p: int | None = None, q: int | None = None,
             m: int | None = None, t: int | None = None,
             sizes=None, cap: int = DEFAULT_ENUMERATION_CAP) -> ClosedFormPrediction:
@@ -352,9 +360,7 @@ def predict(theorem: TheoremId, *, p: int | None = None, q: int | None = None,
     arithmetic precondition (primality, membership, divisibility, or a
     linear constraint with no solutions).
     """
-    family = FAMILIES.get(theorem)
-    if family is None:
-        raise ValueError(f"no prediction for {theorem!r}")
+    family = family_of(theorem)
     given = {"p": p, "q": q, "m": m, "t": t, "sizes": sizes}
     checked: dict = {}
     for name in family.takes:

@@ -6,12 +6,13 @@ decompositions.  The hypothesis checks, builtin_instance and sweep read
 the rows of theorems.FAMILIES, the one table of results, which this
 module re-exports.  The graph computation takes both spectra from
 spectra.matrix_spectra, the single exact-or-numeric dispatch, and
-requires its two routes to agree.  Where every support block is within
-the exact cap, the exact msn spectrum is compared with the closed form;
-above it the numeric one is, so no closed form ever stands in for a
-computed spectrum.  All outcomes are verdicts on the report, never
-exceptions.  A report holds the graph's spectra.EnergyReport, as classify
-gives it, and the theorems.ClosedFormPrediction; to_json_dict converts both.
+requires its two routes to agree.  Where the exact route accepts every
+block (spectra.exact_spectrum), the exact msn spectrum is compared with
+the closed form; elsewhere the numeric one is, so no closed form ever
+stands in for a computed spectrum.  Once the theorem is a TheoremId, all outcomes are
+verdicts on the report, never exceptions.  A report holds the graph's
+spectra.EnergyReport, as classify gives it, and the
+theorems.ClosedFormPrediction; to_json_dict converts both.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .theorems import (
     clique_union_cn_spectrum,
     clique_union_msn_energy,
     clique_union_msn_spectrum,
+    family_of,
     predict,
     reference_energies,
 )
@@ -169,11 +171,12 @@ def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
 
     The kwargs are the parameters the row takes: p and q read off |R| or
     by its invariant check, m = |Z(R)| and the given t.  Raises
-    HypothesisViolated naming the first failed hypothesis.
+    HypothesisViolated naming the first failed hypothesis, and ValueError,
+    as predict does, for a theorem that is not a TheoremId.
     """
+    family = family_of(theorem)
     _require(not ring.is_commutative, "ring is commutative")
     m = center(ring).size
-    family = FAMILIES[theorem]
     if family.unity:
         _require(has_unity(ring) is not None, "ring has no unity")
     found = _order_primes(ring.order, family.order, p, q) if family.order else {}
@@ -191,7 +194,11 @@ def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
 def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
                 p: int | None = None, q: int | None = None,
                 t: int | None = None) -> VerificationReport:
-    """Check one ring instance against one closed-form result."""
+    """Check one ring instance against one closed-form result.
+
+    Raises ValueError, as predict does, for a theorem that is not a
+    TheoremId; every other outcome is a verdict.
+    """
 
     def report(verdict, detail, params=(), computed=None, predicted=None):
         return VerificationReport(theorem, ring.name, tuple(dict(params).items()),
@@ -264,10 +271,10 @@ def builtin_instance(theorem: TheoremId, p: int, q: int | None = None) -> Finite
     """The model ring of the theorem's FAMILIES row, if it has one.
 
     A family that takes q has none without a q.  May raise NotPrime when
-    p, or after it q, is not prime, and SizeCapExceeded for out-of-range
-    parameters.
+    p, or after it q, is not prime, SizeCapExceeded for out-of-range
+    parameters, and ValueError for a theorem that is not a TheoremId.
     """
-    family = FAMILIES[theorem]
+    family = family_of(theorem)
     if family.model is None or (family.takes_q and q is None):
         return None
     return family.model(p, q)
@@ -278,7 +285,8 @@ def sweep(theorems, ps, qs=()) -> list[VerificationReport]:
 
     Report order follows the given theorem, p, and q orders.  Theorems
     with no built-in realization, or parameters no constructor accepts,
-    yield UNSUPPORTED reports.
+    yield UNSUPPORTED reports; a theorem that is not a TheoremId raises
+    ValueError.
     """
     reports: list[VerificationReport] = []
 
@@ -288,7 +296,7 @@ def sweep(theorems, ps, qs=()) -> list[VerificationReport]:
             reason, None, None))
 
     for tid in theorems:
-        family = FAMILIES[tid]
+        family = family_of(tid)
         needs_q = family.takes_q
         q_values = list(qs) if needs_q and qs else [None]
         for p in ps:

@@ -384,6 +384,53 @@ def test_integer_roots_screen_matches_unscreened_loop(root_list, zeros, extra, b
     assert integer_roots(poly, bound) == reference_integer_roots(poly, bound)
 
 
+def test_integer_roots_of_a_linear_factor_need_no_search(monkeypatch):
+    # the 1 x 1 quotient of K1251's msn block: 1250**3, far past any loop
+    def refuse(c, limit):
+        raise AssertionError("a degree-1 polynomial needs no divisor search")
+
+    monkeypatch.setattr(charpoly, "_divisors", refuse)
+    assert integer_roots([-1953125000, 1], 1953125000) == ([(1953125000, 1)], 0)
+    assert integer_roots([-1953125000, 1], 1953124999) == ([], 1)
+    assert integer_roots([0, 0, 6, 3], 2) == ([(-2, 1), (0, 2)], 0)
+    assert integer_roots([7, 2], 10) == ([], 1)
+
+
+@pytest.mark.parametrize("poly, bound", [
+    # (x - 2**21)(x + 3**13)(x - 5**8): c0 below 2**63, every root found
+    (poly_mul(poly_mul([-2**21, 1], [3**13, 1]), [-5**8, 1]), 2**21),
+    # (x - 12)(x**2 + 10**20 + 1): c0 beyond int64, an irreducible quadratic
+    (poly_mul([-12, 1], [10**20 + 1, 0, 1]), 5000),
+    # (x + 6)**2 (x - 7 * 10**18 - 1): c0 beyond int64 and a root past the bound
+    (poly_mul(poly_mul([6, 1], [6, 1]), [-7 * 10**18 - 1, 1]), 70000),
+])
+def test_integer_roots_with_a_large_constant_term_match_the_loop(poly, bound):
+    assert integer_roots(poly, bound) == reference_integer_roots(poly, bound)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(-3000, 3000), min_size=2, max_size=5),
+       st.integers(1, 10**25), st.integers(0, 4000))
+def test_integer_roots_screen_matches_the_loop_beyond_int64(root_list, c, bound):
+    poly = [1]
+    for r in root_list:
+        poly = poly_mul(poly, [-r, 1])
+    poly = poly_mul(poly, [c, 0, 1])  # x**2 + c has no integer root
+    assert integer_roots(poly, bound) == reference_integer_roots(poly, bound)
+
+
+@pytest.mark.parametrize("c", [360, -2**64 * 3**5 * 7, 10**30 + 1, 2**63, -(2**63 - 1)])
+def test_divisors_are_exact_on_either_side_of_int64(c):
+    limit = 5000
+    assert charpoly._divisors(c, limit).tolist() == [
+        d for d in range(1, limit + 1) if c % d == 0]
+
+
+def test_divisors_refuse_a_screen_past_their_exact_range():
+    with pytest.raises(ArithmeticError, match="out of range"):
+        charpoly._divisors(2**70, 2**47)
+
+
 def test_integer_roots_screen_passes_false_positives_to_exact_division(monkeypatch):
     # P(x) = x^2 + (p - 3) x + 2 has P(1) = p and P(2) = 2p, both 0 mod p,
     # and no integer root; 1 and 2 divide c0 = 2, and -1, -2 are screened out

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +43,28 @@ def path_graph(n):
 
 def complete_graph(n):
     return SimpleGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def cycles(*sizes):
+    """Disjoint cycles of the given sizes, each at least 3: twin-free."""
+    edges, n = [], 0
+    for size in sizes:
+        edges += [(n + i, n + i + 1) for i in range(size - 1)] + [(n, n + size - 1)]
+        n += size
+    return SimpleGraph.from_edges(n, edges)
+
+
+def clebsch_graph(copies=1):
+    """Copies of the Clebsch graph: the 4-bit words, adjacent when they
+    differ in one bit or in all four.  Twin-free, with msn spectrum
+    375, 75^10, -225^5, so the certificate is tried on its block."""
+    edges = []
+    for c in range(copies):
+        pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)
+                 if bin(u ^ v).count("1") in (1, 4)]
+        # list each copy's edges in its own order
+        edges += [(16 * c + u, 16 * c + v) for u, v in (pairs[::-1] if c % 2 else pairs)]
+    return SimpleGraph.from_edges(16 * copies, edges)
 
 
 def random_graph(seed, n, p=0.4):
@@ -195,11 +218,35 @@ def test_exact_spectrum_path3_not_integral():
 
 
 def test_exact_cap(monkeypatch):
-    monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
-    with pytest.raises(ExactCapExceeded):
-        exact_spectrum(msn_matrix(complete_graph(4)))
+    # C6 is twin-free, so its msn block is its own quotient, of dimension 6
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "5")
+    with pytest.raises(ExactCapExceeded, match="support block of dimension 6"):
+        exact_spectrum(msn_matrix(cycles(6)))
     # at the cap is still allowed
-    assert exact_spectrum(msn_matrix(complete_graph(3))).exact
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "6")
+    assert exact_spectrum(msn_matrix(cycles(6))).exact
+
+
+def test_exact_cap_admits_only_a_single_twin_class_above_it(monkeypatch):
+    # K4 is one twin class: a 1 x 1 quotient, exact under a cap of 3
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
+    msn = matrix_spectra(msn_matrix(complete_graph(4)))
+    assert msn.method == "exact" and msn.integral is True
+    assert msn.exact.pairs == ((-9, 3), (27, 1))
+    assert exact_spectrum(cn_matrix(complete_graph(4))).pairs == ((-2, 3), (6, 1))
+    # the path of three triangles, each joined to the next: a 3 x 3
+    # quotient of a 9-vertex block, which the cap bounds as a whole
+    g = SimpleGraph.from_edges(9, [
+        (u, v) for u, v in itertools.combinations(range(9), 2)
+        if abs(u // 3 - v // 3) <= 1])
+    ((block, _),) = msn_matrix(g).blocks
+    assert len(spectra._twin_quotient(block)[1]) == 3
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "8")
+    with pytest.raises(ExactCapExceeded, match="support block of dimension 9"):
+        exact_spectrum(msn_matrix(g))
+    assert matrix_spectra(msn_matrix(g)).exact is None
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "9")
+    assert exact_spectrum(msn_matrix(g)) == charpoly_oracle(brute_msn(g))
 
 
 def test_exact_cap_applies_per_block(monkeypatch):
@@ -232,11 +279,12 @@ def test_support_blocks():
 
 
 def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
-    # two disjoint triangles, one listed as 3-4-5 and one as 0-1-2; each
-    # distinct block is settled once, by the certificate or, when that
-    # declines, by the characteristic polynomial
-    triangle = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    g = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    # two disjoint Clebsch graphs, whose edges are listed in opposite
+    # orders; each distinct twin-free block is settled once, by the
+    # certificate or, when that declines, by the characteristic polynomial
+    g = clebsch_graph(2)
+    ((clebsch, count),) = msn_matrix(g).blocks
+    assert count == 2
     for declines in (False, True):
         certified, charpolys = [], []
 
@@ -250,9 +298,9 @@ def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
 
         monkeypatch.setattr(spectra, "certified_roots", certify)
         monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
-        assert exact_spectrum(cn_matrix(g)).pairs == ((-1, 4), (2, 2))
-        assert certified == [triangle]
-        assert charpolys == ([triangle] if declines else [])
+        assert exact_spectrum(msn_matrix(g)).pairs == ((-225, 10), (75, 20), (375, 2))
+        assert certified == [clebsch.tolist()]
+        assert charpolys == ([clebsch.tolist()] if declines else [])
 
 
 def charpoly_oracle(values):
@@ -294,29 +342,176 @@ def test_exact_spectrum_never_trusts_its_hint(monkeypatch, kind):
 
 
 def test_clique_blocks_settle_without_charpoly(monkeypatch):
+    # a K_m block is one twin class, a 1 x 1 quotient: neither the
+    # certificate nor the polynomial is reached
     calls = []
 
-    def counting(block):
-        calls.append(block)
-        return charpoly_dense(block)
+    def counting(*args):
+        calls.append(args)
 
     monkeypatch.setattr(spectra, "charpoly_dense", counting)
-    parts = CliqueUnion(((4, 2), (5, 1), (7, 3), (12, 1), (40, 1)))
+    monkeypatch.setattr(spectra, "certified_roots", counting)
+    # K300 is above the default cap of 256; its quotient is not
+    parts = CliqueUnion(((1, 2), (2, 3), (4, 2), (5, 1), (7, 3), (12, 1), (40, 1), (300, 1)))
     g = clique_union_graph(parts)
     assert exact_spectrum(msn_matrix(g)) == spectra.clique_union_msn_spectrum(parts)
     assert exact_spectrum(cn_matrix(g)) == spectra.clique_union_cn_spectrum(parts)
+    # a K2 component: its zero cn block splits into two 1 x 1 pieces, and
+    # its msn block [[0, 1], [1, 0]] is one class of closed twins
+    k2 = complete_graph(2)
+    assert [(b.tolist(), count) for b, count in cn_matrix(k2).blocks] == [([[0]], 2)]
+    assert exact_spectrum(cn_matrix(k2)).pairs == ((0, 2),)
+    assert exact_spectrum(msn_matrix(k2)).pairs == ((-1, 1), (1, 1))
+    # a zero block is one class too, of inner entry 0
+    zero = np.zeros((3, 3), dtype=np.int64)
+    assert spectra._twin_quotient(zero)[1].tolist() == [[0]]
+    assert exact_spectrum(IntSymMatrix(((zero, 2),))).pairs == ((0, 6),)
     assert calls == []
 
 
+# --- twin classes ---
+
+
+def blown_up(seed, kinds, perm_seed):
+    """A random graph on len(kinds) vertices, vertex v blown up into
+    kinds[v] = (s, closed) copies: a clique of closed twins or an
+    independent set of open twins; then relabelled."""
+    base = random_graph(seed, len(kinds), p=0.5)
+    start = np.cumsum([0] + [s for s, _ in kinds])
+    edges = []
+    for v, (s, closed) in enumerate(kinds):
+        if closed:
+            edges += itertools.combinations(range(start[v], start[v] + s), 2)
+    for u, v in base.edges():
+        edges += itertools.product(range(start[u], start[u + 1]), range(start[v], start[v + 1]))
+    n = int(start[-1])
+    perm = np.random.default_rng(perm_seed).permutation(n)
+    return SimpleGraph.from_edges(
+        n, [tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in edges])
+
+
+planted_twins = st.one_of(
+    st.builds(blown_up, st.integers(0, 2**32 - 1),
+              st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=6),
+              st.integers(0, 2**32 - 1)),
+    st.builds(lambda parts: clique_union_graph(CliqueUnion.of(parts)),
+              st.lists(st.tuples(st.integers(1, 9), st.integers(1, 3)), min_size=1, max_size=3)),
+)
+
+
+def full_block_route(m):
+    """exact_spectrum with no twin reduction: every block is settled whole,
+    as a twin-free block is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_twin_quotient", lambda block: (Counter(), block))
+        return exact_spectrum(m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_twins)
+def test_twin_route_matches_the_full_block_route(g):
+    for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
+        got = exact_spectrum(m)
+        assert got == full_block_route(m)
+        if g.n <= 16:
+            assert got == charpoly_oracle(brute(g))
+
+
+def test_planted_twins_shrink_the_quotient():
+    # the path 0 - 2 - 1 with vertex 0 blown up into a triangle and vertex
+    # 2 into an open pair: open twins are not sought, so the triangle alone
+    # is reduced
+    g = blown_up(0, [(3, True), (1, False), (2, False)], 0)
+    ((block, _),) = msn_matrix(g).blocks
+    found, quotient = spectra._twin_quotient(block)
+    assert found == {-18: 2} and len(quotient) == 4
+    assert exact_spectrum(msn_matrix(g)) == full_block_route(msn_matrix(g))
+
+
+def test_product_ring_quotients_match_the_full_block_route():
+    # the classes of a product's commuting graph are pairs of the factors'
+    # centralizers: 15 for nc_p2:p=2 x ut2:p=2, on 30 vertices.  In the cn
+    # block the closed supports group the vertices too coarsely, and the
+    # classes are found only once those candidates are split
+    from msnring.graphs import commuting_graph
+    from msnring.rings import parse_ring_spec
+    g = commuting_graph(parse_ring_spec("prod(nc_p2:p=2,ut2:p=2)"))
+    msn, cn = msn_matrix(g), cn_matrix(g)
+    for m in (msn, cn):
+        assert [len(spectra._twin_quotient(b)[1]) for b, _ in m.blocks] == [15]
+    assert exact_spectrum(msn) == full_block_route(msn)
+    assert exact_spectrum(cn) == full_block_route(cn)
+    assert exact_spectrum(msn).integer_roots == ((-1165, 1), (-233, 6), (-201, 9), (201, 4))
+
+
+def test_a_forged_twin_class_is_rejected_and_falls_back(monkeypatch):
+    # 0 and 1 share a closed support and the entry 1 between them, but
+    # their rows differ off the pair, at column 2; the twin classes are
+    # {0, 3}, with inner entry 1, and {1, 2}, with 2
+    block = np.array([[0, 1, 1, 1], [1, 0, 2, 1], [1, 2, 0, 1], [1, 1, 1, 0]])
+    assert spectra._verified(block, np.array([0, 0, 1, 2])) is None
+    found, quotient = spectra._twin_quotient(block)
+    assert found == {-1: 1, -2: 1}
+    assert quotient.tolist() == [[1, 2], [2, 2]]
+    m = IntSymMatrix(((block, 1),))
+    charpolys = []
+
+    def charpoly(a):
+        charpolys.append(a.tolist())
+        return charpoly_dense(a)
+
+    monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
+    monkeypatch.setattr(spectra, "certified_roots", lambda a, hint: None)
+    # even a detection that proposes the forged class is not trusted
+    monkeypatch.setattr(spectra, "_row_labels", lambda a, extra=None: np.array([0, 0, 1, 2]))
+    assert exact_spectrum(m) == charpoly_oracle(block)
+    assert charpolys == [block.tolist()]
+
+
 def test_exact_spectrum_bounded_time_on_largest_clique_block():
-    # K256 is the largest block the default exact cap admits; the
-    # characteristic polynomial route took about 25 s on it
+    # K256 was the largest block the default exact cap admitted, and the
+    # characteristic polynomial route took about 25 s on it; as a single
+    # twin class it now needs no root search, at any size
     parts = CliqueUnion(((256, 1),))
     g = clique_union_graph(parts)
     start = time.perf_counter()
     assert exact_spectrum(msn_matrix(g)) == spectra.clique_union_msn_spectrum(parts)
     assert exact_spectrum(cn_matrix(g)) == spectra.clique_union_cn_spectrum(parts)
     assert time.perf_counter() - start < 5.0
+    # 3K1250, numeric before twin reduction, is exact under the default cap
+    parts = CliqueUnion(((1250, 3),))
+    g = clique_union_graph(parts)
+    start = time.perf_counter()
+    assert exact_spectrum(msn_matrix(g)) == spectra.clique_union_msn_spectrum(parts)
+    assert time.perf_counter() - start < 5.0
+    msn = matrix_spectra(msn_matrix(g))
+    assert msn.method == "exact" and msn.integral is True
+    assert [m for _, m in msn.numeric.pairs] == [3747, 3]
+
+
+def test_exact_spectrum_bounded_time_on_a_twin_free_block(monkeypatch):
+    # the hypercube Q8: 256 vertices, twin-free, so the block is its own
+    # quotient and goes to the certificate whole.  It is 8-regular with
+    # 8 + 28 vertices within distance two of each, so delta2 is 8 * 36 and
+    # its msn matrix is 288 A, with spectrum 288 (8 - 2i) of multiplicity
+    # C(8, i)
+    g = SimpleGraph.from_edges(256, [
+        (u, u | 1 << i) for u in range(256) for i in range(8) if not u >> i & 1])
+    m = msn_matrix(g)
+    ((block, _),) = m.blocks
+    assert spectra._twin_quotient(block)[1] is block
+    certified = []
+
+    def certify(a, hint):
+        certified.append(len(a))
+        return certified_roots(a, hint)
+
+    monkeypatch.setattr(spectra, "certified_roots", certify)
+    start = time.perf_counter()
+    got = exact_spectrum(m)
+    assert time.perf_counter() - start < 5.0
+    assert certified == [256]
+    assert got.pairs == tuple((288 * (8 - 2 * i), math.comb(8, i)) for i in range(8, -1, -1))
 
 
 def disjoint_union(parts, perm_seed):
@@ -352,13 +547,14 @@ def test_matrix_spectra_per_block_equal_whole_matrix(parts, perm_seed):
 
 
 def test_matrix_spectra_above_cap(monkeypatch):
-    monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
-    result = matrix_spectra(msn_matrix(complete_graph(4)))
+    # C6 is twin-free, and its msn spectrum 16, 8^2, -8^2, -16 is integral
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "5")
+    result = matrix_spectra(msn_matrix(cycles(6)))
     assert result.exact is None
     assert result.method == "numeric" and result.integral is None
     assert result.spectrum is result.numeric
-    monkeypatch.setenv("MSNRING_EXACT_CAP", "4")
-    result = matrix_spectra(msn_matrix(complete_graph(4)))
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "6")
+    result = matrix_spectra(msn_matrix(cycles(6)))
     assert result.method == "exact" and result.integral is True
     assert result.spectrum is result.exact
 
@@ -593,7 +789,7 @@ def test_one_eigensolve_per_distinct_block(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     graphs = [clique_union_graph(CliqueUnion(((1, 2), (3, 4), (6, 2)))),
-              disjoint_union([(5, 5, 3), (6, 4, 2)], 9), path_graph(5)]
+              disjoint_union([(5, 5, 3), (6, 4, 2)], 9), path_graph(5), cycles(5, 6, 7)]
     for g in graphs:
         for m in (msn_matrix(g), cn_matrix(g)):
             calls.clear()
@@ -601,9 +797,10 @@ def test_one_eigensolve_per_distinct_block(monkeypatch):
             assert len(calls) == len(m.blocks)
             assert sorted(calls) == sorted(b.shape for b, _ in m.blocks)
             assert spectra_agree(result.exact, result.numeric)
-    # above the exact cap only the numeric route reads the eigensolve
-    monkeypatch.setenv("MSNRING_EXACT_CAP", "2")
-    m = msn_matrix(graphs[0])
+    # above the exact cap only the numeric route reads the eigensolve; the
+    # cycles are twin-free, so their blocks of 5, 6 and 7 are their quotients
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "4")
+    m = msn_matrix(graphs[3])
     calls.clear()
     assert matrix_spectra(m).exact is None
     assert len(calls) == len(m.blocks) == 3

@@ -111,8 +111,10 @@ def test_exact_cap_applies_per_block(monkeypatch):
 
 
 def test_above_cap_passes_on_the_numeric_route(monkeypatch):
-    # no closed form stands in for the computed spectrum above the cap
-    monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
+    # no closed form stands in for the computed spectrum above the cap; a
+    # K6 block is one twin class, a 1 x 1 quotient, so only a cap of 0
+    # puts this ring's clique blocks above it
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "0")
     rep = verify_ring(upper_triangular_ring(3), TheoremId.C2_4B)
     assert rep.verdict is Verdict.PASS, rep.detail
     assert rep.computed.msn_method == "numeric"
@@ -361,6 +363,22 @@ def test_sweep_reports_a_q_that_is_not_prime_as_unsupported():
         (Verdict.UNSUPPORTED, f"q = {q} is not prime", "none") for q in (0, -3, 1, 4)]
     assert reports[4].verdict is Verdict.PASS
     assert reports[4].ring_spec == "prod(ut2:p=2,zn:n=3)"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_ring(ring_noncomm_p2(3), "t2_1"),
+    lambda: builtin_instance("t2_1", 3),
+    lambda: sweep(["t2_1"], [3]),
+], ids=["verify_ring", "builtin_instance", "sweep"])
+def test_a_theorem_that_is_not_a_theorem_id_is_a_value_error(call):
+    # the same error as predict gives, not a KeyError from the table
+    with pytest.raises(ValueError, match=r"^no prediction for 't2_1'$"):
+        call()
+
+
+def test_a_bad_theorem_is_reported_before_any_hypothesis():
+    with pytest.raises(ValueError, match="no prediction for 'c2_4b'"):
+        verify_ring(zn(6), "c2_4b")
 
 
 def test_builtin_instance_checks_p_before_q():
