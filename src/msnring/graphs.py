@@ -6,14 +6,20 @@ everything within distance two: the neighbors together with the
 neighbors' neighbors, the vertex itself excluded.  This is the convention
 under which every vertex of a K_m component has second-degree sum
 (m-1)^2, which the closed forms elsewhere in the package rely on.
-A graph's components are labelled once and grouped once by adjacency
-block (SimpleGraph.components, .classes); the clique decomposition,
-the common neighbours (counted once per graph, SimpleGraph.common_neighbours),
-distance two and the msn/cn matrices are all built once per class, however
-many components carry its block.
+A graph's components are labelled once (SimpleGraph.components): one
+census of closed rows finds the complete components, and breadth-first
+search labels only what is left (connected_components).  They are grouped
+once into classes (SimpleGraph.classes), complete ones by size and the
+others by adjacency block; the clique decomposition, the common neighbours
+(counted once per graph, SimpleGraph.common_neighbours), distance two and
+the msn/cn matrices are all built once per class, however many components
+carry its block.  So building a clique union takes a fixed number of array
+passes, whatever its number of components.
 Graph files are plain edge lists, read by one line and field grammar
-(parse_edge_list_text), or JSON; both end in SimpleGraph.from_edges,
-which checks and places all the pairs as one integer array.
+(parse_edge_list_text: array passes over the bytes and one np.fromstring
+call when every field fits int64), or JSON; both end in
+SimpleGraph.from_edges, which checks and places all the pairs as one
+integer array.
 """
 
 from __future__ import annotations
@@ -92,13 +98,23 @@ class SimpleGraph:
 
     @functools.cached_property
     def classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The components grouped by read-only adjacency block (equal bytes,
-        equal block), first seen first: each with a (copies, size) array."""
-        seen: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
-        for comp in self.components:
-            block = self.adjacency[comp[:, None], comp]
-            block.setflags(write=False)
-            seen.setdefault(block.tobytes(), (block, []))[1].append(comp)
+        """The components grouped by read-only adjacency block, first seen
+        first: each with a (copies, size) array.  A complete block is fixed
+        by its size, so complete components are grouped by size; only the
+        others have their blocks extracted and compared by bytes."""
+        seen: dict[int | bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
+        comps = self.components
+        for comp, complete in zip(comps, comps.complete):
+            if complete:
+                key = len(comp)
+                if key not in seen:
+                    seen[key] = (_complete_block(key), [])
+            else:
+                block = self.adjacency[comp[:, None], comp]
+                block.setflags(write=False)
+                key = block.tobytes()
+                seen.setdefault(key, (block, []))
+            seen[key][1].append(comp)
         return tuple((block, np.array(comps)) for block, comps in seen.values())
 
     @functools.cached_property
@@ -176,6 +192,13 @@ class NotCliqueUnion:
 _TILE = 256
 
 
+def _complete_block(m: int) -> np.ndarray:
+    """The read-only adjacency block of K_m."""
+    block = ~np.eye(m, dtype=bool)
+    block.setflags(write=False)
+    return block
+
+
 def _is_symmetric(a: np.ndarray) -> bool:
     """a == a.T, compared tile (i, j) against tile (j, i) transposed: every
     cell is read, and each tile pair fits in cache, unlike a strided a.T."""
@@ -202,12 +225,53 @@ def delta2_all(g: SimpleGraph) -> np.ndarray:
     return out
 
 
-def connected_components(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
+class Components(tuple):
+    """What connected_components returns: a tuple of ascending index
+    arrays ordered by smallest vertex, and complete, one flag per
+    component telling whether it is a complete graph."""
+
+    complete: tuple[bool, ...]
+
+    def __new__(cls, comps=(), complete=()):
+        self = super().__new__(cls, comps)
+        self.complete = tuple(complete)
+        return self
+
+
+# Bit i of a packed byte, counted from the left as packbits does, and the
+# number of set bits of every byte value.
+_BIT = np.uint8(128) >> np.arange(8, dtype=np.uint8)
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1,
+                                                                              dtype=np.uint8)
+
+
+def connected_components(adjacency: np.ndarray) -> Components:
     """Components of a symmetric boolean array, as ascending index arrays
-    ordered by smallest vertex."""
+    ordered by smallest vertex.
+
+    One census of closed rows comes first: the rows of adjacency | I,
+    packed and grouped by their bytes (_row_labels).  Every member of a
+    class has the class's closed row, so it lies in that row; when the
+    row holds no more vertices than the class has members, the class is
+    a complete component.  Breadth-first search labels only the vertices
+    left, one component per search.
+    """
     n = len(adjacency)
-    unseen = np.ones(n, dtype=bool)
-    comps: list[np.ndarray] = []
+    if n == 0:
+        return Components()
+    vertices = np.arange(n)
+    closed = np.packbits(adjacency, axis=1)
+    closed[vertices, vertices >> 3] |= _BIT[vertices & 7]
+    labels = _row_labels(closed)
+    if labels is None:
+        labels = vertices
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    complete = _POPCOUNT[closed[order[starts]]].sum(axis=1) == sizes
+    found = [(order[s:s + m], True)
+             for s, m in zip(starts[complete].tolist(), sizes[complete].tolist())]
+    unseen = ~complete[labels]
     while unseen.any():
         mask = np.zeros(n, dtype=bool)
         mask[unseen.argmax()] = True  # the smallest vertex not yet placed
@@ -217,8 +281,26 @@ def connected_components(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
             mask |= nxt
             frontier = nxt
         unseen &= ~mask
-        comps.append(np.flatnonzero(mask))
-    return tuple(comps)
+        found.append((np.flatnonzero(mask), False))
+    found.sort(key=lambda pair: int(pair[0][0]))
+    return Components([comp for comp, _ in found], [flag for _, flag in found])
+
+
+def _row_labels(a: np.ndarray, extra=None) -> np.ndarray | None:
+    """A label per row of a 2-D array, numbered first seen first: rows
+    share one when they are equal and so are their values in extra.
+    None when every row has its own.  One dict keyed by each row's bytes,
+    for the census of closed rows here and the twin classes of spectra."""
+    row = np.dtype((np.void, a.shape[1] * a.itemsize))
+    keys = np.ascontiguousarray(a).view(row).ravel().tolist()  # one bytes per row
+    if extra is not None:
+        keys = list(zip(extra, keys))
+    index = dict.fromkeys(keys)
+    if len(index) == len(keys):
+        return None
+    for label, key in enumerate(index):
+        index[key] = label
+    return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
 
 
 def _shared_neighbours(block: np.ndarray) -> np.ndarray:
@@ -260,12 +342,47 @@ def to_edge_list_text(g: SimpleGraph) -> str:
 
 
 # The edge-list grammar: lines end at "\n", fields are split by ASCII
-# whitespace.  _EDGE_LIST matches a well-formed list whose fields are
-# decimals of at most 18 digits, so that every one of them fits int64.
-_WS = r"[ \t\r\f\v]"
-_ROW = rf"{_WS}*-?[0-9]{{1,18}}{_WS}+-?[0-9]{{1,18}}{_WS}*"
-_EDGE_LIST = re.compile(rf"(?:{_WS}*\n)*{_ROW}(?:\n(?:{_ROW}|{_WS}*))*")
+# whitespace.  _BYTE_KIND sorts the bytes of a text by their part in it:
+# 0 a byte no field may hold, 1 a digit, 2 a minus sign, 3 whitespace
+# inside a line, 4 a line end.  Fields of at most 18 digits fit int64.
+_BYTE_KIND = np.zeros(256, dtype=np.uint8)
+_BYTE_KIND[np.frombuffer(b"0123456789", dtype=np.uint8)] = 1
+_BYTE_KIND[ord("-")] = 2
+_BYTE_KIND[np.frombuffer(b" \t\r\f\v", dtype=np.uint8)] = 3
+_BYTE_KIND[ord("\n")] = 4
+_INT64_DIGITS = 18
 _FIELD = re.compile(r"[^ \t\r\f\v]+")
+
+
+def _is_int64_edge_list(text: str) -> bool:
+    """Whether text is a well-formed edge list whose fields all fit int64:
+    every line blank or two fields, some line not blank, and every field a
+    minus sign or none then 1 to 18 ASCII digits.  Decided by a fixed
+    number of array passes over its bytes, with no state kept per line."""
+    if not text.isascii():
+        return False
+    kind = np.empty(len(text) + 2, dtype=np.uint8)
+    kind[0] = kind[-1] = 4  # a line end before and after the text
+    _BYTE_KIND.take(np.frombuffer(text.encode("ascii"), dtype=np.uint8), out=kind[1:-1])
+    if kind.min() == 0:
+        return False
+    # the fields are the runs of digits and minus signs: their bounds are
+    # their starts and ends, alternately
+    field = kind < 3
+    bounds = (field[1:] != field[:-1]).nonzero()[0]
+    bounds += 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    signed = kind[starts] == 2
+    if len(starts) < 2 or text.count("-") != signed.sum():
+        return False  # no header, or a minus sign inside a field
+    # the largest byte kind in the gap after each field: whitespace (3)
+    # after a line's first field, a line end (4) after its second
+    gaps = np.maximum.reduceat(kind, ends)
+    if not ((gaps[0::2] == 3).all() and (gaps[1::2] == 4).all()):
+        return False
+    digits = ends - starts
+    digits -= signed
+    return bool(digits.min() >= 1 and digits.max() <= _INT64_DIGITS)
 
 
 def _edge_pairs(edges) -> np.ndarray:
@@ -306,16 +423,17 @@ def parse_edge_list_text(text: str) -> SimpleGraph:
     The first non-blank line is the header "n m", every later non-blank
     line one edge "u v", and each field an ASCII decimal integer.  A text
     that fits this grammar with fields of at most 18 digits, the common
-    case, is checked by one regex and converted by one numpy call; any
-    other text takes a line-by-line walk that names its first error.
+    case, is checked by array passes over its bytes (_is_int64_edge_list)
+    and converted by one np.fromstring call; any other text takes a
+    line-by-line walk that names its first error.
     """
-    fast = _EDGE_LIST.fullmatch(text) is not None
-    tokens = text.split() if fast else _edge_list_fields(text)
+    fast = _is_int64_edge_list(text)
+    tokens = text.split(maxsplit=2) if fast else _edge_list_fields(text)
     try:
         n, m = parse_decimal(tokens[0]), parse_decimal(tokens[1])
         _check_vertex_count(n)
-        if fast:  # every token is a decimal of at most 18 digits, so fits int64
-            pairs = np.array(tokens[2:], dtype=np.int64).reshape(-1, 2)
+        if fast:  # every field is a decimal of at most 18 digits, so fits int64
+            pairs = np.fromstring(text, dtype=np.int64, sep=" ")[2:].reshape(-1, 2)
         else:  # Python ints, which may exceed int64 until range-checked
             pairs = np.array([parse_decimal(t) for t in tokens[2:]], dtype=object).reshape(-1, 2)
     except ValueError as exc:
@@ -342,9 +460,14 @@ def _edge_list_fields(text: str) -> list[str]:
 
 
 def _check_ascending_distinct(pairs: np.ndarray) -> None:
-    """Reject the first edge in input order with u >= v or seen before."""
+    """Reject the first edge in input order with u >= v or seen before.
+    Pairs in strictly ascending order, as every written edge list has
+    them, pass after one vectorised test."""
     u, v = pairs[:, 0], pairs[:, 1]
     bad = u >= v
+    rising = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+    if rising.all() and not bad.any():
+        return
     # lexsort is stable, so within a run of equal pairs every index but the
     # first is a repeat; it also sorts the object arrays of the slow path
     order = np.lexsort((v, u))

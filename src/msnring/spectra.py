@@ -60,6 +60,7 @@ from .config import exact_cap
 from .graphs import (
     CliqueUnion,
     SimpleGraph,
+    _row_labels,
     clique_decomposition,
     connected_components,
     delta2_all,
@@ -67,6 +68,7 @@ from .graphs import (
 
 NUMERIC_CLUSTER_TOL = 1e-8
 NUMERIC_MATCH_TOL = 1e-6
+NUMERIC_MATCH_REL = 1e-12
 
 
 class SpectraError(Exception):
@@ -227,20 +229,6 @@ def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
 def _cluster_tol(peak: int, n: int) -> float:
     """Clustering tolerance for the eigenvalues of an n x n matrix with largest entry peak."""
     return NUMERIC_CLUSTER_TOL * max(1.0, float(peak) * n)
-
-
-def _row_labels(a: np.ndarray, extra=None) -> np.ndarray | None:
-    """A label per row of a 2-D array, numbered first seen first: rows
-    share one when they are equal and so are their values in extra.
-    None when every row has its own."""
-    data, width = a.tobytes(), a.shape[1] * a.itemsize
-    keys = [data[i:i + width] for i in range(0, len(data), width)]
-    if extra is not None:
-        keys = list(zip(extra, keys))
-    if len(set(keys)) == len(keys):
-        return None
-    seen: dict = {}
-    return np.array([seen.setdefault(key, len(seen)) for key in keys])
 
 
 def _verified(block: np.ndarray, labels: np.ndarray):
@@ -425,14 +413,11 @@ def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
     eigs = np.sort(np.concatenate([
         np.repeat(values, count) for values, (_, count) in zip(m.eigenvalues, m.blocks)]))
     tol = _cluster_tol(max(block.max() for block, _ in m.blocks), m.n)
-    clusters: list[list[float]] = [[float(eigs[0])]]
-    for v in eigs[1:]:
-        if float(v) - clusters[-1][-1] < tol:
-            clusters[-1].append(float(v))
-        else:
-            clusters.append([float(v)])
-    pairs = tuple((sum(c) / len(c), len(c)) for c in clusters)
-    return SpectrumMultiset(False, pairs)
+    # a cluster ends where the next eigenvalue is tol or more above it
+    values = eigs.tolist()
+    cuts = [0, *((eigs[1:] - eigs[:-1] >= tol).nonzero()[0] + 1).tolist(), len(values)]
+    return SpectrumMultiset(False, tuple((sum(values[i:j]) / (j - i), j - i)
+                                         for i, j in zip(cuts, cuts[1:])))
 
 
 @dataclass(frozen=True)
@@ -471,15 +456,28 @@ def matrix_spectra(m: IntSymMatrix) -> MatrixSpectra:
     return MatrixSpectra(exact, numeric_spectrum(m))
 
 
+def match_tol(numeric: SpectrumMultiset, tol: float = NUMERIC_MATCH_TOL) -> float:
+    """How far a value of a numeric spectrum may lie from the exact value
+    it matches: tol, or NUMERIC_MATCH_REL times the spectrum's largest
+    |value| if that is more.  That |value| is the matrix's 2-norm, and the
+    float eigensolve's error grows with it, as it does with _cluster_tol's
+    bound peak * n.  An integer off by 1 still misses while the norm stays
+    below 1e12, as it does for every msn matrix of a graph within the
+    default universe cap (at most 4999**3)."""
+    radius = max((abs(v) for v, _ in numeric.pairs), default=0)
+    return max(tol, NUMERIC_MATCH_REL * float(radius))
+
+
 def spectra_agree(exact: SpectrumMultiset | NotFullyIntegral,
                   numeric: SpectrumMultiset,
                   tol: float = NUMERIC_MATCH_TOL) -> bool:
     """Every integer eigenvalue from the exact path must be matched by a
-    numeric cluster of identical multiplicity within tol."""
+    numeric cluster of identical multiplicity within match_tol(numeric, tol)."""
     if isinstance(exact, NotFullyIntegral):
         wanted = exact.integer_roots
     else:
         wanted = exact.pairs
+    tol = match_tol(numeric, tol)
     for value, mult in wanted:
         hit = [m for v, m in numeric.pairs if abs(v - value) <= tol]
         if len(hit) != 1 or hit[0] != mult:

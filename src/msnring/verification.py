@@ -41,12 +41,12 @@ from .rings import (
     prime_factors,
 )
 from .spectra import (
-    NUMERIC_MATCH_TOL,
     EnergyReport,
     MatrixSpectra,
     NotFullyIntegral,
     cn_matrix,
     exact_spectrum,
+    match_tol,
     matrix_spectra,
     msn_matrix,
     spectra_agree,
@@ -240,12 +240,12 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
                       f"computed {dec} is not among the predicted decompositions",
                       params, computed, prediction)
     # Both sides have n eigenvalues, so agreement is equality on an exact
-    # spectrum and agreement within NUMERIC_MATCH_TOL on a numeric one.
+    # spectrum and agreement within match_tol on a numeric one.
     got = msn.spectrum
     if not spectra_agree(clique_union_msn_spectrum(dec), got):
         return report(Verdict.FAIL, "computed msn spectrum differs from the closed form",
                       params, computed, prediction)
-    energy_tol = 0 if got.exact else NUMERIC_MATCH_TOL * graph.n
+    energy_tol = 0 if got.exact else match_tol(got) * graph.n
     if abs(computed.msn_energy - clique_union_msn_energy(dec)) > energy_tol:
         return report(Verdict.FAIL, "computed msn energy differs from the closed form",
                       params, computed, prediction)

@@ -5,12 +5,14 @@ distance one or two counts.  The hand oracles below pin that down.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msnring import graphs
 from msnring.config import parse_decimal, universe_cap
 from msnring.graphs import (
     CliqueUnion,
@@ -152,6 +154,75 @@ def test_connected_components():
     assert [c.tolist() for c in connected_components(g.adjacency)] == [[0, 3, 5], [1, 2], [4]]
     assert [c.tolist() for c in g.components] == [[0, 3, 5], [1, 2], [4]]
     assert g.components is g.components  # labelled once per graph
+
+
+def union_find_components(adjacency):
+    """Components by union-find over the edges, kept as an oracle: sorted
+    vertex lists ordered by smallest vertex."""
+    parent = list(range(len(adjacency)))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in np.argwhere(adjacency).tolist():
+        parent[root(u)] = root(v)
+    comps = {}
+    for x in range(len(adjacency)):
+        comps.setdefault(root(x), []).append(x)
+    return sorted(comps.values())
+
+
+@st.composite
+def planted_graphs(draw):
+    """Disjoint pieces, relabelled: cliques, cliques missing one edge,
+    cliques with a pendant vertex, K1 and K2 parts and random pieces.
+    No pieces at all gives n = 0."""
+    edges, n = [], 0
+    for kind, size in draw(st.lists(st.tuples(
+            st.sampled_from(["clique", "missing", "pendant", "random"]), st.integers(1, 7)),
+            max_size=6)):
+        piece = list(itertools.combinations(range(size), 2))
+        if kind == "missing" and piece:
+            piece.pop(draw(st.integers(0, len(piece) - 1)))
+        elif kind == "pendant":
+            piece.append((draw(st.integers(0, size - 1)), size))
+            size += 1
+        elif kind == "random":
+            piece = [e for e in piece if draw(st.booleans())]
+        edges += [(u + n, v + n) for u, v in piece]
+        n += size
+    perm = draw(st.permutations(range(n)))
+    return SimpleGraph.from_edges(n, [tuple(sorted((perm[u], perm[v]))) for u, v in edges])
+
+
+@settings(deadline=None, max_examples=200)
+@given(planted_graphs())
+def test_connected_components_match_union_find(g):
+    comps = connected_components(g.adjacency)
+    assert [c.tolist() for c in comps] == union_find_components(g.adjacency)
+    assert all(c.dtype.kind == "i" for c in comps)
+    # the census flags exactly the complete components
+    assert comps.complete == tuple(
+        bool(g.adjacency[np.ix_(c, c)].sum() == len(c) * (len(c) - 1)) for c in comps)
+    for block, members in g.classes:
+        for comp in members:
+            assert np.array_equal(g.adjacency[np.ix_(comp, comp)], block)
+    assert sorted(c for _, members in g.classes for c in members[:, 0].tolist()) == \
+        [c[0] for c in union_find_components(g.adjacency)]
+
+
+def test_complete_components_share_one_class_per_size():
+    g = clique_union_graph(CliqueUnion(((1, 3), (2, 2), (5, 2))))
+    assert g.components.complete == (True,) * 7
+    assert [(block.tolist(), members.tolist()) for block, members in g.classes] == [
+        ([[False]], [[0], [1], [2]]),
+        ([[False, True], [True, False]], [[3, 4], [5, 6]]),
+        ((~np.eye(5, dtype=bool)).tolist(), [list(range(7, 12)), list(range(12, 17))])]
+    assert all(not block.flags.writeable for block, _ in g.classes)
+    assert connected_components(np.zeros((0, 0), dtype=bool)) == ()
 
 
 def brute_decomposition(g):
@@ -339,7 +410,9 @@ def reference_parse_edge_list_text(text):
 # whitespace characters split lines and fields, and none is drawn here.
 ODD_TOKENS = ["-1", "-0", "7", "10", str(10 ** 18 - 1), str(10 ** 18), str(2 ** 63), "9" * 19,
               str(10 ** 24), "-" + str(10 ** 24), "0" * 20 + "1",
-              "x", "1_0", "+1", "1.0", "\u0661", "\uff11"]
+              "x", "1_0", "+1", "1.0", "\u0661", "\uff11",
+              "-" + "9" * 18, "-" + "9" * 19, "0" * 17 + "1", "0" * 18 + "1", "-" + "0" * 18,
+              "007", "-00", "--1", "1-", "-"]
 
 
 @st.composite
@@ -350,14 +423,18 @@ def edge_list_texts(draw):
     n = draw(st.integers(0, 7))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    if draw(st.booleans()):  # ascending, as written edge lists are
+        edges.sort()
     edges = [[str(u), str(v)] for u, v in edges]
     for _ in range(draw(st.integers(0, 3)) if edges else 0):
         i = draw(st.integers(0, len(edges) - 1))
-        kind = draw(st.sampled_from(["swap", "duplicate", "token"]))
+        kind = draw(st.sampled_from(["swap", "duplicate", "reorder", "token"]))
         if kind == "swap":
             edges[i] = edges[i][::-1]
         elif kind == "duplicate":
             edges.insert(draw(st.integers(i + 1, len(edges))), list(edges[i]))
+        elif kind == "reorder":
+            edges.insert(draw(st.integers(0, len(edges) - 1)), edges.pop(i))
         else:
             edges[i][draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_TOKENS))
     header = [str(n), str(len(edges))]
@@ -404,6 +481,26 @@ def test_edge_list_parser_matches_line_by_line_reference(text):
         parse_outcome(reference_parse_edge_list_text, text)
 
 
+# The whole-text regex the reader once checked its fast path with, kept as
+# the reference for _is_int64_edge_list: a well-formed list whose fields
+# are decimals of at most 18 digits.  Python's re keeps backtracking state
+# for every repeated line, so it cannot run on large files.
+_WS = r"[ \t\r\f\v]"
+_ROW = rf"{_WS}*-?[0-9]{{1,18}}{_WS}+-?[0-9]{{1,18}}{_WS}*"
+REFERENCE_EDGE_LIST = re.compile(rf"(?:{_WS}*\n)*{_ROW}(?:\n(?:{_ROW}|{_WS}*))*")
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(
+    edge_list_texts(),
+    st.lists(st.sampled_from(["0", "1", "9", "-", " ", "\t", "\r", "\f", "\v", "\n", "x",
+                              "\x1c", "\xa0", "\u0661", "9" * 17, "1" * 18]),
+             max_size=16).map("".join)))
+def test_int64_grammar_check_matches_the_reference_regex(text):
+    assert graphs._is_int64_edge_list(text) == \
+        (REFERENCE_EDGE_LIST.fullmatch(text) is not None)
+
+
 def test_edge_list_parser_error_order_on_fixed_cases():
     cases = [
         "", "\n \n", "3\n0 1\n", "3 1 0\n", "x 1\n0 1\n", "3 1\n0 1\n2\n",
@@ -412,6 +509,9 @@ def test_edge_list_parser_error_order_on_fixed_cases():
         "3 2\n0 5\n1 0\n", "3 2\n0 1\n0 -1\n", f"3 1\n0 {10 ** 24}\n",
         f"3 1\n{10 ** 24} 0\n", f"{10 ** 24} 0\n", f"3 {10 ** 24}\n",
         "3 1\n0 " + "0" * 30 + "2\n",
+        "3 2\n1 2\n0 1\n", "3 3\n0 1\n0 2\n0 1\n", "3 2\n0 2\n0 2\n",
+        "3 1\n-0 " + "0" * 17 + "2\n", "3 1\n0 " + "0" * 18 + "2\n",
+        f"3 1\n{10 ** 18 - 1} 0\n", f"3 1\n0 {10 ** 18 - 1}\n", f"3 1\n-{10 ** 18 - 1} 0\n",
     ]
     for text in cases:
         assert parse_outcome(parsed_adjacency, text) == \

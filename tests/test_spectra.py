@@ -608,6 +608,52 @@ def test_spectra_agree_rejects_mismatch():
     assert not spectra_agree(exact, off_mult)
 
 
+def loop_numeric_pairs(m):
+    """numeric_spectrum's clustering as one Python loop over the merged
+    eigenvalues, kept as the reference: same sums in the same order."""
+    eigs = np.sort(np.concatenate([
+        np.repeat(values, count) for values, (_, count) in zip(m.eigenvalues, m.blocks)]))
+    tol = spectra._cluster_tol(max(block.max() for block, _ in m.blocks), m.n)
+    clusters = [[float(eigs[0])]]
+    for v in eigs[1:]:
+        if float(v) - clusters[-1][-1] < tol:
+            clusters[-1].append(float(v))
+        else:
+            clusters.append([float(v)])
+    return tuple((sum(c) / len(c), len(c)) for c in clusters)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 3)),
+                min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_numeric_clusters_match_the_loop(parts, perm_seed, cliques):
+    # repeated random blocks, or clique unions, whose repeated eigenvalues
+    # differ in their last bits
+    if cliques:
+        g = clique_union_graph(CliqueUnion.of((size, copies) for _, size, copies in parts))
+    else:
+        g = disjoint_union(parts, perm_seed)
+    for m in (msn_matrix(g), cn_matrix(g)):
+        assert numeric_spectrum(m).pairs == loop_numeric_pairs(m)
+
+
+def test_spectra_agree_scales_its_tolerance_with_the_spectrum():
+    # 3K1250's msn spectrum and the values the float eigensolve gives for
+    # it, 5e-6 off the largest: beyond the absolute 1e-6, not the scaled one
+    exact = SpectrumMultiset(True, ((-1560001, 3747), (1948441249, 3)))
+    numeric = SpectrumMultiset(False, ((-1560001.0000000002, 3747), (1948441248.999995, 3)))
+    assert spectra.match_tol(numeric) == pytest.approx(1.948441249e-3)
+    assert spectra_agree(exact, numeric)
+    # an eigenvalue off by 1 at that scale still disagrees, either one
+    assert not spectra_agree(exact, SpectrumMultiset(False, ((-1560001.0, 3747),
+                                                             (1948441248.0, 3))))
+    assert not spectra_agree(exact, SpectrumMultiset(False, ((-1560000.0, 3747),
+                                                             (1948441249.0, 3))))
+    # small spectra keep the absolute tolerance
+    assert spectra.match_tol(SpectrumMultiset(False, ((-2.0, 1), (2.0, 1)))) == 1e-6
+
+
 def test_spectra_agree_partial_integer_part():
     out = exact_spectrum(msn_matrix(path_graph(3)))
     assert spectra_agree(out, numeric_spectrum(msn_matrix(path_graph(3))))

@@ -617,3 +617,13 @@ def test_classify_labels_the_graph_once(monkeypatch):
     whole = count_whole_graph_labellings(monkeypatch, g.n)
     assert classify(g).decomposition is None
     assert len(whole) == 1
+
+
+@pytest.mark.parametrize("theorem", [TheoremId.T2_1, TheoremId.T5_1])
+def test_verify_ring_matches_numeric_spectra_on_their_own_scale(theorem):
+    # 3K1250: the numeric msn route gives 1948441248.999995 for the exact
+    # 1948441249, which an absolute 1e-6 took for a route mismatch
+    ring = parse_ring_spec("prod(nc_p2:p=2,zn:n=1250)")
+    report = verify_ring(ring, theorem)
+    assert report.verdict is Verdict.PASS, report.detail
+    assert report.detail == "3K1250; msn energy 11690647494"
