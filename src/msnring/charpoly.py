@@ -1,32 +1,24 @@
-"""Exact integer spectra: a power-sum certificate, characteristic
-polynomials and integer root extraction.
+"""Exact integer spectra: characteristic polynomials and integer root
+extraction.
 
 Polynomials are lists of Python ints in ascending degree order, so
 coeffs[i] multiplies x**i and the leading coefficient of a monic
-polynomial is the final 1.  Every result here is exact.  Both exact
-routines work in int64 modulo word-size primes and take primes until
-their product exceeds a proven bound derived from the row-sum bound on
-the eigenvalues:
-
-* certified_roots proves a candidate integer spectrum of a symmetric
-  matrix from its power sums tr(A**k), or declines.  The candidates may
-  come from anywhere, a rounded float eigensolve included: they are a
-  guess that the check either proves or rejects.
-* charpoly_dense computes the characteristic polynomial by a Hessenberg
-  reduction and leading-minor recurrence per prime, combined by the
-  Chinese remainder theorem.  The primes are reduced in stacks, one
-  (primes x n x n) array at a time, so the Python work of a column is
-  paid once per stack, not once per prime.  integer_roots then reads
-  off its integer roots: the candidates are screened modulo one prime,
-  and exact synthetic division decides.  No floating point enters this
-  route.
+polynomial is the final 1.  Every result here is exact.
+charpoly_dense computes the characteristic polynomial by a Hessenberg
+reduction and leading-minor recurrence modulo word-size primes, in int64,
+combined by the Chinese remainder theorem until the product of the primes
+exceeds a proven bound derived from the row-sum bound on the eigenvalues.
+The primes are reduced in stacks, one (primes x n x n) array at a time, so
+the Python work of a column is paid once per stack, not once per prime.
+integer_roots then reads off its integer roots: the candidates are
+screened modulo one prime, and exact synthetic division decides.  No
+floating point enters this route.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from collections.abc import Iterator
 from itertools import islice
 
@@ -79,66 +71,6 @@ def charpoly_bound(n: int, b: int) -> int:
     """Twice a bound on the coefficients of the characteristic polynomial
     of an n x n matrix whose eigenvalues lie in [-b, b]."""
     return 2 * max(math.comb(n, k) * b**k for k in range(n + 1))
-
-
-def power_sum_bound(n: int, b: int, s: int) -> int:
-    """Twice a bound on |tr(A**k)| for k <= 2s, with A n x n and its
-    eigenvalues in [-b, b]."""
-    return 2 * n * max(b, 1) ** (2 * s)
-
-
-def certified_roots(a: np.ndarray, hint) -> list[tuple[int, int]] | None:
-    """The integer spectrum of a symmetric integer matrix a, proven, or
-    None when the hint does not round to it.
-
-    The n hint values are rounded to s distinct integer candidates l_i
-    with multiplicities m_i.  The result is sorted (l_i, m_i) pairs,
-    returned only if tr(a**k) == sum_i m_i * l_i**k for k = 0..2s.  That
-    proves it.  The eigenvalues e_j of a are real, because a is
-    symmetric, so agreement of every power sum up to 2s gives, for
-    q(x) = prod_i (x - l_i) of degree s,
-
-        sum_j q(e_j)**2 = sum_i m_i * q(l_i)**2 = 0,
-
-    so every e_j is some l_i.  With true multiplicities n_i, the sums
-    for k = 0..s-1 then read sum_i (n_i - m_i) * l_i**k = 0, a
-    Vandermonde system on distinct l_i, so n_i = m_i.
-
-    Candidates beyond the row-sum bound b are declined.  Then both sides
-    of every identity are at most n * b**(2s) in absolute value, so the
-    identities are checked modulo primes whose product exceeds
-    power_sum_bound(n, b, s).  Per prime, a**2..a**s take s - 1 int64
-    matrix products, and tr(a**(i+j)) is the sum of the elementwise
-    product of a**i and a**j, since a**j is symmetric.  Until the check
-    passes the hint proves nothing, so any hint, however wrong, is safe.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    n = a.shape[0]
-    if not np.array_equal(a, a.T):
-        raise ValueError("certified_roots needs a symmetric matrix")
-    hint = np.asarray(hint, dtype=np.float64)
-    if hint.shape != (n,) or not np.isfinite(hint).all():
-        return None
-    b = gershgorin_bound(a)
-    roots = sorted(Counter(int(v) for v in np.rint(hint)).items())
-    if any(abs(v) > b for v, _ in roots):
-        return None
-    s = len(roots)
-    sums = [sum(m * v**k for v, m in roots) for k in range(2 * s + 1)]
-    trace = int(np.trace(a))
-    for p in crt_primes(power_sum_bound(n, b, s), prime_bits(n)):
-        powers = [None, a % p]
-        for _ in range(s - 1):
-            powers.append(powers[-1] @ powers[1] % p)
-        # every elementwise product is below p**2 and is reduced before the
-        # sum, so no int64 sum of n * n terms can overflow
-        traces = [n, trace] + [
-            int((powers[k // 2] * powers[k - k // 2] % p).sum())
-            for k in range(2, 2 * s + 1)
-        ]
-        if any((t - want) % p for t, want in zip(traces, sums)):
-            return None
-    return roots
 
 
 # Cells of one stack of residue matrices: charpoly_dense reduces

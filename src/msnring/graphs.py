@@ -127,9 +127,14 @@ class SimpleGraph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(np.int64)
 
+    def edge_ends(self) -> list[int]:
+        """u0, v0, u1, v1, ...: the edges u < v in ascending order, as one
+        flat list of Python ints, made by one tolist call."""
+        return np.argwhere(np.triu(self.adjacency, k=1)).ravel().tolist()
+
     def edges(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(np.triu(self.adjacency, k=1))
-        return [(int(u), int(v)) for u, v in zip(us, vs)]
+        ends = self.edge_ends()
+        return list(zip(ends[::2], ends[1::2]))
 
     @property
     def edge_count(self) -> int:
@@ -336,9 +341,10 @@ def clique_union_graph(parts: CliqueUnion) -> SimpleGraph:
 
 
 def to_edge_list_text(g: SimpleGraph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    ends = g.edge_ends()
+    m = len(ends) // 2
+    # one format call over the flat list, with no Python object per edge
+    return f"{g.n} {m}\n" + "%d %d\n" * m % tuple(ends)
 
 
 # The edge-list grammar: lines end at "\n", fields are split by ASCII

@@ -10,29 +10,26 @@ with a neighbour u has delta2 >= deg(u) >= 1).  A cn block is split over
 its support's components (the cn matrix of K_{a,b} splits into its two
 sides), equal pieces grouped.  matrix_spectra dispatches both routes:
 
-* the exact route works in three steps on each distinct block.  First,
+* the exact route works in two steps on each distinct block.  First,
   twin reduction: candidate twin classes (rows with equal closed support
   and row sum, split further where they fail) are verified on the block,
   each class of s vertices with inner entry a gives -a with multiplicity
   s - 1, and the k x k quotient over the classes carries the rest; k = 1
   is its own root.  A clique block, whose entries off the diagonal are
   all equal, is one class, known from its largest entry and sum alone.
-  Second, for a twin-free block, the certificate: the block's float
-  eigensolve, rounded, is only a hint, which charpoly.certified_roots
-  proves exactly from the power sums tr(A**k) modulo word-size primes,
-  or rejects.  Third, for a quotient with 1 < k < n or a block the certificate does
-  not settle, the characteristic polynomial, computed multimodularly
-  (int64 arithmetic modulo word-size primes, combined by the Chinese
-  remainder theorem up to a proven coefficient bound), and its integer
-  roots.  So the route either proves the spectrum integral or reports
-  the integer part found.  It declines matrices with a block above the
-  exact cap that is not a single twin class.
-* the numeric route is that symmetric eigensolve per block, merged and
-  clustered into multiplicities.
+  Second, a quotient with k > 1, the block itself when it is twin-free,
+  is divided by the gcd of its entries, and the characteristic
+  polynomial of the result is computed multimodularly (int64 arithmetic
+  modulo word-size primes, combined by the Chinese remainder theorem up
+  to a proven coefficient bound); its integer roots, scaled back by the
+  gcd, are the block's.  So the route either proves the spectrum
+  integral or reports the integer part found, and it reads no float.  It
+  declines matrices with a block above the exact cap that is not a
+  single twin class.
+* the numeric route is the symmetric float eigensolve per block
+  (IntSymMatrix.eigenvalues), merged and clustered into multiplicities.
 
-They share only the unproven float eigensolve, which the exact route
-uses as a hint on twin-free blocks, so each can serve as a check on the
-other.
+The two routes share nothing, so each is a check on the other.
 """
 
 from __future__ import annotations
@@ -41,21 +38,10 @@ import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
-from .charpoly import (
-    certified_roots,
-    charpoly_bound,
-    charpoly_dense,
-    check_charpoly,
-    crt_primes,
-    gershgorin_bound,
-    integer_roots,
-    power_sum_bound,
-    prime_bits,
-)
+from .charpoly import charpoly_dense, check_charpoly, gershgorin_bound, integer_roots
 from .config import exact_cap
 from .graphs import (
     CliqueUnion,
@@ -321,37 +307,30 @@ def _twin_quotient(block: np.ndarray) -> tuple[Counter[int], np.ndarray]:
     return found, quotient
 
 
-def _block_roots(block: np.ndarray, hint: np.ndarray | None) -> tuple[list[tuple[int, int]], int]:
+def _block_roots(block: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     """Integer roots with multiplicity of one block, and the residual degree.
 
-    A 1 x 1 block is its own root.  The hint, the block's float
-    eigenvalues, suggests an integer spectrum that certified_roots proves
-    or rejects.  It is tried only when every eigenvalue lies within the
-    clustering tolerance of an integer and its primes, one pass of s - 1
-    matrix products each, number no more than the characteristic
-    polynomial would need.  Without a hint (a twin quotient need not be
-    symmetric), or if it fails these tests, the characteristic polynomial
-    is computed, checked for shape and trace, and its integer roots are
-    read off the divisors of its trailing nonzero coefficient within the
-    row-sum eigenvalue bound.
+    A 1 x 1 block is its own root.  A larger block is first divided by the
+    gcd g of its entries: every eigenvalue l of the block is g times an
+    eigenvalue of the integer matrix block / g, so l / g is an algebraic
+    integer, and l is an integer exactly when l / g is.  The characteristic
+    polynomial of block / g is computed, checked for shape and trace, and
+    its integer roots are read off the divisors of its trailing nonzero
+    coefficient within the row-sum eigenvalue bound of block / g; each is
+    then multiplied by g.  On a component where delta2 is constant, as on
+    every vertex-transitive graph, the msn block is delta2 times the
+    adjacency, and the division shrinks the coefficient bound, and with it
+    the number of primes, accordingly.
     """
     n = block.shape[0]
     if n == 1:
         return [(int(block[0, 0]), 1)], 0
-    b = gershgorin_bound(block)
-    if hint is not None and hint.shape == (n,) and (
-            np.abs(hint - np.rint(hint)) <= _cluster_tol(block.max(), n)).all():
-        s = len(np.unique(np.rint(hint)))
-        bits = prime_bits(n)
-        cost = (s - 1) * sum(1 for _ in crt_primes(power_sum_bound(n, b, s), bits))
-        # the polynomial's primes are counted only up to cost
-        if sum(1 for _ in islice(crt_primes(charpoly_bound(n, b), bits), cost)) == cost:
-            found = certified_roots(block, hint)
-            if found is not None:
-                return found, 0
-    poly = charpoly_dense(block)
-    check_charpoly(poly, n, int(np.trace(block)))
-    return integer_roots(poly, b)
+    g = max(int(np.gcd.reduce(block, axis=None)), 1)
+    reduced = block // g
+    poly = charpoly_dense(reduced)
+    check_charpoly(poly, n, int(np.trace(reduced)))
+    roots, left = integer_roots(poly, gershgorin_bound(reduced))
+    return [(g * r, mult) for r, mult in roots], left
 
 
 def _admitted(block: np.ndarray, cap: int) -> tuple[Counter[int], np.ndarray] | None:
@@ -368,16 +347,14 @@ def _admitted(block: np.ndarray, cap: int) -> tuple[Counter[int], np.ndarray] | 
 
 
 def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
-    """Integer eigenvalues by exact computation.
+    """Integer eigenvalues by exact computation, with no float call.
 
     Each distinct block is first reduced by its verified twin classes
-    (_twin_quotient).  The quotient's integer roots are then proven, by
-    the power-sum certificate when no twins were found (hinted by
-    m.eigenvalues, if they did not fail) or from the characteristic
-    polynomial; see _block_roots.  If every block's spectrum is integral
-    it is returned whole, else the integer part found.  Raises
-    ExactCapExceeded, before any root is sought, if the cap declines a
-    block (_admitted).
+    (_twin_quotient), and the quotient's integer roots are then proven
+    from its characteristic polynomial (_block_roots).  If every block's
+    spectrum is integral it is returned whole, else the integer part
+    found.  Raises ExactCapExceeded, before any root is sought, if the
+    cap declines a block (_admitted).
     """
     cap = exact_cap()
     reduced = []
@@ -387,16 +364,10 @@ def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
             raise ExactCapExceeded(
                 f"support block of dimension {len(block)} exceeds the exact path cap {cap}")
         reduced.append(admitted)
-    hints = [None] * len(m.blocks)
-    if any(quotient is block for (block, _), (_, quotient) in zip(m.blocks, reduced)):
-        try:
-            hints = m.eigenvalues
-        except NoConvergence:
-            pass
     roots: Counter[int] = Counter()
     residual = 0
-    for (block, count), (found, quotient), hint in zip(m.blocks, reduced, hints):
-        rest, left = _block_roots(quotient, hint if quotient is block else None)
+    for (_, count), (found, quotient) in zip(m.blocks, reduced):
+        rest, left = _block_roots(quotient)
         for value, mult in [*found.items(), *rest]:
             roots[value] += mult * count
         residual += left * count

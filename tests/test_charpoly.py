@@ -1,5 +1,5 @@
 """Exact characteristic polynomials against a rational oracle, numpy and
-hand-built factors, and the power-sum certificate against them."""
+hand-built factors, and the exact route's block roots against that oracle."""
 
 from fractions import Fraction
 
@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from msnring import charpoly
 from msnring.graphs import CliqueUnion, SimpleGraph, clique_union_graph
-from msnring.spectra import cn_matrix, msn_matrix
+from msnring import spectra
+from msnring.spectra import IntSymMatrix, cn_matrix, exact_spectrum, msn_matrix
 
 from msnring.charpoly import (
     _charpoly_mods,
-    certified_roots,
     charpoly_bound,
     charpoly_dense,
     crt_primes,
@@ -459,26 +459,27 @@ def test_poly_mul():
     assert poly_mul([-1, 1], [1, 1]) == [-1, 0, 1]
 
 
-# --- the power-sum certificate ---
+# --- the exact route against the Fraction oracle ---
 
 
-def oracle_roots(block):
-    """Integer roots of the characteristic polynomial, or None unless it splits."""
-    roots, residual = integer_roots(charpoly_dense(block), gershgorin_bound(block))
-    return None if residual else roots
-
-
-def expand(roots):
-    return [v for v, m in roots for _ in range(m)]
-
-
-def test_certified_roots_needs_power_sums_up_to_2s():
-    k4 = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
-    # -3 and 1 (x3) match tr(A^k) for k <= 2 but not tr(A^3) = 24
-    assert certified_roots(np.array(k4), [-3, 1, 1, 1]) is None
-    assert certified_roots(np.array(k4), [3, -1, -1, -1]) == [(-1, 3), (3, 1)]
-    # float hints are rounded first, in any order
-    assert certified_roots(np.array(k4), [-0.9, 3.2, -1.1, -1.0]) == [(-1, 3), (3, 1)]
+def fraction_roots(block):
+    """Integer eigenvalues with multiplicity, ascending, and the residual
+    degree: every integer within the row-sum bound is divided out of
+    fraction_charpoly exactly, with no modulus and no divisor screen."""
+    rows = np.asarray(block).tolist()
+    poly = fraction_charpoly(rows)
+    bound = max((sum(abs(v) for v in row) for row in rows), default=0)
+    roots = []
+    for r in range(-bound, bound + 1):
+        mult = 0
+        while len(poly) > 1:
+            q, rem = divide_linear(poly, r)
+            if rem:
+                break
+            poly, mult = q, mult + 1
+        if mult:
+            roots.append((r, mult))
+    return roots, len(poly) - 1
 
 
 def kab(a, b):
@@ -486,43 +487,25 @@ def kab(a, b):
 
 
 def integral_test_blocks():
-    """Support blocks of clique-union msn/cn matrices and of K_{a,b}."""
+    """Support blocks of clique-union msn/cn matrices and of K_{a,b} with
+    an integer spectrum."""
     g = clique_union_graph(CliqueUnion(((2, 1), (3, 1), (4, 1), (6, 1), (9, 1))))
     graphs = [g] + [kab(a, b) for a, b in ((1, 4), (2, 2), (3, 3), (2, 8), (2, 3))]
     for graph in graphs:
         for m in (msn_matrix(graph), cn_matrix(graph)):
             for block, _ in m.blocks:
-                if oracle_roots(block.tolist()) is not None:
+                if fraction_roots(block)[1] == 0:
                     yield block
 
 
-def test_certified_roots_rejects_hints_off_by_one_value_or_multiplicity():
+def test_exact_spectrum_matches_the_fraction_oracle_on_integral_blocks():
     blocks = list(integral_test_blocks())
     assert len(blocks) >= 15
     for block in blocks:
-        truth = oracle_roots(block.tolist())
-        values = expand(truth)
-        assert certified_roots(block, values) == truth
-        for i in range(len(values)):
-            for delta in (-1, 1):
-                wrong = values.copy()
-                wrong[i] += delta
-                assert certified_roots(block, wrong) is None
-            # one copy of values[i] taken from one distinct value to another
-            for v, _ in truth:
-                if v != values[i]:
-                    wrong = values.copy()
-                    wrong[i] = v
-                    assert certified_roots(block, wrong) is None
-
-
-def test_certified_roots_declines_malformed_hints():
-    block = np.array([[0, 2], [2, 0]])
-    for hint in ([2], [2, -2, 0], [np.nan, 2], [np.inf, -2], [5, -5]):
-        assert certified_roots(block, hint) is None
-    assert certified_roots(block, [2, -2]) == [(-2, 1), (2, 1)]
-    with pytest.raises(ValueError):
-        certified_roots(np.array([[0, 1], [2, 0]]), [1, -1])
+        for c in (1, 2, 5):
+            roots, residual = fraction_roots(c * block)
+            assert residual == 0
+            assert exact_spectrum(IntSymMatrix(((c * block, 1),))).pairs == tuple(roots)
 
 
 def integral_or_random_sym(rng, kind, n):
@@ -554,22 +537,10 @@ def integral_or_random_sym(rng, kind, n):
 
 
 @settings(deadline=None, max_examples=80)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 16),
-       st.sampled_from(["random", "hadamard", "cliques"]))
-def test_certified_roots_accepts_exactly_the_true_integer_spectrum(seed, n, kind):
-    rng = np.random.default_rng(seed)
-    a = integral_or_random_sym(rng, kind, n)
-    rows = a.tolist()
-    hint = np.linalg.eigvalsh(a.astype(np.float64))
-    truth = oracle_roots(rows)
-    got = certified_roots(a, hint)
-    rounded = sorted(int(v) for v in np.rint(hint))
-    if truth is not None and expand(truth) == rounded:
-        assert got == truth
-    else:
-        assert got is None
-    if got is not None and len(rows) <= 16:
-        poly = [1]
-        for v in expand(got):
-            poly = poly_mul(poly, [-v, 1])
-        assert poly == fraction_charpoly(rows)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+       st.sampled_from(["random", "hadamard", "cliques"]), st.sampled_from([1, 2, 3, 6]))
+def test_block_roots_match_the_fraction_oracle_on_scaled_blocks(seed, n, kind, c):
+    # any symmetric integer block, its diagonal and signs free, times c:
+    # _block_roots divides by the gcd, which c multiplies, and scales back
+    a = c * integral_or_random_sym(np.random.default_rng(seed), kind, n)
+    assert spectra._block_roots(a) == fraction_roots(a)

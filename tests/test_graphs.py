@@ -347,6 +347,23 @@ def test_edge_list_round_trip():
     assert np.array_equal(back.adjacency, g.adjacency)
 
 
+def reference_edges(g):
+    """SimpleGraph.edges as an int pair per edge of np.nonzero: the reference."""
+    us, vs = np.nonzero(np.triu(g.adjacency, k=1))
+    return [(int(u), int(v)) for u, v in zip(us, vs)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_graphs())
+def test_edges_and_edge_list_text_match_the_edge_by_edge_reference(g):
+    edges = reference_edges(g)
+    got = g.edges()
+    assert got == edges
+    assert all(type(u) is int and type(v) is int for u, v in got)
+    lines = [f"{g.n} {g.edge_count}", *(f"{u} {v}" for u, v in edges)]
+    assert to_edge_list_text(g) == "\n".join(lines) + "\n"
+
+
 def test_edge_list_rejects_malformed():
     with pytest.raises(GraphFormatError):
         parse_edge_list_text("2 1\n1 0\n")  # u >= v

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msnring import graphs, spectra
-from msnring.charpoly import certified_roots, charpoly_dense, gershgorin_bound, integer_roots
+from msnring.charpoly import charpoly_dense, gershgorin_bound, integer_roots
 from msnring.graphs import (
     CliqueUnion,
     SimpleGraph,
@@ -57,7 +57,7 @@ def cycles(*sizes):
 def clebsch_graph(copies=1):
     """Copies of the Clebsch graph: the 4-bit words, adjacent when they
     differ in one bit or in all four.  Twin-free, with msn spectrum
-    375, 75^10, -225^5, so the certificate is tried on its block."""
+    375, 75^10, -225^5: its msn block is 75 A, settled whole."""
     edges = []
     for c in range(copies):
         pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)
@@ -280,27 +280,20 @@ def test_support_blocks():
 
 def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
     # two disjoint Clebsch graphs, whose edges are listed in opposite
-    # orders; each distinct twin-free block is settled once, by the
-    # certificate or, when that declines, by the characteristic polynomial
+    # orders; the one distinct twin-free block is settled once, by one
+    # characteristic polynomial of the block divided by its gcd 75
     g = clebsch_graph(2)
     ((clebsch, count),) = msn_matrix(g).blocks
     assert count == 2
-    for declines in (False, True):
-        certified, charpolys = [], []
+    charpolys = []
 
-        def certify(block, hint):
-            certified.append(block.tolist())
-            return None if declines else certified_roots(block, hint)
+    def charpoly(block):
+        charpolys.append(block.tolist())  # the int64 block, not a list
+        return charpoly_dense(block)
 
-        def charpoly(block):
-            charpolys.append(block.tolist())  # the int64 block, not a list
-            return charpoly_dense(block)
-
-        monkeypatch.setattr(spectra, "certified_roots", certify)
-        monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
-        assert exact_spectrum(msn_matrix(g)).pairs == ((-225, 10), (75, 20), (375, 2))
-        assert certified == [clebsch.tolist()]
-        assert charpolys == ([clebsch.tolist()] if declines else [])
+    monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
+    assert exact_spectrum(msn_matrix(g)).pairs == ((-225, 10), (75, 20), (375, 2))
+    assert charpolys == [(clebsch // 75).tolist()]
 
 
 def charpoly_oracle(values):
@@ -330,6 +323,8 @@ GARBAGE_HINTS = {
 
 @pytest.mark.parametrize("kind", sorted(GARBAGE_HINTS))
 def test_exact_spectrum_never_trusts_its_hint(monkeypatch, kind):
+    # a float eigensolve gone wrong in any way reaches the numeric route,
+    # and leaves the exact route, which reads no float, as it was
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: GARBAGE_HINTS[kind](np.rint(eigvalsh(a))))
@@ -339,18 +334,20 @@ def test_exact_spectrum_never_trusts_its_hint(monkeypatch, kind):
     for g in graphs:
         for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
             assert exact_spectrum(m) == charpoly_oracle(brute(g))
+    if kind == "no convergence":
+        with pytest.raises(spectra.NoConvergence):
+            numeric_spectrum(msn_matrix(complete_graph(6)))
 
 
 def test_clique_blocks_settle_without_charpoly(monkeypatch):
-    # a K_m block is one twin class, a 1 x 1 quotient: neither the
-    # certificate nor the polynomial is reached
+    # a K_m block is one twin class, a 1 x 1 quotient: the polynomial is
+    # not reached
     calls = []
 
     def counting(*args):
         calls.append(args)
 
     monkeypatch.setattr(spectra, "charpoly_dense", counting)
-    monkeypatch.setattr(spectra, "certified_roots", counting)
     # K300 is above the default cap of 256; its quotient is not
     parts = CliqueUnion(((1, 2), (2, 3), (4, 2), (5, 1), (7, 3), (12, 1), (40, 1), (300, 1)))
     g = clique_union_graph(parts)
@@ -461,7 +458,6 @@ def test_a_forged_twin_class_is_rejected_and_falls_back(monkeypatch):
         return charpoly_dense(a)
 
     monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
-    monkeypatch.setattr(spectra, "certified_roots", lambda a, hint: None)
     # even a detection that proposes the forged class is not trusted
     monkeypatch.setattr(spectra, "_row_labels", lambda a, extra=None: np.array([0, 0, 1, 2]))
     assert exact_spectrum(m) == charpoly_oracle(block)
@@ -489,29 +485,84 @@ def test_exact_spectrum_bounded_time_on_largest_clique_block():
     assert [m for _, m in msn.numeric.pairs] == [3747, 3]
 
 
+def hypercube(d):
+    return SimpleGraph.from_edges(2**d, [
+        (u, u | 1 << i) for u in range(2**d) for i in range(d) if not u >> i & 1])
+
+
 def test_exact_spectrum_bounded_time_on_a_twin_free_block(monkeypatch):
     # the hypercube Q8: 256 vertices, twin-free, so the block is its own
-    # quotient and goes to the certificate whole.  It is 8-regular with
-    # 8 + 28 vertices within distance two of each, so delta2 is 8 * 36 and
-    # its msn matrix is 288 A, with spectrum 288 (8 - 2i) of multiplicity
-    # C(8, i)
-    g = SimpleGraph.from_edges(256, [
-        (u, u | 1 << i) for u in range(256) for i in range(8) if not u >> i & 1])
+    # quotient and goes to the characteristic polynomial whole.  It is
+    # 8-regular with 8 + 28 vertices within distance two of each, so
+    # delta2 is 8 * 36 and its msn matrix is 288 A, with spectrum
+    # 288 (8 - 2i) of multiplicity C(8, i); the polynomial is A's.  Its cn
+    # matrix is 2 A2 on each of its two 128-vertex halves, where
+    # A2 = (A**2 - 8 I) / 2 joins the vertices at distance two, with
+    # spectrum (8 - 2i)**2 - 8 of multiplicity C(8, i)
+    g = hypercube(8)
     m = msn_matrix(g)
     ((block, _),) = m.blocks
     assert spectra._twin_quotient(block)[1] is block
-    certified = []
+    charpolys = []
 
-    def certify(a, hint):
-        certified.append(len(a))
-        return certified_roots(a, hint)
+    def charpoly(a):
+        charpolys.append(a)
+        return charpoly_dense(a)
 
-    monkeypatch.setattr(spectra, "certified_roots", certify)
+    monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
     start = time.perf_counter()
     got = exact_spectrum(m)
     assert time.perf_counter() - start < 5.0
-    assert certified == [256]
+    assert len(charpolys) == 1 and (charpolys[0] == g.adjacency).all()
     assert got.pairs == tuple((288 * (8 - 2 * i), math.comb(8, i)) for i in range(8, -1, -1))
+    start = time.perf_counter()
+    got = exact_spectrum(cn_matrix(g))
+    assert time.perf_counter() - start < 5.0
+    want = Counter()
+    for i in range(9):
+        want[(8 - 2 * i) ** 2 - 8] += math.comb(8, i)
+    assert got.pairs == tuple(sorted(want.items()))
+
+
+@pytest.mark.parametrize("name, g, scale", [
+    ("C6", cycles(6), 8), ("Clebsch", clebsch_graph(), 75), ("Q4", hypercube(4), 40)])
+def test_block_roots_divide_the_block_by_its_gcd(monkeypatch, name, g, scale):
+    # a component on which delta2 is constant has the msn block delta2 A:
+    # the polynomial is A's, and its roots come back times delta2
+    ((block, _),) = msn_matrix(g).blocks
+    adjacency = g.adjacency.astype(np.int64)
+    assert (block == scale * adjacency).all()
+    roots, residual = integer_roots(charpoly_dense(adjacency), gershgorin_bound(adjacency))
+    assert residual == 0
+    charpolys = []
+
+    def charpoly(a):
+        charpolys.append(a.tolist())
+        return charpoly_dense(a)
+
+    monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
+    assert exact_spectrum(msn_matrix(g)).pairs == tuple((scale * v, m) for v, m in roots)
+    assert charpolys == [adjacency.tolist()]
+
+
+def test_exact_spectrum_makes_no_float_call(monkeypatch):
+    # twin-free blocks, integral or not, settled by the polynomial while
+    # every float eigensolve numpy offers raises
+    graphs = [cycles(6), cycles(5, 7), clebsch_graph(), hypercube(4)]
+    graphs += [random_graph(seed, 8 + seed) for seed in range(6)]
+    matrices = [f(g) for g in graphs for f in (msn_matrix, cn_matrix)]
+    assert sum(spectra._twin_quotient(b)[1] is b for m in matrices for b, _ in m.blocks) >= 10
+    want = [exact_spectrum(m) for m in matrices]
+
+    def raising(*args, **kwargs):
+        raise AssertionError("the exact route made a float call")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, raising)
+    fresh = [f(g) for g in graphs for f in (msn_matrix, cn_matrix)]
+    assert [exact_spectrum(m) for m in fresh] == want
+    with pytest.raises(AssertionError, match="float call"):
+        numeric_spectrum(fresh[0])
 
 
 def disjoint_union(parts, perm_seed):
