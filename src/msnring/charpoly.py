@@ -4,23 +4,24 @@ extraction.
 Polynomials are lists of Python ints in ascending degree order, so
 coeffs[i] multiplies x**i and the leading coefficient of a monic
 polynomial is the final 1.  Every result here is exact.
-charpoly_dense computes the characteristic polynomial by a Hessenberg
-reduction and leading-minor recurrence modulo word-size primes, in int64,
-combined by the Chinese remainder theorem until the product of the primes
-exceeds a proven bound derived from the row-sum bound on the eigenvalues.
-The primes are reduced in stacks, one (primes x n x n) array at a time, so
-the Python work of a column is paid once per stack, not once per prime.
-integer_roots then reads off its integer roots: the candidates are
-screened modulo one prime, and exact synthetic division decides.  No
-floating point enters this route.
+charpoly_dense computes the characteristic polynomials of a sequence of
+integer matrices by a Hessenberg reduction and leading-minor recurrence
+modulo word-size primes, in int64, combined by the Chinese remainder
+theorem until the product of a matrix's primes exceeds a proven bound on
+its coefficients (coefficient_bound, from Maclaurin's inequality).  The
+matrices of one size and their primes are reduced together, one
+(block, prime) layer of a (layers x n x n) array each, so the Python work
+of a column is paid once per stack of layers, not once per block and
+prime.  integer_roots then reads off the integer roots of a polynomial:
+the candidates are screened modulo one prime, and exact synthetic
+division decides.  No floating point enters this route.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
-from itertools import islice
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -67,30 +68,54 @@ def crt_primes(limit: int, bits: int) -> Iterator[int]:
         i += 1
 
 
-def charpoly_bound(n: int, b: int) -> int:
-    """Twice a bound on the coefficients of the characteristic polynomial
-    of an n x n matrix whose eigenvalues lie in [-b, b]."""
-    return 2 * max(math.comb(n, k) * b**k for k in range(n + 1))
+def coefficient_bound(a: np.ndarray) -> int:
+    """Twice a bound on the absolute values of the coefficients of the
+    characteristic polynomial of a square int64 matrix a.
+
+    Let s2 bound the sum of |l|**2 over the n eigenvalues l.  The
+    coefficient of x**(n-k) is, up to sign, the k-th elementary symmetric
+    function e_k of the eigenvalues, and Maclaurin's inequality with the
+    power-mean inequality gives
+    |e_k| <= e_k(|l|) <= C(n, k) (sum |l| / n)**k <= C(n, k) (s2 / n)**(k/2).
+    s2 is the squared Frobenius norm, sum a_ij**2, which bounds the sum
+    of |l|**2 for any matrix (Schur's inequality) and equals it for a
+    symmetric one.  The result is
+    2 max_k ceil(C(n, k) (s2 / n)**(k/2)), in integers: the terms grow
+    while (n - k)**2 s2 > (k + 1)**2 n, and the largest is the least r
+    with r**2 n**n >= C(n, k)**2 s2**k n**(n-k).
+    """
+    n = len(a)
+    peak = max(int(a.max()), -int(a.min()))
+    x = a.astype(object) if peak * peak * n * n >= 2**63 else a
+    s2 = int((x * x).sum())
+    k = 0
+    while k < n and (n - k) ** 2 * s2 > (k + 1) ** 2 * n:
+        k += 1
+    top = math.comb(n, k) ** 2 * s2**k * n ** (n - k)
+    r = math.isqrt(-(-top // n**n))
+    return 2 * (r if r * r * n**n >= top else r + 1)
 
 
 # Cells of one stack of residue matrices: charpoly_dense reduces
-# max(1, _STACK_CELLS // n**2) primes at a time, which keeps each column's
-# temporaries in cache.
+# max(1, _STACK_CELLS // n**2) (block, prime) layers at a time, which
+# keeps each column's temporaries in cache.
 _STACK_CELLS = 2**15
 
 
 def _charpoly_mods(a: np.ndarray, primes: list[int]) -> np.ndarray:
-    """Characteristic polynomials of a modulo each of the primes, as a
-    (len(primes), n + 1) array of ascending residues in 0..p-1.
+    """Characteristic polynomials modulo primes, as a (len(primes), n + 1)
+    array of ascending residues in 0..p-1: a is one n x n matrix, taken
+    modulo each prime, or a (len(primes), n, n) stack, layer i modulo
+    primes[i].
 
-    Reduces a stack of one copy of a per prime to upper Hessenberg form by
-    similarity over each F_p, then runs the leading-minor recurrence with
-    one matrix-vector product per step and prime.  Every step works on the
-    whole stack at once.  Each prime pivots on its own first nonzero entry
+    Reduces every layer to upper Hessenberg form by similarity over its
+    F_p, then runs the leading-minor recurrence with one matrix-vector
+    product per step and layer.  Every step works on the whole stack at
+    once.  Each prime pivots on its own first nonzero entry
     below the subdiagonal; a prime whose column is zero below the diagonal
     gets the inverse 0, which makes its elimination step a no-op.
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     mod = np.array(primes, dtype=np.int64)[:, None]
     h = a % mod[:, :, None]
     for c in range(n - 2):
@@ -126,37 +151,66 @@ def _charpoly_mods(a: np.ndarray, primes: list[int]) -> np.ndarray:
     return polys[:, n]
 
 
-def charpoly_dense(block) -> list[int]:
-    """Characteristic polynomial of a small integer matrix, exactly.
+def _square(block) -> np.ndarray:
+    """block as an int64 array; ValueError unless it is a square matrix
+    of integers.  A block with no rows, such as the list [] that tolist
+    makes of a 0 x 0 array, is the 0 x 0 matrix."""
+    a = np.asarray(block)
+    if a.shape == (0,):
+        return np.zeros((0, 0), dtype=np.int64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"block must be a square matrix, got shape {a.shape}")
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"block entries must be integers, got dtype {a.dtype}")
+    out = a.astype(np.int64, copy=False)
+    if a.dtype.kind == "u" and (out < 0).any():
+        raise ValueError("block entries must fit in int64")
+    return out
 
-    block is any 2-D integer array-like; the coefficients are Python ints.
-    Multimodular: the polynomial is computed modulo word-size primes and
-    combined by the Chinese remainder theorem until the modulus M exceeds
-    charpoly_bound(n, B) = 2 * max_k C(n, k) * B**k, with B the row-sum
-    eigenvalue bound.  That bounds every coefficient, so the symmetric
-    residues mod M are the integer coefficients themselves.  The primes
-    are reduced in stacks of max(1, _STACK_CELLS // n**2), one
-    _charpoly_mods call per stack, so the Python work of the reduction is
-    paid once per column and stack, not once per column and prime.
+
+def charpoly_dense(blocks: Sequence) -> list[list[int]]:
+    """Characteristic polynomials of a sequence of integer matrices, exactly.
+
+    Each block is a square 2-D array-like of integers (ValueError
+    otherwise, with no coercion of floats or bools); the coefficients
+    are Python ints, one polynomial per block, in order.  Multimodular:
+    a block's polynomial is computed modulo word-size primes and combined
+    by the Chinese remainder theorem until the modulus M exceeds
+    coefficient_bound, which bounds twice every coefficient, so the
+    symmetric residues mod M are the integer coefficients themselves.
+    The blocks of one size n share their primes: each (block, prime)
+    pair is one layer, and the layers are reduced in stacks of
+    max(1, _STACK_CELLS // n**2), one _charpoly_mods call per stack, so
+    the Python work of the reduction is paid once per column and stack,
+    not once per column, block and prime.  Sizes are not mixed, and no
+    block is padded.
     """
-    n = len(block)
-    if n == 0:
-        return [1]
-    if n == 1:
-        return [-int(block[0][0]), 1]
-    a = np.array(block, dtype=np.int64)
-    primes = crt_primes(charpoly_bound(n, gershgorin_bound(a)), prime_bits(n))
-    size = max(1, _STACK_CELLS // n**2)
-    coeffs = [0] * (n + 1)
-    modulus = 1
-    while stack := list(islice(primes, size)):
-        for p, residues in zip(stack, _charpoly_mods(a, stack).tolist()):
-            inv = pow(modulus % p, -1, p)
-            for j, r in enumerate(residues):
-                coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
-            modulus *= p
-    half = modulus // 2
-    return [c - modulus if c > half else c for c in coeffs]
+    arrays = [_square(block) for block in blocks]
+    polys: list[list[int]] = [[1] if not len(a) else [-int(a[0, 0]), 1] for a in arrays]
+    by_size: dict[int, list[int]] = {}
+    for i, a in enumerate(arrays):
+        if len(a) > 1:
+            by_size.setdefault(len(a), []).append(i)
+    for n, members in by_size.items():
+        bits = prime_bits(n)
+        layers = [(i, p) for i in members for p in crt_primes(coefficient_bound(arrays[i]), bits)]
+        coeffs = {i: [0] * (n + 1) for i in members}
+        moduli = dict.fromkeys(members, 1)
+        size = max(1, _STACK_CELLS // n**2)
+        for lo in range(0, len(layers), size):
+            chunk = layers[lo:lo + size]
+            residues = _charpoly_mods(np.stack([arrays[i] for i, _ in chunk]),
+                                      [p for _, p in chunk])
+            for (i, p), row in zip(chunk, residues.tolist()):
+                acc, m = coeffs[i], moduli[i]
+                inv = pow(m % p, -1, p)
+                for j, r in enumerate(row):
+                    acc[j] += m * ((r - acc[j]) * inv % p)
+                moduli[i] = m * p
+        for i in members:
+            m = moduli[i]
+            polys[i] = [c - m if c > m // 2 else c for c in coeffs[i]]
+    return polys
 
 
 def check_charpoly(poly: list[int], n: int, trace: int) -> None:

@@ -90,7 +90,7 @@ def _cmd_graph_build(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     graph = _graph_from_args(args)
-    spectra = matrix_spectra(msn_matrix(graph) if args.matrix == "msn" else cn_matrix(graph))
+    (spectra,) = matrix_spectra(msn_matrix(graph) if args.matrix == "msn" else cn_matrix(graph))
     spectrum = spectra.spectrum
     if args.json:
         print(spectrum.to_json())

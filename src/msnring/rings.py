@@ -377,13 +377,20 @@ def centralizer_count(ring: FiniteRing) -> int:
     """Number of distinct centralizer sets over all elements.
 
     Central elements contribute the single set R, so a commutative ring
-    counts 1.
+    counts 1.  A product's centralizers are the pairs of its factors':
+    a row of its commute mask is the Kronecker product of two nonzero
+    rows, which determines both, so the count is the factors' product.
     """
+    if ring.factors:
+        return math.prod(map(centralizer_count, ring.factors))
     return len(ring.centralizers)
 
 
 def commuting_probability(ring: FiniteRing) -> Fraction:
-    """Probability that an ordered pair commutes, in lowest terms."""
+    """Probability that an ordered pair commutes, in lowest terms; a
+    product's pair commutes exactly when both coordinates do."""
+    if ring.factors:
+        return math.prod(map(commuting_probability, ring.factors))
     return Fraction(int(ring.commutes.sum()), ring.order ** 2)
 
 
@@ -396,7 +403,16 @@ def is_cc_ring(ring: FiniteRing) -> bool | None:
     """Whether every centralizer of a non-central element is commutative.
 
     Returns None for commutative rings, where the notion does not apply.
+    In a product R x S with S commutative, the centralizer of a
+    non-central (a, k) is C_R(a) x S, so the product is CC exactly when R
+    is; with both factors non-commutative, (a, z) for a non-central a and
+    a central z has the non-commutative centralizer C_R(a) x S.
     """
+    if ring.factors:
+        noncommutative = [f for f in ring.factors if not f.is_commutative]
+        if len(noncommutative) == 2:
+            return False
+        return is_cc_ring(noncommutative[0]) if noncommutative else None
     if ring.is_commutative:
         return None
     return all(ring.commutes[np.ix_(members, members)].all()

@@ -22,10 +22,12 @@ sides), equal pieces grouped.  matrix_spectra dispatches both routes:
   polynomial of the result is computed multimodularly (int64 arithmetic
   modulo word-size primes, combined by the Chinese remainder theorem up
   to a proven coefficient bound); its integer roots, scaled back by the
-  gcd, are the block's.  So the route either proves the spectrum
-  integral or reports the integer part found, and it reads no float.  It
-  declines matrices with a block above the exact cap that is not a
-  single twin class.
+  gcd, are the block's.  The quotients of all the matrices passed
+  together go to one charpoly_dense call, which stacks the quotients of
+  one size: classify passes a graph's msn and cn matrices together.
+  So the route either proves the spectrum integral or reports the
+  integer part found, and it reads no float.  It declines matrices with
+  a block above the exact cap that is not a single twin class.
 * the numeric route is the symmetric float eigensolve per block
   (IntSymMatrix.eigenvalues), merged and clustered into multiplicities.
 
@@ -307,73 +309,84 @@ def _twin_quotient(block: np.ndarray) -> tuple[Counter[int], np.ndarray]:
     return found, quotient
 
 
-def _block_roots(block: np.ndarray) -> tuple[list[tuple[int, int]], int]:
-    """Integer roots with multiplicity of one block, and the residual degree.
+def _block_roots(quotients: list[np.ndarray]) -> list[tuple[list[tuple[int, int]], int]]:
+    """Integer roots with multiplicity of each quotient, and its residual
+    degree, in order.
 
-    A 1 x 1 block is its own root.  A larger block is first divided by the
-    gcd g of its entries: every eigenvalue l of the block is g times an
-    eigenvalue of the integer matrix block / g, so l / g is an algebraic
-    integer, and l is an integer exactly when l / g is.  The characteristic
-    polynomial of block / g is computed, checked for shape and trace, and
-    its integer roots are read off the divisors of its trailing nonzero
-    coefficient within the row-sum eigenvalue bound of block / g; each is
-    then multiplied by g.  On a component where delta2 is constant, as on
+    A 1 x 1 quotient is its own root, with no further work.  A larger one
+    is first divided by the gcd g of its entries: every eigenvalue l of
+    the quotient is g times an eigenvalue of the integer matrix
+    quotient / g, so l / g is an algebraic integer, and l is an integer
+    exactly when l / g is.  The characteristic polynomials of all the
+    divided quotients come from one charpoly_dense call, which stacks the
+    quotients of one size; each is checked for shape and trace, and its
+    integer roots are read off the divisors of its trailing nonzero
+    coefficient within the row-sum eigenvalue bound of quotient / g, then
+    multiplied by g.  On a component where delta2 is constant, as on
     every vertex-transitive graph, the msn block is delta2 times the
-    adjacency, and the division shrinks the coefficient bound, and with it
-    the number of primes, accordingly.
+    adjacency, and the division shrinks the coefficient bound, and with
+    it the number of primes, accordingly.
     """
-    n = block.shape[0]
-    if n == 1:
-        return [(int(block[0, 0]), 1)], 0
-    g = max(int(np.gcd.reduce(block, axis=None)), 1)
-    reduced = block // g
-    poly = charpoly_dense(reduced)
-    check_charpoly(poly, n, int(np.trace(reduced)))
-    roots, left = integer_roots(poly, gershgorin_bound(reduced))
-    return [(g * r, mult) for r, mult in roots], left
+    out: list = [None] * len(quotients)
+    divided = []  # (place, gcd, quotient / gcd) of each quotient past 1 x 1
+    for i, quotient in enumerate(quotients):
+        if len(quotient) == 1:
+            out[i] = [(int(quotient[0, 0]), 1)], 0
+        else:
+            g = max(int(np.gcd.reduce(quotient, axis=None)), 1)
+            divided.append((i, g, quotient // g))
+    if divided:
+        for (i, g, reduced), poly in zip(divided, charpoly_dense([r for *_, r in divided])):
+            check_charpoly(poly, len(reduced), int(np.trace(reduced)))
+            roots, left = integer_roots(poly, gershgorin_bound(reduced))
+            out[i] = [(g * r, mult) for r, mult in roots], left
+    return out
 
 
-def _admitted(block: np.ndarray, cap: int) -> tuple[Counter[int], np.ndarray] | None:
-    """The block's _twin_quotient, or None if the exact cap declines it.
+def _declined(block: np.ndarray, cap: int) -> bool:
+    """Whether the exact cap declines a block.
 
     The cap bounds the block, unless the block is a single twin class and
     the cap admits its 1 x 1 quotient.  That quotient needs no root
     search, while the divisor screen of a larger quotient's polynomial
     grows with the block's row sums, which the cap bounds.
     """
-    if len(block) > cap and (cap < 1 or not _single_class(block)):
-        return None
-    return _twin_quotient(block)
+    return len(block) > cap and (cap < 1 or not _single_class(block))
 
 
-def exact_spectrum(m: IntSymMatrix) -> SpectrumMultiset | NotFullyIntegral:
-    """Integer eigenvalues by exact computation, with no float call.
+def exact_spectrum(*matrices: IntSymMatrix) -> tuple[SpectrumMultiset | NotFullyIntegral, ...]:
+    """Integer eigenvalues of each matrix by exact computation, with no
+    float call, in order.
 
     Each distinct block is first reduced by its verified twin classes
-    (_twin_quotient), and the quotient's integer roots are then proven
-    from its characteristic polynomial (_block_roots).  If every block's
-    spectrum is integral it is returned whole, else the integer part
-    found.  Raises ExactCapExceeded, before any root is sought, if the
-    cap declines a block (_admitted).
+    (_twin_quotient), and the integer roots of all the quotients of all
+    the matrices are then proven from their characteristic polynomials
+    (_block_roots, one charpoly_dense call).  If every block's spectrum
+    is integral a matrix's spectrum is returned whole, else the integer
+    part found.  Raises ExactCapExceeded, before any twin reduction or
+    root search, if the cap declines a block of any of the matrices
+    (_declined).
     """
     cap = exact_cap()
-    reduced = []
-    for block, _ in m.blocks:
-        admitted = _admitted(block, cap)
-        if admitted is None:
-            raise ExactCapExceeded(
-                f"support block of dimension {len(block)} exceeds the exact path cap {cap}")
-        reduced.append(admitted)
-    roots: Counter[int] = Counter()
-    residual = 0
-    for (_, count), (found, quotient) in zip(m.blocks, reduced):
-        rest, left = _block_roots(quotient)
-        for value, mult in [*found.items(), *rest]:
-            roots[value] += mult * count
-        residual += left * count
-    if residual:
-        return NotFullyIntegral(tuple(sorted(roots.items())), residual)
-    return SpectrumMultiset(True, tuple(sorted(roots.items())))
+    for m in matrices:
+        for block, _ in m.blocks:
+            if _declined(block, cap):
+                raise ExactCapExceeded(
+                    f"support block of dimension {len(block)} exceeds the exact path cap {cap}")
+    reduced = [_twin_quotient(block) for m in matrices for block, _ in m.blocks]
+    settled = iter(zip(reduced, _block_roots([quotient for _, quotient in reduced])))
+    results = []
+    for m in matrices:
+        roots: Counter[int] = Counter()
+        residual = 0
+        for (_, count), ((found, _), (rest, left)) in zip(m.blocks, settled):
+            for value, mult in [*found.items(), *rest]:
+                roots[value] += mult * count
+            residual += left * count
+        pairs = tuple(sorted(roots.items()))
+        results.append(NotFullyIntegral(pairs, residual) if residual
+                       else SpectrumMultiset(True, pairs))
+    return tuple(results)
 
 
 def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
@@ -418,13 +431,17 @@ class MatrixSpectra:
         return None if self.exact is None else isinstance(self.exact, SpectrumMultiset)
 
 
-def matrix_spectra(m: IntSymMatrix) -> MatrixSpectra:
-    """Both routes on one matrix: the single exact-or-numeric dispatch."""
+def matrix_spectra(*matrices: IntSymMatrix) -> tuple[MatrixSpectra, ...]:
+    """Both routes on each matrix, in order: the single exact-or-numeric
+    dispatch.  The exact route runs on all the matrices at once; if the
+    cap declines one of several, each is retried alone."""
     try:
-        exact = exact_spectrum(m)
+        exact = exact_spectrum(*matrices)
     except ExactCapExceeded:
-        exact = None
-    return MatrixSpectra(exact, numeric_spectrum(m))
+        if len(matrices) > 1:
+            return tuple(s for m in matrices for s in matrix_spectra(m))
+        exact = (None,)
+    return tuple(MatrixSpectra(e, numeric_spectrum(m)) for e, m in zip(exact, matrices))
 
 
 def match_tol(numeric: SpectrumMultiset, tol: float = NUMERIC_MATCH_TOL) -> float:
@@ -534,5 +551,4 @@ def classify(g: SimpleGraph) -> EnergyReport:
         return EnergyReport(g.n, dec, clique_union_msn_spectrum(dec),
                             clique_union_cn_spectrum(dec), True,
                             "closed_form", "closed_form")
-    return EnergyReport.from_spectra(g.n, None, matrix_spectra(msn_matrix(g)),
-                                     matrix_spectra(cn_matrix(g)))
+    return EnergyReport.from_spectra(g.n, None, *matrix_spectra(msn_matrix(g), cn_matrix(g)))

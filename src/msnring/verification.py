@@ -211,8 +211,8 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
 
     graph = commuting_graph(ring)
     dec = clique_decomposition(graph)
-    msn = matrix_spectra(msn_matrix(graph))
-    cn = matrix_spectra(cn_matrix(graph))
+    (msn,) = matrix_spectra(msn_matrix(graph))
+    (cn,) = matrix_spectra(cn_matrix(graph))
     computed = EnergyReport.from_spectra(
         graph.n, dec if isinstance(dec, CliqueUnion) else None, msn, cn)
     if isinstance(dec, NotCliqueUnion):
@@ -373,7 +373,7 @@ def _check_clique_union(parts: CliqueUnion,
     for name, matrix, spectrum, energy in (
             ("msn", msn_matrix, clique_union_msn_spectrum, clique_union_msn_energy),
             ("cn", cn_matrix, clique_union_cn_spectrum, clique_union_cn_energy)):
-        ex = exact_spectrum(matrix(g))
+        (ex,) = exact_spectrum(matrix(g))
         if isinstance(ex, NotFullyIntegral):
             problems.append(f"{parts}: {name} spectrum not integral")
             continue

@@ -1,6 +1,7 @@
 """Exact characteristic polynomials against a rational oracle, numpy and
 hand-built factors, and the exact route's block roots against that oracle."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,8 @@ from msnring.spectra import IntSymMatrix, cn_matrix, exact_spectrum, msn_matrix
 
 from msnring.charpoly import (
     _charpoly_mods,
-    charpoly_bound,
     charpoly_dense,
+    coefficient_bound,
     crt_primes,
     divide_linear,
     gershgorin_bound,
@@ -114,7 +115,7 @@ def reference_charpoly_dense(block):
     a = np.array(block, dtype=np.int64)
     n = a.shape[0]
     coeffs, modulus = [0] * (n + 1), 1
-    for p in crt_primes(charpoly_bound(n, gershgorin_bound(a)), prime_bits(n)):
+    for p in crt_primes(coefficient_bound(a), prime_bits(n)):
         inv = pow(modulus % p, -1, p)
         for j, r in enumerate(reference_charpoly_mod(a, p).tolist()):
             coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
@@ -152,15 +153,16 @@ def numpy_charpoly(block):
 
 
 def test_charpoly_dense_tiny():
-    assert charpoly_dense([]) == [1]
-    assert charpoly_dense([[5]]) == [-5, 1]
+    assert charpoly_dense([]) == []
+    # a block with no rows, as tolist writes the 0 x 0 matrix, is that matrix
+    assert charpoly_dense([[], [[5]]]) == [[1], [-5, 1]]
     # [[0, 1], [1, 0]] has charpoly x^2 - 1
-    assert charpoly_dense([[0, 1], [1, 0]]) == [-1, 0, 1]
+    assert charpoly_dense([[[0, 1], [1, 0]]]) == [[-1, 0, 1]]
 
 
 def test_charpoly_dense_vs_numpy_fixed():
     block = [[0, 2, 0], [2, 0, 2], [0, 2, 0]]
-    assert charpoly_dense(block) == numpy_charpoly(block)
+    assert charpoly_dense([block]) == [numpy_charpoly(block)]
 
 
 def test_charpoly_dense_vs_numpy_random():
@@ -168,7 +170,7 @@ def test_charpoly_dense_vs_numpy_random():
     for _ in range(30):
         n = int(rng.integers(1, 7))
         block = random_sym(rng, n)
-        assert charpoly_dense(block) == numpy_charpoly(block)
+        assert charpoly_dense([block]) == [numpy_charpoly(block)]
 
 
 @settings(deadline=None, max_examples=60)
@@ -190,7 +192,7 @@ def test_charpoly_dense_matches_fraction_oracle(seed, n, kind):
         block = rng.integers(-3, 4, size=(n, n))
         block[rng.random((n, n)) < 0.6] *= p
     block = block.tolist()
-    assert charpoly_dense(block) == fraction_charpoly(block)
+    assert charpoly_dense([block]) == [fraction_charpoly(block)]
 
 
 def stacked_test_matrix(rng, n, kind, primes):
@@ -242,8 +244,8 @@ def test_charpoly_dense_at_n64_spans_several_stacks(monkeypatch):
     rng = np.random.default_rng(64)
     block = random_sym(rng, 64, -9, 9)
     stacks = counted_charpoly_mods(monkeypatch)
-    got = charpoly_dense(block)
-    primes = list(crt_primes(charpoly_bound(64, gershgorin_bound(block)), prime_bits(64)))
+    (got,) = charpoly_dense([block])
+    primes = list(crt_primes(coefficient_bound(np.array(block)), prime_bits(64)))
     size = max(1, charpoly._STACK_CELLS // 64**2)
     assert len(stacks) == -(-len(primes) // size) >= 2
     assert [p for stack in stacks for p in stack] == primes
@@ -268,7 +270,7 @@ def test_charpoly_dense_takes_one_stack_per_block_up_to_n28(monkeypatch):
     blocks.append(rng.integers(-10**4, 10**4 + 1, size=(28, 28)))
     for block in blocks:
         before = len(stacks)
-        assert charpoly_dense(block) == reference_charpoly_dense(block)
+        assert charpoly_dense([block]) == [reference_charpoly_dense(block)]
         assert len(stacks) == before + 1
     assert max(len(stack) for stack in stacks) > 1
 
@@ -276,10 +278,161 @@ def test_charpoly_dense_takes_one_stack_per_block_up_to_n28(monkeypatch):
 def test_charpoly_dense_accepts_arrays_and_returns_python_ints():
     for block in ([[5]], [[0, 1], [1, 0]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]]):
         a = np.array(block, dtype=np.int64)
-        got = charpoly_dense(a)
-        assert got == charpoly_dense(block)
+        (got,) = charpoly_dense([a])
+        assert charpoly_dense([block]) == [got]
         assert all(type(c) is int for c in got)
-    assert charpoly_dense(np.zeros((0, 0), dtype=np.int64)) == [1]
+    assert charpoly_dense([np.zeros((0, 0), dtype=np.int64)]) == [[1]]
+
+
+@pytest.mark.parametrize("block", [
+    [[0.5]],                      # a float, which a cast would round to 0
+    [[0, 1.7], [1.7, 0]],         # floats, which a cast would round to 1
+    [[0, 1, 2], [1, 0, 3]],       # not square
+    [[True, False], [False, True]],
+    np.zeros((2, 2)),
+    np.zeros((2, 2, 2), dtype=np.int64),
+    [[2**64]],                    # past int64, so object dtype
+], ids=["half", "floats", "2x3", "bool", "float_array", "3d", "object"])
+def test_charpoly_dense_rejects_what_is_not_a_square_integer_matrix(block):
+    with pytest.raises(ValueError):
+        charpoly_dense([block])
+    with pytest.raises(ValueError):
+        charpoly_dense([[[1]], block])
+
+
+def stacking_test_block(rng, n, kind):
+    """An n x n int64 block of one of the kinds that exercise the stacked
+    reduction."""
+    if kind == "sym":
+        return np.array(random_sym(rng, n, -5, 5), dtype=np.int64)
+    if kind == "wide":
+        # not symmetric, entries near 1e4: complex eigenvalues, several primes
+        return rng.integers(-10**4, 10**4 + 1, size=(n, n))
+    if kind == "block_diagonal":
+        # the Hessenberg form is reducible: a zero subdiagonal entry
+        k = int(rng.integers(0, n + 1))
+        a = np.zeros((n, n), dtype=np.int64)
+        a[:k, :k] = random_sym(rng, k, -5, 5)
+        a[k:, k:] = random_sym(rng, n - k, -5, 5)
+        return a
+    if kind == "zero_columns":
+        a = np.array(random_sym(rng, n, -5, 5), dtype=np.int64)
+        zero = rng.random(n) < 0.4
+        a[zero] = 0
+        a[:, zero] = 0
+        return a
+    # a twin quotient's shape: B = M S with M symmetric and nonnegative and
+    # S a positive diagonal, similar to a symmetric matrix but not one
+    m = np.triu(rng.integers(0, 6, size=(n, n)))
+    return (m + np.triu(m, 1).T) * rng.integers(1, 5, size=n)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(1, 9),
+                          st.sampled_from(["sym", "wide", "block_diagonal",
+                                           "zero_columns", "quotient"])),
+                min_size=1, max_size=8),
+       st.lists(st.integers(0, 7), max_size=3),
+       st.sampled_from([2**15, 2**8]))
+def test_charpoly_dense_stacks_match_one_block_at_a_time_and_the_oracle(
+        seed, shapes, repeats, cells):
+    # 1 x 1 blocks, repeated blocks, reducible Hessenberg forms and mixed
+    # sizes in one call; with 2**8 cells a stack holds 256 // n**2 layers
+    # (at least 1), so the layers of one size span several stacks
+    rng = np.random.default_rng(seed)
+    blocks = [stacking_test_block(rng, n, kind) for n, kind in shapes]
+    blocks += [blocks[i % len(blocks)] for i in repeats]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charpoly, "_STACK_CELLS", cells)
+        stacks = counted_charpoly_mods(mp)
+        got = charpoly_dense(blocks)
+        assert len({len(b) for b in blocks if len(b) > 1}) <= len(stacks)
+        assert got == [poly for b in blocks for poly in charpoly_dense([b])]
+    assert got == [fraction_charpoly(b.tolist()) for b in blocks]
+
+
+def test_charpoly_dense_spans_stacks_at_the_default_size(monkeypatch):
+    # 24 blocks of 24 x 24, each needing 2 or more primes: more layers
+    # than the 56 one stack holds at n = 24
+    rng = np.random.default_rng(24)
+    blocks = [np.array(random_sym(rng, 24, -9, 9), dtype=np.int64) for _ in range(24)]
+    layers = sum(len(list(crt_primes(coefficient_bound(b), prime_bits(24)))) for b in blocks)
+    size = charpoly._STACK_CELLS // 24**2
+    assert layers > size
+    stacks = counted_charpoly_mods(monkeypatch)
+    got = charpoly_dense(blocks)
+    assert [len(stack) for stack in stacks] == [size] * (layers // size) + [layers % size]
+    assert got == [reference_charpoly_dense(b) for b in blocks]
+
+
+def coefficient_magnitudes(block):
+    return [abs(c) for c in fraction_charpoly(np.asarray(block).tolist())]
+
+
+def maclaurin_bound(n, s2):
+    """2 max_k ceil(C(n, k) (s2 / n)**(k/2)), each term the least r with
+    r**2 n**k >= C(n, k)**2 s2**k, over every k."""
+    terms = []
+    for k in range(n + 1):
+        c2 = math.comb(n, k) ** 2 * s2**k
+        r = math.isqrt(c2 // n**k)
+        while r * r * n**k < c2:
+            r += 1
+        terms.append(r)
+    return 2 * max(terms)
+
+
+def row_sum_bound(block):
+    """The bound coefficient_bound replaced: 2 max_k C(n, k) B**k, with B
+    the largest absolute row sum."""
+    n, b = len(block), gershgorin_bound(block)
+    return 2 * max(math.comb(n, k) * b**k for k in range(n + 1))
+
+
+def test_coefficient_bound_covers_symmetric_blocks():
+    rng = np.random.default_rng(3)
+    blocks = [np.array(random_sym(rng, n, -6, 6), dtype=np.int64) for n in range(1, 16)]
+    blocks += [stacking_test_block(rng, 12, "block_diagonal"),
+               np.zeros((5, 5), dtype=np.int64), np.eye(4, dtype=np.int64) * 7]
+    for block in blocks:
+        bound = coefficient_bound(block)
+        assert bound == maclaurin_bound(len(block), int((block * block).sum()))
+        assert bound >= 2 * max(coefficient_magnitudes(block))
+        assert bound <= row_sum_bound(block)
+
+
+@pytest.mark.parametrize("spec, k, symmetric", [
+    ("prod(nc_p2:p=2,ut2:p=2)", 15, True), ("prod(nc_p2:p=2,nc_p2:p=3)", 19, False)])
+def test_coefficient_bound_covers_the_product_ring_quotients(spec, k, symmetric):
+    # the twin quotients of a product's msn and cn blocks: with classes
+    # of unequal sizes (35 vertices in 19 classes) they are not symmetric,
+    # and the squared Frobenius norm still bounds their eigenvalues'
+    # squares; with all 15 classes of 2 vertices, B is twice a symmetric
+    # matrix
+    from msnring.graphs import commuting_graph
+    from msnring.rings import parse_ring_spec
+    g = commuting_graph(parse_ring_spec(spec))
+    for m in (msn_matrix(g), cn_matrix(g)):
+        ((block, _),) = m.blocks
+        quotient = spectra._twin_quotient(block)[1]
+        assert len(quotient) == k and bool((quotient == quotient.T).all()) is symmetric
+        bound = coefficient_bound(quotient)
+        assert bound == maclaurin_bound(k, int((quotient * quotient).sum()))
+        assert bound >= 2 * max(coefficient_magnitudes(quotient))
+        assert bound <= row_sum_bound(quotient)
+
+
+def test_coefficient_bound_covers_complex_eigenvalues():
+    # c times a 3-cycle: tr(B**2) = 0, yet x**3 - c**3 needs a bound of
+    # 2 c**3, which the Frobenius norm gives
+    for c in (1, 5, 1000):
+        cycle = c * np.roll(np.eye(3, dtype=np.int64), 1, axis=1)
+        assert coefficient_bound(cycle) == maclaurin_bound(3, 3 * c**2) >= 2 * c**3
+        assert charpoly_dense([cycle]) == [[-c**3, 0, 0, 1]]
+    # a symmetric sign pattern whose entries admit no symmetrizing weights
+    a = np.array([[0, 1, 1], [2, 0, 1], [1, 2, 0]], dtype=np.int64)
+    assert coefficient_bound(a) >= 2 * max(coefficient_magnitudes(a))
 
 
 def test_prime_size_keeps_int64_products_exact():
@@ -450,8 +603,7 @@ def test_integer_roots_screen_passes_false_positives_to_exact_division(monkeypat
 
 
 def test_charpoly_dense_diagonal():
-    assert charpoly_dense([[1, 0], [0, 1]]) == [1, -2, 1]
-    assert charpoly_dense([[0] * 3] * 3) == [0, 0, 0, 1]
+    assert charpoly_dense([[[1, 0], [0, 1]], [[0] * 3] * 3]) == [[1, -2, 1], [0, 0, 0, 1]]
 
 
 def test_poly_mul():
@@ -505,7 +657,7 @@ def test_exact_spectrum_matches_the_fraction_oracle_on_integral_blocks():
         for c in (1, 2, 5):
             roots, residual = fraction_roots(c * block)
             assert residual == 0
-            assert exact_spectrum(IntSymMatrix(((c * block, 1),))).pairs == tuple(roots)
+            assert exact_spectrum(IntSymMatrix(((c * block, 1),)))[0].pairs == tuple(roots)
 
 
 def integral_or_random_sym(rng, kind, n):
@@ -543,4 +695,4 @@ def test_block_roots_match_the_fraction_oracle_on_scaled_blocks(seed, n, kind, c
     # any symmetric integer block, its diagonal and signs free, times c:
     # _block_roots divides by the gcd, which c multiplies, and scales back
     a = c * integral_or_random_sym(np.random.default_rng(seed), kind, n)
-    assert spectra._block_roots(a) == fraction_roots(a)
+    assert spectra._block_roots([a]) == [fraction_roots(a)]

@@ -321,7 +321,9 @@ def test_is_cc_ring():
 
 
 @pytest.mark.parametrize("spec", ["prod(nc_p2:p=2,ut2:p=2)", "prod(mat2:p=2,zn:n=2)",
-                                  "prod(prod(ut2:p=2,zn:n=2),zn:n=3)"])
+                                  "prod(prod(ut2:p=2,zn:n=2),zn:n=3)",
+                                  "prod(zn:n=3,ut2:p=2)", "prod(zn:n=2,zn:n=3)",
+                                  "prod(prod(nc_p2:p=2,nc_p2:p=2),zn:n=2)"])
 def test_centralizer_census_on_products_matches_multiply(spec):
     ring = parse_ring_spec(spec)
     elements = range(ring.order)
@@ -332,9 +334,19 @@ def test_centralizer_census_on_products_matches_multiply(spec):
     noncentral = [c for c in distinct if len(c) < ring.order]
     commutative = all(ring.multiply(a, b) == ring.multiply(b, a)
                       for c in noncentral for a in c for b in c)
+    # the count, the probability and the CC verdict come from the factors,
+    # without the product's commute mask
     assert centralizer_count(ring) == len(distinct)
-    assert noncentral_centralizer_sizes(ring) == sorted(map(len, noncentral))
+    assert commuting_probability(ring) == Fraction(sum(map(len, centralizers)), ring.order**2)
     assert is_cc_ring(ring) is (commutative if noncentral else None)
+    assert "commutes" not in ring.__dict__
+    # and they agree with the Kronecker mask the product builds on demand
+    r, s = ring.factors
+    kron = np.kron(r.commutes, s.commutes)
+    assert (ring.commutes == kron).all()
+    assert centralizer_count(ring) == len({row.tobytes() for row in kron})
+    assert commuting_probability(ring) == Fraction(int(kron.sum()), ring.order**2)
+    assert noncentral_centralizer_sizes(ring) == sorted(map(len, noncentral))
     assert [set(np.flatnonzero(row)) for row in ring.centralizers] == \
         list(dict.fromkeys(centralizers))
     assert not any(row.flags.writeable for row in ring.centralizers)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msnring import graphs, spectra
+from msnring import charpoly, graphs, spectra
 from msnring.charpoly import charpoly_dense, gershgorin_bound, integer_roots
 from msnring.graphs import (
     CliqueUnion,
@@ -191,7 +191,7 @@ def test_int_sym_matrix_checks_every_part(kind):
 
 
 def test_exact_spectrum_complete4():
-    s = exact_spectrum(msn_matrix(complete_graph(4)))
+    s = exact_spectrum(msn_matrix(complete_graph(4)))[0]
     assert isinstance(s, SpectrumMultiset)
     assert s.exact and s.pairs == ((-9, 3), (27, 1))
     assert s.energy() == 54
@@ -199,19 +199,19 @@ def test_exact_spectrum_complete4():
 
 def test_exact_spectrum_seven_edges():
     g = clique_union_graph(CliqueUnion(((2, 7),)))
-    s = exact_spectrum(msn_matrix(g))
+    s = exact_spectrum(msn_matrix(g))[0]
     assert s.pairs == ((-1, 7), (1, 7))
     assert s.energy() == 14
 
 
 def test_exact_spectrum_cn_complete5():
-    s = exact_spectrum(cn_matrix(complete_graph(5)))
+    s = exact_spectrum(cn_matrix(complete_graph(5)))[0]
     assert s.pairs == ((-3, 4), (12, 1))
     assert s.energy() == 24
 
 
 def test_exact_spectrum_path3_not_integral():
-    out = exact_spectrum(msn_matrix(path_graph(3)))
+    out = exact_spectrum(msn_matrix(path_graph(3)))[0]
     assert isinstance(out, NotFullyIntegral)
     assert out.integer_roots == ((0, 1),)
     assert out.residual_degree == 2
@@ -224,16 +224,16 @@ def test_exact_cap(monkeypatch):
         exact_spectrum(msn_matrix(cycles(6)))
     # at the cap is still allowed
     monkeypatch.setenv("MSNRING_EXACT_CAP", "6")
-    assert exact_spectrum(msn_matrix(cycles(6))).exact
+    assert exact_spectrum(msn_matrix(cycles(6)))[0].exact
 
 
 def test_exact_cap_admits_only_a_single_twin_class_above_it(monkeypatch):
     # K4 is one twin class: a 1 x 1 quotient, exact under a cap of 3
     monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
-    msn = matrix_spectra(msn_matrix(complete_graph(4)))
+    msn = matrix_spectra(msn_matrix(complete_graph(4)))[0]
     assert msn.method == "exact" and msn.integral is True
     assert msn.exact.pairs == ((-9, 3), (27, 1))
-    assert exact_spectrum(cn_matrix(complete_graph(4))).pairs == ((-2, 3), (6, 1))
+    assert exact_spectrum(cn_matrix(complete_graph(4)))[0].pairs == ((-2, 3), (6, 1))
     # the path of three triangles, each joined to the next: a 3 x 3
     # quotient of a 9-vertex block, which the cap bounds as a whole
     g = SimpleGraph.from_edges(9, [
@@ -244,14 +244,14 @@ def test_exact_cap_admits_only_a_single_twin_class_above_it(monkeypatch):
     monkeypatch.setenv("MSNRING_EXACT_CAP", "8")
     with pytest.raises(ExactCapExceeded, match="support block of dimension 9"):
         exact_spectrum(msn_matrix(g))
-    assert matrix_spectra(msn_matrix(g)).exact is None
+    assert matrix_spectra(msn_matrix(g))[0].exact is None
     monkeypatch.setenv("MSNRING_EXACT_CAP", "9")
-    assert exact_spectrum(msn_matrix(g)) == charpoly_oracle(brute_msn(g))
+    assert exact_spectrum(msn_matrix(g))[0] == charpoly_oracle(brute_msn(g))
 
 
 def test_exact_cap_applies_per_block(monkeypatch):
     monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
-    s = exact_spectrum(msn_matrix(clique_union_graph(CliqueUnion(((3, 2),)))))
+    s = exact_spectrum(msn_matrix(clique_union_graph(CliqueUnion(((3, 2),)))))[0]
     assert s.pairs == ((-4, 4), (8, 2))
 
 
@@ -278,6 +278,45 @@ def test_support_blocks():
     assert IntSymMatrix(()).n == 0
 
 
+def recorded_charpoly_calls(monkeypatch):
+    """Patch spectra's charpoly_dense to record, per call, the blocks passed."""
+    calls = []
+
+    def recorded(blocks):
+        calls.append(list(blocks))
+        return charpoly_dense(blocks)
+
+    monkeypatch.setattr(spectra, "charpoly_dense", recorded)
+    return calls
+
+
+def blocks_passed(calls):
+    """Every block charpoly_dense received, in order, as lists (each an
+    int64 array, which tolist requires)."""
+    return [block.tolist() for call in calls for block in call]
+
+
+def petersen_graph():
+    return SimpleGraph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                  + [(i, i + 5) for i in range(5)]
+                                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def test_classify_settles_msn_and_cn_in_one_charpoly_call(monkeypatch):
+    # the Petersen graph is twin-free, with girth 5 and diameter 2: its
+    # msn matrix is 27 A and its cn matrix J - I - A, one block each.  Both
+    # go to the polynomial (A divided by its gcd 27), in one stacked call
+    calls = recorded_charpoly_calls(monkeypatch)
+    report = classify(petersen_graph())
+    adjacency = petersen_graph().adjacency.astype(int)
+    assert [len(call) for call in calls] == [2]
+    distance_two = 1 - np.eye(10, dtype=int) - adjacency
+    assert blocks_passed(calls) == [adjacency.tolist(), distance_two.tolist()]
+    assert report.msn_method == report.cn_method == "exact"
+    assert report.msn_spectrum.pairs == ((-54, 4), (27, 5), (81, 1))
+    assert report.cn_spectrum.pairs == ((-2, 5), (1, 4), (6, 1))
+
+
 def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
     # two disjoint Clebsch graphs, whose edges are listed in opposite
     # orders; the one distinct twin-free block is settled once, by one
@@ -285,21 +324,16 @@ def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
     g = clebsch_graph(2)
     ((clebsch, count),) = msn_matrix(g).blocks
     assert count == 2
-    charpolys = []
-
-    def charpoly(block):
-        charpolys.append(block.tolist())  # the int64 block, not a list
-        return charpoly_dense(block)
-
-    monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
-    assert exact_spectrum(msn_matrix(g)).pairs == ((-225, 10), (75, 20), (375, 2))
-    assert charpolys == [(clebsch // 75).tolist()]
+    calls = recorded_charpoly_calls(monkeypatch)
+    assert exact_spectrum(msn_matrix(g))[0].pairs == ((-225, 10), (75, 20), (375, 2))
+    assert blocks_passed(calls) == [(clebsch // 75).tolist()]
 
 
 def charpoly_oracle(values):
     """exact_spectrum's answer from the whole matrix's characteristic polynomial."""
     rows = values.tolist()
-    roots, residual = integer_roots(charpoly_dense(rows), gershgorin_bound(rows))
+    (poly,) = charpoly_dense([rows])
+    roots, residual = integer_roots(poly, gershgorin_bound(rows))
     if residual:
         return NotFullyIntegral(tuple(roots), residual)
     return SpectrumMultiset(True, tuple(roots))
@@ -333,7 +367,7 @@ def test_exact_spectrum_never_trusts_its_hint(monkeypatch, kind):
     graphs += [random_graph(seed, 7 + seed % 5) for seed in range(8)]
     for g in graphs:
         for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
-            assert exact_spectrum(m) == charpoly_oracle(brute(g))
+            assert exact_spectrum(m)[0] == charpoly_oracle(brute(g))
     if kind == "no convergence":
         with pytest.raises(spectra.NoConvergence):
             numeric_spectrum(msn_matrix(complete_graph(6)))
@@ -351,18 +385,18 @@ def test_clique_blocks_settle_without_charpoly(monkeypatch):
     # K300 is above the default cap of 256; its quotient is not
     parts = CliqueUnion(((1, 2), (2, 3), (4, 2), (5, 1), (7, 3), (12, 1), (40, 1), (300, 1)))
     g = clique_union_graph(parts)
-    assert exact_spectrum(msn_matrix(g)) == spectra.clique_union_msn_spectrum(parts)
-    assert exact_spectrum(cn_matrix(g)) == spectra.clique_union_cn_spectrum(parts)
+    assert exact_spectrum(msn_matrix(g))[0] == spectra.clique_union_msn_spectrum(parts)
+    assert exact_spectrum(cn_matrix(g))[0] == spectra.clique_union_cn_spectrum(parts)
     # a K2 component: its zero cn block splits into two 1 x 1 pieces, and
     # its msn block [[0, 1], [1, 0]] is one class of closed twins
     k2 = complete_graph(2)
     assert [(b.tolist(), count) for b, count in cn_matrix(k2).blocks] == [([[0]], 2)]
-    assert exact_spectrum(cn_matrix(k2)).pairs == ((0, 2),)
-    assert exact_spectrum(msn_matrix(k2)).pairs == ((-1, 1), (1, 1))
+    assert exact_spectrum(cn_matrix(k2))[0].pairs == ((0, 2),)
+    assert exact_spectrum(msn_matrix(k2))[0].pairs == ((-1, 1), (1, 1))
     # a zero block is one class too, of inner entry 0
     zero = np.zeros((3, 3), dtype=np.int64)
     assert spectra._twin_quotient(zero)[1].tolist() == [[0]]
-    assert exact_spectrum(IntSymMatrix(((zero, 2),))).pairs == ((0, 6),)
+    assert exact_spectrum(IntSymMatrix(((zero, 2),)))[0].pairs == ((0, 6),)
     assert calls == []
 
 
@@ -401,14 +435,14 @@ def full_block_route(m):
     as a twin-free block is."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_twin_quotient", lambda block: (Counter(), block))
-        return exact_spectrum(m)
+        return exact_spectrum(m)[0]
 
 
 @settings(deadline=None, max_examples=60)
 @given(planted_twins)
 def test_twin_route_matches_the_full_block_route(g):
     for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
-        got = exact_spectrum(m)
+        got = exact_spectrum(m)[0]
         assert got == full_block_route(m)
         if g.n <= 16:
             assert got == charpoly_oracle(brute(g))
@@ -422,7 +456,7 @@ def test_planted_twins_shrink_the_quotient():
     ((block, _),) = msn_matrix(g).blocks
     found, quotient = spectra._twin_quotient(block)
     assert found == {-18: 2} and len(quotient) == 4
-    assert exact_spectrum(msn_matrix(g)) == full_block_route(msn_matrix(g))
+    assert exact_spectrum(msn_matrix(g))[0] == full_block_route(msn_matrix(g))
 
 
 def test_product_ring_quotients_match_the_full_block_route():
@@ -436,9 +470,9 @@ def test_product_ring_quotients_match_the_full_block_route():
     msn, cn = msn_matrix(g), cn_matrix(g)
     for m in (msn, cn):
         assert [len(spectra._twin_quotient(b)[1]) for b, _ in m.blocks] == [15]
-    assert exact_spectrum(msn) == full_block_route(msn)
-    assert exact_spectrum(cn) == full_block_route(cn)
-    assert exact_spectrum(msn).integer_roots == ((-1165, 1), (-233, 6), (-201, 9), (201, 4))
+    assert exact_spectrum(msn)[0] == full_block_route(msn)
+    assert exact_spectrum(cn)[0] == full_block_route(cn)
+    assert exact_spectrum(msn)[0].integer_roots == ((-1165, 1), (-233, 6), (-201, 9), (201, 4))
 
 
 def test_a_forged_twin_class_is_rejected_and_falls_back(monkeypatch):
@@ -451,17 +485,11 @@ def test_a_forged_twin_class_is_rejected_and_falls_back(monkeypatch):
     assert found == {-1: 1, -2: 1}
     assert quotient.tolist() == [[1, 2], [2, 2]]
     m = IntSymMatrix(((block, 1),))
-    charpolys = []
-
-    def charpoly(a):
-        charpolys.append(a.tolist())
-        return charpoly_dense(a)
-
-    monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
+    calls = recorded_charpoly_calls(monkeypatch)
     # even a detection that proposes the forged class is not trusted
     monkeypatch.setattr(spectra, "_row_labels", lambda a, extra=None: np.array([0, 0, 1, 2]))
-    assert exact_spectrum(m) == charpoly_oracle(block)
-    assert charpolys == [block.tolist()]
+    assert exact_spectrum(m)[0] == charpoly_oracle(block)
+    assert blocks_passed(calls) == [block.tolist()]
 
 
 def test_exact_spectrum_bounded_time_on_largest_clique_block():
@@ -471,16 +499,16 @@ def test_exact_spectrum_bounded_time_on_largest_clique_block():
     parts = CliqueUnion(((256, 1),))
     g = clique_union_graph(parts)
     start = time.perf_counter()
-    assert exact_spectrum(msn_matrix(g)) == spectra.clique_union_msn_spectrum(parts)
-    assert exact_spectrum(cn_matrix(g)) == spectra.clique_union_cn_spectrum(parts)
+    assert exact_spectrum(msn_matrix(g))[0] == spectra.clique_union_msn_spectrum(parts)
+    assert exact_spectrum(cn_matrix(g))[0] == spectra.clique_union_cn_spectrum(parts)
     assert time.perf_counter() - start < 5.0
     # 3K1250, numeric before twin reduction, is exact under the default cap
     parts = CliqueUnion(((1250, 3),))
     g = clique_union_graph(parts)
     start = time.perf_counter()
-    assert exact_spectrum(msn_matrix(g)) == spectra.clique_union_msn_spectrum(parts)
+    assert exact_spectrum(msn_matrix(g))[0] == spectra.clique_union_msn_spectrum(parts)
     assert time.perf_counter() - start < 5.0
-    msn = matrix_spectra(msn_matrix(g))
+    msn = matrix_spectra(msn_matrix(g))[0]
     assert msn.method == "exact" and msn.integral is True
     assert [m for _, m in msn.numeric.pairs] == [3747, 3]
 
@@ -498,25 +526,26 @@ def test_exact_spectrum_bounded_time_on_a_twin_free_block(monkeypatch):
     # 288 (8 - 2i) of multiplicity C(8, i); the polynomial is A's.  Its cn
     # matrix is 2 A2 on each of its two 128-vertex halves, where
     # A2 = (A**2 - 8 I) / 2 joins the vertices at distance two, with
-    # spectrum (8 - 2i)**2 - 8 of multiplicity C(8, i)
+    # spectrum (8 - 2i)**2 - 8 of multiplicity C(8, i).  The coefficient
+    # bound from A's squared Frobenius norm, 2048, takes 19 primes, where
+    # the row-sum bound took 30
     g = hypercube(8)
     m = msn_matrix(g)
     ((block, _),) = m.blocks
     assert spectra._twin_quotient(block)[1] is block
-    charpolys = []
-
-    def charpoly(a):
-        charpolys.append(a)
-        return charpoly_dense(a)
-
-    monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
+    calls = recorded_charpoly_calls(monkeypatch)
+    primes = []
+    mods = charpoly._charpoly_mods
+    monkeypatch.setattr(charpoly, "_charpoly_mods",
+                        lambda a, stack: primes.extend(stack) or mods(a, stack))
     start = time.perf_counter()
-    got = exact_spectrum(m)
+    got = exact_spectrum(m)[0]
     assert time.perf_counter() - start < 5.0
-    assert len(charpolys) == 1 and (charpolys[0] == g.adjacency).all()
+    assert blocks_passed(calls) == [g.adjacency.astype(int).tolist()]
+    assert len(primes) < 30
     assert got.pairs == tuple((288 * (8 - 2 * i), math.comb(8, i)) for i in range(8, -1, -1))
     start = time.perf_counter()
-    got = exact_spectrum(cn_matrix(g))
+    got = exact_spectrum(cn_matrix(g))[0]
     assert time.perf_counter() - start < 5.0
     want = Counter()
     for i in range(9):
@@ -532,17 +561,12 @@ def test_block_roots_divide_the_block_by_its_gcd(monkeypatch, name, g, scale):
     ((block, _),) = msn_matrix(g).blocks
     adjacency = g.adjacency.astype(np.int64)
     assert (block == scale * adjacency).all()
-    roots, residual = integer_roots(charpoly_dense(adjacency), gershgorin_bound(adjacency))
+    (poly,) = charpoly_dense([adjacency])
+    roots, residual = integer_roots(poly, gershgorin_bound(adjacency))
     assert residual == 0
-    charpolys = []
-
-    def charpoly(a):
-        charpolys.append(a.tolist())
-        return charpoly_dense(a)
-
-    monkeypatch.setattr(spectra, "charpoly_dense", charpoly)
-    assert exact_spectrum(msn_matrix(g)).pairs == tuple((scale * v, m) for v, m in roots)
-    assert charpolys == [adjacency.tolist()]
+    calls = recorded_charpoly_calls(monkeypatch)
+    assert exact_spectrum(msn_matrix(g))[0].pairs == tuple((scale * v, m) for v, m in roots)
+    assert blocks_passed(calls) == [adjacency.tolist()]
 
 
 def test_exact_spectrum_makes_no_float_call(monkeypatch):
@@ -552,7 +576,7 @@ def test_exact_spectrum_makes_no_float_call(monkeypatch):
     graphs += [random_graph(seed, 8 + seed) for seed in range(6)]
     matrices = [f(g) for g in graphs for f in (msn_matrix, cn_matrix)]
     assert sum(spectra._twin_quotient(b)[1] is b for m in matrices for b, _ in m.blocks) >= 10
-    want = [exact_spectrum(m) for m in matrices]
+    want = [exact_spectrum(m)[0] for m in matrices]
 
     def raising(*args, **kwargs):
         raise AssertionError("the exact route made a float call")
@@ -560,7 +584,7 @@ def test_exact_spectrum_makes_no_float_call(monkeypatch):
     for name in ("eigvalsh", "eigh", "eigvals", "eig"):
         monkeypatch.setattr(np.linalg, name, raising)
     fresh = [f(g) for g in graphs for f in (msn_matrix, cn_matrix)]
-    assert [exact_spectrum(m) for m in fresh] == want
+    assert [exact_spectrum(m)[0] for m in fresh] == want
     with pytest.raises(AssertionError, match="float call"):
         numeric_spectrum(fresh[0])
 
@@ -587,7 +611,7 @@ def test_matrix_spectra_per_block_equal_whole_matrix(parts, perm_seed):
     for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
         values = brute(g)
         assert blocks(m) == dense(values)
-        result = matrix_spectra(m)
+        result = matrix_spectra(m)[0]
         whole = np.linalg.eigvalsh(values.astype(np.float64))
         merged = [v for v, mult in result.numeric.pairs for _ in range(mult)]
         # a cluster mean sits within n cluster tolerances of each member
@@ -600,18 +624,37 @@ def test_matrix_spectra_per_block_equal_whole_matrix(parts, perm_seed):
 def test_matrix_spectra_above_cap(monkeypatch):
     # C6 is twin-free, and its msn spectrum 16, 8^2, -8^2, -16 is integral
     monkeypatch.setenv("MSNRING_EXACT_CAP", "5")
-    result = matrix_spectra(msn_matrix(cycles(6)))
+    result = matrix_spectra(msn_matrix(cycles(6)))[0]
     assert result.exact is None
     assert result.method == "numeric" and result.integral is None
     assert result.spectrum is result.numeric
     monkeypatch.setenv("MSNRING_EXACT_CAP", "6")
-    result = matrix_spectra(msn_matrix(cycles(6)))
+    result = matrix_spectra(msn_matrix(cycles(6)))[0]
     assert result.method == "exact" and result.integral is True
     assert result.spectrum is result.exact
 
 
+def test_matrix_spectra_retries_each_matrix_when_the_cap_declines_one(monkeypatch):
+    # K_{3,4}: the msn block is the whole 7-vertex graph, twin-free in the
+    # closed sense, while the cn matrix splits into its two sides,
+    # 4 (J - I) on 3 vertices and 3 (J - I) on 4, each one twin class.
+    # Under a cap of 5 the msn matrix is declined and the cn matrix is
+    # still settled exactly
+    g = SimpleGraph.from_edges(7, [(i, 3 + j) for i in range(3) for j in range(4)])
+    msn, cn = msn_matrix(g), cn_matrix(g)
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "5")
+    with pytest.raises(ExactCapExceeded, match="support block of dimension 7"):
+        exact_spectrum(msn, cn)
+    both = matrix_spectra(msn, cn)
+    assert [s.method for s in both] == ["numeric", "exact"]
+    assert both == (matrix_spectra(msn)[0], matrix_spectra(cn)[0])
+    assert both[1].exact.pairs == ((-4, 2), (-3, 3), (8, 1), (9, 1))
+    report = classify(g)
+    assert (report.msn_method, report.cn_method, report.msn_integral) == ("numeric", "exact", None)
+
+
 def test_matrix_spectra_not_fully_integral():
-    result = matrix_spectra(msn_matrix(path_graph(3)))
+    result = matrix_spectra(msn_matrix(path_graph(3)))[0]
     assert isinstance(result.exact, NotFullyIntegral)
     assert result.method == "numeric" and result.integral is False
     assert result.spectrum is result.numeric
@@ -638,7 +681,7 @@ def test_numeric_spectrum_empty():
 def test_exact_and_numeric_agree(seed, n):
     g = random_graph(seed, n)
     for m in (msn_matrix(g), cn_matrix(g)):
-        assert spectra_agree(exact_spectrum(m), numeric_spectrum(m))
+        assert spectra_agree(exact_spectrum(m)[0], numeric_spectrum(m))
 
 
 def test_exact_spectrum_bounded_time_on_dense_random_graph():
@@ -647,7 +690,7 @@ def test_exact_spectrum_bounded_time_on_dense_random_graph():
     assert len(g.components) == 1
     start = time.perf_counter()
     for m in (msn_matrix(g), cn_matrix(g)):
-        assert spectra_agree(exact_spectrum(m), numeric_spectrum(m))
+        assert spectra_agree(exact_spectrum(m)[0], numeric_spectrum(m))
     assert time.perf_counter() - start < 10.0
 
 
@@ -706,7 +749,7 @@ def test_spectra_agree_scales_its_tolerance_with_the_spectrum():
 
 
 def test_spectra_agree_partial_integer_part():
-    out = exact_spectrum(msn_matrix(path_graph(3)))
+    out = exact_spectrum(msn_matrix(path_graph(3)))[0]
     assert spectra_agree(out, numeric_spectrum(msn_matrix(path_graph(3))))
 
 
@@ -759,8 +802,7 @@ def test_classify_complete_graph():
 def test_classify_fast_path_matches_matrix_path():
     g = clique_union_graph(CliqueUnion(((2, 2), (4, 1))))
     rep = classify(g)
-    assert rep.msn_spectrum == exact_spectrum(msn_matrix(g))
-    assert rep.cn_spectrum == exact_spectrum(cn_matrix(g))
+    assert (rep.msn_spectrum, rep.cn_spectrum) == exact_spectrum(msn_matrix(g), cn_matrix(g))
     assert rep.msn_energy == rep.msn_spectrum.energy()
 
 
@@ -847,8 +889,7 @@ def test_clique_union_memory_stays_below_n_squared():
     tracemalloc.start()
     try:
         assert clique_decomposition(g) == parts
-        msn = matrix_spectra(msn_matrix(g))
-        cn = matrix_spectra(cn_matrix(g))
+        msn, cn = matrix_spectra(msn_matrix(g), cn_matrix(g))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -890,7 +931,7 @@ def test_one_eigensolve_per_distinct_block(monkeypatch):
     for g in graphs:
         for m in (msn_matrix(g), cn_matrix(g)):
             calls.clear()
-            result = matrix_spectra(m)
+            result = matrix_spectra(m)[0]
             assert len(calls) == len(m.blocks)
             assert sorted(calls) == sorted(b.shape for b, _ in m.blocks)
             assert spectra_agree(result.exact, result.numeric)
@@ -899,7 +940,7 @@ def test_one_eigensolve_per_distinct_block(monkeypatch):
     monkeypatch.setenv("MSNRING_EXACT_CAP", "4")
     m = msn_matrix(graphs[3])
     calls.clear()
-    assert matrix_spectra(m).exact is None
+    assert matrix_spectra(m)[0].exact is None
     assert len(calls) == len(m.blocks) == 3
 
 
@@ -909,7 +950,7 @@ def test_numeric_spectrum_reports_a_failed_eigensolve(monkeypatch):
     with pytest.raises(spectra.NoConvergence, match="symmetric eigensolve failed: no convergence"):
         numeric_spectrum(m)
     # the exact route still proves the spectrum from the polynomial
-    assert exact_spectrum(m).pairs == ((-2, 3), (6, 1))
+    assert exact_spectrum(m)[0].pairs == ((-2, 3), (6, 1))
 
 
 def test_msn_needs_no_split_and_cn_splits_once_per_class(monkeypatch):
@@ -947,4 +988,4 @@ def test_relabelled_clique_union_is_one_class():
     assert np.array_equal(counts, 98 * (np.ones((100, 100), dtype=int) - np.eye(100, dtype=int)))
     assert clique_decomposition(g) == parts
     assert [count for _, count in msn_matrix(g).blocks] == [31]
-    assert matrix_spectra(cn_matrix(g)).exact == spectra.clique_union_cn_spectrum(parts)
+    assert matrix_spectra(cn_matrix(g))[0].exact == spectra.clique_union_cn_spectrum(parts)

@@ -19,6 +19,8 @@ from msnring.rings import (
     upper_triangular_ring,
     zn,
 )
+from msnring import spectra
+from msnring.charpoly import charpoly_dense
 from msnring.spectra import classify
 from msnring.theorems import TheoremId, clique_union_msn_energy
 from msnring.verification import (
@@ -207,6 +209,33 @@ def test_fail_not_a_clique_union():
 
 
 # --- inferred t for the p^2 q family ---
+
+
+def test_a_graph_off_the_clique_unions_fails_with_its_exact_spectra(monkeypatch):
+    # eight non-central vertices on a cycle: the msn block is a multiple of
+    # the 8-cycle's adjacency, and the cn matrix is two 4-cycles, so each
+    # matrix reaches the polynomial, one at a time; a clique union sends
+    # none there
+    bad = doctored_ring((3, 3), [(i, i % 8 + 1) for i in range(1, 9)], name="doctored-c8")
+    calls = []
+
+    def recorded(blocks):
+        calls.append([np.asarray(b).shape for b in blocks])
+        return charpoly_dense(blocks)
+
+    monkeypatch.setattr(spectra, "charpoly_dense", recorded)
+    rep = verify_ring(bad, TheoremId.T2_1)
+    assert rep.verdict is Verdict.FAIL
+    assert rep.detail.startswith("not a union of cliques")
+    assert calls == [[(8, 8)], [(4, 4)]]
+    # the 8-cycle's spectrum holds +-sqrt(2), so msn falls back to the
+    # numeric route; the 4-cycles' is integral and exact
+    assert (rep.computed.msn_integral, rep.computed.msn_method) == (False, "numeric")
+    assert rep.computed.cn_method == "exact"
+    assert rep.computed.cn_spectrum.pairs == ((-2, 2), (0, 4), (2, 2))
+    calls.clear()
+    assert verify_ring(ring_noncomm_p2(3), TheoremId.T2_1, p=3).verdict is Verdict.PASS
+    assert calls == []
 
 
 def test_t4_1a_infers_t_from_uniform_components():
