@@ -29,9 +29,12 @@ def parse_decimal(text: str) -> int:
 
 def _env_int(name: str, default: int) -> int:
     try:
-        return parse_decimal(os.environ.get(name, str(default)))
+        value = parse_decimal(os.environ.get(name, str(default)))
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+    if value < 0:
+        raise ValueError(f"{name}: a cap must be at least 0, got {value}")
+    return value
 
 
 def universe_cap() -> int:

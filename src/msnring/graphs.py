@@ -10,11 +10,11 @@ A graph's components are labelled once (SimpleGraph.components): one
 census of closed rows finds the complete components, and breadth-first
 search labels only what is left (connected_components).  They are grouped
 once into classes (SimpleGraph.classes), complete ones by size and the
-others by adjacency block; the clique decomposition, the common neighbours
-(counted once per graph, SimpleGraph.common_neighbours), distance two and
-the msn/cn matrices are all built once per class, however many components
-carry its block.  So building a clique union takes a fixed number of array
-passes, whatever its number of components.
+others by adjacency block; the clique decomposition, the twin classes
+(SimpleGraph.twins), the common neighbours (SimpleGraph.common_neighbours),
+distance two and the msn/cn matrices are all built once per class, however
+many components carry its block.  So building a clique union takes a
+fixed number of array passes, whatever its number of components.
 Graph files are plain edge lists, read by one line and field grammar
 (parse_edge_list_text: array passes over the bytes and one np.fromstring
 call when every field fits int64), or JSON; both end in
@@ -116,6 +116,11 @@ class SimpleGraph:
                 seen.setdefault(key, (block, []))
             seen[key][1].append(comp)
         return tuple((block, np.array(comps)) for block, comps in seen.values())
+
+    @functools.cached_property
+    def twins(self) -> tuple[np.ndarray | None, ...]:
+        """The twin classes of each class (_twin_labels)."""
+        return tuple(_twin_labels(block) for block, _ in self.classes)
 
     @functools.cached_property
     def common_neighbours(self) -> tuple[np.ndarray, ...]:
@@ -268,8 +273,6 @@ def connected_components(adjacency: np.ndarray) -> Components:
     closed = np.packbits(adjacency, axis=1)
     closed[vertices, vertices >> 3] |= _BIT[vertices & 7]
     labels = _row_labels(closed)
-    if labels is None:
-        labels = vertices
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
@@ -291,21 +294,35 @@ def connected_components(adjacency: np.ndarray) -> Components:
     return Components([comp for comp, _ in found], [flag for _, flag in found])
 
 
-def _row_labels(a: np.ndarray, extra=None) -> np.ndarray | None:
+def _row_labels(a: np.ndarray) -> np.ndarray:
     """A label per row of a 2-D array, numbered first seen first: rows
-    share one when they are equal and so are their values in extra.
-    None when every row has its own.  One dict keyed by each row's bytes,
-    for the census of closed rows here and the twin classes of spectra."""
+    share one when they are equal.  One dict keyed by each row's bytes."""
     row = np.dtype((np.void, a.shape[1] * a.itemsize))
     keys = np.ascontiguousarray(a).view(row).ravel().tolist()  # one bytes per row
-    if extra is not None:
-        keys = list(zip(extra, keys))
-    index = dict.fromkeys(keys)
-    if len(index) == len(keys):
-        return None
-    for label, key in enumerate(index):
-        index[key] = label
+    index = {key: label for label, key in enumerate(dict.fromkeys(keys))}
     return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
+def _twin_labels(block: np.ndarray) -> np.ndarray | None:
+    """The twin classes of a connected adjacency block, as read-only
+    labels, equal within a class only, or None if the block is complete.
+
+    Closed twins (N[x] = N[y]) and open twins (N(x) = N(y)) have equal
+    packed closed or open rows.  A vertex with a closed twin takes its
+    closed class, any other its open class.  None has both: if N[x] = N[y]
+    and N(x) = N(z), then z ~ y, so z ~ x, and open twins are not adjacent.
+    Swapping two twins is an automorphism, which fixes delta2 and every
+    shared-neighbour count: each class is a twin class of the msn and cn
+    matrices too, with one inner entry.
+    """
+    n = len(block)
+    if int(np.count_nonzero(block)) == n * (n - 1):
+        return None
+    open_ = _row_labels(np.packbits(block, axis=1))
+    closed = _row_labels(np.packbits(block | np.eye(n, dtype=bool), axis=1))
+    labels = np.where(np.bincount(closed)[closed] > 1, closed, n + open_)
+    labels.setflags(write=False)
+    return labels
 
 
 def _shared_neighbours(block: np.ndarray) -> np.ndarray:

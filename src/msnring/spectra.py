@@ -4,30 +4,26 @@ the closed forms for clique unions.
 Both matrices are built once per class of SimpleGraph.classes (one
 distinct component block) from its common-neighbour count: the cn matrix
 is that count, and the msn matrix reads distance two off it.  An
-IntSymMatrix holds distinct diagonal blocks with counts.  An msn block
-stays whole, as its support is its class's connected adjacency (a vertex
-with a neighbour u has delta2 >= deg(u) >= 1).  A cn block is split over
-its support's components (the cn matrix of K_{a,b} splits into its two
+IntSymMatrix holds distinct diagonal blocks with counts, and their twin
+classes, which are G's (SimpleGraph.twins).  An msn block stays whole, as
+its support is its class's connected adjacency (a vertex with a
+neighbour u has delta2 >= deg(u) >= 1).  A cn block is split over its
+support's components (the cn matrix of K_{a,b} splits into its two
 sides), equal pieces grouped.  matrix_spectra dispatches both routes:
 
 * the exact route works in two steps on each distinct block.  First,
-  twin reduction: candidate twin classes (rows with equal closed support
-  and row sum, split further where they fail) are verified on the block,
-  each class of s vertices with inner entry a gives -a with multiplicity
-  s - 1, and the k x k quotient over the classes carries the rest; k = 1
-  is its own root.  A clique block, whose entries off the diagonal are
-  all equal, is one class, known from its largest entry and sum alone.
-  Second, a quotient with k > 1, the block itself when it is twin-free,
-  is divided by the gcd of its entries, and the characteristic
-  polynomial of the result is computed multimodularly (int64 arithmetic
-  modulo word-size primes, combined by the Chinese remainder theorem up
-  to a proven coefficient bound); its integer roots, scaled back by the
-  gcd, are the block's.  The quotients of all the matrices passed
-  together go to one charpoly_dense call, which stacks the quotients of
-  one size: classify passes a graph's msn and cn matrices together.
-  So the route either proves the spectrum integral or reports the
-  integer part found, and it reads no float.  It declines matrices with
-  a block above the exact cap that is not a single twin class.
+  twin reduction: the block's twin classes are verified on it, each class
+  of s vertices with inner entry a gives -a with multiplicity s - 1, and
+  the k x k quotient over the classes carries the rest; k = 1 is its own
+  root.  A block whose entries off the diagonal are all equal, as a
+  clique's are, is one class, known from its largest entry and sum alone.
+  Second, the integer roots of every quotient with k > 1, the block
+  itself when it is twin-free, are proven from its characteristic
+  polynomial (_block_roots), all in one charpoly_dense call: classify
+  passes a graph's msn and cn matrices together.  So the route either
+  proves the spectrum integral or reports the integer part found, and it
+  reads no float.  It declines matrices with a block above the exact cap
+  that is not a single twin class.
 * the numeric route is the symmetric float eigensolve per block
   (IntSymMatrix.eigenvalues), merged and clustered into multiplicities.
 
@@ -48,7 +44,6 @@ from .config import exact_cap
 from .graphs import (
     CliqueUnion,
     SimpleGraph,
-    _row_labels,
     clique_decomposition,
     connected_components,
     delta2_all,
@@ -71,25 +66,34 @@ class NoConvergence(SpectraError):
     pass
 
 
-def _grouped(pairs) -> tuple[tuple[np.ndarray, int], ...]:
-    """(square array, count) pairs with equal arrays merged, in first-seen order."""
+def _grouped(pieces) -> tuple[tuple[tuple[np.ndarray, int], ...], tuple]:
+    """(square array, count, twin labels) triples with equal arrays merged,
+    in first-seen order and with their first labels, as IntSymMatrix's
+    blocks and twins."""
     seen: dict[tuple[str, bytes], list] = {}
-    for a, count in pairs:
+    for a, count, labels in pieces:
         # the arrays are square, so equal dtype and bytes mean equal arrays
-        seen.setdefault((a.dtype.str, a.tobytes()), [a, 0])[1] += count
-    return tuple((a, count) for a, count in seen.values())
+        seen.setdefault((a.dtype.str, a.tobytes()), [a, 0, labels])[1] += count
+    return (tuple((a, count) for a, count, _ in seen.values()),
+            tuple(labels for *_, labels in seen.values()))
 
 
 @dataclass(frozen=True, eq=False)
 class IntSymMatrix:
     """Block-diagonal symmetric nonnegative integer matrix with zero
     diagonal, as checked (distinct block, positive count) pairs: msn_matrix
-    gives one per graph class, cn_matrix one per class support component."""
+    gives one per graph class, cn_matrix one per class support component.
+    twins holds each block's twin classes, as labels equal within a class
+    only, or None (all None when not given)."""
 
     blocks: tuple[tuple[np.ndarray, int], ...] = field(repr=False)
+    twins: tuple[np.ndarray | None, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        for v, count in self.blocks:
+        object.__setattr__(self, "twins", self.twins or (None,) * len(self.blocks))
+        if len(self.twins) != len(self.blocks):
+            raise SpectraError(f"need {len(self.blocks)} twin labellings, got {len(self.twins)}")
+        for (v, count), labels in zip(self.blocks, self.twins):
             if v.ndim != 2 or v.shape[0] != v.shape[1] or not v.size:
                 raise SpectraError(f"matrix block must be a nonempty square, got shape {v.shape}")
             if v.dtype.kind not in "iu":
@@ -103,6 +107,8 @@ class IntSymMatrix:
             if not isinstance(count, int) or count < 1:
                 raise SpectraError(f"block count must be a positive integer, got {count!r}")
             v.setflags(write=False)
+            if labels is not None and labels.shape != (len(v),):
+                raise SpectraError(f"twin labels of shape {labels.shape} for a block {v.shape}")
 
     @property
     def n(self) -> int:
@@ -203,15 +209,15 @@ def msn_matrix(g: SimpleGraph) -> IntSymMatrix:
     d2 = delta2_all(g)
     return IntSymMatrix(tuple(
         (np.minimum(d2[comps[0], None], d2[comps[0]]) * block, len(comps))
-        for block, comps in g.classes))
+        for block, comps in g.classes), g.twins)
 
 
 def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
     """Common neighborhood matrix: shared neighbor counts off diagonal."""
-    return IntSymMatrix(_grouped(
-        (counts[comp[:, None], comp], len(comps))
-        for counts, (_, comps) in zip(g.common_neighbours, g.classes)
-        for comp in connected_components(counts != 0)))
+    return IntSymMatrix(*_grouped(
+        (counts[piece[:, None], piece], len(comps), None if labels is None else labels[piece])
+        for counts, (_, comps), labels in zip(g.common_neighbours, g.classes, g.twins)
+        for piece in connected_components(counts != 0)))
 
 
 def _cluster_tol(peak: int, n: int) -> float:
@@ -220,8 +226,9 @@ def _cluster_tol(peak: int, n: int) -> float:
 
 
 def _verified(block: np.ndarray, labels: np.ndarray):
-    """(members by class, class starts, class sizes, inner entries) if
-    the labelled classes are twin classes of the block, else None.
+    """(members by class, class starts, class sizes, inner entries) of the
+    classes of equal nonnegative labels; ArithmeticError unless they are
+    twin classes.
 
     The members are listed class by class, from the given starts, each
     class first vertex first; that vertex is the class's representative.
@@ -231,6 +238,7 @@ def _verified(block: np.ndarray, labels: np.ndarray):
     any two vertices x, y of a class agree off {x, y} and have the entry a
     between them, so e_x - e_y is an eigenvector with eigenvalue -a.
     """
+    labels = (np.cumsum(np.bincount(labels) > 0) - 1)[labels]  # renumbered 0..k-1
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
@@ -239,38 +247,8 @@ def _verified(block: np.ndarray, labels: np.ndarray):
     hat = block.copy()
     np.fill_diagonal(hat, inner[labels])
     if not (hat == hat[reps[labels]]).all():
-        return None
+        raise ArithmeticError("twin labels are not twin classes of the block")
     return order, starts, sizes, inner
-
-
-def _twin_classes(block: np.ndarray):
-    """Verified twin classes of a block, as _verified gives them, or None
-    if it has none beyond singletons.
-
-    Candidates are the closed twins, rows with equal closed support
-    (block != 0) | I and equal sums (twins share both), grouped by their
-    packed bytes.  No candidate is trusted (_verified).  Twins agree
-    outside their class, so candidates that fail are split by their rows
-    outside their class until they pass or stop splitting: in a cn block,
-    twin classes of different inner entries can share one closed support.
-    Open twins (equal rows, not adjacent) are not sought: a clique block
-    has none, and a twin-free block is settled whole.
-    """
-    if len(block) == 1:
-        return None
-    closed = block != 0
-    np.fill_diagonal(closed, True)
-    labels = _row_labels(np.packbits(closed, axis=1), block.sum(axis=1).tolist())
-    while labels is not None:
-        twins = _verified(block, labels)
-        if twins is not None:
-            return twins
-        outside = np.where(labels[:, None] == labels, 0, block)
-        refined = _row_labels(outside, labels.tolist())
-        if refined is not None and refined.max() == labels.max():
-            return None
-        labels = refined
-    return None
 
 
 def _single_class(block: np.ndarray) -> bool:
@@ -281,32 +259,30 @@ def _single_class(block: np.ndarray) -> bool:
     return n > 1 and int(block.max()) * n * (n - 1) == int(block.sum())
 
 
-def _twin_quotient(block: np.ndarray) -> tuple[Counter[int], np.ndarray]:
-    """The eigenvalues a block's twin classes give, and the matrix left.
+def _twin_quotient(block: np.ndarray,
+                   labels: np.ndarray | None) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The (eigenvalue, multiplicity) pairs a block's twin classes give,
+    and the matrix left.
 
-    A class of s vertices with inner entry a gives -a with multiplicity
-    s - 1 (_twin_classes).  The other eigenvalues are those of the k x k
-    quotient B[i, j] = sum of block[r_i, z] over the class C_j, with r_i
-    the representative of C_i: the classes form an equitable partition,
-    and B is similar to a symmetric matrix, so its eigenvalues are real.
-    A block without twins is returned as it is.
+    A block that is one class (_single_class) needs no labels; without
+    them, or with k = n, the block is returned as it is.  The labels are
+    verified first (_verified, ArithmeticError if they fail).  A class of
+    s vertices with inner entry a gives -a with multiplicity s - 1.  The
+    other eigenvalues are those of the k x k quotient B[i, j] = sum of
+    block[r_i, z] over the class C_j, with r_i the representative of C_i:
+    the classes form an equitable partition, and B is similar to a
+    symmetric matrix, so its eigenvalues are real.
     """
-    found: Counter[int] = Counter()
     n = len(block)
     if _single_class(block):
         a = int(block.max())
-        found[-a] = n - 1
-        return found, np.array([[a * (n - 1)]])
-    twins = _twin_classes(block)
-    if twins is None:
-        return found, block
-    order, starts, sizes, inner = twins
-    for a, s in zip(inner.tolist(), sizes.tolist()):
-        if s > 1:
-            found[-a] += s - 1
+        return [(-a, n - 1)], np.array([[a * (n - 1)]])
+    if labels is None or np.count_nonzero(np.bincount(labels)) == n:
+        return [], block
+    order, starts, sizes, inner = _verified(block, labels)
+    found = [(-a, s - 1) for a, s in zip(inner.tolist(), sizes.tolist()) if s > 1]
     rows = block[order[starts]][:, order].astype(np.int64)
-    quotient = np.add.reduceat(rows, starts, axis=1)
-    return found, quotient
+    return found, np.add.reduceat(rows, starts, axis=1)
 
 
 def _block_roots(quotients: list[np.ndarray]) -> list[tuple[list[tuple[int, int]], int]]:
@@ -358,8 +334,8 @@ def exact_spectrum(*matrices: IntSymMatrix) -> tuple[SpectrumMultiset | NotFully
     """Integer eigenvalues of each matrix by exact computation, with no
     float call, in order.
 
-    Each distinct block is first reduced by its verified twin classes
-    (_twin_quotient), and the integer roots of all the quotients of all
+    Each distinct block is first reduced by its twin classes, verified on
+    it (_twin_quotient), and the integer roots of all the quotients of all
     the matrices are then proven from their characteristic polynomials
     (_block_roots, one charpoly_dense call).  If every block's spectrum
     is integral a matrix's spectrum is returned whole, else the integer
@@ -373,14 +349,15 @@ def exact_spectrum(*matrices: IntSymMatrix) -> tuple[SpectrumMultiset | NotFully
             if _declined(block, cap):
                 raise ExactCapExceeded(
                     f"support block of dimension {len(block)} exceeds the exact path cap {cap}")
-    reduced = [_twin_quotient(block) for m in matrices for block, _ in m.blocks]
+    reduced = [_twin_quotient(block, labels) for m in matrices
+               for (block, _), labels in zip(m.blocks, m.twins)]
     settled = iter(zip(reduced, _block_roots([quotient for _, quotient in reduced])))
     results = []
     for m in matrices:
         roots: Counter[int] = Counter()
         residual = 0
         for (_, count), ((found, _), (rest, left)) in zip(m.blocks, settled):
-            for value, mult in [*found.items(), *rest]:
+            for value, mult in [*found, *rest]:
                 roots[value] += mult * count
             residual += left * count
         pairs = tuple(sorted(roots.items()))
@@ -444,28 +421,27 @@ def matrix_spectra(*matrices: IntSymMatrix) -> tuple[MatrixSpectra, ...]:
     return tuple(MatrixSpectra(e, numeric_spectrum(m)) for e, m in zip(exact, matrices))
 
 
-def match_tol(numeric: SpectrumMultiset, tol: float = NUMERIC_MATCH_TOL) -> float:
+def match_tol(numeric: SpectrumMultiset) -> float:
     """How far a value of a numeric spectrum may lie from the exact value
-    it matches: tol, or NUMERIC_MATCH_REL times the spectrum's largest
-    |value| if that is more.  That |value| is the matrix's 2-norm, and the
-    float eigensolve's error grows with it, as it does with _cluster_tol's
-    bound peak * n.  An integer off by 1 still misses while the norm stays
-    below 1e12, as it does for every msn matrix of a graph within the
-    default universe cap (at most 4999**3)."""
+    it matches: NUMERIC_MATCH_TOL, or NUMERIC_MATCH_REL times the
+    spectrum's largest |value| if that is more.  That |value| is the
+    matrix's 2-norm, and the float eigensolve's error grows with it, as it
+    does with _cluster_tol's bound peak * n.  An integer off by 1 still
+    misses while the norm stays below 1e12, as it does for every msn matrix
+    of a graph within the default universe cap (at most 4999**3)."""
     radius = max((abs(v) for v, _ in numeric.pairs), default=0)
-    return max(tol, NUMERIC_MATCH_REL * float(radius))
+    return max(NUMERIC_MATCH_TOL, NUMERIC_MATCH_REL * float(radius))
 
 
 def spectra_agree(exact: SpectrumMultiset | NotFullyIntegral,
-                  numeric: SpectrumMultiset,
-                  tol: float = NUMERIC_MATCH_TOL) -> bool:
+                  numeric: SpectrumMultiset) -> bool:
     """Every integer eigenvalue from the exact path must be matched by a
-    numeric cluster of identical multiplicity within match_tol(numeric, tol)."""
+    numeric cluster of identical multiplicity within match_tol(numeric)."""
     if isinstance(exact, NotFullyIntegral):
         wanted = exact.integer_roots
     else:
         wanted = exact.pairs
-    tol = match_tol(numeric, tol)
+    tol = match_tol(numeric)
     for value, mult in wanted:
         hit = [m for v, m in numeric.pairs if abs(v - value) <= tol]
         if len(hit) != 1 or hit[0] != mult:

@@ -321,6 +321,9 @@ def sweep(theorems, ps, qs=()) -> list[VerificationReport]:
     return reports
 
 
+SUITE_MAX_SIZES, SUITE_MAX_SIZE, SUITE_MAX_COPIES = 4, 8, 4  # property_suite_clique_unions
+
+
 def enumerate_clique_unions(max_total: int) -> list[CliqueUnion]:
     """Every clique union with at most max_total vertices, deterministically."""
     out: list[CliqueUnion] = []
@@ -403,7 +406,6 @@ def _check_clique_union(parts: CliqueUnion,
 
 
 def property_suite_clique_unions(seed: int, trials: int, *,
-                                 r_max: int = 4, m_max: int = 8, l_max: int = 4,
                                  enumerate_total: int = 12) -> PropertySuiteReport:
     """Deterministic small cases plus seeded random clique unions."""
     if trials < 1:
@@ -412,9 +414,9 @@ def property_suite_clique_unions(seed: int, trials: int, *,
     rng = random.Random(seed)
     sampled: list[CliqueUnion] = []
     for _ in range(trials):
-        r = rng.randint(1, r_max)
-        ms = rng.sample(range(1, m_max + 1), r)
-        sampled.append(CliqueUnion.of([(m, rng.randint(1, l_max)) for m in ms]))
+        r = rng.randint(1, SUITE_MAX_SIZES)
+        ms = rng.sample(range(1, SUITE_MAX_SIZE + 1), r)
+        sampled.append(CliqueUnion.of([(m, rng.randint(1, SUITE_MAX_COPIES)) for m in ms]))
     equalities: list[str] = []
     counterexamples: list[str] = []
     passes = 0

@@ -30,6 +30,7 @@ from msnring.rings import (
     zn,
 )
 from msnring.spectra import (
+    NUMERIC_MATCH_TOL,
     cn_matrix,
     exact_spectrum,
     msn_matrix,
@@ -38,6 +39,9 @@ from msnring.spectra import (
 )
 from msnring.theorems import TheoremId
 from msnring.verification import (
+    SUITE_MAX_COPIES,
+    SUITE_MAX_SIZE,
+    SUITE_MAX_SIZES,
     Verdict,
     property_suite_clique_unions,
     sweep,
@@ -177,9 +181,9 @@ def test_criterion_09_centralizer_energy_identity():
 
 def test_criterion_10_property_suite():
     start = time.perf_counter()
-    report = property_suite_clique_unions(seed=20260814, trials=500,
-                                          r_max=4, m_max=8, l_max=4,
-                                          enumerate_total=12)
+    # at most 4 distinct sizes, each at most 8, each repeated at most 4 times
+    assert (SUITE_MAX_SIZES, SUITE_MAX_SIZE, SUITE_MAX_COPIES) == (4, 8, 4)
+    report = property_suite_clique_unions(seed=20260814, trials=500, enumerate_total=12)
     assert report.enumerated == 271
     assert report.checked == 271 + 500
     assert report.counterexamples == ()
@@ -191,6 +195,7 @@ def test_criterion_10_property_suite():
 
 
 def test_criterion_11_exact_numeric_agreement():
+    assert NUMERIC_MATCH_TOL == 1e-6  # spectra_agree's floor, the criterion's tolerance
     start = time.perf_counter()
     checked = 0
     for i in range(200):
@@ -201,8 +206,7 @@ def test_criterion_11_exact_numeric_agreement():
                  if rng.random() < density]
         g = SimpleGraph.from_edges(n, edges)
         for matrix in (msn_matrix(g), cn_matrix(g)):
-            assert spectra_agree(exact_spectrum(matrix)[0], numeric_spectrum(matrix),
-                                 tol=1e-6), (i, n)
+            assert spectra_agree(exact_spectrum(matrix)[0], numeric_spectrum(matrix)), (i, n)
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -504,8 +504,10 @@ def test_non_ascii_decimal_flags_exit_two(capsys, argv):
 
 @pytest.mark.parametrize("env", ["MSNRING_EXACT_CAP", "MSNRING_UNIVERSE_CAP"])
 def test_non_ascii_decimal_cap_exits_two(capsys, monkeypatch, env):
-    monkeypatch.setenv(env, "1_0")
-    code, out, err = run(capsys, "spectrum", "--matrix", "msn", "--spec", "ut2:p=2")
-    assert code == 2
-    assert out == ""
-    assert env in err and "invalid decimal integer" in err
+    for text, message in [("1_0", "invalid decimal integer"),
+                          ("-1", "a cap must be at least 0, got -1")]:
+        monkeypatch.setenv(env, text)
+        code, out, err = run(capsys, "spectrum", "--matrix", "msn", "--spec", "ut2:p=2")
+        assert code == 2
+        assert out == ""
+        assert env in err and message in err

@@ -34,9 +34,11 @@ def test_caps_read_strict_integers(monkeypatch, cap, env):
     default = cap()
     monkeypatch.setenv(env, "10")
     assert cap() == 10
-    for text in NOT_ASCII_DECIMAL:
+    for text in [*NOT_ASCII_DECIMAL, "-1"]:
         monkeypatch.setenv(env, text)
         with pytest.raises(ValueError, match=env):
             cap()
+    monkeypatch.setenv(env, "0")
+    assert cap() == 0
     monkeypatch.delenv(env)
     assert cap() == default

@@ -225,6 +225,26 @@ def test_complete_components_share_one_class_per_size():
     assert connected_components(np.zeros((0, 0), dtype=bool)) == ()
 
 
+def test_twins_one_census_per_class():
+    # classes, first seen first: K_1 (0), K_3 (1 2 3), the path 4-5-6-7
+    # (twin-free), the star centred at 8 (its leaves open twins) and the
+    # diamond 12..15 without the edge 12-15 (13 and 14 closed twins, 12
+    # and 15 open twins)
+    edges = [(1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (8, 9), (8, 10), (8, 11),
+             (12, 13), (12, 14), (13, 14), (13, 15), (14, 15)]
+    g = SimpleGraph.from_edges(16, edges)
+    assert len(g.twins) == len(g.classes) == 5
+    assert g.twins[:2] == (None, None)
+    classes = []
+    for labels in g.twins[2:]:
+        seen = {}
+        for v, label in enumerate(labels.tolist()):
+            seen.setdefault(label, []).append(v)
+        classes.append(sorted(seen.values()))
+    assert classes == [[[0], [1], [2], [3]], [[0], [1, 2, 3]], [[0, 3], [1, 2]]]
+    assert all(not labels.flags.writeable for labels in g.twins[2:])
+
+
 def brute_decomposition(g):
     comps = connected_components(g.adjacency)
     for comp in comps:

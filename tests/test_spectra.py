@@ -239,8 +239,7 @@ def test_exact_cap_admits_only_a_single_twin_class_above_it(monkeypatch):
     g = SimpleGraph.from_edges(9, [
         (u, v) for u, v in itertools.combinations(range(9), 2)
         if abs(u // 3 - v // 3) <= 1])
-    ((block, _),) = msn_matrix(g).blocks
-    assert len(spectra._twin_quotient(block)[1]) == 3
+    assert quotient_sizes(msn_matrix(g)) == [3]
     monkeypatch.setenv("MSNRING_EXACT_CAP", "8")
     with pytest.raises(ExactCapExceeded, match="support block of dimension 9"):
         exact_spectrum(msn_matrix(g))
@@ -395,7 +394,7 @@ def test_clique_blocks_settle_without_charpoly(monkeypatch):
     assert exact_spectrum(msn_matrix(k2))[0].pairs == ((-1, 1), (1, 1))
     # a zero block is one class too, of inner entry 0
     zero = np.zeros((3, 3), dtype=np.int64)
-    assert spectra._twin_quotient(zero)[1].tolist() == [[0]]
+    assert spectra._twin_quotient(zero, None)[1].tolist() == [[0]]
     assert exact_spectrum(IntSymMatrix(((zero, 2),)))[0].pairs == ((0, 6),)
     assert calls == []
 
@@ -434,7 +433,7 @@ def full_block_route(m):
     """exact_spectrum with no twin reduction: every block is settled whole,
     as a twin-free block is."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectra, "_twin_quotient", lambda block: (Counter(), block))
+        mp.setattr(spectra, "_twin_quotient", lambda block, labels: ([], block))
         return exact_spectrum(m)[0]
 
 
@@ -448,47 +447,151 @@ def test_twin_route_matches_the_full_block_route(g):
             assert got == charpoly_oracle(brute(g))
 
 
+def relabelled(g, perm_seed):
+    perm = np.random.default_rng(perm_seed).permutation(g.n)
+    return SimpleGraph.from_edges(
+        g.n, [tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in g.edges()])
+
+
+def product_graph(spec):
+    from msnring.graphs import commuting_graph
+    from msnring.rings import parse_ring_spec
+    return commuting_graph(parse_ring_spec(spec))
+
+
+def twin_classes(labels):
+    """The classes of equal labels, as sorted lists of rows, sorted."""
+    classes = {}
+    for v, label in enumerate(labels.tolist()):
+        classes.setdefault(label, []).append(v)
+    return sorted(classes.values())
+
+
+def quotient_sizes(m):
+    """k of each block of m under the twin classes it carries."""
+    return [len(spectra._twin_quotient(b, labels)[1]) for (b, _), labels in zip(m.blocks, m.twins)]
+
+
+def census_sizes(g):
+    """(matrix, n, k) of every msn block and cn piece of g, one per copy,
+    sorted, each block's census classes checked to be its twin classes."""
+    out = []
+    for name, m in (("msn", msn_matrix(g)), ("cn", cn_matrix(g))):
+        for (block, count), labels in zip(m.blocks, m.twins):
+            if labels is None:
+                # a complete class: the msn block and each cn piece is one class
+                assert len(block) == 1 or spectra._single_class(block)
+            else:
+                spectra._verified(block, labels)  # raises unless they are twin classes
+            k = len(spectra._twin_quotient(block, labels)[1])
+            out += [(name, len(block), k)] * count
+    return sorted(out)
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_twins, st.integers(0, 2**32 - 1))
+def test_census_classes_are_twin_classes_of_both_matrices(g, perm_seed):
+    # every class of the census verifies on the msn block and on every cn
+    # piece, its k does not depend on the labelling, and the spectrum is
+    # the one of the whole blocks
+    h = relabelled(g, perm_seed)
+    assert census_sizes(h) == census_sizes(g)
+    for m in (msn_matrix(h), cn_matrix(h)):
+        assert exact_spectrum(m)[0] == full_block_route(m)
+
+
+def test_census_on_k2_and_star_cn_pieces():
+    # K_2 is complete: no labels, and its zero cn block splits into two
+    # 1 x 1 pieces
+    k2 = complete_graph(2)
+    assert k2.twins == (None,)
+    cn = cn_matrix(k2)
+    assert [(b.tolist(), count) for b, count in cn.blocks] == [([[0]], 2)]
+    assert cn.twins == (None,)
+    # K_{1,m}: the leaves are open twins.  The msn block has two classes,
+    # the leaves' inner entry 0; the cn matrix splits into the centre alone
+    # and J - I on the leaves, each piece carrying its own class
+    for leaves in (2, 3, 5):
+        g = SimpleGraph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+        assert [twin_classes(labels) for labels in g.twins] == [[[0], list(range(1, leaves + 1))]]
+        msn = msn_matrix(g)
+        ((block, _),), (labels,) = msn.blocks, msn.twins
+        found, quotient = spectra._twin_quotient(block, labels)
+        assert found == [(0, leaves - 1)] and len(quotient) == 2
+        assert exact_spectrum(msn)[0] == charpoly_oracle(brute_msn(g))
+        cn = cn_matrix(g)
+        leaf_piece = np.ones((leaves, leaves), dtype=np.int64) - np.eye(leaves, dtype=np.int64)
+        assert [(b.tolist(), count, twin_classes(labels))
+                for (b, count), labels in zip(cn.blocks, cn.twins)] == [
+            ([[0]], 1, [[0]]), (leaf_piece.tolist(), 1, [list(range(leaves))])]
+        assert quotient_sizes(cn) == [1, 1]
+        assert exact_spectrum(cn)[0].pairs == ((-1, leaves - 1), (0, 1), (leaves - 1, 1))
+
+
+def test_census_reduces_both_matrices_of_a_product_to_63_classes():
+    # prod(mat2:p=2,mat2:p=2): 63 classes of closed twins on one block
+    g = product_graph("prod(mat2:p=2,mat2:p=2)")
+    for m in (msn_matrix(g), cn_matrix(g)):
+        assert quotient_sizes(m) == [63]
+
+
+def test_twin_labels_must_fit_their_block():
+    block = np.array([[0, 1], [1, 0]])
+    with pytest.raises(SpectraError, match=r"twin labels of shape \(3,\) for a block \(2, 2\)"):
+        IntSymMatrix(((block, 1),), (np.array([0, 0, 0]),))
+    with pytest.raises(SpectraError, match="need 1 twin labellings, got 2"):
+        IntSymMatrix(((block, 1),), (None, None))
+    assert IntSymMatrix(((block, 1),)).twins == (None,)
+
+
 def test_planted_twins_shrink_the_quotient():
     # the path 0 - 2 - 1 with vertex 0 blown up into a triangle and vertex
-    # 2 into an open pair: open twins are not sought, so the triangle alone
-    # is reduced
+    # 2 into an open pair: the triangle is a class of closed twins, with
+    # inner entry 18, and the pair a class of open twins, with inner entry
+    # 0, so the quotient is 3 x 3
     g = blown_up(0, [(3, True), (1, False), (2, False)], 0)
-    ((block, _),) = msn_matrix(g).blocks
-    found, quotient = spectra._twin_quotient(block)
-    assert found == {-18: 2} and len(quotient) == 4
-    assert exact_spectrum(msn_matrix(g))[0] == full_block_route(msn_matrix(g))
+    m = msn_matrix(g)
+    ((block, _),), (labels,) = m.blocks, m.twins
+    found, quotient = spectra._twin_quotient(block, labels)
+    assert sorted(found) == [(-18, 2), (0, 1)] and len(quotient) == 3
+    assert exact_spectrum(m)[0] == full_block_route(m)
 
 
 def test_product_ring_quotients_match_the_full_block_route():
     # the classes of a product's commuting graph are pairs of the factors'
-    # centralizers: 15 for nc_p2:p=2 x ut2:p=2, on 30 vertices.  In the cn
-    # block the closed supports group the vertices too coarsely, and the
-    # classes are found only once those candidates are split
-    from msnring.graphs import commuting_graph
-    from msnring.rings import parse_ring_spec
-    g = commuting_graph(parse_ring_spec("prod(nc_p2:p=2,ut2:p=2)"))
+    # centralizers: 15 for nc_p2:p=2 x ut2:p=2, on 30 vertices.  They are
+    # the graph's closed twin classes, and reduce the msn and the cn block
+    # alike
+    g = product_graph("prod(nc_p2:p=2,ut2:p=2)")
     msn, cn = msn_matrix(g), cn_matrix(g)
     for m in (msn, cn):
-        assert [len(spectra._twin_quotient(b)[1]) for b, _ in m.blocks] == [15]
+        assert quotient_sizes(m) == [15]
     assert exact_spectrum(msn)[0] == full_block_route(msn)
     assert exact_spectrum(cn)[0] == full_block_route(cn)
     assert exact_spectrum(msn)[0].integer_roots == ((-1165, 1), (-233, 6), (-201, 9), (201, 4))
 
 
-def test_a_forged_twin_class_is_rejected_and_falls_back(monkeypatch):
+def test_forged_twin_labels_raise_before_any_charpoly_call(monkeypatch):
     # 0 and 1 share a closed support and the entry 1 between them, but
     # their rows differ off the pair, at column 2; the twin classes are
     # {0, 3}, with inner entry 1, and {1, 2}, with 2
     block = np.array([[0, 1, 1, 1], [1, 0, 2, 1], [1, 2, 0, 1], [1, 1, 1, 0]])
-    assert spectra._verified(block, np.array([0, 0, 1, 2])) is None
-    found, quotient = spectra._twin_quotient(block)
-    assert found == {-1: 1, -2: 1}
+    forged = np.array([0, 0, 1, 2])
+    found, quotient = spectra._twin_quotient(block, np.array([0, 1, 1, 0]))
+    assert sorted(found) == [(-2, 1), (-1, 1)]
     assert quotient.tolist() == [[1, 2], [2, 2]]
-    m = IntSymMatrix(((block, 1),))
+    # forged labels are not trusted, and nothing settles the block in
+    # their place
     calls = recorded_charpoly_calls(monkeypatch)
-    # even a detection that proposes the forged class is not trusted
-    monkeypatch.setattr(spectra, "_row_labels", lambda a, extra=None: np.array([0, 0, 1, 2]))
-    assert exact_spectrum(m)[0] == charpoly_oracle(block)
+    with pytest.raises(ArithmeticError, match="not twin classes"):
+        spectra._verified(block, forged)
+    with pytest.raises(ArithmeticError, match="not twin classes"):
+        exact_spectrum(IntSymMatrix(((block, 1),), (forged,)))
+    with pytest.raises(ArithmeticError, match="not twin classes"):
+        matrix_spectra(IntSymMatrix(((block, 1),), (forged,)))
+    assert calls == []
+    # a matrix built without labels has its block settled whole
+    assert exact_spectrum(IntSymMatrix(((block, 1),)))[0] == charpoly_oracle(block)
     assert blocks_passed(calls) == [block.tolist()]
 
 
@@ -531,8 +634,8 @@ def test_exact_spectrum_bounded_time_on_a_twin_free_block(monkeypatch):
     # the row-sum bound took 30
     g = hypercube(8)
     m = msn_matrix(g)
-    ((block, _),) = m.blocks
-    assert spectra._twin_quotient(block)[1] is block
+    ((block, _),), (labels,) = m.blocks, m.twins
+    assert spectra._twin_quotient(block, labels)[1] is block
     calls = recorded_charpoly_calls(monkeypatch)
     primes = []
     mods = charpoly._charpoly_mods
@@ -575,7 +678,8 @@ def test_exact_spectrum_makes_no_float_call(monkeypatch):
     graphs = [cycles(6), cycles(5, 7), clebsch_graph(), hypercube(4)]
     graphs += [random_graph(seed, 8 + seed) for seed in range(6)]
     matrices = [f(g) for g in graphs for f in (msn_matrix, cn_matrix)]
-    assert sum(spectra._twin_quotient(b)[1] is b for m in matrices for b, _ in m.blocks) >= 10
+    assert sum(spectra._twin_quotient(b, labels)[1] is b for m in matrices
+               for (b, _), labels in zip(m.blocks, m.twins)) >= 10
     want = [exact_spectrum(m)[0] for m in matrices]
 
     def raising(*args, **kwargs):
@@ -635,9 +739,10 @@ def test_matrix_spectra_above_cap(monkeypatch):
 
 
 def test_matrix_spectra_retries_each_matrix_when_the_cap_declines_one(monkeypatch):
-    # K_{3,4}: the msn block is the whole 7-vertex graph, twin-free in the
-    # closed sense, while the cn matrix splits into its two sides,
-    # 4 (J - I) on 3 vertices and 3 (J - I) on 4, each one twin class.
+    # K_{3,4}: the msn block is the whole 7-vertex graph, two classes of
+    # open twins that the cap bounds whole, while the cn matrix splits into
+    # its two sides, 4 (J - I) on 3 vertices and 3 (J - I) on 4, each one
+    # twin class.
     # Under a cap of 5 the msn matrix is declined and the cn matrix is
     # still settled exactly
     g = SimpleGraph.from_edges(7, [(i, 3 + j) for i in range(3) for j in range(4)])
