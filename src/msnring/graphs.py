@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENV_UNIVERSE_CAP, parse_decimal, universe_cap
-from .rings import FiniteRing
+from .rings import FiniteRing, row_labels
 
 
 class GraphError(Exception):
@@ -260,19 +260,23 @@ def connected_components(adjacency: np.ndarray) -> Components:
     ordered by smallest vertex.
 
     One census of closed rows comes first: the rows of adjacency | I,
-    packed and grouped by their bytes (_row_labels).  Every member of a
+    packed and grouped by their bytes (row_labels).  Every member of a
     class has the class's closed row, so it lies in that row; when the
     row holds no more vertices than the class has members, the class is
     a complete component.  Breadth-first search labels only the vertices
-    left, one component per search.
+    left, one component per search.  The diagonal is zero, so one count
+    settles an array with no edges, or with every edge, at once.
     """
     n = len(adjacency)
-    if n == 0:
-        return Components()
+    edges = int(np.count_nonzero(adjacency))
+    if edges == 0:
+        return Components(np.arange(n)[:, None], (True,) * n)
+    if edges == n * (n - 1):
+        return Components([np.arange(n)], [True])
     vertices = np.arange(n)
     closed = np.packbits(adjacency, axis=1)
     closed[vertices, vertices >> 3] |= _BIT[vertices & 7]
-    labels = _row_labels(closed)
+    labels = row_labels(closed)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
@@ -294,15 +298,6 @@ def connected_components(adjacency: np.ndarray) -> Components:
     return Components([comp for comp, _ in found], [flag for _, flag in found])
 
 
-def _row_labels(a: np.ndarray) -> np.ndarray:
-    """A label per row of a 2-D array, numbered first seen first: rows
-    share one when they are equal.  One dict keyed by each row's bytes."""
-    row = np.dtype((np.void, a.shape[1] * a.itemsize))
-    keys = np.ascontiguousarray(a).view(row).ravel().tolist()  # one bytes per row
-    index = {key: label for label, key in enumerate(dict.fromkeys(keys))}
-    return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
-
-
 def _twin_labels(block: np.ndarray) -> np.ndarray | None:
     """The twin classes of a connected adjacency block, as read-only
     labels, equal within a class only, or None if the block is complete.
@@ -318,8 +313,8 @@ def _twin_labels(block: np.ndarray) -> np.ndarray | None:
     n = len(block)
     if int(np.count_nonzero(block)) == n * (n - 1):
         return None
-    open_ = _row_labels(np.packbits(block, axis=1))
-    closed = _row_labels(np.packbits(block | np.eye(n, dtype=bool), axis=1))
+    open_ = row_labels(np.packbits(block, axis=1))
+    closed = row_labels(np.packbits(block | np.eye(n, dtype=bool), axis=1))
     labels = np.where(np.bincount(closed)[closed] > 1, closed, n + open_)
     labels.setflags(write=False)
     return labels

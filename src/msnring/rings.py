@@ -1,19 +1,23 @@
 """Finite rings on explicit additive coordinates.
 
 A ring is stored as its additive group Z_{d1} x ... x Z_{dk} together with
-either a multiplication table on element indices or, for a direct product,
-its two factors.  A product builds its table only when `table` is read: its
-commute mask, its central elements and any rows of its table come from the
-factors'.  Indices enumerate the mixed radix coordinate tuples in row-major
-order (first modulus most significant), so index 0 is always the additive
-identity.  User tables are validated exhaustively.  Built-in families are
-square matrices over Z_m with some entries fixed at zero and one coordinate
-per free entry, in row-major order: zn is the 1x1 case, and nc_p2, ut2 and
-mat2 are 2x2 over F_p with a zero bottom row, a zero (1, 0) entry and no
-fixed entry.  One builder fills all their tables.  The invariants are read
-off the commute and central masks: the distinct centralizers are the
-distinct rows of the commute mask, and the additive type of R / Z(R) comes
-from counting the elements whose p^k-multiples are central.
+a multiplication table on element indices, its two factors for a direct
+product, or its matrix form for a built-in family.  Indices enumerate the
+mixed radix coordinate tuples in row-major order (first modulus most
+significant), so index 0 is always the additive identity.  User tables are
+validated exhaustively.  Built-in families are square matrices over Z_m
+with some entries fixed at zero and one coordinate per free entry, in
+row-major order: zn is the 1x1 case, and nc_p2, ut2 and mat2 are 2x2 over
+F_p with a zero bottom row, a zero (1, 0) entry and no fixed entry.
+Products and matrix rings build their table only when `table` is read: a
+product's commute mask, central elements and table rows come from the
+factors', and a matrix ring's rows and products from its coordinates and
+the structure constants of its free entries.  A matrix ring's
+centralizers are the kernels of its maps y -> xy - yx, labelled by one
+batched row reduction (FiniteRing._kernels).  The invariants are read off
+the commute and central masks: the distinct centralizers are the distinct
+rows of the commute mask, and the additive type of R / Z(R) comes from
+counting the elements whose p^k-multiples are central.
 """
 
 from __future__ import annotations
@@ -91,13 +95,18 @@ class CentralizerSet:
 
 @dataclass(frozen=True, eq=False)
 class FiniteRing:
-    """A ring on element indices.  A table ring is made by `_freeze`, which
-    stores its table; a direct product holds its two `factors`."""
+    """A ring on element indices, in one of three forms.  A table ring is
+    made by `_freeze`, which stores its table; a direct product holds its
+    two `factors`; a matrix ring holds `matrix`, its modulus and the
+    positions of its free entries (_matrix_ring).  The last two build
+    their table only when `table` is read."""
 
     name: str
     moduli: tuple[int, ...]
     factors: tuple[FiniteRing, FiniteRing] | None = field(default=None, repr=False,
                                                           kw_only=True)
+    matrix: tuple[int, tuple[tuple[int, int], ...]] | None = field(default=None, repr=False,
+                                                                    kw_only=True)
 
     @property
     def order(self) -> int:
@@ -105,12 +114,41 @@ class FiniteRing:
 
     @functools.cached_property
     def table(self) -> np.ndarray:
-        """Read-only int32 multiplication table, built for a product on first read."""
-        if self.factors is None:
-            raise RingError(f"{self.name} has neither a table nor factors")
+        """Read-only int32 multiplication table, built for a product or a
+        matrix ring on first read."""
+        if self.factors is None and self.matrix is None:
+            raise RingError(f"{self.name} has neither a table nor factors nor a matrix form")
         table = self.rows(np.arange(self.order))
         table.setflags(write=False)
         return table
+
+    @functools.cached_property
+    def _coords(self) -> np.ndarray:
+        """The coordinates of every element, as one (k, |R|) int64 array."""
+        return np.array(_coord_arrays(self.moduli), dtype=np.int64)
+
+    @functools.cached_property
+    def _kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, member) of a matrix ring: the centralizer of element x
+        is the read-only mask member[labels[x]], and member's rows are the
+        distinct centralizers, first seen first.
+
+        y -> xy - yx is a k x k matrix A_x over Z_m, linear in x, so one
+        product of the coordinates with the commutator constants gives all
+        of them.  C(x) is the kernel of A_x, and over F_p equal row spaces
+        mean equal kernels, so the canonical forms of _row_spaces label the
+        centralizers.  Each class's member row is the kernel of A_y for one
+        representative y, tested on every element.  zn's maps are all
+        zero, so a composite n needs no inverse.
+        """
+        m, free = self.matrix
+        k = len(free)
+        maps = (self._coords.T @ _commutator(free) % m).reshape(self.order, k, k)
+        labels = row_labels(_row_spaces(maps, m))
+        _, reps = np.unique(labels, return_index=True)
+        member = ~(maps[reps] @ self._coords % m).any(axis=1)
+        member.setflags(write=False)
+        return labels, member
 
     @functools.cached_property
     def commutes(self) -> np.ndarray:
@@ -121,6 +159,9 @@ class FiniteRing:
             # [i |S| + k, j |S| + l] is r.commutes[i, j] and s.commutes[k, l]
             mask = (r.commutes[:, None, :, None]
                     & s.commutes[None, :, None, :]).reshape(self.order, self.order)
+        elif self.matrix:
+            labels, member = self._kernels
+            mask = member[labels]
         else:
             mask = self.table == self.table.T
         mask.setflags(write=False)
@@ -132,6 +173,9 @@ class FiniteRing:
         if self.factors:
             r, s = self.factors
             mask = (r.central[:, None] & s.central[None, :]).ravel()
+        elif self.matrix:
+            labels, member = self._kernels
+            mask = member.all(axis=1)[labels]
         else:
             mask = self.commutes.all(axis=1)
         mask.setflags(write=False)
@@ -140,6 +184,8 @@ class FiniteRing:
     @functools.cached_property
     def centralizers(self) -> tuple[np.ndarray, ...]:
         """The distinct rows of `commutes`, first seen first, as read-only views."""
+        if self.matrix:
+            return tuple(self._kernels[1])
         return tuple({row.tobytes(): row for row in self.commutes}.values())
 
     @property
@@ -155,18 +201,38 @@ class FiniteRing:
             r, s = self.factors
             block = r.noncentral_commutes()
             return np.repeat(np.repeat(block, s.order, axis=0), s.order, axis=1)
-        vertices = np.flatnonzero(~self.central)
-        return self.commutes[np.ix_(vertices, vertices)]
+        return self._commute_block(np.flatnonzero(~self.central))
+
+    def _commute_block(self, members: np.ndarray) -> np.ndarray:
+        """A new copy of commutes[np.ix_(members, members)], by two `take`
+        calls, each far faster than one gather on two index arrays; a
+        matrix ring gathers it from its centralizer rows without building
+        `commutes`."""
+        if self.matrix:
+            labels, member = self._kernels
+            return member.take(members, axis=1).take(labels[members], axis=0)
+        return self.commutes.take(members, axis=0).take(members, axis=1)
 
     def rows(self, indices) -> np.ndarray:
         """The table rows of an array of element indices, as a new int32 array."""
         indices = np.asarray(indices, dtype=np.intp)
-        if not self.factors:
+        if self.factors:
+            r, s = self.factors
+            i, k = np.divmod(indices, s.order)
+            return (r.rows(i)[:, :, None] * s.order
+                    + s.rows(k)[:, None, :]).reshape(len(indices), self.order)
+        if self.matrix is None:
             return self.table[indices]
-        r, s = self.factors
-        i, k = np.divmod(indices, s.order)
-        return (r.rows(i)[:, :, None] * s.order
-                + s.rows(k)[:, None, :]).reshape(len(indices), self.order)
+        m, free = self.matrix
+        x, y = self._coords[:, indices, None], self._coords[:, None, :]
+        out = np.zeros((len(indices), self.order), dtype=np.int32)
+        block = _row_block(self.order)
+        for start in range(0, len(indices), block):
+            rows, xs = out[start:start + block], x[:, start:start + block]
+            for pairs in _products(free):
+                rows *= m
+                rows += _bilinear(xs, y, pairs) % m
+        return out
 
     def coords(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.order:
@@ -179,11 +245,17 @@ class FiniteRing:
         return int(np.ravel_multi_index(coords, self.moduli))
 
     def multiply(self, i: int, j: int) -> int:
-        if not self.factors:
+        if self.factors:
+            r, s = self.factors
+            (a, k), (b, l) = divmod(i, s.order), divmod(j, s.order)
+            return r.multiply(a, b) * s.order + s.multiply(k, l)
+        if self.matrix is None:
             return int(self.table[i, j])
-        r, s = self.factors
-        (a, k), (b, l) = divmod(i, s.order), divmod(j, s.order)
-        return r.multiply(a, b) * s.order + s.multiply(k, l)
+        m, free = self.matrix
+        x, y, out = self._coords[:, i].tolist(), self._coords[:, j].tolist(), 0
+        for pairs in _products(free):
+            out = out * m + _bilinear(x, y, pairs) % m
+        return out
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.name}, order={self.order})"
@@ -218,23 +290,88 @@ def _row_block(cells_per_row: int) -> int:
     return max(1, (1 << 22) // max(1, cells_per_row))
 
 
+def row_labels(a: np.ndarray) -> np.ndarray:
+    """A label per row of a 2-D array, numbered first seen first: rows
+    share one when they are equal.  One dict keyed by each row's bytes."""
+    row = np.dtype((np.void, a.shape[1] * a.itemsize))
+    keys = np.ascontiguousarray(a).view(row).ravel().tolist()  # one bytes per row
+    index = {key: label for label, key in enumerate(dict.fromkeys(keys))}
+    return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
+@functools.cache
+def _products(free: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """products[t] holds the pairs (a, b) with E_a E_b = E_t, where E_j is
+    the matrix unit at free[j]."""
+    where = {pos: j for j, pos in enumerate(free)}
+    dim = 1 + max(map(max, free))
+    return tuple(tuple((where[r, i], where[i, c]) for i in range(dim)
+                       if (r, i) in where and (i, c) in where) for r, c in free)
+
+
+@functools.cache
+def _commutator(free: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Read-only: entry [i, t k + j] is coordinate t of [E_i, E_j]."""
+    k = len(free)
+    commutator = np.zeros((k, k, k), dtype=np.int64)
+    for t, pairs in enumerate(_products(free)):
+        for a, b in pairs:
+            commutator[a, t, b] += 1
+            commutator[b, t, a] -= 1
+    commutator.setflags(write=False)
+    return commutator.reshape(k, k * k)
+
+
+def _bilinear(x, y, pairs):
+    """sum x_a y_b over pairs, for coordinate lists or broadcast arrays."""
+    return sum(x[a] * y[b] for a, b in pairs)
+
+
+@functools.cache
+def _inverses(p: int) -> np.ndarray:
+    """inverse[a] = a^-1 mod the prime p, and 0 at 0, read-only."""
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    inverse.setflags(write=False)
+    return inverse
+
+
+def _row_spaces(a: np.ndarray, p: int) -> np.ndarray:
+    """A canonical form of the row space of each matrix of a (n, k, k)
+    stack over F_p, as n rows of k element indices.
+
+    Gauss-Jordan elimination, batched: a column's step takes in every
+    matrix its first nonzero row not yet a pivot, scales it to a leading 1
+    and clears the column from the other rows, so k steps at most.  The
+    rows left are the reduced row echelon form, in some order, and rows of
+    zeros.  Each row is read as the element with those coordinates, and
+    the indices are sorted.  Equal forms mean equal row spaces, hence equal
+    kernels.  An all zero stack takes no step, so needs no inverse.
+    """
+    n, k, _ = a.shape
+    if a.any():
+        inverse, each = _inverses(p), np.arange(n)
+        unused = np.ones((n, k), dtype=bool)
+        for c in range(k):
+            found = (a[:, :, c] != 0) & unused
+            pivot = found.argmax(axis=1)
+            hit = found[each, pivot]
+            if not hit.any():
+                continue
+            row = a[each, pivot] * hit[:, None]  # zero where the column has no pivot
+            row = row * inverse[row[:, c], None] % p
+            factor = a[:, :, c].copy()
+            factor[each, pivot] -= 1  # the pivot row becomes the scaled row
+            a = (a - factor[:, :, None] * row[:, None, :]) % p
+            unused[each, pivot] &= ~hit
+    return np.sort(a @ p ** np.arange(k - 1, -1, -1), axis=1)
+
+
 def _matrix_ring(name: str, m: int, free: tuple[tuple[int, int], ...]) -> FiniteRing:
     """Square matrices over Z_m, zero outside the product-closed row-major
-    positions `free`, with coordinate j the entry at free[j].  Entry (r, c) of
-    xy is sum_k x[r, k] y[k, c] mod m, in int64 for one row block at a time."""
-    moduli = (m,) * len(free)
-    order, dim = math.prod(moduli), 1 + max(map(max, free))
-    mats = np.zeros((dim, dim, order), dtype=np.int64)
-    for (r, c), coord in zip(free, _coord_arrays(moduli)):
-        mats[r, c] = coord
-    table = np.zeros((order, order), dtype=np.int32)
-    block = _row_block(order)
-    for start in range(0, order, block):
-        rows = table[start:start + block]
-        for r, c in free:
-            rows *= m
-            rows += mats[r, :, start:start + block].T @ mats[:, c] % m
-    return _freeze(name, moduli, table)
+    positions `free`, with coordinate j the entry at free[j].  It builds
+    nothing: rows, products and centralizers come from the coordinates
+    and the structure constants of `free` (_products, _commutator)."""
+    return FiniteRing(name, (m,) * len(free), matrix=(m, free))
 
 
 def validate_ring_axioms(moduli: tuple[int, ...], table: np.ndarray) -> None:
@@ -391,7 +528,12 @@ def commuting_probability(ring: FiniteRing) -> Fraction:
     product's pair commutes exactly when both coordinates do."""
     if ring.factors:
         return math.prod(map(commuting_probability, ring.factors))
-    return Fraction(int(ring.commutes.sum()), ring.order ** 2)
+    if ring.matrix:
+        labels, member = ring._kernels  # each class's size times its count
+        pairs = int(np.bincount(labels) @ np.count_nonzero(member, axis=1))
+    else:
+        pairs = int(np.count_nonzero(ring.commutes))
+    return Fraction(pairs, ring.order ** 2)
 
 
 def _noncentral_centralizers(ring: FiniteRing) -> list[np.ndarray]:
@@ -415,7 +557,7 @@ def is_cc_ring(ring: FiniteRing) -> bool | None:
         return is_cc_ring(noncommutative[0]) if noncommutative else None
     if ring.is_commutative:
         return None
-    return all(ring.commutes[np.ix_(members, members)].all()
+    return all(ring._commute_block(members).all()
                for members in map(np.flatnonzero, _noncentral_centralizers(ring)))
 
 

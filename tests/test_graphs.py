@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msnring import graphs
@@ -200,7 +200,17 @@ def planted_graphs(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(planted_graphs())
+@example(SimpleGraph.from_edges(0, []))
+@example(SimpleGraph.from_edges(1, []))
+@example(SimpleGraph.from_edges(2, []))
+@example(SimpleGraph.from_edges(3, []))
+@example(SimpleGraph.from_edges(9, []))
+@example(complete_graph(2))
+@example(complete_graph(3))
+@example(complete_graph(9))
 def test_connected_components_match_union_find(g):
+    # the examples are the edgeless and complete graphs that connected_components
+    # settles from one count, without its census
     comps = connected_components(g.adjacency)
     assert [c.tolist() for c in comps] == union_find_components(g.adjacency)
     assert all(c.dtype.kind == "i" for c in comps)

@@ -13,9 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msnring.config import DEFAULT_VALIDATION_CAP
 from msnring.rings import (
     AxiomViolation,
     DimensionMismatch,
@@ -197,21 +198,84 @@ def coordinate_rule_row(family, p, x, y):
                                        ("zn", 4999)])
 def test_largest_builtin_tables_are_built_in_row_blocks(family, p):
     # the largest p each family admits under the default universe cap, and
-    # zn near it: the fill crosses several row blocks, and must stay within
-    # one table plus bounded block temporaries, with no |R|^2 int64 array
+    # zn near it: the constructor builds nothing, and the first table read
+    # fills it across several row blocks, within one table plus bounded
+    # block temporaries, with no |R|^2 int64 array
+    ring = BUILDERS[family](p)
+    assert "table" not in ring.__dict__
     tracemalloc.start()
     try:
-        ring = BUILDERS[family](p)
+        table = ring.table
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ring.table.nbytes + (128 << 20)
+    assert peak <= table.nbytes + (128 << 20)
     moduli = (p,) * ARITY[family]
     y = [c.astype(np.int64) for c in np.unravel_index(np.arange(ring.order), moduli)]
     for i in range(ring.order):
         x = [int(c) for c in np.unravel_index(i, moduli)]
         want = np.ravel_multi_index(coordinate_rule_row(family, p, x, y), moduli)
         assert np.array_equal(ring.table[i], want), (family, p, i)
+
+
+def fresh_builtins_within(cap):
+    """(family, p) for every built-in family at every p whose order is at
+    most cap (zn at every n), then the largest ring of each matrix family
+    under the default universe cap."""
+    cases = [("zn", n) for n in range(1, 65)] + [("zn", cap)]
+    for family in ("nc_p2", "ut2", "mat2"):
+        cases += [(family, p) for p in range(2, cap + 1)
+                  if is_prime(p) and p ** ARITY[family] <= cap]
+    return cases + [("nc_p2", 67), ("ut2", 17), ("mat2", 7)]
+
+
+@pytest.mark.parametrize("family, p", fresh_builtins_within(DEFAULT_VALIDATION_CAP))
+def test_commute_mask_and_census_from_kernels_match_the_table(family, p):
+    ring = BUILDERS[family](p)
+    commutes, centralizers, central = ring.commutes, ring.centralizers, ring.central
+    assert "table" not in ring.__dict__  # all three came from the kernels
+    table = BUILDERS[family](p).table
+    mask = table == table.T
+    assert np.array_equal(commutes, mask)
+    assert np.array_equal(central, mask.all(axis=1))
+    census = list({row.tobytes(): row for row in mask}.values())
+    assert len(centralizers) == len(census)
+    assert all(np.array_equal(got, want) for got, want in zip(centralizers, census))
+    assert not commutes.flags.writeable
+    assert not any(row.flags.writeable for row in centralizers)
+    # the invariants that read the census rather than the mask
+    pairs = int(mask.sum())
+    assert commuting_probability(BUILDERS[family](p)) == Fraction(pairs, ring.order ** 2)
+    noncentral = np.flatnonzero(~mask.all(axis=1))
+    assert np.array_equal(BUILDERS[family](p).noncentral_commutes(),
+                          mask[np.ix_(noncentral, noncentral)])
+
+
+@st.composite
+def builtin_rows(draw):
+    family, p = draw(st.sampled_from(
+        [("zn", n) for n in (1, 2, 6, 12, 25)] + [("nc_p2", p) for p in (2, 3, 7)]
+        + [("ut2", p) for p in (2, 3, 5)] + [("mat2", p) for p in (2, 3)]))
+    order = p ** ARITY[family]
+    indices = draw(st.lists(st.integers(0, order - 1), max_size=12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, order - 1), st.integers(0, order - 1)),
+                          max_size=12))
+    return family, p, indices, pairs
+
+
+@settings(deadline=None, max_examples=60)
+@given(builtin_rows())
+def test_rows_and_multiply_come_from_coordinates(case):
+    family, p, indices, pairs = case
+    ring, moduli = BUILDERS[family](p), (p,) * ARITY[family]
+    rows = ring.rows(np.array(indices, dtype=np.intp))
+    assert rows.dtype == np.int32 and rows.shape == (len(indices), ring.order)
+    for i, j in pairs:
+        x, y = (list(np.unravel_index(v, moduli)) for v in (i, j))
+        want = int(np.ravel_multi_index(coordinate_rule_row(family, p, x, y), moduli))
+        assert ring.multiply(i, j) == want
+    assert "table" not in ring.__dict__
+    assert np.array_equal(rows, BUILDERS[family](p).table[indices])
 
 
 def test_builtin_tables_satisfy_ring_axioms():

@@ -427,6 +427,18 @@ def test_families_table_has_one_row_per_theorem():
     assert all(bool(family.no_model) == (tid in NO_MODEL) for tid, family in FAMILIES.items())
 
 
+@pytest.mark.parametrize("theorem, spec", [(TheoremId.C2_4B, "ut2:p=17"),
+                                           (TheoremId.T2_1, "nc_p2:p=67"),
+                                           (TheoremId.T3_1A, "mat2:p=7")])
+def test_largest_matrix_rings_verify_without_their_table(theorem, spec):
+    ring = parse_ring_spec(spec)
+    rep = verify_ring(ring, theorem)
+    assert rep.verdict is Verdict.PASS, rep.detail
+    assert rep.computed.msn_method == "exact"
+    assert "table" not in ring.__dict__
+    assert "commutes" not in ring.__dict__  # the graph came from the centralizer rows
+
+
 def test_builtin_instance_builds_exactly_the_rows_with_a_model():
     def built(tid, p):
         q = 3 if FAMILIES[tid].takes_q else None
