@@ -1,20 +1,21 @@
 """Simple graphs, commuting graphs, and clique union structure.
 
-The commuting graph is the ring's commute mask on its non-central
-elements (FiniteRing.noncentral_commutes).  The second neighborhood of a vertex collects
-everything within distance two: the neighbors together with the
-neighbors' neighbors, the vertex itself excluded.  This is the convention
-under which every vertex of a K_m component has second-degree sum
-(m-1)^2, which the closed forms elsewhere in the package rely on.
-A graph's components are labelled once (SimpleGraph.components): one
-census of closed rows finds the complete components, and breadth-first
-search labels only what is left (connected_components).  They are grouped
-once into classes (SimpleGraph.classes), complete ones by size and the
-others by adjacency block; the clique decomposition, the twin classes
-(SimpleGraph.twins), the common neighbours (SimpleGraph.common_neighbours),
-distance two and the msn/cn matrices are all built once per class, however
-many components carry its block.  So building a clique union takes a
-fixed number of array passes, whatever its number of components.
+A graph is held as its closed-twin census (SimpleGraph.census): a label
+per vertex, equal on vertices with one closed neighbourhood, and the
+quotient, the k x k class adjacency with a true diagonal.  A ring hands
+its census over (FiniteRing.noncentral_classes), as elements that share
+a centralizer are closed twins; a graph read from edges counts it from
+its packed closed rows (closed_twins).  The n x n adjacency is built
+only when read.  Components come from the quotient (quotient_components):
+a class whose row is its own unit vector is a complete component, and
+breadth-first search joins the others.  They are grouped once into
+classes (SimpleGraph.classes), complete ones by size and the others by
+block, the quotient read at their labels; the clique decomposition, the
+twin classes, the common neighbours, distance two and the msn/cn
+matrices are built once per class.  The second neighborhood of a vertex
+is everything within distance two but the vertex itself: so every
+vertex of a K_m component has second-degree sum (m-1)^2, which the
+closed forms elsewhere in the package rely on.
 Graph files are plain edge lists, read by one line and field grammar
 (parse_edge_list_text: array passes over the bytes and one np.fromstring
 call when every field fits int64), or JSON; both end in
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,24 +53,43 @@ class GraphFormatError(GraphError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class SimpleGraph:
-    """Undirected graph on vertices 0..n-1 with a dense adjacency matrix."""
+    """Undirected graph on vertices 0..n-1, held as its closed-twin census
+    (census).  It is made from a boolean adjacency or from a census
+    (from_census), each checked, and derives the other on first read."""
 
-    n: int
-    adjacency: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = self.adjacency
-        if a.shape != (self.n, self.n):
-            raise GraphFormatError(f"adjacency shape {a.shape} does not match n={self.n}")
+    def __init__(self, n: int, adjacency: np.ndarray):
+        a = adjacency
+        if a.shape != (n, n):
+            raise GraphFormatError(f"adjacency shape {a.shape} does not match n={n}")
         if a.dtype != np.bool_:
             raise GraphFormatError("adjacency must be boolean")
-        if self.n and np.any(np.diagonal(a)):
+        if n and np.any(np.diagonal(a)):
             raise GraphFormatError("self-loops are not allowed")
         if not _is_symmetric(a):
             raise GraphFormatError("adjacency must be symmetric")
         a.setflags(write=False)
+        self.n = n
+        self.__dict__["adjacency"] = a  # where the cached property keeps it
+
+    @classmethod
+    def from_census(cls, labels: np.ndarray, quotient: np.ndarray) -> "SimpleGraph":
+        """The graph whose vertex v lies in class labels[v], the classes
+        numbered first seen first, with u != v joined when
+        quotient[labels[u], labels[v]]."""
+        k, top = len(quotient), np.maximum.accumulate(np.append(-1, labels))
+        if (quotient.shape != (k, k) or quotient.dtype != np.bool_
+                or not np.diagonal(quotient).all() or (quotient != quotient.T).any()):
+            raise GraphFormatError("class adjacency must be a symmetric boolean square array, "
+                                   "true on its diagonal")
+        if (labels.ndim != 1 or labels.dtype.kind not in "iu" or labels.min(initial=0) < 0
+                or np.diff(top).max(initial=0) > 1 or top[-1] != k - 1):
+            raise GraphFormatError(f"class labels must number 0..{k - 1} first seen first")
+        labels.setflags(write=False)
+        quotient.setflags(write=False)
+        g = cls.__new__(cls)
+        g.n, g.__dict__["census"] = len(labels), (labels, quotient)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "SimpleGraph":
@@ -89,20 +109,36 @@ class SimpleGraph:
             raise GraphFormatError(f"self-loop at vertex {a}")
         u, v = u.astype(np.intp, copy=False), v.astype(np.intp, copy=False)
         adj[u, v] = adj[v, u] = True
-        return cls(n, adj)
+        adj.setflags(write=False)
+        g = cls.__new__(cls)  # symmetric and loop-free by construction, so not checked
+        g.n, g.__dict__["adjacency"] = n, adj
+        return g
 
     @functools.cached_property
-    def components(self) -> tuple[np.ndarray, ...]:
-        """The connected components, labelled once per graph."""
-        return connected_components(self.adjacency)
+    def census(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, quotient) of the closed twins (closed_twins)."""
+        return closed_twins(self.adjacency)
+
+    @functools.cached_property
+    def adjacency(self) -> np.ndarray:
+        """The read-only n x n adjacency, from the census if not given:
+        only writers and explicit readers ask for it."""
+        return _joined(*self.census)
+
+    @functools.cached_property
+    def components(self) -> Components:
+        """The connected components, labelled once per graph, on the quotient."""
+        return quotient_components(*self.census)
 
     @functools.cached_property
     def classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The components grouped by read-only adjacency block, first seen
         first: each with a (copies, size) array.  A complete block is fixed
         by its size, so complete components are grouped by size; only the
-        others have their blocks extracted and compared by bytes."""
+        others have their blocks taken from the quotient and compared by
+        bytes."""
         seen: dict[int | bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
+        labels, quotient = self.census
         comps = self.components
         for comp, complete in zip(comps, comps.complete):
             if complete:
@@ -110,8 +146,7 @@ class SimpleGraph:
                 if key not in seen:
                     seen[key] = (_complete_block(key), [])
             else:
-                block = self.adjacency[comp[:, None], comp]
-                block.setflags(write=False)
+                block = _joined(labels.take(comp), quotient)
                 key = block.tobytes()
                 seen.setdefault(key, (block, []))
             seen[key][1].append(comp)
@@ -119,8 +154,10 @@ class SimpleGraph:
 
     @functools.cached_property
     def twins(self) -> tuple[np.ndarray | None, ...]:
-        """The twin classes of each class (_twin_labels)."""
-        return tuple(_twin_labels(block) for block, _ in self.classes)
+        """The twin classes of each class (_twin_labels), its closed twins
+        read off the census."""
+        labels = self.census[0]
+        return tuple(_twin_labels(block, labels.take(comps[0])) for block, comps in self.classes)
 
     @functools.cached_property
     def common_neighbours(self) -> tuple[np.ndarray, ...]:
@@ -209,6 +246,15 @@ def _complete_block(m: int) -> np.ndarray:
     return block
 
 
+def _joined(labels: np.ndarray, quotient: np.ndarray) -> np.ndarray:
+    """The read-only adjacency of vertices in classes labels: the quotient
+    read at their labels, with the diagonal cleared."""
+    a = quotient.take(labels, axis=0).take(labels, axis=1)
+    np.fill_diagonal(a, False)
+    a.setflags(write=False)
+    return a
+
+
 def _is_symmetric(a: np.ndarray) -> bool:
     """a == a.T, compared tile (i, j) against tile (j, i) transposed: every
     cell is read, and each tile pair fits in cache, unlike a strided a.T."""
@@ -218,12 +264,11 @@ def _is_symmetric(a: np.ndarray) -> bool:
 
 
 def commuting_graph(ring: FiniteRing) -> SimpleGraph:
-    """Graph on the non-central elements, joining commuting pairs."""
+    """Graph on the non-central elements, joining commuting pairs, from
+    the ring's centralizer classes: they are its closed twins."""
     if ring.is_commutative:
         raise CommutativeRing(f"{ring.name} is commutative; the commuting graph is empty")
-    adj = ring.noncentral_commutes()
-    np.fill_diagonal(adj, False)
-    return SimpleGraph(len(adj), adj)
+    return SimpleGraph.from_census(*ring.noncentral_classes())
 
 
 def delta2_all(g: SimpleGraph) -> np.ndarray:
@@ -236,9 +281,9 @@ def delta2_all(g: SimpleGraph) -> np.ndarray:
 
 
 class Components(tuple):
-    """What connected_components returns: a tuple of ascending index
-    arrays ordered by smallest vertex, and complete, one flag per
-    component telling whether it is a complete graph."""
+    """What connected_components and quotient_components return: a tuple
+    of ascending index arrays ordered by smallest vertex, and complete,
+    one flag per component telling whether it is a complete graph."""
 
     complete: tuple[bool, ...]
 
@@ -248,64 +293,76 @@ class Components(tuple):
         return self
 
 
-# Bit i of a packed byte, counted from the left as packbits does, and the
-# number of set bits of every byte value.
+# Bit i of a packed byte, counted from the left as packbits does.
 _BIT = np.uint8(128) >> np.arange(8, dtype=np.uint8)
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1,
-                                                                              dtype=np.uint8)
 
 
 def connected_components(adjacency: np.ndarray) -> Components:
-    """Components of a symmetric boolean array, as ascending index arrays
-    ordered by smallest vertex.
-
-    One census of closed rows comes first: the rows of adjacency | I,
-    packed and grouped by their bytes (row_labels).  Every member of a
-    class has the class's closed row, so it lies in that row; when the
-    row holds no more vertices than the class has members, the class is
-    a complete component.  Breadth-first search labels only the vertices
-    left, one component per search.  The diagonal is zero, so one count
-    settles an array with no edges, or with every edge, at once.
-    """
+    """Components of a symmetric boolean array with a zero diagonal, as
+    ascending index arrays ordered by smallest vertex: its closed-twin
+    census, then its quotient's components.  One count settles an array
+    with no edges, or with every edge, at once."""
     n = len(adjacency)
     edges = int(np.count_nonzero(adjacency))
     if edges == 0:
         return Components(np.arange(n)[:, None], (True,) * n)
     if edges == n * (n - 1):
         return Components([np.arange(n)], [True])
-    vertices = np.arange(n)
+    return quotient_components(*closed_twins(adjacency))
+
+
+def closed_twins(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The census of closed rows of a symmetric boolean array with a zero
+    diagonal: the rows of adjacency | I, packed and labelled first seen
+    first (row_labels), and the quotient, whether the first vertices of
+    two classes are adjacent or equal."""
+    vertices = np.arange(len(adjacency))
     closed = np.packbits(adjacency, axis=1)
     closed[vertices, vertices >> 3] |= _BIT[vertices & 7]
     labels = row_labels(closed)
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    starts = np.cumsum(sizes) - sizes
-    complete = _POPCOUNT[closed[order[starts]]].sum(axis=1) == sizes
-    found = [(order[s:s + m], True)
-             for s, m in zip(starts[complete].tolist(), sizes[complete].tolist())]
-    unseen = ~complete[labels]
-    while unseen.any():
-        mask = np.zeros(n, dtype=bool)
-        mask[unseen.argmax()] = True  # the smallest vertex not yet placed
-        frontier = mask.copy()
+    # labels are numbered first seen first, so each class's first vertex is
+    # where the running maximum of the labels reaches it
+    reps = np.searchsorted(np.maximum.accumulate(labels), np.arange(labels.max(initial=-1) + 1))
+    quotient = adjacency.take(reps, axis=0).take(reps, axis=1)
+    np.fill_diagonal(quotient, True)
+    return labels, quotient
+
+
+def quotient_components(labels: np.ndarray, quotient: np.ndarray) -> Components:
+    """Components of the graph of a census (SimpleGraph.from_census), as
+    ascending index arrays ordered by smallest vertex.  A class whose row
+    of the quotient is its own unit vector is a complete component;
+    breadth-first search on the quotient joins the others.  Each class is
+    marked with the first class of its component, and labels are numbered
+    first seen first, so the vertices sorted by mark fall into the
+    components in order."""
+    k = len(quotient)
+    complete = np.count_nonzero(quotient, axis=1) == 1
+    first = np.arange(k)
+    for start in np.flatnonzero(~complete).tolist():
+        if first[start] != start:
+            continue  # joined from an earlier class
+        reached = frontier = quotient[start].copy()
         while frontier.any():
-            nxt = adjacency[frontier].any(axis=0) & ~mask
-            mask |= nxt
-            frontier = nxt
-        unseen &= ~mask
-        found.append((np.flatnonzero(mask), False))
-    found.sort(key=lambda pair: int(pair[0][0]))
-    return Components([comp for comp, _ in found], [flag for _, flag in found])
+            frontier = quotient[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        first[reached] = start
+    marks = first.take(labels)
+    order = np.argsort(marks, kind="stable")
+    roots = np.flatnonzero(first == np.arange(k))
+    ends = np.cumsum(np.bincount(marks, minlength=k)[roots]).tolist()
+    return Components([order[s:e] for s, e in zip([0] + ends, ends)], complete[roots].tolist())
 
 
-def _twin_labels(block: np.ndarray) -> np.ndarray | None:
-    """The twin classes of a connected adjacency block, as read-only
-    labels, equal within a class only, or None if the block is complete.
+def _twin_labels(block: np.ndarray, closed: np.ndarray) -> np.ndarray | None:
+    """The twin classes of a connected adjacency block whose closed twins
+    (N[x] = N[y]) share a label of closed, as read-only labels, equal
+    within a class only, or None if the block is complete.
 
-    Closed twins (N[x] = N[y]) and open twins (N(x) = N(y)) have equal
-    packed closed or open rows.  A vertex with a closed twin takes its
-    closed class, any other its open class.  None has both: if N[x] = N[y]
-    and N(x) = N(z), then z ~ y, so z ~ x, and open twins are not adjacent.
+    Open twins (N(x) = N(y)) have equal packed open rows.  A vertex with a
+    closed twin takes its closed class, any other its open class.  None
+    has both: if N[x] = N[y] and N(x) = N(z), then z ~ y, so z ~ x, and
+    open twins are not adjacent.
     Swapping two twins is an automorphism, which fixes delta2 and every
     shared-neighbour count: each class is a twin class of the msn and cn
     matrices too, with one inner entry.
@@ -314,8 +371,7 @@ def _twin_labels(block: np.ndarray) -> np.ndarray | None:
     if int(np.count_nonzero(block)) == n * (n - 1):
         return None
     open_ = row_labels(np.packbits(block, axis=1))
-    closed = row_labels(np.packbits(block | np.eye(n, dtype=bool), axis=1))
-    labels = np.where(np.bincount(closed)[closed] > 1, closed, n + open_)
+    labels = np.where(np.bincount(closed)[closed] > 1, closed, closed.max() + 1 + open_)
     labels.setflags(write=False)
     return labels
 
@@ -341,15 +397,11 @@ def clique_decomposition(g: SimpleGraph) -> CliqueUnion | NotCliqueUnion:
 
 
 def clique_union_graph(parts: CliqueUnion) -> SimpleGraph:
-    """Concrete graph realizing a clique union, components in part order."""
-    n = parts.n
-    adj = np.zeros((n, n), dtype=bool)
-    start = 0
-    for m in parts.component_sizes():
-        adj[start:start + m, start:start + m] = True
-        start += m
-    np.fill_diagonal(adj, False)
-    return SimpleGraph(n, adj)
+    """Concrete graph realizing a clique union, components in part order:
+    each component is one class, joined to no other."""
+    sizes = parts.component_sizes()
+    return SimpleGraph.from_census(np.repeat(np.arange(len(sizes)), sizes),
+                                   np.eye(len(sizes), dtype=bool))
 
 
 def to_edge_list_text(g: SimpleGraph) -> str:

@@ -9,15 +9,16 @@ validated exhaustively.  Built-in families are square matrices over Z_m
 with some entries fixed at zero and one coordinate per free entry, in
 row-major order: zn is the 1x1 case, and nc_p2, ut2 and mat2 are 2x2 over
 F_p with a zero bottom row, a zero (1, 0) entry and no fixed entry.
-Products and matrix rings build their table only when `table` is read: a
-product's commute mask, central elements and table rows come from the
-factors', and a matrix ring's rows and products from its coordinates and
-the structure constants of its free entries.  A matrix ring's
-centralizers are the kernels of its maps y -> xy - yx, labelled by one
-batched row reduction (FiniteRing._kernels).  The invariants are read off
-the commute and central masks: the distinct centralizers are the distinct
-rows of the commute mask, and the additive type of R / Z(R) comes from
-counting the elements whose p^k-multiples are central.
+Products and matrix rings build their table only when `table` is read.
+Every ring's centralizers are read off its centralizer classes
+(FiniteRing.centralizer_classes): the labels of elements that share a
+centralizer and the commute test of one representative per class.  A
+product takes its factors', a matrix ring labels the kernels of its maps
+y -> xy - yx by one batched row reduction, and a table ring labels the
+rows of its commute mask.  The commute and central masks, the
+centralizers, the commuting probability and the CC test all come from
+the classes; the additive type of R / Z(R) comes from counting the
+elements whose p^k-multiples are central.
 """
 
 from __future__ import annotations
@@ -128,40 +129,13 @@ class FiniteRing:
         return np.array(_coord_arrays(self.moduli), dtype=np.int64)
 
     @functools.cached_property
-    def _kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, member) of a matrix ring: the centralizer of element x
-        is the read-only mask member[labels[x]], and member's rows are the
-        distinct centralizers, first seen first.
-
-        y -> xy - yx is a k x k matrix A_x over Z_m, linear in x, so one
-        product of the coordinates with the commutator constants gives all
-        of them.  C(x) is the kernel of A_x, and over F_p equal row spaces
-        mean equal kernels, so the canonical forms of _row_spaces label the
-        centralizers.  Each class's member row is the kernel of A_y for one
-        representative y, tested on every element.  zn's maps are all
-        zero, so a composite n needs no inverse.
-        """
-        m, free = self.matrix
-        k = len(free)
-        maps = (self._coords.T @ _commutator(free) % m).reshape(self.order, k, k)
-        labels = row_labels(_row_spaces(maps, m))
-        _, reps = np.unique(labels, return_index=True)
-        member = ~(maps[reps] @ self._coords % m).any(axis=1)
-        member.setflags(write=False)
-        return labels, member
-
-    @functools.cached_property
     def commutes(self) -> np.ndarray:
         """Read-only symmetric mask, true at [i, j] when ij = ji; row i
-        is the centralizer of element i."""
-        if self.factors:
-            r, s = self.factors
-            # [i |S| + k, j |S| + l] is r.commutes[i, j] and s.commutes[k, l]
-            mask = (r.commutes[:, None, :, None]
-                    & s.commutes[None, :, None, :]).reshape(self.order, self.order)
-        elif self.matrix:
-            labels, member = self._kernels
-            mask = member[labels]
+        is the centralizer of element i.  A product or a matrix ring reads
+        it off its classes."""
+        if self.factors or self.matrix:
+            labels, quotient = self.centralizer_classes
+            mask = quotient.take(labels, axis=0).take(labels, axis=1)
         else:
             mask = self.table == self.table.T
         mask.setflags(write=False)
@@ -169,49 +143,70 @@ class FiniteRing:
 
     @functools.cached_property
     def central(self) -> np.ndarray:
-        """Read-only mask of the central elements."""
-        if self.factors:
-            r, s = self.factors
-            mask = (r.central[:, None] & s.central[None, :]).ravel()
-        elif self.matrix:
-            labels, member = self._kernels
-            mask = member.all(axis=1)[labels]
-        else:
-            mask = self.commutes.all(axis=1)
+        """Read-only mask of the central elements: their class commutes
+        with every class."""
+        labels, quotient = self.centralizer_classes
+        mask = quotient.all(axis=1)[labels]
         mask.setflags(write=False)
         return mask
 
     @functools.cached_property
     def centralizers(self) -> tuple[np.ndarray, ...]:
-        """The distinct rows of `commutes`, first seen first, as read-only views."""
-        if self.matrix:
-            return tuple(self._kernels[1])
-        return tuple({row.tobytes(): row for row in self.commutes}.values())
+        """The distinct rows of `commutes`, first seen first, as read-only
+        views: each class's row of the quotient, read at the labels."""
+        labels, quotient = self.centralizer_classes
+        rows = quotient.take(labels, axis=1)
+        rows.setflags(write=False)
+        return tuple(rows)
 
     @property
     def is_commutative(self) -> bool:
         return bool(self.central.all())
 
-    def noncentral_commutes(self) -> np.ndarray:
-        """A new copy of the commute mask on the non-central elements.  When
-        the second factor of a product is commutative, those elements are
-        a |S| + k for every non-central a of the first and every k, and the
-        mask is the first factor's block with each cell repeated |S| x |S|."""
-        if self.factors and self.factors[1].is_commutative:
-            r, s = self.factors
-            block = r.noncentral_commutes()
-            return np.repeat(np.repeat(block, s.order, axis=0), s.order, axis=1)
-        return self._commute_block(np.flatnonzero(~self.central))
+    @functools.cached_property
+    def centralizer_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, quotient), read-only: elements share a label, numbered
+        first seen first, when they share a centralizer, and quotient[i, j]
+        tells whether the first elements of classes i and j commute.
 
-    def _commute_block(self, members: np.ndarray) -> np.ndarray:
-        """A new copy of commutes[np.ix_(members, members)], by two `take`
-        calls, each far faster than one gather on two index arrays; a
-        matrix ring gathers it from its centralizer rows without building
-        `commutes`."""
-        if self.matrix:
-            labels, member = self._kernels
-            return member.take(members, axis=1).take(labels[members], axis=0)
-        return self.commutes.take(members, axis=0).take(members, axis=1)
+        A product's classes are the pairs of its factors' (a Kronecker
+        product of two nonzero rows determines both), and its quotient is
+        theirs, Kronecker multiplied.  A table ring labels the rows of its
+        commute mask.  In a matrix ring, y -> xy - yx is a k x k matrix A_x
+        over Z_m, linear in x, so one product of the coordinates with the
+        commutator constants gives all of them.  C(x) is the kernel of A_x,
+        and over F_p equal row spaces mean equal kernels, so the canonical
+        forms of _row_spaces label the centralizers; the representatives'
+        maps are applied to each other.  zn's maps are all zero, so a
+        composite n needs no inverse.
+        """
+        if self.factors:
+            (a, c), (b, d) = (f.centralizer_classes for f in self.factors)
+            labels, quotient = (a[:, None] * len(d) + b).ravel(), np.kron(c, d)
+        elif self.matrix:
+            m, free = self.matrix
+            k = len(free)
+            maps = (self._coords.T @ _commutator(free) % m).reshape(self.order, k, k)
+            labels = row_labels(_row_spaces(maps, m))
+            _, reps = np.unique(labels, return_index=True)
+            quotient = ~(maps[reps] @ self._coords[:, reps] % m).any(axis=1)
+        else:
+            labels = row_labels(self.commutes)
+            _, reps = np.unique(labels, return_index=True)
+            quotient = self.commutes.take(reps, axis=0).take(reps, axis=1)
+        labels.setflags(write=False)
+        quotient.setflags(write=False)
+        return labels, quotient
+
+    def noncentral_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """`centralizer_classes` on the non-central elements, in index
+        order: the central class is the one whose row of the quotient is
+        all true, and the others keep their order."""
+        labels, quotient = self.centralizer_classes
+        keep = ~quotient.all(axis=1)
+        renumber = np.cumsum(keep) - 1
+        return (renumber[labels[keep[labels]]],
+                quotient.compress(keep, axis=0).compress(keep, axis=1))
 
     def rows(self, indices) -> np.ndarray:
         """The table rows of an array of element indices, as a new int32 array."""
@@ -514,56 +509,34 @@ def centralizer_count(ring: FiniteRing) -> int:
     """Number of distinct centralizer sets over all elements.
 
     Central elements contribute the single set R, so a commutative ring
-    counts 1.  A product's centralizers are the pairs of its factors':
-    a row of its commute mask is the Kronecker product of two nonzero
-    rows, which determines both, so the count is the factors' product.
+    counts 1.
     """
-    if ring.factors:
-        return math.prod(map(centralizer_count, ring.factors))
-    return len(ring.centralizers)
+    return len(ring.centralizer_classes[1])
 
 
 def commuting_probability(ring: FiniteRing) -> Fraction:
-    """Probability that an ordered pair commutes, in lowest terms; a
-    product's pair commutes exactly when both coordinates do."""
-    if ring.factors:
-        return math.prod(map(commuting_probability, ring.factors))
-    if ring.matrix:
-        labels, member = ring._kernels  # each class's size times its count
-        pairs = int(np.bincount(labels) @ np.count_nonzero(member, axis=1))
-    else:
-        pairs = int(np.count_nonzero(ring.commutes))
-    return Fraction(pairs, ring.order ** 2)
-
-
-def _noncentral_centralizers(ring: FiniteRing) -> list[np.ndarray]:
-    """Distinct centralizer masks of the non-central elements."""
-    return [row for row in ring.centralizers if not row.all()]
+    """Probability that an ordered pair commutes, in lowest terms."""
+    labels, quotient = ring.centralizer_classes  # pairs of classes, by their sizes
+    sizes = np.bincount(labels)
+    return Fraction(int(sizes @ quotient @ sizes), ring.order ** 2)
 
 
 def is_cc_ring(ring: FiniteRing) -> bool | None:
     """Whether every centralizer of a non-central element is commutative.
 
     Returns None for commutative rings, where the notion does not apply.
-    In a product R x S with S commutative, the centralizer of a
-    non-central (a, k) is C_R(a) x S, so the product is CC exactly when R
-    is; with both factors non-commutative, (a, z) for a non-central a and
-    a central z has the non-commutative centralizer C_R(a) x S.
+    Two elements commute exactly when the first elements of their classes
+    do, so each non-central class's centralizer is tested on the quotient.
     """
-    if ring.factors:
-        noncommutative = [f for f in ring.factors if not f.is_commutative]
-        if len(noncommutative) == 2:
-            return False
-        return is_cc_ring(noncommutative[0]) if noncommutative else None
     if ring.is_commutative:
         return None
-    return all(ring._commute_block(members).all()
-               for members in map(np.flatnonzero, _noncentral_centralizers(ring)))
+    _, quotient = ring.centralizer_classes
+    return all(quotient[np.ix_(row, row)].all() for row in quotient if not row.all())
 
 
 def noncentral_centralizer_sizes(ring: FiniteRing) -> list[int]:
     """Sorted sizes of the distinct centralizers of non-central elements."""
-    return sorted(int(mask.sum()) for mask in _noncentral_centralizers(ring))
+    return sorted(int(mask.sum()) for mask in ring.centralizers if not mask.all())
 
 
 def has_unity(ring: FiniteRing) -> int | None:

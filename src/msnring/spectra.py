@@ -215,7 +215,8 @@ def msn_matrix(g: SimpleGraph) -> IntSymMatrix:
 def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
     """Common neighborhood matrix: shared neighbor counts off diagonal."""
     return IntSymMatrix(*_grouped(
-        (counts[piece[:, None], piece], len(comps), None if labels is None else labels[piece])
+        (counts.take(piece, axis=0).take(piece, axis=1), len(comps),
+         None if labels is None else labels[piece])
         for counts, (_, comps), labels in zip(g.common_neighbours, g.classes, g.twins)
         for piece in connected_components(counts != 0)))
 

@@ -128,6 +128,27 @@ def test_tiled_symmetry_check_rejects_one_flipped_cell(cell):
         SimpleGraph(600, adj)
 
 
+def test_census_graph_is_its_classes_and_rejects_a_forged_quotient():
+    labels = np.array([0, 1, 0, 2, 1])
+    quotient = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+    g = SimpleGraph.from_census(labels, quotient)
+    assert g.edges() == [(0, 1), (0, 2), (0, 4), (1, 2), (1, 4), (2, 4)]
+    assert [c.tolist() for c in g.components] == [[0, 1, 2, 4], [3]]
+    assert g.components.complete == (False, True)  # [0] is not its own unit row
+    assert clique_decomposition(g) == CliqueUnion.of([(1, 1), (4, 1)])
+    asymmetric, false_diagonal = quotient.copy(), quotient.copy()
+    asymmetric[0, 2] = True
+    false_diagonal[2, 2] = False
+    for bad in (asymmetric, false_diagonal, quotient.astype(np.int64), quotient[:, :2]):
+        with pytest.raises(GraphFormatError, match="^class adjacency must be a symmetric"):
+            SimpleGraph.from_census(labels, bad)
+    # labels out of first-seen order, out of range, or leaving a class
+    # empty, which could join two components through no vertex
+    for bad in ([1, 0, 1, 2, 0], [0, 1, 0, 3, 1], [0, -1, 0, 2, 1], [0, 0, 2, 2, 0]):
+        with pytest.raises(GraphFormatError, match=r"class labels must number 0\.\.2"):
+            SimpleGraph.from_census(np.array(bad), quotient)
+
+
 def test_from_edges_reports_the_first_bad_pair_in_input_order():
     with pytest.raises(GraphFormatError, match="self-loop at vertex 0"):
         SimpleGraph.from_edges(2, [(0, 0), (0, 5)])

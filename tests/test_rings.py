@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msnring.config import DEFAULT_VALIDATION_CAP
+from msnring.graphs import commuting_graph
 from msnring.rings import (
     AxiomViolation,
     DimensionMismatch,
@@ -40,6 +41,7 @@ from msnring.rings import (
     prime_factors,
     ring_from_table,
     ring_noncomm_p2,
+    row_labels,
     save_ring,
     upper_triangular_ring,
     validate_ring_axioms,
@@ -230,7 +232,7 @@ def fresh_builtins_within(cap):
 
 
 @pytest.mark.parametrize("family, p", fresh_builtins_within(DEFAULT_VALIDATION_CAP))
-def test_commute_mask_and_census_from_kernels_match_the_table(family, p):
+def test_commute_mask_and_census_from_kernels_match_the_table(family, p, same_graph_as_mask):
     ring = BUILDERS[family](p)
     commutes, centralizers, central = ring.commutes, ring.centralizers, ring.central
     assert "table" not in ring.__dict__  # all three came from the kernels
@@ -246,9 +248,18 @@ def test_commute_mask_and_census_from_kernels_match_the_table(family, p):
     # the invariants that read the census rather than the mask
     pairs = int(mask.sum())
     assert commuting_probability(BUILDERS[family](p)) == Fraction(pairs, ring.order ** 2)
+    # the commuting graph's census: its labels split the non-central
+    # elements as their rows of the mask do, and its quotient, read at
+    # the labels, is the mask between them; neither needs the mask
+    fresh = BUILDERS[family](p)
+    labels, quotient = fresh.noncentral_classes()
+    assert "commutes" not in fresh.__dict__ and "table" not in fresh.__dict__
     noncentral = np.flatnonzero(~mask.all(axis=1))
-    assert np.array_equal(BUILDERS[family](p).noncentral_commutes(),
-                          mask[np.ix_(noncentral, noncentral)])
+    block = mask[np.ix_(noncentral, noncentral)]
+    assert np.array_equal(labels, row_labels(block))
+    assert np.array_equal(quotient.take(labels, axis=0).take(labels, axis=1), block)
+    if len(noncentral):
+        same_graph_as_mask(commuting_graph(fresh), mask)
 
 
 @st.composite

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from msnring.graphs import CliqueUnion, SimpleGraph, commuting_graph
+from msnring.graphs import (
+    CliqueUnion,
+    NotCliqueUnion,
+    SimpleGraph,
+    clique_decomposition,
+    commuting_graph,
+)
 from msnring.rings import (
     NotPrime,
     center,
@@ -16,6 +22,7 @@ from msnring.rings import (
     parse_ring_spec,
     ring_from_table,
     ring_noncomm_p2,
+    save_ring,
     upper_triangular_ring,
     zn,
 )
@@ -295,12 +302,13 @@ def table_center_is_field(table):
     "prod(nc_p2:p=2,zn:n=2)",              # no unity
     "prod(ut2:p=3,zn:n=1)",                # a center that is a field
 ])
-def test_product_factor_route_matches_its_table(spec):
+def test_product_factor_route_matches_its_table(spec, same_graph_as_mask):
     ring = parse_ring_spec(spec)
+    graph = commuting_graph(ring)
+    assert "commutes" not in ring.__dict__  # the graph came from the factors' classes
     commutes, central = ring.commutes, ring.central
     rows = ring.rows(np.arange(ring.order))
     unity, field = has_unity(ring), center_is_field(ring)
-    adjacency = commuting_graph(ring).adjacency
     assert "table" not in ring.__dict__  # all of the above came from the factors
     table = ring.table
     mask = table == table.T
@@ -312,8 +320,52 @@ def test_product_factor_route_matches_its_table(spec):
     assert rows.dtype == np.int32 and np.array_equal(rows, table)
     assert unity == (int(units[0]) if units else None)
     assert field == table_center_is_field(table)
-    assert np.array_equal(adjacency, mask[np.ix_(noncentral, noncentral)]
-                          & ~np.eye(int(noncentral.sum()), dtype=bool))
+    same_graph_as_mask(graph, mask)
+
+
+def noncommutative_products(vertices):
+    """prod(R,S) for the ordered pairs of non-commutative built-ins whose
+    commuting graph has at most `vertices` vertices."""
+    factors = [parse_ring_spec(spec) for spec in (
+        "nc_p2:p=2", "nc_p2:p=3", "nc_p2:p=5", "nc_p2:p=7", "ut2:p=2", "ut2:p=3",
+        "mat2:p=2")]
+    return [f"prod({r.name},{s.name})" for r in factors for s in factors
+            if r.order * s.order - int(r.central.sum()) * int(s.central.sum()) <= vertices]
+
+
+@pytest.mark.parametrize("spec", noncommutative_products(256))
+def test_product_graph_from_classes_matches_the_mask_graph(spec, same_graph_as_mask):
+    ring = parse_ring_spec(spec)
+    graph = commuting_graph(ring)
+    assert "commutes" not in ring.__dict__ and "table" not in ring.__dict__
+    table = ring.table
+    same_graph_as_mask(graph, table == table.T)
+
+
+def test_table_ring_graph_from_classes_matches_the_mask_graph(tmp_path, same_graph_as_mask):
+    path = tmp_path / "ring.json"
+    save_ring(parse_ring_spec("prod(nc_p2:p=2,ut2:p=2)"), path)
+    ring = parse_ring_spec(f"file:{path}")
+    assert ring.factors is None and ring.matrix is None
+    graph = commuting_graph(ring)
+    assert isinstance(clique_decomposition(graph), NotCliqueUnion)
+    same_graph_as_mask(graph, ring.table == ring.table.T)
+
+
+@pytest.mark.parametrize("theorem", [TheoremId.T3_3A, TheoremId.T3_3B])
+def test_verify_ring_memory_stays_below_n_squared(theorem):
+    import tracemalloc
+
+    ring = builtin_instance(theorem, 5)
+    tracemalloc.start()
+    try:
+        report = verify_ring(ring, theorem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.PASS, report.detail
+    n = report.computed.n
+    assert peak < n * n, f"peak {peak} bytes for n = {n}"
 
 
 @pytest.mark.parametrize("theorem", [TheoremId.T3_3A, TheoremId.T3_3B])
@@ -621,20 +673,27 @@ def test_property_suite_report_json():
 
 
 def count_whole_graph_labellings(monkeypatch, n):
-    """Patch connected_components at every name the package calls it by;
-    the returned list gets one entry per call on an n x n array."""
-    from msnring import graphs, spectra
-    whole = []
-    real = graphs.connected_components
+    """Patch the closed-twin census and the labelling of a quotient at
+    the names the package calls them by; the first returned list gets one
+    entry per census of an n x n array, the second one per labelling of
+    a quotient of n vertices, its shape."""
+    from msnring import graphs
+    censuses, labellings = [], []
+    census, labelling = graphs.closed_twins, graphs.quotient_components
 
-    def counting(adjacency):
+    def counting_census(adjacency):
         if adjacency.shape == (n, n):
-            whole.append(adjacency.shape)
-        return real(adjacency)
+            censuses.append(adjacency.shape)
+        return census(adjacency)
 
-    monkeypatch.setattr(graphs, "connected_components", counting)
-    monkeypatch.setattr(spectra, "connected_components", counting)
-    return whole
+    def counting_labelling(labels, quotient):
+        if len(labels) == n:
+            labellings.append(quotient.shape)
+        return labelling(labels, quotient)
+
+    monkeypatch.setattr(graphs, "closed_twins", counting_census)
+    monkeypatch.setattr(graphs, "quotient_components", counting_labelling)
+    return censuses, labellings
 
 
 @pytest.mark.parametrize("ring, theorem", [
@@ -643,9 +702,14 @@ def count_whole_graph_labellings(monkeypatch, n):
 ])
 def test_verify_ring_labels_the_graph_once(monkeypatch, ring, theorem):
     ring = ring()
-    whole = count_whole_graph_labellings(monkeypatch, commuting_graph(ring).n)
+    graph = commuting_graph(ring)
+    k = len(graph.census[1])
+    censuses, labellings = count_whole_graph_labellings(monkeypatch, graph.n)
     assert verify_ring(ring, theorem).verdict is Verdict.PASS
-    assert len(whole) == 1
+    # the ring hands its census over: no n x n array is labelled, and the
+    # k x k quotient is labelled once
+    assert censuses == []
+    assert labellings == [(k, k)] and k < graph.n
 
 
 def test_classify_labels_the_graph_once(monkeypatch):
@@ -655,9 +719,12 @@ def test_classify_labels_the_graph_once(monkeypatch):
     edges += [(7 + u, 9 + v) for u in range(2) for v in range(3)]
     edges += [(12, 13), (12, 14), (13, 14)]
     g = SimpleGraph.from_edges(16, edges)
-    whole = count_whole_graph_labellings(monkeypatch, g.n)
+    censuses, labellings = count_whole_graph_labellings(monkeypatch, g.n)
     assert classify(g).decomposition is None
-    assert len(whole) == 1
+    # one census of the adjacency; the chord's ends and the triangle are
+    # closed twins, so the quotient labelled once has 13 classes
+    assert censuses == [(16, 16)]
+    assert labellings == [(13, 13)]
 
 
 @pytest.mark.parametrize("theorem", [TheoremId.T2_1, TheoremId.T5_1])
