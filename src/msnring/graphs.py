@@ -9,13 +9,13 @@ its packed closed rows (closed_twins).  The n x n adjacency is built
 only when read.  Components come from the quotient (quotient_components):
 a class whose row is its own unit vector is a complete component, and
 breadth-first search joins the others.  They are grouped once into
-classes (SimpleGraph.classes), complete ones by size and the others by
-block, the quotient read at their labels; the clique decomposition, the
-twin classes, the common neighbours, distance two and the msn/cn
-matrices are built once per class.  The second neighborhood of a vertex
-is everything within distance two but the vertex itself: so every
-vertex of a K_m component has second-degree sum (m-1)^2, which the
-closed forms elsewhere in the package rely on.
+classes (SimpleGraph.classes), each a twin form: a twin class per
+vertex and the census cut down to those classes.  Shared neighbours,
+distance two and delta2 come from k x k arithmetic on it (twin_counts).
+The second neighborhood of a vertex is everything within distance two
+but the vertex itself: so every vertex of a K_m component has
+second-degree sum (m-1)^2, which the closed forms elsewhere in the
+package rely on.
 Graph files are plain edge lists, read by one line and field grammar
 (parse_edge_list_text: array passes over the bytes and one np.fromstring
 call when every field fits int64), or JSON; both end in
@@ -123,7 +123,7 @@ class SimpleGraph:
     def adjacency(self) -> np.ndarray:
         """The read-only n x n adjacency, from the census if not given:
         only writers and explicit readers ask for it."""
-        return _joined(*self.census)
+        return expanded(*self.census)
 
     @functools.cached_property
     def components(self) -> Components:
@@ -131,40 +131,32 @@ class SimpleGraph:
         return quotient_components(*self.census)
 
     @functools.cached_property
-    def classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The components grouped by read-only adjacency block, first seen
-        first: each with a (copies, size) array.  A complete block is fixed
-        by its size, so complete components are grouped by size; only the
-        others have their blocks taken from the quotient and compared by
-        bytes."""
-        seen: dict[int | bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
+    def classes(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The components grouped by twin form, first seen first, as
+        read-only (labels, census, comps): a class per vertex and the
+        census (_twin_census), and a (copies, size) array of components.
+        A complete component is one class, so complete ones are grouped by
+        size, the others by the bytes of their forms."""
+        seen: dict[int | tuple[bytes, bytes], tuple] = {}
         labels, quotient = self.census
         comps = self.components
         for comp, complete in zip(comps, comps.complete):
             if complete:
                 key = len(comp)
                 if key not in seen:
-                    seen[key] = (_complete_block(key), [])
+                    seen[key] = (np.zeros(key, dtype=np.intp), np.ones((1, 1), dtype=bool), [])
             else:
-                block = _joined(labels.take(comp), quotient)
-                key = block.tobytes()
-                seen.setdefault(key, (block, []))
-            seen[key][1].append(comp)
-        return tuple((block, np.array(comps)) for block, comps in seen.values())
+                form = _twin_census(labels.take(comp), quotient)
+                key = (form[0].tobytes(), form[1].tobytes())
+                seen.setdefault(key, (*form, []))
+            seen[key][2].append(comp)
+        return tuple(tuple(map(_read_only, (labels, census, np.array(comps))))
+                     for labels, census, comps in seen.values())
 
     @functools.cached_property
-    def twins(self) -> tuple[np.ndarray | None, ...]:
-        """The twin classes of each class (_twin_labels), its closed twins
-        read off the census."""
-        labels = self.census[0]
-        return tuple(_twin_labels(block, labels.take(comps[0])) for block, comps in self.classes)
-
-    @functools.cached_property
-    def common_neighbours(self) -> tuple[np.ndarray, ...]:
-        """Shared-neighbour counts as one read-only int64 block per class,
-        counted once per graph; vertices in different components share no
-        neighbour."""
-        return tuple(_shared_neighbours(block) for block, _ in self.classes)
+    def counts(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """twin_counts of each class, counted once per graph."""
+        return tuple(twin_counts(labels, census) for labels, census, _ in self.classes)
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(np.int64)
@@ -239,20 +231,17 @@ class NotCliqueUnion:
 _TILE = 256
 
 
-def _complete_block(m: int) -> np.ndarray:
-    """The read-only adjacency block of K_m."""
-    block = ~np.eye(m, dtype=bool)
-    block.setflags(write=False)
-    return block
-
-
-def _joined(labels: np.ndarray, quotient: np.ndarray) -> np.ndarray:
-    """The read-only adjacency of vertices in classes labels: the quotient
-    read at their labels, with the diagonal cleared."""
-    a = quotient.take(labels, axis=0).take(labels, axis=1)
-    np.fill_diagonal(a, False)
+def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def expanded(labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The read-only block of a twin form, or the adjacency of a census:
+    w at the labels, with the diagonal cleared."""
+    block = w.take(labels, axis=0).take(labels, axis=1)
+    np.fill_diagonal(block, 0)
+    return _read_only(block)
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
@@ -271,19 +260,47 @@ def commuting_graph(ring: FiniteRing) -> SimpleGraph:
     return SimpleGraph.from_census(*ring.noncentral_classes())
 
 
+def twin_counts(labels: np.ndarray, census: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(adjacency, shared, delta2) of one class of SimpleGraph.classes:
+    the twin forms of the adjacency and of the shared-neighbour counts,
+    and delta2 per class, from its census A and class sizes s, with
+    d = diag(A).  Vertices of classes i and j share
+    (A s A^T)[i, j] - A[i, j] (d_i + d_j) neighbours, the pair itself left
+    out; deg = A s - d; reach = A | (shared > 0) marks distance two, and
+    delta2 = reach (s deg) - diag(reach) deg.  A singleton class has
+    inner entry 0.  K_m, one class, has them in closed form.
+    """
+    if census.shape == (1, 1) and census[0, 0]:
+        m = len(labels)
+        return np.array([[int(m > 1)]]), np.array([[max(m - 2, 0)]]), np.array([(m - 1) ** 2])
+    s = np.bincount(labels)
+    a = census.astype(np.float64)  # every count is at most n^2, exact in float64
+    d = a.diagonal()
+    shared = (a * s) @ a.T
+    shared -= a * (d[:, None] + d)
+    deg = a @ s - d
+    reach = census | (shared > 0)
+    delta2 = reach @ (s * deg) - reach.diagonal() * deg
+    shared.flat[::len(s) + 1] *= s > 1
+    a.flat[::len(s) + 1] *= s > 1
+    return (a.astype(np.int64), np.rint(shared).astype(np.int64),
+            np.rint(delta2).astype(np.int64))
+
+
 def delta2_all(g: SimpleGraph) -> np.ndarray:
     """delta2 of every vertex: the sum of the degrees of the vertices
     within distance two of it, itself excluded."""
     out = np.zeros(g.n, dtype=np.int64)
-    for (block, comps), counts in zip(g.classes, g.common_neighbours):
-        out[comps] = (block | (counts > 0)) @ block.sum(axis=1)
+    for (labels, _, comps), (*_, delta2) in zip(g.classes, g.counts):
+        out[comps] = delta2.take(labels)
     return out
 
 
 class Components(tuple):
-    """What connected_components and quotient_components return: a tuple
-    of ascending index arrays ordered by smallest vertex, and complete,
-    one flag per component telling whether it is a complete graph."""
+    """What quotient_components returns: a tuple of ascending index arrays
+    ordered by smallest vertex, and complete, one flag per component
+    telling whether it is a complete graph."""
 
     complete: tuple[bool, ...]
 
@@ -295,20 +312,6 @@ class Components(tuple):
 
 # Bit i of a packed byte, counted from the left as packbits does.
 _BIT = np.uint8(128) >> np.arange(8, dtype=np.uint8)
-
-
-def connected_components(adjacency: np.ndarray) -> Components:
-    """Components of a symmetric boolean array with a zero diagonal, as
-    ascending index arrays ordered by smallest vertex: its closed-twin
-    census, then its quotient's components.  One count settles an array
-    with no edges, or with every edge, at once."""
-    n = len(adjacency)
-    edges = int(np.count_nonzero(adjacency))
-    if edges == 0:
-        return Components(np.arange(n)[:, None], (True,) * n)
-    if edges == n * (n - 1):
-        return Components([np.arange(n)], [True])
-    return quotient_components(*closed_twins(adjacency))
 
 
 def closed_twins(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,46 +357,47 @@ def quotient_components(labels: np.ndarray, quotient: np.ndarray) -> Components:
     return Components([order[s:e] for s, e in zip([0] + ends, ends)], complete[roots].tolist())
 
 
-def _twin_labels(block: np.ndarray, closed: np.ndarray) -> np.ndarray | None:
-    """The twin classes of a connected adjacency block whose closed twins
-    (N[x] = N[y]) share a label of closed, as read-only labels, equal
-    within a class only, or None if the block is complete.
+def restricted(classes: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The twin form of vertices in the given classes of w: the classes
+    renumbered in order, and w cut down to them."""
+    ids = np.flatnonzero(np.bincount(classes))
+    return np.searchsorted(ids, classes), w.take(ids, axis=0).take(ids, axis=1)
 
-    Open twins (N(x) = N(y)) have equal packed open rows.  A vertex with a
-    closed twin takes its closed class, any other its open class.  None
-    has both: if N[x] = N[y] and N(x) = N(z), then z ~ y, so z ~ x, and
-    open twins are not adjacent.
-    Swapping two twins is an automorphism, which fixes delta2 and every
-    shared-neighbour count: each class is a twin class of the msn and cn
-    matrices too, with one inner entry.
+
+def _twin_census(classes: np.ndarray, quotient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, census) of a connected component in the given closed-twin
+    classes of quotient: the classes renumbered first seen first, the
+    quotient cut down to them, and singletons with equal open rows merged
+    into an open class, with a false diagonal entry (no open row equals a
+    closed one, which holds its own class; classes with equal closed rows
+    merge as closed twins).  Swapping two twins is an automorphism, which
+    fixes delta2 and every shared-neighbour count: each class is a twin
+    class of the msn and cn matrices too.
     """
-    n = len(block)
-    if int(np.count_nonzero(block)) == n * (n - 1):
-        return None
-    open_ = row_labels(np.packbits(block, axis=1))
-    labels = np.where(np.bincount(closed)[closed] > 1, closed, closed.max() + 1 + open_)
-    labels.setflags(write=False)
-    return labels
-
-
-def _shared_neighbours(block: np.ndarray) -> np.ndarray:
-    """Shared-neighbour counts of one adjacency block, zero on the diagonal."""
-    a = block.astype(np.float64)
-    counts = np.rint(a @ a).astype(np.int64)
-    np.fill_diagonal(counts, 0)
-    counts.setflags(write=False)
-    return counts
+    labels, census = restricted(classes, quotient)
+    single = np.bincount(labels) == 1
+    # singletons keyed by open rows, first seen first, as the classes
+    merged = row_labels(np.packbits(census & ~np.diag(single), axis=1))
+    if merged.max() + 1 < len(census):
+        firsts = np.searchsorted(np.maximum.accumulate(merged), np.arange(merged.max() + 1))
+        census = census.take(firsts, axis=0).take(firsts, axis=1)
+        opened = np.flatnonzero((np.bincount(merged) > 1) & single[firsts])
+        census[opened, opened] = False
+        labels = merged.take(labels)
+    return labels, census
 
 
 def clique_decomposition(g: SimpleGraph) -> CliqueUnion | NotCliqueUnion:
     """Decompose into complete components, or witness why that fails in
-    the first incomplete component, which is the first of its class."""
-    for block, comps in g.classes:
-        missing = ~(block | np.eye(len(block), dtype=bool))
-        if missing.any():
-            i, j = np.argwhere(missing)[0]
-            return NotCliqueUnion((int(comps[0, i]), int(comps[0, j])))
-    return CliqueUnion.of((len(block), len(comps)) for block, comps in g.classes)
+    the first incomplete component, which is the first of its class: its
+    first vertex whose class misses a vertex, and the first it misses."""
+    for labels, census, comps in g.classes:
+        if not census.all():
+            u = int(np.argmax(~census.all(axis=1).take(labels)))
+            missed = ~census[labels[u]].take(labels)
+            missed[u] = False
+            return NotCliqueUnion((int(comps[0, u]), int(comps[0, missed.argmax()])))
+    return CliqueUnion.of((len(labels), len(comps)) for labels, _, comps in g.classes)
 
 
 def clique_union_graph(parts: CliqueUnion) -> SimpleGraph:

@@ -540,8 +540,17 @@ def noncentral_centralizer_sizes(ring: FiniteRing) -> list[int]:
 
 
 def has_unity(ring: FiniteRing) -> int | None:
-    """The two-sided identity's index, or None; being central, its row
-    equals its column, so only central rows are read, a row block at a time."""
+    """The two-sided identity's index, or None."""
+    return _unity(ring)
+
+
+def _unity(ring: FiniteRing) -> int | None:
+    """has_unity, recursing past any wrapper of it.  A product's unity is
+    the pair of its factors' unities.  Any other ring's, being central, has
+    its row equal to its column, so only central rows are read, by blocks."""
+    if ring.factors:
+        units = [_unity(f) for f in ring.factors]
+        return None if None in units else units[0] * ring.factors[1].order + units[1]
     idx = np.arange(ring.order)
     central = np.flatnonzero(ring.central)
     block = _row_block(ring.order)

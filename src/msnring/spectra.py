@@ -1,31 +1,30 @@
 """Neighborhood matrices, their spectra by two independent routes, and
 the closed forms for clique unions.
 
-Both matrices are built once per class of SimpleGraph.classes (one
-distinct component block) from its common-neighbour count: the cn matrix
-is that count, and the msn matrix reads distance two off it.  An
-IntSymMatrix holds distinct diagonal blocks with counts, and their twin
-classes, which are G's (SimpleGraph.twins).  An msn block stays whole, as
-its support is its class's connected adjacency (a vertex with a
-neighbour u has delta2 >= deg(u) >= 1).  A cn block is split over its
-support's components (the cn matrix of K_{a,b} splits into its two
-sides), equal pieces grouped.  matrix_spectra dispatches both routes:
+Both matrices are built once per class of SimpleGraph.classes as twin
+forms (labels, w): a class per vertex and a k x k symmetric matrix, the
+entry between two vertices w at their labels, each class's inner entry
+on the diagonal (0 for a singleton).  The msn form stays whole, as its
+support is its class's connected adjacency (a vertex with a neighbour u
+has delta2 >= deg(u) >= 1); the cn form is split over its support's
+components (the cn matrix of K_{a,b} splits into its two sides), equal
+pieces grouped.  An IntSymMatrix holds the forms with counts; a plain
+n x n block is the form (arange(n), block).  matrix_spectra dispatches
+both routes:
 
-* the exact route works in two steps on each distinct block.  First,
-  twin reduction: the block's twin classes are verified on it, each class
+* the exact route reads only the forms.  First, twin reduction: a class
   of s vertices with inner entry a gives -a with multiplicity s - 1, and
-  the k x k quotient over the classes carries the rest; k = 1 is its own
-  root.  A block whose entries off the diagonal are all equal, as a
-  clique's are, is one class, known from its largest entry and sum alone.
-  Second, the integer roots of every quotient with k > 1, the block
-  itself when it is twin-free, are proven from its characteristic
-  polynomial (_block_roots), all in one charpoly_dense call: classify
-  passes a graph's msn and cn matrices together.  So the route either
-  proves the spectrum integral or reports the integer part found, and it
-  reads no float.  It declines matrices with a block above the exact cap
-  that is not a single twin class.
-* the numeric route is the symmetric float eigensolve per block
-  (IntSymMatrix.eigenvalues), merged and clustered into multiplicities.
+  the k x k quotient carries the rest; a block whose entries off the
+  diagonal are all equal, as a clique's are, is one class.  Second, the
+  integer roots of every quotient past 1 x 1 are proven from its
+  characteristic polynomial (_block_roots), all in one charpoly_dense
+  call: classify passes a graph's msn and cn matrices together.  So the
+  route proves the spectrum integral or reports the integer part found,
+  and reads no float.  It declines matrices with a block above the exact
+  cap that is not a single twin class.
+* the numeric route is the symmetric float eigensolve of each block,
+  built from its form on first read (IntSymMatrix.blocks), merged and
+  clustered into multiplicities.
 
 The two routes share nothing, so each is a check on the other.
 """
@@ -45,8 +44,9 @@ from .graphs import (
     CliqueUnion,
     SimpleGraph,
     clique_decomposition,
-    connected_components,
-    delta2_all,
+    expanded,
+    quotient_components,
+    restricted,
 )
 
 NUMERIC_CLUSTER_TOL = 1e-8
@@ -66,53 +66,54 @@ class NoConvergence(SpectraError):
     pass
 
 
-def _grouped(pieces) -> tuple[tuple[tuple[np.ndarray, int], ...], tuple]:
-    """(square array, count, twin labels) triples with equal arrays merged,
-    in first-seen order and with their first labels, as IntSymMatrix's
-    blocks and twins."""
-    seen: dict[tuple[str, bytes], list] = {}
-    for a, count, labels in pieces:
-        # the arrays are square, so equal dtype and bytes mean equal arrays
-        seen.setdefault((a.dtype.str, a.tobytes()), [a, 0, labels])[1] += count
-    return (tuple((a, count) for a, count, _ in seen.values()),
-            tuple(labels for *_, labels in seen.values()))
+def _checked(part, count: int) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """A (twin form, count) pair, checked, the form made read-only: part
+    itself, or the form (arange(n), part) of a plain n x n block."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise SpectraError(f"block count must be a positive integer, got {count!r}")
+    if isinstance(part, np.ndarray):
+        part = (np.arange(len(part) if part.ndim else 0), part)
+    labels, w = part
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
+        raise SpectraError(f"matrix block must be a nonempty square, got shape {w.shape}")
+    if w.dtype.kind not in "iu":
+        raise SpectraError("matrix entries must be integers")
+    if (w != w.T).any():
+        raise SpectraError("matrix must be symmetric")
+    if w.min() < 0:
+        raise SpectraError("matrix entries must be nonnegative")
+    numbered = labels.ndim == 1 and labels.dtype.kind in "iu" and labels.min(initial=0) >= 0
+    sizes = np.bincount(labels, minlength=len(w)) if numbered else ()
+    if len(sizes) != len(w) or not sizes.all():
+        raise SpectraError(f"twin labels must number the {len(w)} classes of w, none empty")
+    if np.diagonal(w)[sizes == 1].any():
+        raise SpectraError("matrix diagonal must be zero: a singleton class has inner entry 0")
+    labels.setflags(write=False)
+    w.setflags(write=False)
+    return (labels, w), count
 
 
 @dataclass(frozen=True, eq=False)
 class IntSymMatrix:
     """Block-diagonal symmetric nonnegative integer matrix with zero
-    diagonal, as checked (distinct block, positive count) pairs: msn_matrix
-    gives one per graph class, cn_matrix one per class support component.
-    twins holds each block's twin classes, as labels equal within a class
-    only, or None (all None when not given)."""
+    diagonal, as checked (twin form, positive count) pairs: msn_matrix
+    gives one per graph class, cn_matrix one per class support piece.  A
+    plain block stands for its form (arange(n), block), all singletons."""
 
-    blocks: tuple[tuple[np.ndarray, int], ...] = field(repr=False)
-    twins: tuple[np.ndarray | None, ...] = field(default=(), repr=False)
+    forms: tuple[tuple[tuple[np.ndarray, np.ndarray], int], ...] = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "twins", self.twins or (None,) * len(self.blocks))
-        if len(self.twins) != len(self.blocks):
-            raise SpectraError(f"need {len(self.blocks)} twin labellings, got {len(self.twins)}")
-        for (v, count), labels in zip(self.blocks, self.twins):
-            if v.ndim != 2 or v.shape[0] != v.shape[1] or not v.size:
-                raise SpectraError(f"matrix block must be a nonempty square, got shape {v.shape}")
-            if v.dtype.kind not in "iu":
-                raise SpectraError("matrix entries must be integers")
-            if np.diagonal(v).any():
-                raise SpectraError("matrix diagonal must be zero")
-            if (v != v.T).any():
-                raise SpectraError("matrix must be symmetric")
-            if v.min() < 0:
-                raise SpectraError("matrix entries must be nonnegative")
-            if not isinstance(count, int) or count < 1:
-                raise SpectraError(f"block count must be a positive integer, got {count!r}")
-            v.setflags(write=False)
-            if labels is not None and labels.shape != (len(v),):
-                raise SpectraError(f"twin labels of shape {labels.shape} for a block {v.shape}")
+        object.__setattr__(self, "forms", tuple(_checked(*pair) for pair in self.forms))
 
     @property
     def n(self) -> int:
-        return sum(v.shape[0] * count for v, count in self.blocks)
+        return sum(len(labels) * count for (labels, _), count in self.forms)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """Each form's read-only block with its count, built on first read:
+        only the numeric route reads them."""
+        return tuple((expanded(*form), count) for form, count in self.forms)
 
     @functools.cached_property
     def eigenvalues(self) -> tuple[np.ndarray, ...]:
@@ -205,20 +206,34 @@ def reference_energies(n: int) -> tuple[int, int]:
 
 
 def msn_matrix(g: SimpleGraph) -> IntSymMatrix:
-    """Minimum second-degree matrix: entry min(d2(u), d2(v)) on edges."""
-    d2 = delta2_all(g)
+    """Minimum second-degree matrix: entry min(d2(u), d2(v)) on edges, as
+    the twin form min(delta2_i, delta2_j) A of each class."""
     return IntSymMatrix(tuple(
-        (np.minimum(d2[comps[0], None], d2[comps[0]]) * block, len(comps))
-        for block, comps in g.classes), g.twins)
+        ((labels, np.minimum.outer(delta2, delta2) * adjacency), len(comps))
+        for (labels, _, comps), (adjacency, _, delta2) in zip(g.classes, g.counts)))
 
 
 def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
-    """Common neighborhood matrix: shared neighbor counts off diagonal."""
-    return IntSymMatrix(*_grouped(
-        (counts.take(piece, axis=0).take(piece, axis=1), len(comps),
-         None if labels is None else labels[piece])
-        for counts, (_, comps), labels in zip(g.common_neighbours, g.classes, g.twins)
-        for piece in connected_components(counts != 0)))
+    """Common neighborhood matrix: shared neighbor counts off diagonal,
+    each class's form split over its support's components, equal pieces
+    grouped in first-seen order.  A piece that is one twin class
+    (_single_class) is a (J - I), so it is keyed by its size and entry a,
+    and a zero one, a K2 component's, stands for its vertices as 1 x 1
+    pieces; any other piece is keyed by its form."""
+    seen: dict[tuple, list] = {}
+    for (labels, _, comps), (_, shared, _) in zip(g.classes, g.counts):
+        support = (shared > 0) | np.eye(len(shared), dtype=bool)
+        pieces = () if support.all() else quotient_components(labels, support)
+        forms = [(labels, shared)] if len(pieces) < 2 else [
+            restricted(labels.take(piece), shared) for piece in pieces]
+        for form in forms:
+            count, key = len(comps), tuple(part.tobytes() for part in form)
+            if len(form[1]) == 1 or _single_class(form):
+                key = (len(form[0]), int(form[1].max()))
+                if not key[1]:
+                    form, count, key = restricted(form[0][:1], form[1]), count * key[0], (1, 0)
+            seen.setdefault(key, [form, 0])[1] += count
+    return IntSymMatrix(tuple((form, count) for form, count in seen.values()))
 
 
 def _cluster_tol(peak: int, n: int) -> float:
@@ -226,64 +241,40 @@ def _cluster_tol(peak: int, n: int) -> float:
     return NUMERIC_CLUSTER_TOL * max(1.0, float(peak) * n)
 
 
-def _verified(block: np.ndarray, labels: np.ndarray):
-    """(members by class, class starts, class sizes, inner entries) of the
-    classes of equal nonnegative labels; ArithmeticError unless they are
-    twin classes.
-
-    The members are listed class by class, from the given starts, each
-    class first vertex first; that vertex is the class's representative.
-    A class's inner entry a lies between its representative and another
-    of its vertices (0 for a singleton).  With the block's diagonal set to
-    each vertex's a, every row must equal its representative's row.  Then
-    any two vertices x, y of a class agree off {x, y} and have the entry a
-    between them, so e_x - e_y is an eigenvector with eigenvalue -a.
-    """
-    labels = (np.cumsum(np.bincount(labels) > 0) - 1)[labels]  # renumbered 0..k-1
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    starts = np.cumsum(sizes) - sizes
-    reps = order[starts]
-    inner = block[reps, order[starts + (sizes > 1)]]
-    hat = block.copy()
-    np.fill_diagonal(hat, inner[labels])
-    if not (hat == hat[reps[labels]]).all():
-        raise ArithmeticError("twin labels are not twin classes of the block")
-    return order, starts, sizes, inner
+def _single_class(form: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether a form's block, of two or more vertices, is one twin class,
+    as every clique block is: all its entries off the diagonal are equal,
+    so every entry of w is w[0, 1] but on a singleton class's diagonal."""
+    labels, w = form
+    n, s = len(labels), np.bincount(labels)
+    return n > 1 and (len(s) == 1 or w[0, 1] == w[-1, -2] and
+                      bool(((w == w[0, 1]) | np.diag(s == 1)).all()))
 
 
-def _single_class(block: np.ndarray) -> bool:
-    """Whether a block of two or more vertices is one twin class, as every
-    clique block is: all its entries off the diagonal are equal.  None
-    exceeds the largest, so they are equal when they sum to it each."""
-    n = len(block)
-    return n > 1 and int(block.max()) * n * (n - 1) == int(block.sum())
-
-
-def _twin_quotient(block: np.ndarray,
-                   labels: np.ndarray | None) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The (eigenvalue, multiplicity) pairs a block's twin classes give,
+def _twin_quotient(form: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The (eigenvalue, multiplicity) pairs a form's twin classes give,
     and the matrix left.
 
-    A block that is one class (_single_class) needs no labels; without
-    them, or with k = n, the block is returned as it is.  The labels are
-    verified first (_verified, ArithmeticError if they fail).  A class of
-    s vertices with inner entry a gives -a with multiplicity s - 1.  The
-    other eigenvalues are those of the k x k quotient B[i, j] = sum of
-    block[r_i, z] over the class C_j, with r_i the representative of C_i:
-    the classes form an equitable partition, and B is similar to a
-    symmetric matrix, so its eigenvalues are real.
+    A block that is one class (_single_class) gives -a, n - 1 times, and
+    a (n - 1), for its largest entry a.  Otherwise a class of s vertices
+    with inner entry a gives -a with multiplicity s - 1 (the rows of two
+    of its vertices x, y agree off {x, y}), and the rest are the
+    eigenvalues of the k x k quotient B = w s - diag(w), the row sums of
+    a class i vertex over each class: the classes form an equitable
+    partition, and B is similar to a symmetric matrix.
     """
-    n = len(block)
-    if _single_class(block):
-        a = int(block.max())
+    labels, w = form
+    n = len(labels)
+    if _single_class(form):
+        a = int(w.max())
         return [(-a, n - 1)], np.array([[a * (n - 1)]])
-    if labels is None or np.count_nonzero(np.bincount(labels)) == n:
-        return [], block
-    order, starts, sizes, inner = _verified(block, labels)
-    found = [(-a, s - 1) for a, s in zip(inner.tolist(), sizes.tolist()) if s > 1]
-    rows = block[order[starts]][:, order].astype(np.int64)
-    return found, np.add.reduceat(rows, starts, axis=1)
+    s = np.bincount(labels)
+    if len(s) == n:
+        return [], w
+    inner = np.diagonal(w)
+    found = [(-a, size - 1) for a, size in zip(inner.tolist(), s.tolist()) if size > 1]
+    return found, w.astype(np.int64) * s - np.diag(inner)
 
 
 def _block_roots(quotients: list[np.ndarray]) -> list[tuple[list[tuple[int, int]], int]]:
@@ -320,24 +311,24 @@ def _block_roots(quotients: list[np.ndarray]) -> list[tuple[list[tuple[int, int]
     return out
 
 
-def _declined(block: np.ndarray, cap: int) -> bool:
-    """Whether the exact cap declines a block.
+def _declined(form: tuple[np.ndarray, np.ndarray], cap: int) -> bool:
+    """Whether the exact cap declines a form's block.
 
-    The cap bounds the block, unless the block is a single twin class and
-    the cap admits its 1 x 1 quotient.  That quotient needs no root
+    The cap bounds the block's vertex count, unless the block is a single
+    twin class and the cap admits its 1 x 1 quotient.  That needs no root
     search, while the divisor screen of a larger quotient's polynomial
     grows with the block's row sums, which the cap bounds.
     """
-    return len(block) > cap and (cap < 1 or not _single_class(block))
+    return len(form[0]) > cap and (cap < 1 or not _single_class(form))
 
 
 def exact_spectrum(*matrices: IntSymMatrix) -> tuple[SpectrumMultiset | NotFullyIntegral, ...]:
     """Integer eigenvalues of each matrix by exact computation, with no
     float call, in order.
 
-    Each distinct block is first reduced by its twin classes, verified on
-    it (_twin_quotient), and the integer roots of all the quotients of all
-    the matrices are then proven from their characteristic polynomials
+    Each form is first reduced by its twin classes (_twin_quotient),
+    reading nothing larger than k x k, and the integer roots of all the
+    quotients are then proven from their characteristic polynomials
     (_block_roots, one charpoly_dense call).  If every block's spectrum
     is integral a matrix's spectrum is returned whole, else the integer
     part found.  Raises ExactCapExceeded, before any twin reduction or
@@ -346,18 +337,17 @@ def exact_spectrum(*matrices: IntSymMatrix) -> tuple[SpectrumMultiset | NotFully
     """
     cap = exact_cap()
     for m in matrices:
-        for block, _ in m.blocks:
-            if _declined(block, cap):
-                raise ExactCapExceeded(
-                    f"support block of dimension {len(block)} exceeds the exact path cap {cap}")
-    reduced = [_twin_quotient(block, labels) for m in matrices
-               for (block, _), labels in zip(m.blocks, m.twins)]
+        for form, _ in m.forms:
+            if _declined(form, cap):
+                raise ExactCapExceeded(f"support block of dimension {len(form[0])} "
+                                       f"exceeds the exact path cap {cap}")
+    reduced = [_twin_quotient(form) for m in matrices for form, _ in m.forms]
     settled = iter(zip(reduced, _block_roots([quotient for _, quotient in reduced])))
     results = []
     for m in matrices:
         roots: Counter[int] = Counter()
         residual = 0
-        for (_, count), ((found, _), (rest, left)) in zip(m.blocks, settled):
+        for (_, count), ((found, _), (rest, left)) in zip(m.forms, settled):
             for value, mult in [*found, *rest]:
                 roots[value] += mult * count
             residual += left * count
@@ -373,8 +363,8 @@ def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
     if m.n == 0:
         return SpectrumMultiset(False, ())
     eigs = np.sort(np.concatenate([
-        np.repeat(values, count) for values, (_, count) in zip(m.eigenvalues, m.blocks)]))
-    tol = _cluster_tol(max(block.max() for block, _ in m.blocks), m.n)
+        np.repeat(values, count) for values, (_, count) in zip(m.eigenvalues, m.forms)]))
+    tol = _cluster_tol(max(w.max() for (_, w), _ in m.forms), m.n)
     # a cluster ends where the next eigenvalue is tol or more above it
     values = eigs.tolist()
     cuts = [0, *((eigs[1:] - eigs[:-1] >= tol).nonzero()[0] + 1).tolist(), len(values)]

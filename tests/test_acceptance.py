@@ -13,6 +13,7 @@ import pytest
 
 from msnring.graphs import (
     CliqueUnion,
+    NotCliqueUnion,
     SimpleGraph,
     clique_decomposition,
     commuting_graph,
@@ -25,12 +26,14 @@ from msnring.rings import (
     is_cc_ring,
     matrix_ring_2x2,
     noncentral_centralizer_sizes,
+    parse_ring_spec,
     ring_noncomm_p2,
     upper_triangular_ring,
     zn,
 )
 from msnring.spectra import (
     NUMERIC_MATCH_TOL,
+    NotFullyIntegral,
     cn_matrix,
     exact_spectrum,
     msn_matrix,
@@ -249,3 +252,78 @@ def test_clique_decompositions_behind_the_headline_numbers():
     for ring, parts in cases:
         dec = clique_decomposition(commuting_graph(ring))
         assert dec == CliqueUnion(parts)
+
+
+# The 17 unordered products of two of nc_p2, ut2 and mat2 (p <= 7) whose
+# commuting graphs have at most 256 vertices: (vertices, msn, cn), each
+# matrix as (integer eigenvalues with multiplicities, residual degree).
+# They were computed once with no twin reduction, every block's
+# characteristic polynomial taken whole (about 29 s in all); the test
+# reaches them through the twin forms alone.
+PRODUCT_PINS = {
+    "prod(nc_p2:p=2,nc_p2:p=2)": (
+        15, (((-144, 1), (0, 4)), 10),
+        (((-3, 4), (-2, 4), (1, 4), (3, 1)), 2)),
+    "prod(nc_p2:p=2,nc_p2:p=3)": (
+        35, (((-214, 4), (-172, 12), (172, 6)), 13),
+        (((-9, 4), (-3, 18)), 13)),
+    "prod(nc_p2:p=2,nc_p2:p=5)": (
+        99, (((-1134, 18), (-824, 54), (2472, 10)), 17),
+        (((-17, 18), (-7, 54), (1, 10)), 17)),
+    "prod(nc_p2:p=2,nc_p2:p=7)": (
+        195, (((-3238, 40), (-2244, 120), (11220, 14)), 21),
+        (((-25, 40), (-11, 120), (13, 14)), 21)),
+    "prod(nc_p2:p=2,ut2:p=2)": (
+        30, (((-1165, 1), (-233, 6), (-201, 9), (201, 4)), 10),
+        (((-12, 6), (-4, 18), (12, 5), (84, 1)), 0)),
+    "prod(nc_p2:p=2,ut2:p=3)": (
+        105, (((-2194, 20), (-2176, 6), (-1708, 60), (8540, 6)), 13),
+        (((-49, 6), (-31, 20), (-13, 60), (11, 6)), 13)),
+    "prod(nc_p2:p=2,mat2:p=2)": (
+        62, (((-553, 7), (-537, 3), (-441, 21), (441, 12)), 19),
+        (((-28, 3), (-12, 7), (-4, 42), (12, 6), (28, 2)), 2)),
+    "prod(nc_p2:p=3,nc_p2:p=3)": (
+        80, (((-5761, 1), (-823, 8), (-589, 48), (1767, 9)), 14),
+        (((-24, 8), (-6, 48), (2, 9), (24, 1)), 14)),
+    "prod(nc_p2:p=3,nc_p2:p=5)": (
+        224, (((-4069, 18), (-4039, 4), (-2539, 168), (17773, 15)), 19),
+        (((-72, 4), (-42, 18), (-12, 168), (36, 15)), 19)),
+    "prod(nc_p2:p=3,ut2:p=2)": (
+        70, (((-945, 12), (-933, 3), (-741, 36), (2223, 6)), 13),
+        (((-32, 3), (-20, 12), (-8, 36), (0, 9), (84, 3)), 7)),
+    "prod(nc_p2:p=3,ut2:p=3)": (
+        240, (((-152665, 1), (-8035, 40), (-5605, 176), (61655, 9)), 14),
+        (((-76, 40), (-22, 176), (98, 9), (284, 1)), 14)),
+    "prod(nc_p2:p=3,mat2:p=2)": (
+        142, (((-2157, 7), (-2145, 12), (-1533, 84), (4599, 18)), 21),
+        (((-44, 12), (-32, 7), (-8, 84), (0, 18), (28, 3), (160, 3)), 15)),
+    "prod(nc_p2:p=5,ut2:p=2)": (
+        198, (((-4769, 42), (-4709, 3), (-3429, 126), (24003, 10)), 17),
+        (((-96, 3), (-36, 42), (-16, 126), (32, 10)), 17)),
+    "prod(ut2:p=2,ut2:p=2)": (
+        60, (((-9153, 1), (-1017, 18), (-857, 27), (2571, 4)), 10),
+        (((-26, 18), (-10, 27), (-2, 4), (54, 1)), 10)),
+    "prod(ut2:p=2,ut2:p=3)": (
+        210, (((-9049, 44), (-9013, 15), (-6997, 132), (76967, 6)), 13),
+        (((-100, 15), (-64, 44), (-28, 132), (92, 6)), 13)),
+    "prod(ut2:p=2,mat2:p=2)": (
+        124, (((-2361, 21), (-2329, 9), (-1849, 63), (5547, 12)), 19),
+        (((-58, 9), (-26, 21), (-10, 63), (-2, 12)), 19)),
+    "prod(mat2:p=2,mat2:p=2)": (
+        252, (((-135025, 1), (-5401, 42), (-3865, 147), (11595, 36)), 26),
+        (((-58, 42), (-10, 147), (-2, 36), (566, 1)), 26)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PRODUCT_PINS))
+def test_product_spectra_match_the_full_block_pins(spec):
+    # no product of two non-commutative built-ins this small is
+    # MSN-integral; only prod(nc_p2:p=2,ut2:p=2) has an integral cn spectrum
+    n, *want = PRODUCT_PINS[spec]
+    g = commuting_graph(parse_ring_spec(spec))
+    assert g.n == n and isinstance(clique_decomposition(g), NotCliqueUnion)
+    got = []
+    for e in exact_spectrum(msn_matrix(g), cn_matrix(g)):
+        got.append((e.integer_roots, e.residual_degree) if isinstance(e, NotFullyIntegral)
+                   else (e.pairs, 0))
+    assert got == want

@@ -414,8 +414,8 @@ def test_coefficient_bound_covers_the_product_ring_quotients(spec, k, symmetric)
     from msnring.rings import parse_ring_spec
     g = commuting_graph(parse_ring_spec(spec))
     for m in (msn_matrix(g), cn_matrix(g)):
-        ((block, _),), (labels,) = m.blocks, m.twins
-        quotient = spectra._twin_quotient(block, labels)[1]
+        ((form, _),) = m.forms
+        quotient = spectra._twin_quotient(form)[1]
         assert len(quotient) == k and bool((quotient == quotient.T).all()) is symmetric
         bound = coefficient_bound(quotient)
         assert bound == maclaurin_bound(k, int((quotient * quotient).sum()))

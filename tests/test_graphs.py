@@ -23,11 +23,12 @@ from msnring.graphs import (
     VertexOutOfRange,
     clique_decomposition,
     clique_union_graph,
+    closed_twins,
     commuting_graph,
-    connected_components,
     delta2_all,
     load_graph,
     parse_edge_list_text,
+    quotient_components,
     parse_graph_json,
     save_graph,
     to_edge_list_text,
@@ -136,6 +137,9 @@ def test_census_graph_is_its_classes_and_rejects_a_forged_quotient():
     assert [c.tolist() for c in g.components] == [[0, 1, 2, 4], [3]]
     assert g.components.complete == (False, True)  # [0] is not its own unit row
     assert clique_decomposition(g) == CliqueUnion.of([(1, 1), (4, 1)])
+    # classes 0 and 1 have equal closed rows: one class of closed twins
+    assert [(labels.tolist(), census.tolist()) for labels, census, _ in g.classes] == [
+        ([0, 0, 0, 0], [[True]]), ([0], [[True]])]
     asymmetric, false_diagonal = quotient.copy(), quotient.copy()
     asymmetric[0, 2] = True
     false_diagonal[2, 2] = False
@@ -170,9 +174,21 @@ def test_from_edges_accepts_generators_and_arrays():
     assert g.edges() == [(0, 3), (1, 2)]
 
 
+def components_of(adjacency):
+    """The components of a boolean array, from its closed-twin census."""
+    return quotient_components(*closed_twins(adjacency))
+
+
+def form_block(labels, census):
+    """The adjacency block a class's twin form stands for."""
+    block = census[np.ix_(labels, labels)]
+    np.fill_diagonal(block, False)
+    return block
+
+
 def test_connected_components():
     g = SimpleGraph.from_edges(6, [(0, 3), (3, 5), (1, 2)])
-    assert [c.tolist() for c in connected_components(g.adjacency)] == [[0, 3, 5], [1, 2], [4]]
+    assert [c.tolist() for c in components_of(g.adjacency)] == [[0, 3, 5], [1, 2], [4]]
     assert [c.tolist() for c in g.components] == [[0, 3, 5], [1, 2], [4]]
     assert g.components is g.components  # labelled once per graph
 
@@ -230,30 +246,32 @@ def planted_graphs(draw):
 @example(complete_graph(3))
 @example(complete_graph(9))
 def test_connected_components_match_union_find(g):
-    # the examples are the edgeless and complete graphs that connected_components
-    # settles from one count, without its census
-    comps = connected_components(g.adjacency)
+    # the components of an adjacency's closed-twin census, and of the graph
+    comps = components_of(g.adjacency)
+    assert [c.tolist() for c in g.components] == [c.tolist() for c in comps]
     assert [c.tolist() for c in comps] == union_find_components(g.adjacency)
     assert all(c.dtype.kind == "i" for c in comps)
     # the census flags exactly the complete components
     assert comps.complete == tuple(
         bool(g.adjacency[np.ix_(c, c)].sum() == len(c) * (len(c) - 1)) for c in comps)
-    for block, members in g.classes:
+    for labels, census, members in g.classes:
         for comp in members:
-            assert np.array_equal(g.adjacency[np.ix_(comp, comp)], block)
-    assert sorted(c for _, members in g.classes for c in members[:, 0].tolist()) == \
+            assert np.array_equal(g.adjacency[np.ix_(comp, comp)], form_block(labels, census))
+    assert sorted(c for *_, members in g.classes for c in members[:, 0].tolist()) == \
         [c[0] for c in union_find_components(g.adjacency)]
 
 
 def test_complete_components_share_one_class_per_size():
     g = clique_union_graph(CliqueUnion(((1, 3), (2, 2), (5, 2))))
     assert g.components.complete == (True,) * 7
-    assert [(block.tolist(), members.tolist()) for block, members in g.classes] == [
-        ([[False]], [[0], [1], [2]]),
-        ([[False, True], [True, False]], [[3, 4], [5, 6]]),
-        ((~np.eye(5, dtype=bool)).tolist(), [list(range(7, 12)), list(range(12, 17))])]
-    assert all(not block.flags.writeable for block, _ in g.classes)
-    assert connected_components(np.zeros((0, 0), dtype=bool)) == ()
+    # each one class of closed twins
+    assert [(labels.tolist(), census.tolist(), members.tolist())
+            for labels, census, members in g.classes] == [
+        ([0], [[True]], [[0], [1], [2]]),
+        ([0, 0], [[True]], [[3, 4], [5, 6]]),
+        ([0] * 5, [[True]], [list(range(7, 12)), list(range(12, 17))])]
+    assert all(not a.flags.writeable for triple in g.classes for a in triple)
+    assert components_of(np.zeros((0, 0), dtype=bool)) == ()
 
 
 def test_twins_one_census_per_class():
@@ -264,20 +282,25 @@ def test_twins_one_census_per_class():
     edges = [(1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (8, 9), (8, 10), (8, 11),
              (12, 13), (12, 14), (13, 14), (13, 15), (14, 15)]
     g = SimpleGraph.from_edges(16, edges)
-    assert len(g.twins) == len(g.classes) == 5
-    assert g.twins[:2] == (None, None)
+    assert len(g.classes) == 5
     classes = []
-    for labels in g.twins[2:]:
+    for labels, _, _ in g.classes:
         seen = {}
         for v, label in enumerate(labels.tolist()):
             seen.setdefault(label, []).append(v)
         classes.append(sorted(seen.values()))
-    assert classes == [[[0], [1], [2], [3]], [[0], [1, 2, 3]], [[0, 3], [1, 2]]]
-    assert all(not labels.flags.writeable for labels in g.twins[2:])
+    assert classes == [[[0]], [[0, 1, 2]], [[0], [1], [2], [3]], [[0], [1, 2, 3]],
+                       [[0, 3], [1, 2]]]
+    # labels first seen first; open classes have a false diagonal entry
+    assert [labels.tolist() for labels, _, _ in g.classes[2:]] == [
+        [0, 1, 2, 3], [0, 1, 1, 1], [0, 1, 1, 0]]
+    assert [census.diagonal().tolist() for _, census, _ in g.classes] == [
+        [True], [True], [True] * 4, [True, False], [False, True]]
+    assert all(not a.flags.writeable for triple in g.classes for a in triple[:2])
 
 
 def brute_decomposition(g):
-    comps = connected_components(g.adjacency)
+    comps = union_find_components(g.adjacency)
     for comp in comps:
         for u, v in itertools.combinations(comp, 2):
             if not g.adjacency[u, v]:
@@ -336,10 +359,10 @@ def test_clique_decomposition_per_class_matches_per_component(pieces, perm_seed)
     perm = np.random.default_rng(perm_seed).permutation(n)
     g = SimpleGraph.from_edges(n, [tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in edges])
     assert clique_decomposition(g) == per_component_decomposition(g)
-    assert sum(len(comps) for _, comps in g.classes) == len(g.components)
-    for block, comps in g.classes:
+    assert sum(len(comps) for *_, comps in g.classes) == len(g.components)
+    for labels, census, comps in g.classes:
         for comp in comps:
-            assert np.array_equal(g.adjacency[np.ix_(comp, comp)], block)
+            assert np.array_equal(g.adjacency[np.ix_(comp, comp)], form_block(labels, census))
 
 
 def test_clique_union_normalization():

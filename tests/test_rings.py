@@ -387,6 +387,50 @@ def test_has_unity_matches_a_scan_of_every_element(spec):
         assert type(has_unity(ring)) is int
 
 
+def central_row_unity(ring):
+    """The first central element whose table row is the identity map, a
+    row block at a time: a central left identity is a unity."""
+    idx = np.arange(ring.order)
+    central = np.flatnonzero(ring.central)
+    for start in range(0, len(central), 256):
+        chunk = central[start:start + 256]
+        hits = np.flatnonzero((ring.rows(chunk) == idx).all(axis=1))
+        if hits.size:
+            return int(chunk[hits[0]])
+    return None
+
+
+@pytest.mark.parametrize("spec", [
+    "prod(mat2:p=2,mat2:p=2)", "prod(mat2:p=2,nc_p2:p=5)", "prod(mat2:p=2,zn:n=2)",
+    "prod(mat2:p=3,zn:n=3)", "prod(mat2:p=5,zn:n=5)", "prod(nc_p2:p=2,mat2:p=2)",
+    "prod(nc_p2:p=2,nc_p2:p=3)", "prod(nc_p2:p=2,ut2:p=2)", "prod(nc_p2:p=2,zn:n=1250)",
+    "prod(nc_p2:p=3,ut2:p=3)", "prod(nc_p2:p=5,ut2:p=2)", "prod(ut2:p=2,mat2:p=2)",
+    "prod(ut2:p=2,ut2:p=3)", "prod(ut2:p=2,zn:n=4)", "prod(ut2:p=3,zn:n=1)",
+    "prod(ut2:p=5,zn:n=25)", "prod(zn:n=2,zn:n=3)", "prod(zn:n=4,ut2:p=2)",
+    "prod(prod(nc_p2:p=2,nc_p2:p=2),zn:n=2)", "prod(prod(ut2:p=2,zn:n=2),zn:n=3)",
+    "prod(prod(zn:n=2,zn:n=2),zn:n=3)", "prod(zn:n=3,prod(mat2:p=2,ut2:p=2))",
+])
+def test_has_unity_of_a_product_pairs_its_factors_unities(spec):
+    # a product has a unity exactly when both factors have one, and it is
+    # their pair; nc_p2 has none, so neither has any product with it
+    ring = parse_ring_spec(spec)
+    want = central_row_unity(ring)
+    assert has_unity(ring) == want
+    assert (want is None) == ("nc_p2" in spec)
+
+
+def test_has_unity_of_a_nested_product_is_one_call(monkeypatch):
+    # the factors' unities are found without calling has_unity again, so
+    # a count of its calls counts the questions asked
+    from msnring import rings
+    calls = []
+    real = rings.has_unity
+    monkeypatch.setattr(rings, "has_unity", lambda ring: calls.append(ring) or real(ring))
+    ring = parse_ring_spec("prod(zn:n=3,prod(mat2:p=2,ut2:p=2))")
+    assert rings.has_unity(ring) == central_row_unity(ring)
+    assert calls == [ring]
+
+
 def test_is_cc_ring():
     assert is_cc_ring(zn(8)) is None
     for ring in (ring_noncomm_p2(3), upper_triangular_ring(3), matrix_ring_2x2(2)):

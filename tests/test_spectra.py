@@ -17,7 +17,10 @@ from msnring.graphs import (
     SimpleGraph,
     clique_decomposition,
     clique_union_graph,
-    connected_components,
+    closed_twins,
+    delta2_all,
+    quotient_components,
+    twin_counts,
 )
 from msnring.spectra import (
     NUMERIC_CLUSTER_TOL,
@@ -83,7 +86,7 @@ def dense(values):
     diagonal blocks over the components of its support, grouped by bytes
     and counted, as a sorted list of (nested list, count) pairs."""
     seen = {}
-    for comp in connected_components(values != 0):
+    for comp in quotient_components(*closed_twins(values != 0)):
         block = values[np.ix_(comp, comp)]
         seen.setdefault(block.tobytes(), [block, 0])[1] += 1
     return sorted((b.tolist(), count) for b, count in seen.values())
@@ -137,6 +140,11 @@ def test_cn_matrix_hand_values():
     g = complete_graph(5)
     expected = 3 * (np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
     assert blocks(cn_matrix(g)) == [(expected.tolist(), 1)]
+    # a P3 beside a P4: [[0, 1], [1, 0]] is the P3 ends' open class and
+    # two pieces of the P4, each two singletons, listed once
+    g = SimpleGraph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+    assert blocks(cn_matrix(g)) == [([[0]], 1), ([[0, 1], [1, 0]], 3)] == dense(brute_cn(g))
+    assert len(cn_matrix(g).forms) == 2
 
 
 @settings(deadline=None, max_examples=40)
@@ -174,6 +182,18 @@ def test_int_sym_matrix_validation():
     assert m.n == 6
     with pytest.raises(ValueError):
         m.blocks[0][0][0, 1] = 5  # read-only
+    with pytest.raises(ValueError):
+        m.forms[0][0][1][0, 1] = 5
+
+
+def test_int_sym_matrix_rejects_a_bool_count():
+    # True is an int to isinstance, but no count of blocks
+    edge = np.array([[0, 1], [1, 0]])
+    for count in (True, False):
+        with pytest.raises(SpectraError, match="block count must be a positive integer"):
+            IntSymMatrix(((edge, count),))
+    with pytest.raises(SpectraError, match="block count"):
+        IntSymMatrix((((np.zeros(2, dtype=np.intp), np.ones((1, 1), dtype=int)), True),))
 
 
 @pytest.mark.parametrize("kind", sorted(INVALID_PARTS))
@@ -248,6 +268,24 @@ def test_exact_cap_admits_only_a_single_twin_class_above_it(monkeypatch):
     assert exact_spectrum(msn_matrix(g))[0] == charpoly_oracle(brute_msn(g))
 
 
+def test_a_twin_free_block_with_equal_entries_is_one_class(monkeypatch):
+    # the rook's graph K4 x K4 is twin-free, but any two of its vertices
+    # share two neighbours: its cn form is 16 singletons with w = 2 (J - I),
+    # one class all the same, exact above the cap with no charpoly call
+    g = SimpleGraph.from_edges(16, [(u, v) for u, v in itertools.combinations(range(16), 2)
+                                    if u // 4 == v // 4 or u % 4 == v % 4])
+    ((form, count),) = cn_matrix(g).forms
+    assert (len(form[1]), count) == (16, 1) and spectra._single_class(form)
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
+    calls = recorded_charpoly_calls(monkeypatch)
+    assert exact_spectrum(cn_matrix(g))[0].pairs == ((-2, 15), (30, 1))
+    assert calls == []
+    # one entry off, and the block is no longer one class
+    w = form[1].copy()
+    w[5, 9] = w[9, 5] = 1
+    assert not spectra._single_class((form[0], w))
+
+
 def test_exact_cap_applies_per_block(monkeypatch):
     monkeypatch.setenv("MSNRING_EXACT_CAP", "3")
     s = exact_spectrum(msn_matrix(clique_union_graph(CliqueUnion(((3, 2),)))))[0]
@@ -270,7 +308,7 @@ def test_support_blocks():
     assert blocks(m) == dense(brute_cn(g))
     # the msn matrix is not split: one block per class, shaped as the class
     msn = msn_matrix(g)
-    assert [b.shape for b, _ in msn.blocks] == [b.shape for b, _ in g.classes]
+    assert [b.shape for b, _ in msn.blocks] == [(len(labels),) * 2 for labels, *_ in g.classes]
     assert blocks(msn) == dense(brute_msn(g))
     empty = SimpleGraph.from_edges(0, [])
     assert msn_matrix(empty).blocks == cn_matrix(empty).blocks == ()
@@ -386,15 +424,15 @@ def test_clique_blocks_settle_without_charpoly(monkeypatch):
     g = clique_union_graph(parts)
     assert exact_spectrum(msn_matrix(g))[0] == spectra.clique_union_msn_spectrum(parts)
     assert exact_spectrum(cn_matrix(g))[0] == spectra.clique_union_cn_spectrum(parts)
-    # a K2 component: its zero cn block splits into two 1 x 1 pieces, and
-    # its msn block [[0, 1], [1, 0]] is one class of closed twins
+    # a K2 component: one class of closed twins, whose zero cn form stands
+    # for two 1 x 1 pieces, and whose msn form is [[0, 1], [1, 0]]
     k2 = complete_graph(2)
     assert [(b.tolist(), count) for b, count in cn_matrix(k2).blocks] == [([[0]], 2)]
     assert exact_spectrum(cn_matrix(k2))[0].pairs == ((0, 2),)
     assert exact_spectrum(msn_matrix(k2))[0].pairs == ((-1, 1), (1, 1))
-    # a zero block is one class too, of inner entry 0
+    # a plain zero block is one class too, of inner entry 0
     zero = np.zeros((3, 3), dtype=np.int64)
-    assert spectra._twin_quotient(zero, None)[1].tolist() == [[0]]
+    assert spectra._twin_quotient((np.arange(3), zero))[1].tolist() == [[0]]
     assert exact_spectrum(IntSymMatrix(((zero, 2),)))[0].pairs == ((0, 6),)
     assert calls == []
 
@@ -430,10 +468,10 @@ planted_twins = st.one_of(
 
 
 def full_block_route(m):
-    """exact_spectrum with no twin reduction: every block is settled whole,
-    as a twin-free block is."""
+    """exact_spectrum with no twin reduction: every form's block is settled
+    whole, as a twin-free block is."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectra, "_twin_quotient", lambda block, labels: ([], block))
+        mp.setattr(spectra, "_twin_quotient", lambda form: ([], spectra.expanded(*form)))
         return exact_spectrum(m)[0]
 
 
@@ -445,6 +483,94 @@ def test_twin_route_matches_the_full_block_route(g):
         assert got == full_block_route(m)
         if g.n <= 16:
             assert got == charpoly_oracle(brute(g))
+
+
+@st.composite
+def twin_graphs(draw):
+    """Disjoint pieces, relabelled: random graphs with planted classes of
+    closed and open twins (blown_up), isolated vertices, K2 components and
+    complete bipartite ones."""
+    edges, n = [], 0
+    for kind in draw(st.lists(st.sampled_from(["blown", "isolated", "k2", "bipartite"]),
+                              min_size=1, max_size=5)):
+        if kind == "blown":
+            kinds = draw(st.lists(st.tuples(st.integers(1, 4), st.booleans()),
+                                  min_size=1, max_size=5))
+            piece = blown_up(draw(st.integers(0, 2**32 - 1)), kinds, draw(st.integers(0, 2**32 - 1)))
+            edges += [(u + n, v + n) for u, v in piece.edges()]
+            n += piece.n
+        elif kind == "isolated":
+            n += 1
+        elif kind == "k2":
+            edges.append((n, n + 1))
+            n += 2
+        else:
+            a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            edges += [(n + i, n + a + j) for i in range(a) for j in range(b)]
+            n += a + b
+    perm = draw(st.permutations(range(n)))
+    return SimpleGraph.from_edges(n, [tuple(sorted((perm[u], perm[v]))) for u, v in edges])
+
+
+def numpy_matrices(g):
+    """The msn and cn matrices of g and its delta2, built with numpy
+    alone: the shared neighbours are A @ A off the diagonal, delta2 is read
+    off the reach matrix of the pairs within distance two."""
+    a = g.adjacency.astype(np.int64)
+    walks = a @ a
+    reach = (a + walks) > 0
+    np.fill_diagonal(reach, False)
+    delta2 = reach @ a.sum(axis=1)
+    cn = walks.copy()
+    np.fill_diagonal(cn, 0)
+    return np.minimum.outer(delta2, delta2) * a, cn, delta2
+
+
+@settings(deadline=None, max_examples=100)
+@given(twin_graphs())
+def test_twin_forms_expand_to_the_numpy_matrices(g):
+    # each class's msn and cn forms, expanded and put back at each of its
+    # components, are the whole matrices; and the exact route on the forms
+    # gives what it gives on the same blocks as plain forms
+    msn, cn = msn_matrix(g), cn_matrix(g)
+    *want, delta2 = numpy_matrices(g)
+    assert np.array_equal(delta2_all(g), delta2)
+    got = [np.zeros_like(w) for w in want]
+    for (labels, census, comps), (_, shared, _), (msn_form, count) in zip(
+            g.classes, g.counts, msn.forms):
+        assert msn_form[0] is labels and count == len(comps)
+        assert np.array_equal(twin_counts(labels, census)[1], shared)
+        for form, whole in ((msn_form, got[0]), ((labels, shared), got[1])):
+            for comp in comps:
+                whole[np.ix_(comp, comp)] = spectra.expanded(*form)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert blocks(cn) == dense(want[1])
+    for m in (msn, cn):
+        assert exact_spectrum(m) == exact_spectrum(IntSymMatrix(m.blocks))
+
+
+@pytest.mark.parametrize("spec, msn_residual", [
+    ("prod(mat2:p=2,mat2:p=2)", 26), ("nc_p2:p=67", 0)])
+def test_exact_route_reads_no_block(monkeypatch, spec, msn_residual):
+    # with every way to a form's n x n block raising, the exact route still
+    # settles both matrices: it reads no array larger than k x k
+    g = product_graph(spec)
+    matrices = msn_matrix(g), cn_matrix(g)
+
+    def raising(*args):
+        raise AssertionError("the exact route read a block")
+
+    monkeypatch.setattr(IntSymMatrix, "blocks", property(raising))
+    monkeypatch.setattr(spectra, "expanded", raising)
+    msn, cn = exact_spectrum(*matrices)
+    if msn_residual:
+        assert msn.residual_degree == msn_residual
+    else:
+        dec = clique_decomposition(g)
+        assert (msn, cn) == (spectra.clique_union_msn_spectrum(dec),
+                             spectra.clique_union_cn_spectrum(dec))
+    with pytest.raises(AssertionError, match="read a block"):
+        numeric_spectrum(matrices[0])
 
 
 def relabelled(g, perm_seed):
@@ -468,22 +594,29 @@ def twin_classes(labels):
 
 
 def quotient_sizes(m):
-    """k of each block of m under the twin classes it carries."""
-    return [len(spectra._twin_quotient(b, labels)[1]) for (b, _), labels in zip(m.blocks, m.twins)]
+    """k of each block of m under the twin classes of its form."""
+    return [len(spectra._twin_quotient(form)[1]) for form, _ in m.forms]
+
+
+def assert_twin_classes(block, labels, inner):
+    """Each class of equal labels is a class of twins of block, with the
+    given inner entry: with the diagonal set to each vertex's inner entry,
+    every row equals the row of its class's first vertex."""
+    first = np.unique(labels, return_index=True)[1]
+    hat = block.copy()
+    np.fill_diagonal(hat, inner[labels])
+    assert (hat == hat[first[labels]]).all()
 
 
 def census_sizes(g):
     """(matrix, n, k) of every msn block and cn piece of g, one per copy,
-    sorted, each block's census classes checked to be its twin classes."""
+    sorted, each form's classes checked to be twin classes of its block."""
     out = []
     for name, m in (("msn", msn_matrix(g)), ("cn", cn_matrix(g))):
-        for (block, count), labels in zip(m.blocks, m.twins):
-            if labels is None:
-                # a complete class: the msn block and each cn piece is one class
-                assert len(block) == 1 or spectra._single_class(block)
-            else:
-                spectra._verified(block, labels)  # raises unless they are twin classes
-            k = len(spectra._twin_quotient(block, labels)[1])
+        for (form, count), (block, _) in zip(m.forms, m.blocks):
+            labels, w = form
+            assert_twin_classes(block, labels, np.diagonal(w))
+            k = len(spectra._twin_quotient(form)[1])
             out += [(name, len(block), k)] * count
     return sorted(out)
 
@@ -501,28 +634,30 @@ def test_census_classes_are_twin_classes_of_both_matrices(g, perm_seed):
 
 
 def test_census_on_k2_and_star_cn_pieces():
-    # K_2 is complete: no labels, and its zero cn block splits into two
-    # 1 x 1 pieces
+    # K_2 is complete: one class of closed twins, whose zero cn form
+    # stands for its two vertices as 1 x 1 pieces
     k2 = complete_graph(2)
-    assert k2.twins == (None,)
+    assert [(labels.tolist(), census.tolist()) for labels, census, _ in k2.classes] == [
+        ([0, 0], [[True]])]
     cn = cn_matrix(k2)
     assert [(b.tolist(), count) for b, count in cn.blocks] == [([[0]], 2)]
-    assert cn.twins == (None,)
+    assert [(labels.tolist(), w.tolist()) for (labels, w), _ in cn.forms] == [([0], [[0]])]
     # K_{1,m}: the leaves are open twins.  The msn block has two classes,
     # the leaves' inner entry 0; the cn matrix splits into the centre alone
     # and J - I on the leaves, each piece carrying its own class
     for leaves in (2, 3, 5):
         g = SimpleGraph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
-        assert [twin_classes(labels) for labels in g.twins] == [[[0], list(range(1, leaves + 1))]]
+        assert [twin_classes(labels) for labels, *_ in g.classes] == [
+            [[0], list(range(1, leaves + 1))]]
         msn = msn_matrix(g)
-        ((block, _),), (labels,) = msn.blocks, msn.twins
-        found, quotient = spectra._twin_quotient(block, labels)
+        ((form, _),) = msn.forms
+        found, quotient = spectra._twin_quotient(form)
         assert found == [(0, leaves - 1)] and len(quotient) == 2
         assert exact_spectrum(msn)[0] == charpoly_oracle(brute_msn(g))
         cn = cn_matrix(g)
         leaf_piece = np.ones((leaves, leaves), dtype=np.int64) - np.eye(leaves, dtype=np.int64)
         assert [(b.tolist(), count, twin_classes(labels))
-                for (b, count), labels in zip(cn.blocks, cn.twins)] == [
+                for (b, count), ((labels, _), _) in zip(cn.blocks, cn.forms)] == [
             ([[0]], 1, [[0]]), (leaf_piece.tolist(), 1, [list(range(leaves))])]
         assert quotient_sizes(cn) == [1, 1]
         assert exact_spectrum(cn)[0].pairs == ((-1, leaves - 1), (0, 1), (leaves - 1, 1))
@@ -536,12 +671,17 @@ def test_census_reduces_both_matrices_of_a_product_to_63_classes():
 
 
 def test_twin_labels_must_fit_their_block():
-    block = np.array([[0, 1], [1, 0]])
-    with pytest.raises(SpectraError, match=r"twin labels of shape \(3,\) for a block \(2, 2\)"):
-        IntSymMatrix(((block, 1),), (np.array([0, 0, 0]),))
-    with pytest.raises(SpectraError, match="need 1 twin labellings, got 2"):
-        IntSymMatrix(((block, 1),), (None, None))
-    assert IntSymMatrix(((block, 1),)).twins == (None,)
+    # labels out of range, negative, leaving a class empty, not one-dimensional
+    w = np.array([[2, 1], [1, 0]])
+    for labels in ([0, 0, 2], [0, -1], [1, 1], [[0, 1]]):
+        with pytest.raises(SpectraError, match="twin labels must number the 2 classes of w"):
+            IntSymMatrix((((np.array(labels), w), 1),))
+    # a singleton class has no pair inside it, so its inner entry is 0
+    with pytest.raises(SpectraError, match="singleton class has inner entry 0"):
+        IntSymMatrix((((np.array([0, 1]), w), 1),))
+    m = IntSymMatrix((((np.array([0, 1, 0]), w), 1),))
+    assert m.n == 3
+    assert m.blocks[0][0].tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def test_planted_twins_shrink_the_quotient():
@@ -551,8 +691,8 @@ def test_planted_twins_shrink_the_quotient():
     # 0, so the quotient is 3 x 3
     g = blown_up(0, [(3, True), (1, False), (2, False)], 0)
     m = msn_matrix(g)
-    ((block, _),), (labels,) = m.blocks, m.twins
-    found, quotient = spectra._twin_quotient(block, labels)
+    ((form, _),) = m.forms
+    found, quotient = spectra._twin_quotient(form)
     assert sorted(found) == [(-18, 2), (0, 1)] and len(quotient) == 3
     assert exact_spectrum(m)[0] == full_block_route(m)
 
@@ -569,30 +709,6 @@ def test_product_ring_quotients_match_the_full_block_route():
     assert exact_spectrum(msn)[0] == full_block_route(msn)
     assert exact_spectrum(cn)[0] == full_block_route(cn)
     assert exact_spectrum(msn)[0].integer_roots == ((-1165, 1), (-233, 6), (-201, 9), (201, 4))
-
-
-def test_forged_twin_labels_raise_before_any_charpoly_call(monkeypatch):
-    # 0 and 1 share a closed support and the entry 1 between them, but
-    # their rows differ off the pair, at column 2; the twin classes are
-    # {0, 3}, with inner entry 1, and {1, 2}, with 2
-    block = np.array([[0, 1, 1, 1], [1, 0, 2, 1], [1, 2, 0, 1], [1, 1, 1, 0]])
-    forged = np.array([0, 0, 1, 2])
-    found, quotient = spectra._twin_quotient(block, np.array([0, 1, 1, 0]))
-    assert sorted(found) == [(-2, 1), (-1, 1)]
-    assert quotient.tolist() == [[1, 2], [2, 2]]
-    # forged labels are not trusted, and nothing settles the block in
-    # their place
-    calls = recorded_charpoly_calls(monkeypatch)
-    with pytest.raises(ArithmeticError, match="not twin classes"):
-        spectra._verified(block, forged)
-    with pytest.raises(ArithmeticError, match="not twin classes"):
-        exact_spectrum(IntSymMatrix(((block, 1),), (forged,)))
-    with pytest.raises(ArithmeticError, match="not twin classes"):
-        matrix_spectra(IntSymMatrix(((block, 1),), (forged,)))
-    assert calls == []
-    # a matrix built without labels has its block settled whole
-    assert exact_spectrum(IntSymMatrix(((block, 1),)))[0] == charpoly_oracle(block)
-    assert blocks_passed(calls) == [block.tolist()]
 
 
 def test_exact_spectrum_bounded_time_on_largest_clique_block():
@@ -634,8 +750,8 @@ def test_exact_spectrum_bounded_time_on_a_twin_free_block(monkeypatch):
     # the row-sum bound took 30
     g = hypercube(8)
     m = msn_matrix(g)
-    ((block, _),), (labels,) = m.blocks, m.twins
-    assert spectra._twin_quotient(block, labels)[1] is block
+    ((form, _),) = m.forms
+    assert spectra._twin_quotient(form)[1] is form[1]
     calls = recorded_charpoly_calls(monkeypatch)
     primes = []
     mods = charpoly._charpoly_mods
@@ -678,8 +794,8 @@ def test_exact_spectrum_makes_no_float_call(monkeypatch):
     graphs = [cycles(6), cycles(5, 7), clebsch_graph(), hypercube(4)]
     graphs += [random_graph(seed, 8 + seed) for seed in range(6)]
     matrices = [f(g) for g in graphs for f in (msn_matrix, cn_matrix)]
-    assert sum(spectra._twin_quotient(b, labels)[1] is b for m in matrices
-               for (b, _), labels in zip(m.blocks, m.twins)) >= 10
+    assert sum(spectra._twin_quotient(form)[1] is form[1] for m in matrices
+               for form, _ in m.forms) >= 10
     want = [exact_spectrum(m)[0] for m in matrices]
 
     def raising(*args, **kwargs):
@@ -934,20 +1050,21 @@ def test_classify_cycle4_is_exact_without_a_clique_union():
 
 def test_classify_counts_common_neighbours_once_per_class(monkeypatch):
     # a path, two triangles and a K4: three classes, and both matrices
-    # read the one count of each
+    # read the one k x k count of each: the path's ends are open twins,
+    # so its census has 2 classes of 3 vertices
     edges = [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8)]
     edges += list(itertools.combinations(range(9, 13), 2))
     g = SimpleGraph.from_edges(13, edges)
-    products = []
+    counted = []
 
-    def shared(block):
-        products.append(len(block))
-        return shared_neighbours(block)
+    def counting(labels, census):
+        counted.append((len(labels), len(census)))
+        return counts(labels, census)
 
-    shared_neighbours = graphs._shared_neighbours
-    monkeypatch.setattr(graphs, "_shared_neighbours", shared)
+    counts = graphs.twin_counts
+    monkeypatch.setattr(graphs, "twin_counts", counting)
     assert classify(g).decomposition is None  # so both matrices are built
-    assert products == [3, 3, 4]
+    assert counted == [(3, 2), (3, 1), (4, 1)]
     assert len(g.classes) == 3
 
 
@@ -1004,22 +1121,29 @@ def test_clique_union_memory_stays_below_n_squared():
 
 
 def test_blocks_split_each_distinct_part_once(monkeypatch):
-    from msnring import graphs
     splits = []
-    real = graphs.connected_components
+    real = graphs.quotient_components
 
-    def counting(adjacency):
-        splits.append(adjacency.shape[0])
-        return real(adjacency)
+    def counting(labels, quotient):
+        splits.append(len(labels))
+        return real(labels, quotient)
 
+    # each part of a clique union is one class, whose cn form needs no
+    # split; a K2's zero form stands for two 1 x 1 pieces
     g = clique_union_graph(CliqueUnion(((2, 3), (3, 4), (5, 2))))
-    monkeypatch.setattr(spectra, "connected_components", counting)
+    monkeypatch.setattr(spectra, "quotient_components", counting)
     m = cn_matrix(g)
-    # each K2 part splits into two zero blocks, which join the isolated ones
     k5 = 3 * (np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
     assert [(b.tolist(), count) for b, count in m.blocks] == [
         ([[0]], 6), ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 4), (k5.tolist(), 2)]
-    assert splits == [2, 3, 5]
+    assert splits == []
+    # a K2 beside a triangle joined to a K5 by one edge: the second class,
+    # on 8 vertices, is split once
+    edges = [(0, 1), (2, 3), (2, 4), (3, 4), (4, 5)] + list(itertools.combinations(range(5, 10), 2))
+    h = SimpleGraph.from_edges(10, edges)
+    assert len(h.classes) == 2
+    assert blocks(cn_matrix(h)) == dense(brute_cn(h))
+    assert splits == [8]
 
 
 def test_one_eigensolve_per_distinct_block(monkeypatch):
@@ -1059,22 +1183,24 @@ def test_numeric_spectrum_reports_a_failed_eigensolve(monkeypatch):
 
 
 def test_msn_needs_no_split_and_cn_splits_once_per_class(monkeypatch):
-    from msnring import graphs
     splits = []
-    real = graphs.connected_components
+    real = graphs.quotient_components
 
-    def counting(adjacency):
-        splits.append(adjacency.shape[0])
-        return real(adjacency)
+    def counting(labels, quotient):
+        splits.append(len(labels))
+        return real(labels, quotient)
 
     g = disjoint_union([(5, 5, 3), (6, 4, 2), (7, 3, 1)], 4)
     classes = g.classes  # the graph's own labelling, before the patch
-    monkeypatch.setattr(graphs, "connected_components", counting)
-    monkeypatch.setattr(spectra, "connected_components", counting)
+    monkeypatch.setattr(graphs, "quotient_components", counting)
+    monkeypatch.setattr(spectra, "quotient_components", counting)
     msn_matrix(g)
     assert splits == []
     cn_matrix(g)
-    assert splits == [len(block) for block, _ in classes]
+    # a class whose every pair shares a neighbour needs no split
+    split = [len(labels) for (labels, _, _), (_, shared, _) in zip(classes, g.counts)
+             if not ((shared > 0) | np.eye(len(shared), dtype=bool)).all()]
+    assert splits == split and split
 
 
 def test_relabelled_clique_union_is_one_class():
@@ -1085,12 +1211,13 @@ def test_relabelled_clique_union_is_one_class():
         parts.n, [tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in edges])
     assert len(g.components) == 31
     assert len(g.classes) == 1
-    block, comps = g.classes[0]
+    labels, census, comps = g.classes[0]
     assert comps.shape == (31, 100)
     assert sorted(comps.ravel().tolist()) == list(range(parts.n))
-    # one common-neighbour product, for the one class
-    (counts,) = g.common_neighbours
-    assert np.array_equal(counts, 98 * (np.ones((100, 100), dtype=int) - np.eye(100, dtype=int)))
+    # one k x k count, for the one class: 98 neighbours shared inside it
+    assert labels.tolist() == [0] * 100 and census.tolist() == [[True]]
+    ((adjacency, shared, delta2),) = g.counts
+    assert (adjacency.tolist(), shared.tolist(), delta2.tolist()) == ([[1]], [[98]], [99 ** 2])
     assert clique_decomposition(g) == parts
     assert [count for _, count in msn_matrix(g).blocks] == [31]
     assert matrix_spectra(cn_matrix(g))[0].exact == spectra.clique_union_cn_spectrum(parts)
