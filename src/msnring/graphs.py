@@ -1,17 +1,18 @@
 """Simple graphs, commuting graphs, and clique union structure.
 
-A graph is held as its closed-twin census (SimpleGraph.census): a label
+A graph holds only its closed-twin census (SimpleGraph.census): a label
 per vertex, equal on vertices with one closed neighbourhood, and the
 quotient, the k x k class adjacency with a true diagonal.  A ring hands
-its census over (FiniteRing.noncentral_classes), as elements that share
-a centralizer are closed twins; a graph read from edges counts it from
-its packed closed rows (closed_twins).  The n x n adjacency is built
-only when read.  Components come from the quotient (quotient_components):
-a class whose row is its own unit vector is a complete component, and
-breadth-first search joins the others.  They are grouped once into
-classes (SimpleGraph.classes), each a twin form: a twin class per
-vertex and the census cut down to those classes.  Shared neighbours,
-distance two and delta2 come from k x k arithmetic on it (twin_counts).
+its census over (FiniteRing.noncentral_classes, checked by from_census),
+as elements that share a centralizer are closed twins; a graph made from
+edges counts it once, from its packed closed rows (closed_twins).  The
+n x n adjacency is rebuilt from the census only when read.  Components
+come from the quotient (quotient_components): a class whose row is its
+own unit vector is a complete component, and breadth-first search joins
+the others.  They are grouped once into classes (SimpleGraph.classes),
+each a twin form: a twin class per vertex and the census cut down to
+those classes.  Shared neighbours, distance two and delta2 come from
+k x k arithmetic on it (twin_counts).
 The second neighborhood of a vertex is everything within distance two
 but the vertex itself: so every vertex of a K_m component has
 second-degree sum (m-1)^2, which the closed forms elsewhere in the
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENV_UNIVERSE_CAP, parse_decimal, universe_cap
-from .rings import FiniteRing, row_labels
+from .rings import FiniteRing, restricted, row_labels
 
 
 class GraphError(Exception):
@@ -55,22 +56,13 @@ class GraphFormatError(GraphError):
 
 class SimpleGraph:
     """Undirected graph on vertices 0..n-1, held as its closed-twin census
-    (census).  It is made from a boolean adjacency or from a census
-    (from_census), each checked, and derives the other on first read."""
+    (census): checked when given (from_census), counted when read from
+    edges (from_edges).  The n x n adjacency is derived on first read."""
 
-    def __init__(self, n: int, adjacency: np.ndarray):
-        a = adjacency
-        if a.shape != (n, n):
-            raise GraphFormatError(f"adjacency shape {a.shape} does not match n={n}")
-        if a.dtype != np.bool_:
-            raise GraphFormatError("adjacency must be boolean")
-        if n and np.any(np.diagonal(a)):
-            raise GraphFormatError("self-loops are not allowed")
-        if not _is_symmetric(a):
-            raise GraphFormatError("adjacency must be symmetric")
-        a.setflags(write=False)
-        self.n = n
-        self.__dict__["adjacency"] = a  # where the cached property keeps it
+    def __init__(self, labels: np.ndarray, quotient: np.ndarray):
+        """The graph of a census valid by construction, as closed_twins
+        makes one; from_census checks one made elsewhere."""
+        self.n, self.census = len(labels), (_read_only(labels), _read_only(quotient))
 
     @classmethod
     def from_census(cls, labels: np.ndarray, quotient: np.ndarray) -> "SimpleGraph":
@@ -85,17 +77,14 @@ class SimpleGraph:
         if (labels.ndim != 1 or labels.dtype.kind not in "iu" or labels.min(initial=0) < 0
                 or np.diff(top).max(initial=0) > 1 or top[-1] != k - 1):
             raise GraphFormatError(f"class labels must number 0..{k - 1} first seen first")
-        labels.setflags(write=False)
-        quotient.setflags(write=False)
-        g = cls.__new__(cls)
-        g.n, g.__dict__["census"] = len(labels), (labels, quotient)
-        return g
+        return cls(labels, quotient)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "SimpleGraph":
         """Graph on 0..n-1 from (u, v) pairs: a (k, 2) integer array or any
         iterable of integer pairs.  The first pair in input order that is out
-        of range or a self-loop is reported."""
+        of range or a self-loop is reported.  The census is counted from the
+        adjacency (closed_twins), which is not kept."""
         adj = np.zeros((n, n), dtype=bool)
         pairs = _edge_pairs(edges)
         u, v = pairs[:, 0], pairs[:, 1]
@@ -109,20 +98,12 @@ class SimpleGraph:
             raise GraphFormatError(f"self-loop at vertex {a}")
         u, v = u.astype(np.intp, copy=False), v.astype(np.intp, copy=False)
         adj[u, v] = adj[v, u] = True
-        adj.setflags(write=False)
-        g = cls.__new__(cls)  # symmetric and loop-free by construction, so not checked
-        g.n, g.__dict__["adjacency"] = n, adj
-        return g
-
-    @functools.cached_property
-    def census(self) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, quotient) of the closed twins (closed_twins)."""
-        return closed_twins(self.adjacency)
+        return cls(*closed_twins(adj))  # symmetric and loop-free by construction
 
     @functools.cached_property
     def adjacency(self) -> np.ndarray:
-        """The read-only n x n adjacency, from the census if not given:
-        only writers and explicit readers ask for it."""
+        """The read-only n x n adjacency, from the census: only writers
+        and explicit readers ask for it."""
         return expanded(*self.census)
 
     @functools.cached_property
@@ -157,9 +138,6 @@ class SimpleGraph:
     def counts(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """twin_counts of each class, counted once per graph."""
         return tuple(twin_counts(labels, census) for labels, census, _ in self.classes)
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(np.int64)
 
     def edge_ends(self) -> list[int]:
         """u0, v0, u1, v1, ...: the edges u < v in ascending order, as one
@@ -228,9 +206,6 @@ class NotCliqueUnion:
         return f"vertices {u} and {v} share a component but are not adjacent"
 
 
-_TILE = 256
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -242,14 +217,6 @@ def expanded(labels: np.ndarray, w: np.ndarray) -> np.ndarray:
     block = w.take(labels, axis=0).take(labels, axis=1)
     np.fill_diagonal(block, 0)
     return _read_only(block)
-
-
-def _is_symmetric(a: np.ndarray) -> bool:
-    """a == a.T, compared tile (i, j) against tile (j, i) transposed: every
-    cell is read, and each tile pair fits in cache, unlike a strided a.T."""
-    n, t = len(a), _TILE
-    return all(np.array_equal(a[i:i + t, j:j + t], a[j:j + t, i:i + t].T)
-               for i in range(0, n, t) for j in range(i, n, t))
 
 
 def commuting_graph(ring: FiniteRing) -> SimpleGraph:
@@ -322,10 +289,7 @@ def closed_twins(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vertices = np.arange(len(adjacency))
     closed = np.packbits(adjacency, axis=1)
     closed[vertices, vertices >> 3] |= _BIT[vertices & 7]
-    labels = row_labels(closed)
-    # labels are numbered first seen first, so each class's first vertex is
-    # where the running maximum of the labels reaches it
-    reps = np.searchsorted(np.maximum.accumulate(labels), np.arange(labels.max(initial=-1) + 1))
+    labels, reps = row_labels(closed)
     quotient = adjacency.take(reps, axis=0).take(reps, axis=1)
     np.fill_diagonal(quotient, True)
     return labels, quotient
@@ -357,13 +321,6 @@ def quotient_components(labels: np.ndarray, quotient: np.ndarray) -> Components:
     return Components([order[s:e] for s, e in zip([0] + ends, ends)], complete[roots].tolist())
 
 
-def restricted(classes: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The twin form of vertices in the given classes of w: the classes
-    renumbered in order, and w cut down to them."""
-    ids = np.flatnonzero(np.bincount(classes))
-    return np.searchsorted(ids, classes), w.take(ids, axis=0).take(ids, axis=1)
-
-
 def _twin_census(classes: np.ndarray, quotient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, census) of a connected component in the given closed-twin
     classes of quotient: the classes renumbered first seen first, the
@@ -377,9 +334,8 @@ def _twin_census(classes: np.ndarray, quotient: np.ndarray) -> tuple[np.ndarray,
     labels, census = restricted(classes, quotient)
     single = np.bincount(labels) == 1
     # singletons keyed by open rows, first seen first, as the classes
-    merged = row_labels(np.packbits(census & ~np.diag(single), axis=1))
-    if merged.max() + 1 < len(census):
-        firsts = np.searchsorted(np.maximum.accumulate(merged), np.arange(merged.max() + 1))
+    merged, firsts = row_labels(np.packbits(census & ~np.diag(single), axis=1))
+    if len(firsts) < len(census):
         census = census.take(firsts, axis=0).take(firsts, axis=1)
         opened = np.flatnonzero((np.bincount(merged) > 1) & single[firsts])
         census[opened, opened] = False

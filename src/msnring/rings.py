@@ -10,15 +10,17 @@ with some entries fixed at zero and one coordinate per free entry, in
 row-major order: zn is the 1x1 case, and nc_p2, ut2 and mat2 are 2x2 over
 F_p with a zero bottom row, a zero (1, 0) entry and no fixed entry.
 Products and matrix rings build their table only when `table` is read.
-Every ring's centralizers are read off its centralizer classes
+A ring's commutation is held only as its centralizer census
 (FiniteRing.centralizer_classes): the labels of elements that share a
-centralizer and the commute test of one representative per class.  A
-product takes its factors', a matrix ring labels the kernels of its maps
-y -> xy - yx by one batched row reduction, and a table ring labels the
-rows of its commute mask.  The commute and central masks, the
-centralizers, the commuting probability and the CC test all come from
-the classes; the additive type of R / Z(R) comes from counting the
-elements whose p^k-multiples are central.
+centralizer and the k x k commute test of one representative per class.
+A product takes its factors', a matrix ring labels the kernels of its
+maps y -> xy - yx by one batched row reduction, and a table ring labels
+the rows of table == table.T, which it does not keep.  Rows are labelled,
+and each label's first row found, in one place (row_labels).  The central
+mask, the non-central classes, the centralizer sizes, the commuting
+probability and the CC test all come from the census; the additive type
+of R / Z(R) comes from counting the elements whose p^k-multiples are
+central.
 """
 
 from __future__ import annotations
@@ -129,19 +131,6 @@ class FiniteRing:
         return np.array(_coord_arrays(self.moduli), dtype=np.int64)
 
     @functools.cached_property
-    def commutes(self) -> np.ndarray:
-        """Read-only symmetric mask, true at [i, j] when ij = ji; row i
-        is the centralizer of element i.  A product or a matrix ring reads
-        it off its classes."""
-        if self.factors or self.matrix:
-            labels, quotient = self.centralizer_classes
-            mask = quotient.take(labels, axis=0).take(labels, axis=1)
-        else:
-            mask = self.table == self.table.T
-        mask.setflags(write=False)
-        return mask
-
-    @functools.cached_property
     def central(self) -> np.ndarray:
         """Read-only mask of the central elements: their class commutes
         with every class."""
@@ -149,15 +138,6 @@ class FiniteRing:
         mask = quotient.all(axis=1)[labels]
         mask.setflags(write=False)
         return mask
-
-    @functools.cached_property
-    def centralizers(self) -> tuple[np.ndarray, ...]:
-        """The distinct rows of `commutes`, first seen first, as read-only
-        views: each class's row of the quotient, read at the labels."""
-        labels, quotient = self.centralizer_classes
-        rows = quotient.take(labels, axis=1)
-        rows.setflags(write=False)
-        return tuple(rows)
 
     @property
     def is_commutative(self) -> bool:
@@ -171,10 +151,10 @@ class FiniteRing:
 
         A product's classes are the pairs of its factors' (a Kronecker
         product of two nonzero rows determines both), and its quotient is
-        theirs, Kronecker multiplied.  A table ring labels the rows of its
-        commute mask.  In a matrix ring, y -> xy - yx is a k x k matrix A_x
-        over Z_m, linear in x, so one product of the coordinates with the
-        commutator constants gives all of them.  C(x) is the kernel of A_x,
+        theirs, Kronecker multiplied.  A table ring labels the rows of
+        table == table.T.  In a matrix ring, y -> xy - yx is a k x k
+        matrix A_x over Z_m, linear in x, so one product of the coordinates
+        with the commutator constants gives all of them.  C(x) is the kernel of A_x,
         and over F_p equal row spaces mean equal kernels, so the canonical
         forms of _row_spaces label the centralizers; the representatives'
         maps are applied to each other.  zn's maps are all zero, so a
@@ -187,26 +167,22 @@ class FiniteRing:
             m, free = self.matrix
             k = len(free)
             maps = (self._coords.T @ _commutator(free) % m).reshape(self.order, k, k)
-            labels = row_labels(_row_spaces(maps, m))
-            _, reps = np.unique(labels, return_index=True)
+            labels, reps = row_labels(_row_spaces(maps, m))
             quotient = ~(maps[reps] @ self._coords[:, reps] % m).any(axis=1)
         else:
-            labels = row_labels(self.commutes)
-            _, reps = np.unique(labels, return_index=True)
-            quotient = self.commutes.take(reps, axis=0).take(reps, axis=1)
+            commutes = self.table == self.table.T
+            labels, reps = row_labels(commutes)
+            quotient = commutes.take(reps, axis=0).take(reps, axis=1)
         labels.setflags(write=False)
         quotient.setflags(write=False)
         return labels, quotient
 
     def noncentral_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """`centralizer_classes` on the non-central elements, in index
-        order: the central class is the one whose row of the quotient is
-        all true, and the others keep their order."""
+        order: the central class, whose row of the quotient is all true,
+        is dropped (restricted), and the others keep their order."""
         labels, quotient = self.centralizer_classes
-        keep = ~quotient.all(axis=1)
-        renumber = np.cumsum(keep) - 1
-        return (renumber[labels[keep[labels]]],
-                quotient.compress(keep, axis=0).compress(keep, axis=1))
+        return restricted(labels[~self.central], quotient)
 
     def rows(self, indices) -> np.ndarray:
         """The table rows of an array of element indices, as a new int32 array."""
@@ -285,13 +261,23 @@ def _row_block(cells_per_row: int) -> int:
     return max(1, (1 << 22) // max(1, cells_per_row))
 
 
-def row_labels(a: np.ndarray) -> np.ndarray:
-    """A label per row of a 2-D array, numbered first seen first: rows
-    share one when they are equal.  One dict keyed by each row's bytes."""
+def row_labels(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, firsts): a label per row of a 2-D array, numbered first
+    seen first, shared by equal rows, and the first row of each label.
+    One dict keyed by each row's bytes."""
     row = np.dtype((np.void, a.shape[1] * a.itemsize))
     keys = np.ascontiguousarray(a).view(row).ravel().tolist()  # one bytes per row
     index = {key: label for label, key in enumerate(dict.fromkeys(keys))}
-    return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    labels = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    # each label's first row is where the running maximum of the labels reaches it
+    return labels, np.searchsorted(np.maximum.accumulate(labels), np.arange(len(index)))
+
+
+def restricted(classes: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The twin form of vertices in the given classes of w: the classes
+    renumbered in order, and w cut down to them."""
+    ids = np.flatnonzero(np.bincount(classes))
+    return np.searchsorted(ids, classes), w.take(ids, axis=0).take(ids, axis=1)
 
 
 @functools.cache
@@ -535,8 +521,11 @@ def is_cc_ring(ring: FiniteRing) -> bool | None:
 
 
 def noncentral_centralizer_sizes(ring: FiniteRing) -> list[int]:
-    """Sorted sizes of the distinct centralizers of non-central elements."""
-    return sorted(int(mask.sum()) for mask in ring.centralizers if not mask.all())
+    """Sorted sizes of the distinct centralizers of non-central elements:
+    a class's centralizer is the classes its row of the quotient marks."""
+    labels, quotient = ring.centralizer_classes
+    sizes = quotient @ np.bincount(labels)
+    return sorted(sizes[~quotient.all(axis=1)].tolist())
 
 
 def has_unity(ring: FiniteRing) -> int | None:

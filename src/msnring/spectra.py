@@ -26,7 +26,11 @@ both routes:
   built from its form on first read (IntSymMatrix.blocks), merged and
   clustered into multiplicities.
 
-The two routes share nothing, so each is a check on the other.
+The two routes share the forms, counted once by graphs.twin_counts, and
+nothing after them, so each checks the other's spectrum of those forms.
+The counts are checked apart from both: on clique unions by the closed
+forms (verify holds the msn spectrum against the paper's, the property
+suite both spectra), on other graphs by the tests' brute-force counts.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .graphs import (
     clique_decomposition,
     expanded,
     quotient_components,
-    restricted,
 )
+from .rings import restricted
 
 NUMERIC_CLUSTER_TOL = 1e-8
 NUMERIC_MATCH_TOL = 1e-6

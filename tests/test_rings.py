@@ -234,18 +234,19 @@ def fresh_builtins_within(cap):
 @pytest.mark.parametrize("family, p", fresh_builtins_within(DEFAULT_VALIDATION_CAP))
 def test_commute_mask_and_census_from_kernels_match_the_table(family, p, same_graph_as_mask):
     ring = BUILDERS[family](p)
-    commutes, centralizers, central = ring.commutes, ring.centralizers, ring.central
-    assert "table" not in ring.__dict__  # all three came from the kernels
+    (labels, quotient), central = ring.centralizer_classes, ring.central
+    assert "table" not in ring.__dict__  # both came from the kernels
     table = BUILDERS[family](p).table
     mask = table == table.T
-    assert np.array_equal(commutes, mask)
+    assert np.array_equal(quotient[labels][:, labels], mask)
     assert np.array_equal(central, mask.all(axis=1))
+    # the classes are the distinct rows of the mask, first seen first
     census = list({row.tobytes(): row for row in mask}.values())
-    assert len(centralizers) == len(census)
-    assert all(np.array_equal(got, want) for got, want in zip(centralizers, census))
-    assert not commutes.flags.writeable
-    assert not any(row.flags.writeable for row in centralizers)
-    # the invariants that read the census rather than the mask
+    assert len(quotient) == len(census)
+    assert all(np.array_equal(got, want) for got, want in zip(quotient[:, labels], census))
+    assert np.array_equal(labels, row_labels(mask)[0])
+    assert not labels.flags.writeable and not quotient.flags.writeable
+    # the invariants that read the census
     pairs = int(mask.sum())
     assert commuting_probability(BUILDERS[family](p)) == Fraction(pairs, ring.order ** 2)
     # the commuting graph's census: its labels split the non-central
@@ -253,10 +254,10 @@ def test_commute_mask_and_census_from_kernels_match_the_table(family, p, same_gr
     # the labels, is the mask between them; neither needs the mask
     fresh = BUILDERS[family](p)
     labels, quotient = fresh.noncentral_classes()
-    assert "commutes" not in fresh.__dict__ and "table" not in fresh.__dict__
+    assert "table" not in fresh.__dict__
     noncentral = np.flatnonzero(~mask.all(axis=1))
     block = mask[np.ix_(noncentral, noncentral)]
-    assert np.array_equal(labels, row_labels(block))
+    assert np.array_equal(labels, row_labels(block)[0])
     assert np.array_equal(quotient.take(labels, axis=0).take(labels, axis=1), block)
     if len(noncentral):
         same_graph_as_mask(commuting_graph(fresh), mask)
@@ -316,10 +317,11 @@ def test_center_sizes():
 
 def test_centralizer_matches_brute_force():
     ring = matrix_ring_2x2(2)
+    labels, quotient = ring.centralizer_classes
     for x in range(ring.order):
         want = [y for y in range(ring.order)
                 if ring.multiply(x, y) == ring.multiply(y, x)]
-        assert np.flatnonzero(ring.commutes[x]).tolist() == want
+        assert np.flatnonzero(quotient[labels[x]][labels]).tolist() == want
 
 
 def test_centralizer_counts():
@@ -335,9 +337,12 @@ def test_commuting_probability_dual_route():
         n = ring.order
         commutes = np.array([[ring.multiply(x, y) == ring.multiply(y, x)
                               for y in range(n)] for x in range(n)])
-        assert np.array_equal(ring.commutes, commutes)
+        labels, quotient = ring.centralizer_classes
+        assert np.array_equal(quotient[labels][:, labels], commutes)
         with pytest.raises(ValueError):
-            ring.commutes[0, 1] = not ring.commutes[0, 1]
+            quotient[0, 0] = False
+        with pytest.raises(ValueError):
+            labels[0] = 1
         assert commuting_probability(ring) == Fraction(int(commutes.sum()), n * n)
 
 
@@ -442,8 +447,12 @@ def test_is_cc_ring():
 @pytest.mark.parametrize("spec", ["prod(nc_p2:p=2,ut2:p=2)", "prod(mat2:p=2,zn:n=2)",
                                   "prod(prod(ut2:p=2,zn:n=2),zn:n=3)",
                                   "prod(zn:n=3,ut2:p=2)", "prod(zn:n=2,zn:n=3)",
-                                  "prod(prod(nc_p2:p=2,nc_p2:p=2),zn:n=2)"])
-def test_centralizer_census_on_products_matches_multiply(spec):
+                                  "prod(prod(nc_p2:p=2,nc_p2:p=2),zn:n=2)",
+                                  "file:prod(nc_p2:p=2,ut2:p=2)"])
+def test_centralizer_census_on_products_matches_multiply(spec, tmp_path):
+    if spec.startswith("file:"):  # the same product as a table ring, read back
+        save_ring(parse_ring_spec(spec[len("file:"):]), tmp_path / "ring.json")
+        spec = f"file:{tmp_path / 'ring.json'}"
     ring = parse_ring_spec(spec)
     elements = range(ring.order)
     centralizers = [frozenset(y for y in elements
@@ -453,22 +462,25 @@ def test_centralizer_census_on_products_matches_multiply(spec):
     noncentral = [c for c in distinct if len(c) < ring.order]
     commutative = all(ring.multiply(a, b) == ring.multiply(b, a)
                       for c in noncentral for a in c for b in c)
-    # the count, the probability and the CC verdict come from the factors,
-    # without the product's commute mask
+    # the count, the probability, the CC verdict and the centralizer sizes
+    # come from the census: a product's from its factors', without its
+    # table, and a table ring's from table == table.T
     assert centralizer_count(ring) == len(distinct)
     assert commuting_probability(ring) == Fraction(sum(map(len, centralizers)), ring.order**2)
     assert is_cc_ring(ring) is (commutative if noncentral else None)
-    assert "commutes" not in ring.__dict__
-    # and they agree with the Kronecker mask the product builds on demand
-    r, s = ring.factors
-    kron = np.kron(r.commutes, s.commutes)
-    assert (ring.commutes == kron).all()
-    assert centralizer_count(ring) == len({row.tobytes() for row in kron})
-    assert commuting_probability(ring) == Fraction(int(kron.sum()), ring.order**2)
     assert noncentral_centralizer_sizes(ring) == sorted(map(len, noncentral))
-    assert [set(np.flatnonzero(row)) for row in ring.centralizers] == \
+    labels, quotient = ring.centralizer_classes
+    assert [set(np.flatnonzero(row)) for row in quotient[:, labels]] == \
         list(dict.fromkeys(centralizers))
-    assert not any(row.flags.writeable for row in ring.centralizers)
+    assert not labels.flags.writeable and not quotient.flags.writeable
+    if ring.factors:
+        assert "table" not in ring.__dict__
+        # and they agree with the Kronecker product of the factors' masks
+        (a, c), (b, d) = (f.centralizer_classes for f in ring.factors)
+        kron = np.kron(c[a][:, a], d[b][:, b])
+        assert np.array_equal(quotient[labels][:, labels], kron)
+        assert centralizer_count(ring) == len({row.tobytes() for row in kron})
+        assert commuting_probability(ring) == Fraction(int(kron.sum()), ring.order**2)
 
 
 def test_noncentral_centralizer_sizes_multiset():

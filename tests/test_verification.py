@@ -305,8 +305,7 @@ def table_center_is_field(table):
 def test_product_factor_route_matches_its_table(spec, same_graph_as_mask):
     ring = parse_ring_spec(spec)
     graph = commuting_graph(ring)
-    assert "commutes" not in ring.__dict__  # the graph came from the factors' classes
-    commutes, central = ring.commutes, ring.central
+    (labels, quotient), central = ring.centralizer_classes, ring.central
     rows = ring.rows(np.arange(ring.order))
     unity, field = has_unity(ring), center_is_field(ring)
     assert "table" not in ring.__dict__  # all of the above came from the factors
@@ -315,7 +314,7 @@ def test_product_factor_route_matches_its_table(spec, same_graph_as_mask):
     noncentral = ~mask.all(axis=1)
     idx = np.arange(ring.order)
     units = [e for e in idx if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)]
-    assert np.array_equal(commutes, mask)
+    assert np.array_equal(quotient[labels][:, labels], mask)
     assert np.array_equal(central, ~noncentral)
     assert rows.dtype == np.int32 and np.array_equal(rows, table)
     assert unity == (int(units[0]) if units else None)
@@ -337,7 +336,7 @@ def noncommutative_products(vertices):
 def test_product_graph_from_classes_matches_the_mask_graph(spec, same_graph_as_mask):
     ring = parse_ring_spec(spec)
     graph = commuting_graph(ring)
-    assert "commutes" not in ring.__dict__ and "table" not in ring.__dict__
+    assert "table" not in ring.__dict__
     table = ring.table
     same_graph_as_mask(graph, table == table.T)
 
@@ -487,8 +486,7 @@ def test_largest_matrix_rings_verify_without_their_table(theorem, spec):
     rep = verify_ring(ring, theorem)
     assert rep.verdict is Verdict.PASS, rep.detail
     assert rep.computed.msn_method == "exact"
-    assert "table" not in ring.__dict__
-    assert "commutes" not in ring.__dict__  # the graph came from the centralizer rows
+    assert "table" not in ring.__dict__  # the graph came from the centralizer kernels
 
 
 def test_builtin_instance_builds_exactly_the_rows_with_a_model():
@@ -718,11 +716,12 @@ def test_classify_labels_the_graph_once(monkeypatch):
     edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3), (3, 5)]
     edges += [(7 + u, 9 + v) for u in range(2) for v in range(3)]
     edges += [(12, 13), (12, 14), (13, 14)]
+    censuses, labellings = count_whole_graph_labellings(monkeypatch, 16)
     g = SimpleGraph.from_edges(16, edges)
-    censuses, labellings = count_whole_graph_labellings(monkeypatch, g.n)
     assert classify(g).decomposition is None
-    # one census of the adjacency; the chord's ends and the triangle are
-    # closed twins, so the quotient labelled once has 13 classes
+    # one census of the adjacency, taken when the graph is made; the
+    # chord's ends and the triangle are closed twins, so the quotient
+    # labelled once has 13 classes
     assert censuses == [(16, 16)]
     assert labellings == [(13, 13)]
 
