@@ -1,20 +1,14 @@
-"""Exact integer spectra: characteristic polynomials and integer root
-extraction.
+"""Exact integer spectra: characteristic polynomials and integer roots.
 
 Polynomials are lists of Python ints in ascending degree order, so
-coeffs[i] multiplies x**i and the leading coefficient of a monic
-polynomial is the final 1.  Every result here is exact.
-charpoly_dense computes the characteristic polynomials of a sequence of
-integer matrices by a Hessenberg reduction and leading-minor recurrence
-modulo word-size primes, in int64, combined by the Chinese remainder
-theorem until the product of a matrix's primes exceeds a proven bound on
-its coefficients (coefficient_bound, from Maclaurin's inequality).  The
-matrices of one size and their primes are reduced together, one
-(block, prime) layer of a (layers x n x n) array each, so the Python work
-of a column is paid once per stack of layers, not once per block and
-prime.  integer_roots then reads off the integer roots of a polynomial:
-the candidates are screened modulo one prime, and exact synthetic
-division decides.  No floating point enters this route.
+coeffs[i] multiplies x**i.  Every result here is exact.  charpoly_dense
+finds the characteristic polynomials of integer matrices from their
+power sums tr(A**k) modulo primes, one (block, prime) layer each, and
+combines them by the Chinese remainder theorem up to a proven bound
+(coefficient_bound).  Floats there carry only integers below 2**53,
+which they hold exactly: no float eigenvalue or hint is read.
+integer_roots screens the candidate roots modulo one prime, and exact
+synthetic division decides.
 """
 
 from __future__ import annotations
@@ -39,12 +33,15 @@ def gershgorin_bound(block) -> int:
 
 
 def prime_bits(n: int) -> int:
-    """Bit size of the primes used for an n x n block.
-
-    With p < 2**prime_bits(n), a dot product of n residues stays below
-    n * (p - 1)**2 < 2**63, so int64 arithmetic never overflows.
-    """
+    """Bit size of integer_roots' screening prime for degree n: with
+    p < 2**prime_bits(n), n * (p - 1)**2 < 2**63."""
     return (63 - n.bit_length()) // 2
+
+
+def float_bits(n: int) -> int:
+    """Bit size of the primes of _power_sum_mods for an n x n block:
+    p < 2**float_bits(n) gives 4 * n * p**2 < 2**53."""
+    return (51 - n.bit_length()) // 2
 
 
 @functools.cache
@@ -96,59 +93,61 @@ def coefficient_bound(a: np.ndarray) -> int:
     return 2 * (r if r * r * n**n >= top else r + 1)
 
 
-# Cells of one stack of residue matrices: charpoly_dense reduces
-# max(1, _STACK_CELLS // n**2) (block, prime) layers at a time, which
-# keeps each column's temporaries in cache.
+# Cells of one stack: max(1, _STACK_CELLS // n**2) layers per _power_sum_mods call.
 _STACK_CELLS = 2**15
 
 
-def _charpoly_mods(a: np.ndarray, primes: list[int]) -> np.ndarray:
-    """Characteristic polynomials modulo primes, as a (len(primes), n + 1)
-    array of ascending residues in 0..p-1: a is one n x n matrix, taken
-    modulo each prime, or a (len(primes), n, n) stack, layer i modulo
-    primes[i].
+@functools.cache
+def _inverses(p: int, n: int) -> tuple[int, ...]:
+    return tuple(pow(k, -1, p) for k in range(1, n + 1))
 
-    Reduces every layer to upper Hessenberg form by similarity over its
-    F_p, then runs the leading-minor recurrence with one matrix-vector
-    product per step and layer.  Every step works on the whole stack at
-    once.  Each prime pivots on its own first nonzero entry
-    below the subdiagonal; a prime whose column is zero below the diagonal
-    gets the inverse 0, which makes its elimination step a no-op.
+
+def _power_sum_mods(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Characteristic polynomials modulo primes, as a (len(primes), n + 1)
+    array of ascending residues in 0..p-1, of one n x n matrix a modulo
+    each prime or of a (len(primes), n, n) stack, layer i modulo primes[i].
+
+    Each layer A goes to float64 after its reduction mod p in int64.  With
+    s = ceil(sqrt(n)), the baby steps A**j, j = 1..s, and the giant steps
+    G**i, G = A**s, one at a time, give each tr(A**(i s + j)) as the sum
+    over rows x of (G**i row x) . (A**j column x): about 2 sqrt(n) batched
+    products (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  Every
+    factor is kept in [-p, 2p) by x - floor(x * (1/p)) p, so each sum of n
+    products is exact, in any order, if 4 n p**2 <= 2**53.  Newton's
+    identities, k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), then give the
+    coefficient c_k of x**(n - k) in int64 if p > n.  ValueError otherwise.
     """
     n = a.shape[-1]
-    mod = np.array(primes, dtype=np.int64)[:, None]
-    h = a % mod[:, :, None]
-    for c in range(n - 2):
-        if not h[:, c + 1, c].all():
-            # argmax is 0 for a zero column, which then swaps nothing
-            off = (h[:, c + 1:, c] != 0).argmax(axis=1)
-            swap = np.flatnonzero(off)
-            piv = c + 1 + off[swap]
-            h[swap, c + 1], h[swap, piv] = h[swap, piv], h[swap, c + 1]
-            h[swap, :, c + 1], h[swap, :, piv] = h[swap, :, piv], h[swap, :, c + 1]
-        inv = np.array([pow(x, -1, p) if x else 0
-                        for x, p in zip(h[:, c + 1, c].tolist(), primes)], dtype=np.int64)
-        f = h[:, c + 2:, c] * inv[:, None] % mod
-        h[:, c + 2:, c:] = ((h[:, c + 2:, c:] - f[:, :, None] * h[:, c + 1, None, c:])
-                            % mod[:, :, None])
-        h[:, :, c + 1] = (h[:, :, c + 1] + (h[:, :, c + 2:] @ f[:, :, None])[:, :, 0]) % mod
-    # polys[:, k, :k + 1] holds the characteristic polynomials of the leading
-    # k x k minors, of degree k; beta[:, i] the products of the subdiagonal
-    # entries h[:, i, i-1] .. h[:, k-1, k-2].
-    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    beta = np.zeros((len(primes), n + 1), dtype=np.int64)
+    if min(primes) <= n or 4 * n * max(primes) ** 2 > 2**53:
+        raise ValueError(f"an n = {n} block needs primes p > n with 4 n p**2 <= 2**53")
+    mod = np.array(primes, dtype=np.int64)
+    s = math.isqrt(n - 1) + 1
+    babies = np.empty((s, len(primes), n, n))  # A**(j + 1) transposed: rows are columns
+    babies[0] = (a % mod[:, None, None]).transpose(0, 2, 1)
+    p = mod[:, None, None].astype(np.float64)
+    inv = 1 / p
+
+    def reduced(y):  # the floor of y * inv is off by at most one
+        q = np.floor(y * inv)
+        q *= p
+        y -= q
+        return y
+
+    for j in range(1, s):
+        reduced(np.matmul(babies[j - 1], babies[0], out=babies[j]))
+    ps = np.zeros((n + 1, len(primes)), dtype=np.int64)
+    giant = step = babies[-1].transpose(0, 2, 1)  # G = A**s
+    rows = np.diagonal(babies, axis1=2, axis2=3)
+    for i in range(0, n, s):  # rows[j] sums to tr(A**(i + j + 1))
+        ps[i + 1:i + s + 1] = (rows[:n - i].astype(np.int64) % mod[:, None]).sum(axis=2) % mod
+        if i + s < n:
+            giant = reduced(giant @ step) if i else giant  # G**(i / s + 1)
+            rows = np.einsum("jlxy,lxy->jlx", babies[:n - i - s], giant)
+    neg_inv = mod - np.array([_inverses(q, n) for q in primes], dtype=np.int64).T
+    c = np.ones((n + 1, len(primes)), dtype=np.int64)  # c_0 = 1; step k writes c_k
     for k in range(1, n + 1):
-        if k > 1:
-            beta[:, k - 1] = 1
-            beta[:, 1:k] = beta[:, 1:k] * h[:, k - 1, k - 2, None] % mod
-        w = h[:, :k - 1, k - 1] * beta[:, 1:k] % mod
-        cur = polys[:, k, :k + 1]  # a view of row k, still zero
-        cur[:, :k] = ((w[:, None, :] @ polys[:, :k - 1, :k])[:, 0]
-                      + h[:, k - 1, k - 1, None] * polys[:, k - 1, :k])
-        cur[:, 1:] -= polys[:, k - 1, :k]
-        cur[:] = -cur % mod
-    return polys[:, n]
+        np.remainder((c[:k] * ps[k:0:-1]).sum(axis=0) % mod * neg_inv[k - 1], mod, out=c[k])
+    return c[::-1].T
 
 
 def _square(block) -> np.ndarray:
@@ -173,17 +172,14 @@ def charpoly_dense(blocks: Sequence) -> list[list[int]]:
 
     Each block is a square 2-D array-like of integers (ValueError
     otherwise, with no coercion of floats or bools); the coefficients
-    are Python ints, one polynomial per block, in order.  Multimodular:
-    a block's polynomial is computed modulo word-size primes and combined
-    by the Chinese remainder theorem until the modulus M exceeds
-    coefficient_bound, which bounds twice every coefficient, so the
-    symmetric residues mod M are the integer coefficients themselves.
-    The blocks of one size n share their primes: each (block, prime)
-    pair is one layer, and the layers are reduced in stacks of
-    max(1, _STACK_CELLS // n**2), one _charpoly_mods call per stack, so
-    the Python work of the reduction is paid once per column and stack,
-    not once per column, block and prime.  Sizes are not mixed, and no
-    block is padded.
+    are Python ints, one polynomial per block, in order.  A block's
+    polynomial is computed modulo primes below 2**float_bits(n) and
+    combined by the Chinese remainder theorem until the modulus M exceeds
+    coefficient_bound, twice every coefficient's size, so the symmetric
+    residues mod M are the coefficients.  Each (block, prime) pair of one
+    size n is a layer, and _power_sum_mods takes the layers in stacks of
+    max(1, _STACK_CELLS // n**2).  Sizes are not mixed, and no block is
+    padded.
     """
     arrays = [_square(block) for block in blocks]
     polys: list[list[int]] = [[1] if not len(a) else [-int(a[0, 0]), 1] for a in arrays]
@@ -192,16 +188,15 @@ def charpoly_dense(blocks: Sequence) -> list[list[int]]:
         if len(a) > 1:
             by_size.setdefault(len(a), []).append(i)
     for n, members in by_size.items():
-        bits = prime_bits(n)
+        bits = float_bits(n)
         layers = [(i, p) for i in members for p in crt_primes(coefficient_bound(arrays[i]), bits)]
         coeffs = {i: [0] * (n + 1) for i in members}
         moduli = dict.fromkeys(members, 1)
         size = max(1, _STACK_CELLS // n**2)
         for lo in range(0, len(layers), size):
             chunk = layers[lo:lo + size]
-            residues = _charpoly_mods(np.stack([arrays[i] for i, _ in chunk]),
-                                      [p for _, p in chunk])
-            for (i, p), row in zip(chunk, residues.tolist()):
+            rows = _power_sum_mods(np.stack([arrays[i] for i, _ in chunk]), [p for _, p in chunk])
+            for (i, p), row in zip(chunk, rows.tolist()):
                 acc, m = coeffs[i], moduli[i]
                 inv = pow(m % p, -1, p)
                 for j, r in enumerate(row):
@@ -213,13 +208,19 @@ def charpoly_dense(blocks: Sequence) -> list[list[int]]:
     return polys
 
 
-def check_charpoly(poly: list[int], n: int, trace: int) -> None:
-    """Shape and trace checks on the characteristic polynomial of an n x n
-    matrix: monic of degree n, with coefficient n-1 equal to -trace."""
+def check_charpoly(poly: list[int], block: np.ndarray) -> None:
+    """Exact checks of a square int64 block's characteristic polynomial:
+    monic of degree n, x**(n-1) at -tr(A), x**(n-2) at (tr(A)**2 - tr(A**2)) / 2."""
+    n = len(block)
     if len(poly) != n + 1 or poly[-1] != 1:
         raise ArithmeticError("characteristic polynomial has the wrong shape")
+    peak = max(int(block.max()), -int(block.min())) if n else 0
+    a = block.astype(object) if peak * peak * n * n >= 2**63 else block
+    trace = int(np.trace(a))
     if n >= 1 and poly[n - 1] != -trace:
         raise ArithmeticError("characteristic polynomial fails the trace check")
+    if n >= 2 and poly[n - 2] != (trace * trace - int((a * a.T).sum())) // 2:
+        raise ArithmeticError("characteristic polynomial fails the tr(A**2) check")
 
 
 def divide_linear(coeffs: list[int], r: int) -> tuple[list[int], int]:
@@ -272,12 +273,11 @@ def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]],
     divisors d of the trailing nonzero coefficient, up to the given
     magnitude bound, in that order (_divisors).  One Horner pass in int64
     evaluates the polynomial at every candidate modulo
-    p = modular_prime(prime_bits(n), 0), the first prime of an n x n
-    charpoly with n = len(coeffs) - 1, and only candidates whose value is
-    0 mod p are tried.  A root's value is 0, so no root is screened out;
-    what decides is repeated exact synthetic division, which also gives
-    the multiplicity.  The residual degree counts what is left after
-    every integer root has been divided out.
+    p = modular_prime(prime_bits(len(coeffs) - 1), 0), and only
+    candidates whose value is 0 mod p are tried.  A root's value is 0, so
+    no root is screened out; what decides is repeated exact synthetic
+    division, which also gives the multiplicity.  The residual degree
+    counts what is left after every integer root has been divided out.
     """
     work = list(coeffs)
     roots: dict[int, int] = {}

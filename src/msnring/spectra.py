@@ -18,9 +18,11 @@ both routes:
   diagonal are all equal, as a clique's are, is one class.  Second, the
   integer roots of every quotient past 1 x 1 are proven from its
   characteristic polynomial (_block_roots), all in one charpoly_dense
-  call: classify passes a graph's msn and cn matrices together.  So the
-  route proves the spectrum integral or reports the integer part found,
-  and reads no float.  It declines matrices with a block above the exact
+  call: classify passes a graph's msn and cn matrices together.  The
+  polynomials come from power sums modulo primes, whose float64 products
+  carry only integers below 2**53, exactly.  So the route proves the
+  spectrum integral or reports the integer part found, and reads no
+  float eigenvalue.  It declines matrices with a block above the exact
   cap that is not a single twin class.
 * the numeric route is the symmetric float eigensolve of each block,
   built from its form on first read (IntSymMatrix.blocks), merged and
@@ -108,6 +110,17 @@ class IntSymMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "forms", tuple(_checked(*pair) for pair in self.forms))
+
+    @classmethod
+    def _built(cls, forms) -> "IntSymMatrix":
+        """The matrix of forms valid by construction, as msn_matrix and
+        cn_matrix build them: made read-only, not checked again."""
+        for (labels, w), _ in forms:
+            labels.setflags(write=False)
+            w.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "forms", forms)
+        return m
 
     @property
     def n(self) -> int:
@@ -212,7 +225,7 @@ def reference_energies(n: int) -> tuple[int, int]:
 def msn_matrix(g: SimpleGraph) -> IntSymMatrix:
     """Minimum second-degree matrix: entry min(d2(u), d2(v)) on edges, as
     the twin form min(delta2_i, delta2_j) A of each class."""
-    return IntSymMatrix(tuple(
+    return IntSymMatrix._built(tuple(
         ((labels, np.minimum.outer(delta2, delta2) * adjacency), len(comps))
         for (labels, _, comps), (adjacency, _, delta2) in zip(g.classes, g.counts)))
 
@@ -237,7 +250,7 @@ def cn_matrix(g: SimpleGraph) -> IntSymMatrix:
                 if not key[1]:
                     form, count, key = restricted(form[0][:1], form[1]), count * key[0], (1, 0)
             seen.setdefault(key, [form, 0])[1] += count
-    return IntSymMatrix(tuple((form, count) for form, count in seen.values()))
+    return IntSymMatrix._built(tuple((form, count) for form, count in seen.values()))
 
 
 def _cluster_tol(peak: int, n: int) -> float:
@@ -291,13 +304,14 @@ def _block_roots(quotients: list[np.ndarray]) -> list[tuple[list[tuple[int, int]
     quotient / g, so l / g is an algebraic integer, and l is an integer
     exactly when l / g is.  The characteristic polynomials of all the
     divided quotients come from one charpoly_dense call, which stacks the
-    quotients of one size; each is checked for shape and trace, and its
-    integer roots are read off the divisors of its trailing nonzero
-    coefficient within the row-sum eigenvalue bound of quotient / g, then
-    multiplied by g.  On a component where delta2 is constant, as on
-    every vertex-transitive graph, the msn block is delta2 times the
-    adjacency, and the division shrinks the coefficient bound, and with
-    it the number of primes, accordingly.
+    quotients of one size; each is checked against its quotient
+    (check_charpoly: shape, trace and tr(A**2)), and its integer roots
+    are read off the divisors of its trailing nonzero coefficient within
+    the row-sum eigenvalue bound of quotient / g, then multiplied by g.
+    On a component where delta2 is constant, as on every
+    vertex-transitive graph, the msn block is delta2 times the adjacency,
+    and the division shrinks the coefficient bound, and with it the
+    number of primes, accordingly.
     """
     out: list = [None] * len(quotients)
     divided = []  # (place, gcd, quotient / gcd) of each quotient past 1 x 1
@@ -309,7 +323,7 @@ def _block_roots(quotients: list[np.ndarray]) -> list[tuple[list[tuple[int, int]
             divided.append((i, g, quotient // g))
     if divided:
         for (i, g, reduced), poly in zip(divided, charpoly_dense([r for *_, r in divided])):
-            check_charpoly(poly, len(reduced), int(np.trace(reduced)))
+            check_charpoly(poly, reduced)
             roots, left = integer_roots(poly, gershgorin_bound(reduced))
             out[i] = [(g * r, mult) for r, mult in roots], left
     return out

@@ -15,11 +15,13 @@ from msnring import spectra
 from msnring.spectra import IntSymMatrix, cn_matrix, exact_spectrum, msn_matrix
 
 from msnring.charpoly import (
-    _charpoly_mods,
+    _power_sum_mods,
     charpoly_dense,
+    check_charpoly,
     coefficient_bound,
     crt_primes,
     divide_linear,
+    float_bits,
     gershgorin_bound,
     integer_roots,
     modular_prime,
@@ -80,8 +82,8 @@ def fraction_charpoly(block):
 def reference_charpoly_mod(a, p):
     """Characteristic polynomial of a modulo one prime p, ascending residues.
 
-    The one-prime-at-a-time Hessenberg reduction and leading-minor
-    recurrence that _charpoly_mods runs on a stack of primes.
+    A one-prime Hessenberg reduction and leading-minor recurrence in
+    int64, an oracle that shares no step with _power_sum_mods.
     """
     n = a.shape[0]
     h = a % p
@@ -124,14 +126,14 @@ def reference_charpoly_dense(block):
 
 
 def counted_charpoly_mods(monkeypatch):
-    """Replace _charpoly_mods by a wrapper that records each stack of primes."""
+    """Replace _power_sum_mods by a wrapper that records each stack of primes."""
     stacks = []
 
     def counted(a, primes):
         stacks.append(list(primes))
-        return _charpoly_mods(a, primes)
+        return _power_sum_mods(a, primes)
 
-    monkeypatch.setattr(charpoly, "_charpoly_mods", counted)
+    monkeypatch.setattr(charpoly, "_power_sum_mods", counted)
     return stacks
 
 
@@ -203,9 +205,9 @@ def stacked_test_matrix(rng, n, kind, primes):
         a[rng.random((n, n)) < 0.3] = 0
         return a
     # multiples of one prime of the stack, the first or a later one, vanish
-    # modulo that prime only, so it alone meets zero pivots and swaps rows;
-    # a sprinkle of multiples of a second prime makes two primes swap
-    # at different columns
+    # modulo that prime only, and a sprinkle of multiples of a second
+    # prime vanishes modulo that one: nilpotent-looking and sparse
+    # residues that differ from prime to prime
     a = rng.integers(-3, 4, size=(n, n))
     a[rng.random((n, n)) < 0.6] *= primes[int(rng.integers(len(primes)))]
     a[rng.random((n, n)) < 0.1] *= primes[int(rng.integers(len(primes)))]
@@ -217,27 +219,43 @@ def stacked_test_matrix(rng, n, kind, primes):
        st.sampled_from(["wide", "zero", "prime_multiples"]))
 def test_charpoly_mods_matches_reference_prime_by_prime(seed, n, count, kind):
     rng = np.random.default_rng(seed)
-    primes = [modular_prime(prime_bits(n), i) for i in range(count)]
+    primes = [modular_prime(float_bits(n), i) for i in range(count)]
     a = stacked_test_matrix(rng, n, kind, primes)
-    got = _charpoly_mods(a.copy(), primes)
+    got = _power_sum_mods(a.copy(), primes)
     assert got.shape == (count, n + 1) and got.dtype == np.int64
     for p, row in zip(primes, got):
         assert row.tolist() == reference_charpoly_mod(a, p).tolist()
+    # a stack of one layer per prime, as charpoly_dense passes it
+    assert (_power_sum_mods(np.stack([a] * count), primes) == got).all()
 
 
-def test_charpoly_mods_pivots_each_prime_on_its_own_column():
-    # below the diagonal, column 0 reads p0*p1, p1, 1, 0: the first prime
-    # pivots on row 2, the second on row 3 and the third keeps row 1
-    primes = [modular_prime(prime_bits(5), i) for i in range(3)]
-    p01 = primes[0] * primes[1]
-    a = np.array([[1, p01, primes[1], 1, 0],
-                  [p01, 2, 1, 0, 1],
-                  [primes[1], 1, 0, 1, 0],
-                  [1, 0, 1, 3, 1],
-                  [0, 1, 0, 1, 0]], dtype=np.int64)
-    got = _charpoly_mods(a, primes)
-    for p, row in zip(primes, got):
-        assert row.tolist() == reference_charpoly_mod(a, p).tolist()
+def test_power_sum_mods_refuses_primes_that_break_its_bounds():
+    # a prime_bits prime passes int64's bound but not 4 n p**2 <= 2**53,
+    # past which the float64 sums would silently lose their low bits; a
+    # prime p <= n leaves some k <= n without an inverse for Newton's
+    # identities
+    a = np.arange(25, dtype=np.int64).reshape(5, 5)
+    p = modular_prime(float_bits(5), 0)
+    past = modular_prime(26, 0)
+    assert 4 * 5 * p**2 <= 2**53 < 4 * 5 * past**2
+    for primes in ([modular_prime(prime_bits(5), 0)], [p, past], [5], [p, 3]):
+        with pytest.raises(ValueError):
+            _power_sum_mods(a, primes)
+    # the smallest prime above n and the largest below the float bound
+    assert _power_sum_mods(a, [7, p]).tolist() == [
+        reference_charpoly_mod(a, q).tolist() for q in (7, p)]
+
+
+@pytest.mark.parametrize("block", [
+    [[2**60 + 1, 3], [5, 2**59 + 7]],
+    [[2**63 - 1, -(2**63 - 1)], [2**53 + 1, -(2**53 + 3)]],
+    [[2**63 - 1, 2**53 + 1, -5], [-(2**63 - 1), 0, 2**53 - 1], [7, -(2**62), 2**53]],
+    [[-(2**63), 1], [2**63 - 1, -(2**63)]],
+], ids=["2**60", "int64_max", "3x3", "int64_min"])
+def test_charpoly_dense_is_exact_on_entries_past_float_precision(block):
+    # entries beyond 2**53 lose their low bits as float64, so each is
+    # reduced modulo its prime in int64 before any float sees it
+    assert charpoly_dense([block]) == [fraction_charpoly(block)]
 
 
 def test_charpoly_dense_at_n64_spans_several_stacks(monkeypatch):
@@ -245,7 +263,7 @@ def test_charpoly_dense_at_n64_spans_several_stacks(monkeypatch):
     block = random_sym(rng, 64, -9, 9)
     stacks = counted_charpoly_mods(monkeypatch)
     (got,) = charpoly_dense([block])
-    primes = list(crt_primes(coefficient_bound(np.array(block)), prime_bits(64)))
+    primes = list(crt_primes(coefficient_bound(np.array(block)), float_bits(64)))
     size = max(1, charpoly._STACK_CELLS // 64**2)
     assert len(stacks) == -(-len(primes) // size) >= 2
     assert [p for stack in stacks for p in stack] == primes
@@ -337,8 +355,8 @@ def stacking_test_block(rng, n, kind):
        st.sampled_from([2**15, 2**8]))
 def test_charpoly_dense_stacks_match_one_block_at_a_time_and_the_oracle(
         seed, shapes, repeats, cells):
-    # 1 x 1 blocks, repeated blocks, reducible Hessenberg forms and mixed
-    # sizes in one call; with 2**8 cells a stack holds 256 // n**2 layers
+    # 1 x 1 blocks, repeated blocks, block-diagonal and nilpotent-looking
+    # blocks and mixed sizes in one call; with 2**8 cells a stack holds 256 // n**2 layers
     # (at least 1), so the layers of one size span several stacks
     rng = np.random.default_rng(seed)
     blocks = [stacking_test_block(rng, n, kind) for n, kind in shapes]
@@ -357,7 +375,7 @@ def test_charpoly_dense_spans_stacks_at_the_default_size(monkeypatch):
     # than the 56 one stack holds at n = 24
     rng = np.random.default_rng(24)
     blocks = [np.array(random_sym(rng, 24, -9, 9), dtype=np.int64) for _ in range(24)]
-    layers = sum(len(list(crt_primes(coefficient_bound(b), prime_bits(24)))) for b in blocks)
+    layers = sum(len(list(crt_primes(coefficient_bound(b), float_bits(24)))) for b in blocks)
     size = charpoly._STACK_CELLS // 24**2
     assert layers > size
     stacks = counted_charpoly_mods(monkeypatch)
@@ -444,6 +462,41 @@ def test_prime_size_keeps_int64_products_exact():
         assert 2 ** (bits - 1) < primes[-1] and primes[0] < 2**bits
         assert n * (primes[0] - 1) ** 2 < 2**63
     assert prime_bits(4096) == 25
+
+
+def test_float_prime_size_keeps_float64_sums_exact():
+    # n products of residues in [-p, 2p) sum below 4 n p**2 <= 2**53, and
+    # p > n inverts 1..n for Newton's identities
+    for n in (2, 3, 16, 255, 256, 257, 4096):
+        bits = float_bits(n)
+        primes = [modular_prime(bits, i) for i in range(3)]
+        assert primes == sorted(set(primes), reverse=True)
+        assert 2 ** (bits - 1) < primes[-1] and primes[0] < 2**bits
+        assert 4 * n * primes[0] ** 2 <= 2**53 and primes[-1] > n
+    assert float_bits(4096) == 19 and float_bits(256) == 21 and float_bits(28) == 23
+
+
+def test_check_charpoly_reads_the_block_in_exact_integers():
+    # the x**(n-2) check catches a polynomial with the right trace but a
+    # wrong second power sum; entries near 2**40 put tr(A**2) past int64
+    big = 2**40
+    for block in ([[0, 2, 0], [2, 0, 2], [0, 2, 0]], [[big, 3, 1], [big, -big, 2], [5, 7, big + 1]],
+                  [[1, 2], [3, 4]], [[7]]):
+        a = np.array(block, dtype=np.int64)
+        poly = fraction_charpoly(block)
+        check_charpoly(poly, a)
+        if len(a) > 1:
+            wrong = list(poly)
+            wrong[len(a) - 2] += 1
+            with pytest.raises(ArithmeticError, match="tr"):
+                check_charpoly(wrong, a)
+        wrong = list(poly)
+        wrong[len(a) - 1] -= 1
+        with pytest.raises(ArithmeticError, match="trace"):
+            check_charpoly(wrong, a)
+    with pytest.raises(ArithmeticError, match="shape"):
+        check_charpoly([0, 1], np.zeros((2, 2), dtype=np.int64))
+    check_charpoly([1], np.zeros((0, 0), dtype=np.int64))
 
 
 def test_gershgorin_bound():

@@ -196,6 +196,27 @@ def test_int_sym_matrix_rejects_a_bool_count():
         IntSymMatrix((((np.zeros(2, dtype=np.intp), np.ones((1, 1), dtype=int)), True),))
 
 
+def test_package_forms_skip_the_check_and_outside_forms_keep_it(monkeypatch):
+    # msn_matrix and cn_matrix build their forms valid by construction and
+    # read-only, so they do not run _checked; a form from anywhere else does
+    g = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    want = [[(form[0].tolist(), form[1].tolist(), count) for form, count in m.forms]
+            for m in (msn_matrix(g), cn_matrix(g))]
+    checked = []
+    real = spectra._checked
+    monkeypatch.setattr(spectra, "_checked", lambda *pair: checked.append(pair) or real(*pair))
+    built = (msn_matrix(g), cn_matrix(g))
+    assert checked == []
+    assert [[(form[0].tolist(), form[1].tolist(), count) for form, count in m.forms]
+            for m in built] == want
+    for m in built:
+        for (labels, w), _ in m.forms:
+            assert not labels.flags.writeable and not w.flags.writeable
+    with pytest.raises(SpectraError, match="symmetric"):
+        IntSymMatrix((((np.array([0, 1]), np.array([[0, 1], [2, 0]])), 1),))
+    assert len(checked) == 1
+
+
 @pytest.mark.parametrize("kind", sorted(INVALID_PARTS))
 def test_int_sym_matrix_checks_every_part(kind):
     valid = [(np.array([[0, 3], [3, 0]]), 1), (np.zeros((1, 1), dtype=int), 1),
@@ -754,8 +775,8 @@ def test_exact_spectrum_bounded_time_on_a_twin_free_block(monkeypatch):
     assert spectra._twin_quotient(form)[1] is form[1]
     calls = recorded_charpoly_calls(monkeypatch)
     primes = []
-    mods = charpoly._charpoly_mods
-    monkeypatch.setattr(charpoly, "_charpoly_mods",
+    mods = charpoly._power_sum_mods
+    monkeypatch.setattr(charpoly, "_power_sum_mods",
                         lambda a, stack: primes.extend(stack) or mods(a, stack))
     start = time.perf_counter()
     got = exact_spectrum(m)[0]
