@@ -189,8 +189,8 @@ def test_charpoly_dense_matches_fraction_oracle(seed, n, kind):
         np.fill_diagonal(block, rng.choice([-1, 1], n) * rng.integers(1, 10**4 + 1, n))
     else:
         # multiples of the first prime vanish mod that prime but not over Q,
-        # so its reduction meets zero pivots and has to swap rows
-        p = modular_prime(prime_bits(n), 0)
+        # so most of its residues are zero
+        p = modular_prime(float_bits(n), 0)
         block = rng.integers(-3, 4, size=(n, n))
         block[rng.random((n, n)) < 0.6] *= p
     block = block.tolist()
@@ -206,8 +206,8 @@ def stacked_test_matrix(rng, n, kind, primes):
         return a
     # multiples of one prime of the stack, the first or a later one, vanish
     # modulo that prime only, and a sprinkle of multiples of a second
-    # prime vanishes modulo that one: nilpotent-looking and sparse
-    # residues that differ from prime to prime
+    # prime vanish modulo that one: sparse residues that differ from
+    # prime to prime
     a = rng.integers(-3, 4, size=(n, n))
     a[rng.random((n, n)) < 0.6] *= primes[int(rng.integers(len(primes)))]
     a[rng.random((n, n)) < 0.1] *= primes[int(rng.integers(len(primes)))]
@@ -320,14 +320,14 @@ def test_charpoly_dense_rejects_what_is_not_a_square_integer_matrix(block):
 
 def stacking_test_block(rng, n, kind):
     """An n x n int64 block of one of the kinds that exercise the stacked
-    reduction."""
+    power sums."""
     if kind == "sym":
         return np.array(random_sym(rng, n, -5, 5), dtype=np.int64)
     if kind == "wide":
         # not symmetric, entries near 1e4: complex eigenvalues, several primes
         return rng.integers(-10**4, 10**4 + 1, size=(n, n))
     if kind == "block_diagonal":
-        # the Hessenberg form is reducible: a zero subdiagonal entry
+        # reducible: two diagonal blocks, either possibly empty
         k = int(rng.integers(0, n + 1))
         a = np.zeros((n, n), dtype=np.int64)
         a[:k, :k] = random_sym(rng, k, -5, 5)
@@ -355,9 +355,9 @@ def stacking_test_block(rng, n, kind):
        st.sampled_from([2**15, 2**8]))
 def test_charpoly_dense_stacks_match_one_block_at_a_time_and_the_oracle(
         seed, shapes, repeats, cells):
-    # 1 x 1 blocks, repeated blocks, block-diagonal and nilpotent-looking
-    # blocks and mixed sizes in one call; with 2**8 cells a stack holds 256 // n**2 layers
-    # (at least 1), so the layers of one size span several stacks
+    # 1 x 1 blocks, repeated blocks, block-diagonal blocks and mixed sizes
+    # in one call; with 2**8 cells a stack holds 256 // n**2 layers (at
+    # least 1), so the layers of one size span several stacks
     rng = np.random.default_rng(seed)
     blocks = [stacking_test_block(rng, n, kind) for n, kind in shapes]
     blocks += [blocks[i % len(blocks)] for i in repeats]
