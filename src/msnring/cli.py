@@ -25,7 +25,6 @@ from .graphs import (
 from .rings import (
     RingError,
     additive_quotient_type,
-    center,
     centralizer_count,
     commuting_probability,
     has_unity,
@@ -66,7 +65,7 @@ def _cmd_ring_info(args) -> int:
         "name": ring.name,
         "order": ring.order,
         "commutative": ring.is_commutative,
-        "center_size": center(ring).size,
+        "center_size": int(ring.central.sum()),
         "commuting_probability": str(commuting_probability(ring)),
         "centralizer_count": centralizer_count(ring),
         "cc_ring": is_cc_ring(ring),

@@ -490,9 +490,9 @@ def _edge_list_fields(text: str) -> list[str]:
 
 
 def _check_ascending_distinct(pairs: np.ndarray) -> None:
-    """Reject the first edge in input order with u >= v or seen before.
-    Pairs in strictly ascending order, as every written edge list has
-    them, pass after one vectorised test."""
+    """Reject the first edge in input order with u >= v or seen before,
+    for both graph formats.  Pairs in strictly ascending order, as every
+    written graph file has them, pass after one vectorised test."""
     u, v = pairs[:, 0], pairs[:, 1]
     bad = u >= v
     rising = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
@@ -537,12 +537,9 @@ def parse_graph_json(text: str) -> SimpleGraph:
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(map(_is_json_int, e))):
             raise GraphFormatError(f"graph JSON edge must be a pair of integers, got {e!r}")
-        if not e[0] < e[1]:
-            raise GraphFormatError(f"edges must satisfy u < v, got ({e[0]}, {e[1]})")
-    edges = [tuple(e) for e in edges]
-    if len(set(edges)) != len(edges):
-        raise GraphFormatError("duplicate edges in graph JSON")
-    return SimpleGraph.from_edges(n, edges)
+    pairs = _edge_pairs(edges)
+    _check_ascending_distinct(pairs)
+    return SimpleGraph.from_edges(n, pairs)
 
 
 def load_graph(path: str | Path) -> SimpleGraph:

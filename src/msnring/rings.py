@@ -9,10 +9,12 @@ validated exhaustively.  Built-in families are square matrices over Z_m
 with some entries fixed at zero and one coordinate per free entry, in
 row-major order: zn is the 1x1 case, and nc_p2, ut2 and mat2 are 2x2 over
 F_p with a zero bottom row, a zero (1, 0) entry and no fixed entry.
-Products and matrix rings build their table only when `table` is read.
-A ring's commutation is held only as its centralizer census
-(FiniteRing.centralizer_classes): the labels of elements that share a
-centralizer and the k x k commute test of one representative per class.
+Multiplication is read only as whole table rows (FiniteRing.rows):
+direct products and matrix rings compute theirs, and build their table
+only when `table` is read.  A ring's commutation is held only as its
+centralizer census (FiniteRing.centralizer_classes): the labels of
+elements that share a centralizer and the k x k commute test of one
+representative per class.
 A product takes its factors', a matrix ring labels the kernels of its
 maps y -> xy - yx by one batched row reduction, and a table ring labels
 the rows of table == table.T, which it does not keep.  Rows are labelled,
@@ -83,17 +85,6 @@ def prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-@dataclass(frozen=True)
-class CentralizerSet:
-    """A set of element indices, kept sorted."""
-
-    elements: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,29 +196,6 @@ class FiniteRing:
                 rows += _bilinear(xs, y, pairs) % m
         return out
 
-    def coords(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.order:
-            raise IndexError(f"element index {index} out of range")
-        return tuple(int(c) for c in np.unravel_index(index, self.moduli))
-
-    def index(self, coords: tuple[int, ...]) -> int:
-        if len(coords) != len(self.moduli):
-            raise DimensionMismatch("coordinate arity does not match moduli")
-        return int(np.ravel_multi_index(coords, self.moduli))
-
-    def multiply(self, i: int, j: int) -> int:
-        if self.factors:
-            r, s = self.factors
-            (a, k), (b, l) = divmod(i, s.order), divmod(j, s.order)
-            return r.multiply(a, b) * s.order + s.multiply(k, l)
-        if self.matrix is None:
-            return int(self.table[i, j])
-        m, free = self.matrix
-        x, y, out = self._coords[:, i].tolist(), self._coords[:, j].tolist(), 0
-        for pairs in _products(free):
-            out = out * m + _bilinear(x, y, pairs) % m
-        return out
-
     def __repr__(self) -> str:
         return f"FiniteRing({self.name}, order={self.order})"
 
@@ -304,7 +272,7 @@ def _commutator(free: tuple[tuple[int, int], ...]) -> np.ndarray:
 
 
 def _bilinear(x, y, pairs):
-    """sum x_a y_b over pairs, for coordinate lists or broadcast arrays."""
+    """sum x_a y_b over pairs, for broadcast coordinate arrays."""
     return sum(x[a] * y[b] for a, b in pairs)
 
 
@@ -399,13 +367,12 @@ def ring_from_table(
     *,
     name: str = "table-ring",
     validate: bool = True,
-    validation_cap: int = DEFAULT_VALIDATION_CAP,
 ) -> FiniteRing:
     """Build a ring from an explicit index-level multiplication table.
 
     Validation checks the zero laws, associativity and both distributive
-    laws over every triple; it is gated by `validation_cap` and can only be
-    skipped with an explicit validate=False.
+    laws over every triple.  It refuses an order above DEFAULT_VALIDATION_CAP
+    and can only be skipped with an explicit validate=False.
     """
     if not isinstance(moduli, (list, tuple)) or any(
             isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in moduli):
@@ -433,11 +400,8 @@ def ring_from_table(
         raise DimensionMismatch("table entries must be element indices in 0..order-1")
     arr = arr.astype(np.int32)
     if validate:
-        if n > validation_cap:
-            raise SizeCapExceeded(
-                f"order {n} exceeds the validation cap {validation_cap}; "
-                "pass validate=False to load anyway"
-            )
+        if n > DEFAULT_VALIDATION_CAP:
+            raise SizeCapExceeded(f"order {n} exceeds the validation cap {DEFAULT_VALIDATION_CAP}")
         _check_zero_laws(arr)
         validate_ring_axioms(moduli, arr)
     return _freeze(name, moduli, arr)
@@ -484,11 +448,6 @@ def direct_product(r: FiniteRing, s: FiniteRing) -> FiniteRing:
     its factors and builds its table only when `table` is read."""
     _check_universe(r.order * s.order, f"prod({r.name},{s.name})")
     return FiniteRing(f"prod({r.name},{s.name})", r.moduli + s.moduli, factors=(r, s))
-
-
-def center(ring: FiniteRing) -> CentralizerSet:
-    """Elements commuting with the whole ring."""
-    return CentralizerSet(tuple(int(i) for i in np.flatnonzero(ring.central)))
 
 
 def centralizer_count(ring: FiniteRing) -> int:

@@ -36,7 +36,6 @@ from .rings import (
     FiniteRing,
     NotPrime,
     SizeCapExceeded,
-    center,
     has_unity,
     prime_factors,
 )
@@ -126,7 +125,7 @@ def center_is_field(ring: FiniteRing) -> bool:
     conditions decide the matter.  Only the center's rows of the table are
     read, once.
     """
-    z = np.array(center(ring).elements)
+    z = np.flatnonzero(ring.central)
     nonzero = z != 0
     if not nonzero.any():
         return False
@@ -176,7 +175,7 @@ def _check_hypotheses(ring: FiniteRing, theorem: TheoremId,
     """
     family = family_of(theorem)
     _require(not ring.is_commutative, "ring is commutative")
-    m = center(ring).size
+    m = int(ring.central.sum())
     if family.unity:
         _require(has_unity(ring) is not None, "ring has no unity")
     found = _order_primes(ring.order, family.order, p, q) if family.order else {}

@@ -32,3 +32,34 @@ def _same_graph(g: SimpleGraph, mask: np.ndarray) -> None:
 def same_graph_as_mask():
     """_same_graph, for tests that hold a commute mask."""
     return _same_graph
+
+
+def _multiply(ring, i: int, j: int) -> int:
+    """The product of elements i and j, read apart from FiniteRing.rows: a
+    direct product recurses into its factors by divmod, a table ring looks
+    up its table, and a matrix ring places each element's coordinates at
+    its free positions of a square matrix, multiplies them with @ mod m and
+    reads the free positions back.  The product must vanish elsewhere."""
+    if ring.factors:
+        r, s = ring.factors
+        (a, k), (b, l) = divmod(i, s.order), divmod(j, s.order)
+        return _multiply(r, a, b) * s.order + _multiply(s, k, l)
+    if ring.matrix is None:
+        return int(ring.table[i, j])
+    m, free = ring.matrix
+    rows, cols = np.array(free).T
+    dim = 1 + max(rows.max(), cols.max())
+    x, y = np.zeros((2, dim, dim), dtype=np.int64)
+    x[rows, cols] = np.unravel_index(i, ring.moduli)
+    y[rows, cols] = np.unravel_index(j, ring.moduli)
+    product = x @ y % m
+    coords = product[rows, cols]
+    product[rows, cols] = 0
+    assert not product.any(), f"{ring.name}: a product leaves the free entries"
+    return int(np.ravel_multi_index(coords, ring.moduli))
+
+
+@pytest.fixture(scope="session")
+def multiply():
+    """The single-product oracle _multiply(ring, i, j)."""
+    return _multiply

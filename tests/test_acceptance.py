@@ -19,7 +19,6 @@ from msnring.graphs import (
     commuting_graph,
 )
 from msnring.rings import (
-    center,
     centralizer_count,
     commuting_probability,
     direct_product,
@@ -54,7 +53,7 @@ from msnring.verification import (
 
 def centralizer_energy_formula(ring):
     """2 sum (|S_i| - m - 1)^3 over the distinct non-central centralizers."""
-    m = center(ring).size
+    m = int(ring.central.sum())
     return 2 * sum((s - m - 1) ** 3 for s in noncentral_centralizer_sizes(ring))
 
 

@@ -5,13 +5,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import msnring
 from msnring import cli
 from msnring.cli import main
+from msnring.rings import parse_ring_spec, save_ring
 
 
 def run(capsys, *argv):
@@ -43,6 +46,27 @@ def test_ring_info_human(capsys):
     assert "order: 6" in out
     assert "commutative: True" in out
     assert "commuting probability: 1" in out
+
+
+@pytest.mark.parametrize("spec", ["mat2:p=2", "prod(nc_p2:p=2,ut2:p=2)",
+                                  "prod(zn:n=4,ut2:p=2)", "file:ut2:p=3"])
+def test_ring_info_json_matches_brute_force(tmp_path, capsys, multiply, spec):
+    if spec.startswith("file:"):  # the same ring as a table ring, read back
+        save_ring(parse_ring_spec(spec[len("file:"):]), tmp_path / "ring.json")
+        spec = f"file:{tmp_path / 'ring.json'}"
+    ring = parse_ring_spec(spec)
+    elements = range(ring.order)
+    products = np.array([[multiply(ring, x, y) for y in elements] for x in elements])
+    commutes = products == products.T
+    identity = np.arange(ring.order)
+    code, out, _ = run(capsys, "ring-info", "--spec", spec, "--json")
+    assert code == 0
+    info = json.loads(out)
+    assert info["center_size"] == commutes.all(axis=1).sum()
+    assert info["has_unity"] == any((products[e] == identity).all()
+                                    and (products[:, e] == identity).all() for e in elements)
+    assert info["commuting_probability"] == str(Fraction(int(commutes.sum()), ring.order ** 2))
+    assert info["centralizer_count"] == len({row.tobytes() for row in commutes})
 
 
 # --- graph-build and file round trip ---
@@ -295,6 +319,16 @@ def test_non_integer_ring_file_exits_two(tmp_path, capsys, table):
     assert code == 2
     assert out == ""
     assert "integers" in err
+
+
+def test_ring_file_over_the_validation_cap_exits_two(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"name": "zero", "moduli": [513], "table": [[0] * 513] * 513}))
+    code, out, err = run(capsys, "ring-info", "--spec", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "error: order 513 exceeds the validation cap 512"
+    assert "validate=False" not in err
 
 
 def test_ragged_ring_file_exits_two(tmp_path, capsys):

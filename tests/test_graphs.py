@@ -5,6 +5,7 @@ distance one or two counts.  The hand oracles below pin that down.
 """
 
 import itertools
+import json
 import re
 
 import numpy as np
@@ -370,16 +371,16 @@ def test_commuting_graph_ut2():
     assert clique_decomposition(g) == CliqueUnion.of([(2, 3)])
 
 
-def test_commuting_graph_brute_force_edges():
+def test_commuting_graph_brute_force_edges(multiply):
     ring = matrix_ring_2x2(2)
     g = commuting_graph(ring)
     noncentral = [x for x in range(ring.order)
-                  if any(ring.multiply(x, y) != ring.multiply(y, x)
+                  if any(multiply(ring, x, y) != multiply(ring, y, x)
                          for y in range(ring.order))]
     assert g.n == len(noncentral) == 14
     for a, b in itertools.combinations(range(g.n), 2):
         x, y = noncentral[a], noncentral[b]
-        assert g.adjacency[a, b] == (ring.multiply(x, y) == ring.multiply(y, x))
+        assert g.adjacency[a, b] == (multiply(ring, x, y) == multiply(ring, y, x))
 
 
 def test_commuting_graph_of_commutative_ring_raises():
@@ -425,6 +426,24 @@ def test_edge_list_rejects_malformed():
         parse_edge_list_text("2 2\n0 1\n")  # count mismatch
     with pytest.raises(GraphFormatError):
         parse_edge_list_text("3 2\n0 1\n0 1\n")  # duplicate
+
+
+@pytest.mark.parametrize("fmt", ["edge list", "json"])
+@pytest.mark.parametrize("edges, message", [
+    ([(1, 0)], "edges must satisfy u < v, got (1, 0)"),
+    ([(2, 2)], "edges must satisfy u < v, got (2, 2)"),
+    ([(0, 1), (1, 2), (0, 1)], "duplicate edge (0, 1)"),
+    ([(0, 1), (2 ** 64, 1)], f"edges must satisfy u < v, got ({2 ** 64}, 1)"),
+])
+def test_both_graph_formats_reject_bad_pairs_alike(fmt, edges, message):
+    if fmt == "json":
+        parse, text = parse_graph_json, json.dumps({"n": 3, "edges": edges})
+    else:
+        parse = parse_edge_list_text
+        text = "".join(f"{u} {v}\n" for u, v in [(3, len(edges)), *edges])
+    with pytest.raises(GraphFormatError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("text", [

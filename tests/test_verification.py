@@ -14,7 +14,6 @@ from msnring.graphs import (
 )
 from msnring.rings import (
     NotPrime,
-    center,
     direct_product,
     has_unity,
     matrix_ring_2x2,
@@ -192,7 +191,7 @@ def test_fail_wrong_component_count():
     # order 4, center {0, 2}: two isolated vertices where the closed
     # form demands three
     bad = doctored_ring((2, 2), [], name="doctored-4", central=(2,))
-    assert center(bad).elements == (0, 2)
+    assert np.flatnonzero(bad.central).tolist() == [0, 2]
     rep = verify_ring(bad, TheoremId.C2_4A)
     assert rep.verdict is Verdict.FAIL
     assert "not among the predicted decompositions" in rep.detail
@@ -203,7 +202,7 @@ def test_fail_wrong_component_count():
 def test_fail_not_a_clique_union():
     # path on 1-2-3-4 among eight non-central vertices
     bad = doctored_ring((3, 3), [(1, 2), (2, 3), (3, 4)], name="doctored-9")
-    assert center(bad).elements == (0,)
+    assert np.flatnonzero(bad.central).tolist() == [0]
     rep = verify_ring(bad, TheoremId.T2_1)
     assert rep.verdict is Verdict.FAIL
     assert rep.detail.startswith("not a union of cliques")
@@ -247,7 +246,7 @@ def test_a_graph_off_the_clique_unions_fails_with_its_exact_spectra(monkeypatch)
 
 def test_t4_1a_infers_t_from_uniform_components():
     bad = doctored_ring((2, 2, 3), [], name="doctored-12")
-    assert center(bad).elements == (0,)
+    assert np.flatnonzero(bad.central).tolist() == [0]
     rep = verify_ring(bad, TheoremId.T4_1A)
     assert rep.verdict is Verdict.PASS
     assert dict(rep.params)["t"] == 2
@@ -620,7 +619,7 @@ def test_centralizer_energy_formula_matches_spectrum(ring_factory):
     g = commuting_graph(ring)
     dec = clique_decomposition(g)
     assert isinstance(dec, CliqueUnion)
-    m = center(ring).size
+    m = int(ring.central.sum())
     formula = 2 * sum((s - m - 1) ** 3 for s in noncentral_centralizer_sizes(ring))
     assert formula == clique_union_msn_energy(dec)
 
