@@ -25,11 +25,11 @@ both routes:
   float eigenvalue.  It declines matrices with a block above the exact
   cap that is not a single twin class.
 * the numeric route is the symmetric float eigensolve of each block,
-  built from its form on first read (IntSymMatrix.blocks), merged and
-  clustered into multiplicities.
+  built in float64 from its form for its solve alone on the first read
+  of MatrixSpectra.numeric, merged and clustered into multiplicities.
 
 The two routes share the forms, counted once by graphs.twin_counts, and
-nothing after them, so each checks the other's spectrum of those forms.
+nothing after them, so where both run each checks the other's spectrum.
 The counts are checked apart from both: on clique unions by the closed
 forms (verify holds the msn spectrum against the paper's, the property
 suite both spectra), on other graphs by the tests' brute-force counts.
@@ -104,7 +104,8 @@ class IntSymMatrix:
     """Block-diagonal symmetric nonnegative integer matrix with zero
     diagonal, as checked (twin form, positive count) pairs: msn_matrix
     gives one per graph class, cn_matrix one per class support piece.  A
-    plain block stands for its form (arange(n), block), all singletons."""
+    plain block stands for its form (arange(n), block), all singletons.
+    Only eigenvalues builds n x n blocks, in float64, one per solve."""
 
     forms: tuple[tuple[tuple[np.ndarray, np.ndarray], int], ...] = field(repr=False)
 
@@ -127,17 +128,12 @@ class IntSymMatrix:
         return sum(len(labels) * count for (labels, _), count in self.forms)
 
     @functools.cached_property
-    def blocks(self) -> tuple[tuple[np.ndarray, int], ...]:
-        """Each form's read-only block with its count, built on first read:
-        only the numeric route reads them."""
-        return tuple((expanded(*form), count) for form, count in self.forms)
-
-    @functools.cached_property
     def eigenvalues(self) -> tuple[np.ndarray, ...]:
         """The one float eigensolve: each distinct block's eigenvalues,
         ascending.  Raises NoConvergence if a solve fails."""
         try:
-            return tuple(np.linalg.eigvalsh(block.astype(np.float64)) for block, _ in self.blocks)
+            return tuple(np.linalg.eigvalsh(expanded(labels, w.astype(np.float64)))
+                         for (labels, w), _ in self.forms)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"symmetric eigensolve failed: {exc}") from None
 
@@ -397,11 +393,15 @@ class MatrixSpectra:
     exact is None when the exact route declines a block for the cap
     (exact_spectrum).
     The reported spectrum is the exact one when it is complete, else the
-    numeric one.
+    numeric one, numeric_spectrum(matrix), solved on its first read.
     """
 
     exact: SpectrumMultiset | NotFullyIntegral | None
-    numeric: SpectrumMultiset
+    matrix: IntSymMatrix = field(repr=False)
+
+    @functools.cached_property
+    def numeric(self) -> SpectrumMultiset:
+        return numeric_spectrum(self.matrix)
 
     @property
     def method(self) -> str:
@@ -420,14 +420,14 @@ class MatrixSpectra:
 def matrix_spectra(*matrices: IntSymMatrix) -> tuple[MatrixSpectra, ...]:
     """Both routes on each matrix, in order: the single exact-or-numeric
     dispatch.  The exact route runs on all the matrices at once; if the
-    cap declines one of several, each is retried alone."""
+    cap declines one of several, each is retried alone; numeric waits for a read."""
     try:
         exact = exact_spectrum(*matrices)
     except ExactCapExceeded:
         if len(matrices) > 1:
             return tuple(s for m in matrices for s in matrix_spectra(m))
         exact = (None,)
-    return tuple(MatrixSpectra(e, numeric_spectrum(m)) for e, m in zip(exact, matrices))
+    return tuple(MatrixSpectra(e, m) for e, m in zip(exact, matrices))
 
 
 def match_tol(numeric: SpectrumMultiset) -> float:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from msnring.graphs import SimpleGraph, clique_decomposition
+from msnring.graphs import SimpleGraph, clique_decomposition, expanded
+
+
+def expanded_blocks(m) -> tuple:
+    """Each form of an IntSymMatrix as its read-only n x n block, with its
+    count, in order: the product code builds no such block to keep."""
+    return tuple((expanded(*form), count) for form, count in m.forms)
 
 
 def _same_graph(g: SimpleGraph, mask: np.ndarray) -> None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import expanded_blocks
 from msnring import charpoly
 from msnring.graphs import CliqueUnion, SimpleGraph, clique_union_graph
 from msnring import spectra
@@ -277,7 +278,7 @@ def random_graph_blocks(seed, sizes):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         g = SimpleGraph.from_edges(n, edges)
         for m in (msn_matrix(g), cn_matrix(g)):
-            for block, _ in m.blocks:
+            for block, _ in expanded_blocks(m):
                 yield block
 
 
@@ -698,7 +699,7 @@ def integral_test_blocks():
     graphs = [g] + [kab(a, b) for a, b in ((1, 4), (2, 2), (3, 3), (2, 8), (2, 3))]
     for graph in graphs:
         for m in (msn_matrix(graph), cn_matrix(graph)):
-            for block, _ in m.blocks:
+            for block, _ in expanded_blocks(m):
                 if fraction_roots(block)[1] == 0:
                     yield block
 

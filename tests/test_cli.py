@@ -131,6 +131,24 @@ def test_spectrum_numeric_fallback(tmp_path, capsys):
     assert values == pytest.approx([-(8 ** 0.5), 0.0, 8 ** 0.5])
 
 
+def no_convergence(_):
+    raise np.linalg.LinAlgError("no convergence")
+
+
+def test_spectrum_of_a_clique_union_solves_nothing(tmp_path, capsys, monkeypatch):
+    # 2K3 + K2: the exact route settles each clique through its 1 x 1
+    # twin quotient, so a failing float eigensolve is never reached
+    path = tmp_path / "cliques.txt"
+    path.write_text("8 7\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n6 7\n")
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    for matrix, pairs in (("msn", [[-4, 4], [-1, 1], [1, 1], [8, 2]]),
+                          ("cn", [[-1, 4], [0, 2], [2, 2]])):
+        code, out, err = run(capsys, "spectrum", "--matrix", matrix,
+                             "--graph", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"exact": True, "pairs": pairs}
+
+
 # --- classify ---
 
 
@@ -169,6 +187,16 @@ def test_classify_human_non_clique_union(tmp_path, capsys):
     assert code == 0
     assert "decomposition: not a clique union" in out
     assert "msn integral: no" in out
+
+
+def test_classify_reports_a_failed_eigensolve_it_reads(tmp_path, capsys, monkeypatch):
+    # P3's msn spectrum is not integral, so classify reports the numeric one
+    path = tmp_path / "p3.txt"
+    path.write_text("3 2\n0 1\n1 2\n")
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    code, out, err = run(capsys, "classify", "--graph", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: symmetric eigensolve failed: no convergence\n")
 
 
 # --- verify ---

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import expanded_blocks
 from msnring import charpoly, graphs, spectra
 from msnring.charpoly import charpoly_dense, gershgorin_bound, integer_roots
 from msnring.graphs import (
@@ -77,12 +79,12 @@ def random_graph(seed, n, p=0.4):
 
 
 def blocks(m):
-    """m.blocks as a sorted list of (nested list, count) pairs."""
-    return sorted((b.tolist(), count) for b, count in m.blocks)
+    """m's blocks (expanded_blocks) as a sorted list of (nested list, count) pairs."""
+    return sorted((b.tolist(), count) for b, count in expanded_blocks(m))
 
 
 def dense(values):
-    """What IntSymMatrix.blocks must hold for the whole matrix values: its
+    """What expanded_blocks must give for the whole matrix values: its
     diagonal blocks over the components of its support, grouped by bytes
     and counted, as a sorted list of (nested list, count) pairs."""
     seen = {}
@@ -153,7 +155,7 @@ def test_matrices_match_brute_force(seed, n):
     g = random_graph(seed, n)
     for m, brute in ((msn_matrix(g), brute_msn), (cn_matrix(g), brute_cn)):
         assert blocks(m) == dense(brute(g))
-        assert len(m.blocks) == len(blocks(m))  # no block listed twice
+        assert len(expanded_blocks(m)) == len(blocks(m))  # no block listed twice
         assert m.n == g.n
 
 
@@ -181,7 +183,7 @@ def test_int_sym_matrix_validation():
     m = IntSymMatrix(((edge, 3),))
     assert m.n == 6
     with pytest.raises(ValueError):
-        m.blocks[0][0][0, 1] = 5  # read-only
+        expanded_blocks(m)[0][0][0, 1] = 5  # read-only
     with pytest.raises(ValueError):
         m.forms[0][0][1][0, 1] = 5
 
@@ -324,15 +326,16 @@ def test_support_blocks():
     assert len(g.classes) == 4
     triangle = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     m = cn_matrix(g)
-    assert [(b.tolist(), count) for b, count in m.blocks] == [
+    assert [(b.tolist(), count) for b, count in expanded_blocks(m)] == [
         ([[0]], 3), (triangle, 2), ([[0, 1], [1, 0]], 2)]
     assert blocks(m) == dense(brute_cn(g))
     # the msn matrix is not split: one block per class, shaped as the class
     msn = msn_matrix(g)
-    assert [b.shape for b, _ in msn.blocks] == [(len(labels),) * 2 for labels, *_ in g.classes]
+    assert [b.shape for b, _ in expanded_blocks(msn)] == [
+        (len(labels),) * 2 for labels, *_ in g.classes]
     assert blocks(msn) == dense(brute_msn(g))
     empty = SimpleGraph.from_edges(0, [])
-    assert msn_matrix(empty).blocks == cn_matrix(empty).blocks == ()
+    assert expanded_blocks(msn_matrix(empty)) == expanded_blocks(cn_matrix(empty)) == ()
     assert IntSymMatrix(()).n == 0
 
 
@@ -380,7 +383,7 @@ def test_exact_spectrum_reuses_identical_blocks(monkeypatch):
     # orders; the one distinct twin-free block is settled once, by one
     # characteristic polynomial of the block divided by its gcd 75
     g = clebsch_graph(2)
-    ((clebsch, count),) = msn_matrix(g).blocks
+    ((clebsch, count),) = expanded_blocks(msn_matrix(g))
     assert count == 2
     calls = recorded_charpoly_calls(monkeypatch)
     assert exact_spectrum(msn_matrix(g))[0].pairs == ((-225, 10), (75, 20), (375, 2))
@@ -448,7 +451,7 @@ def test_clique_blocks_settle_without_charpoly(monkeypatch):
     # a K2 component: one class of closed twins, whose zero cn form stands
     # for two 1 x 1 pieces, and whose msn form is [[0, 1], [1, 0]]
     k2 = complete_graph(2)
-    assert [(b.tolist(), count) for b, count in cn_matrix(k2).blocks] == [([[0]], 2)]
+    assert [(b.tolist(), count) for b, count in expanded_blocks(cn_matrix(k2))] == [([[0]], 2)]
     assert exact_spectrum(cn_matrix(k2))[0].pairs == ((0, 2),)
     assert exact_spectrum(msn_matrix(k2))[0].pairs == ((-1, 1), (1, 1))
     # a plain zero block is one class too, of inner entry 0
@@ -567,7 +570,7 @@ def test_twin_forms_expand_to_the_numpy_matrices(g):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert blocks(cn) == dense(want[1])
     for m in (msn, cn):
-        assert exact_spectrum(m) == exact_spectrum(IntSymMatrix(m.blocks))
+        assert exact_spectrum(m) == exact_spectrum(IntSymMatrix(expanded_blocks(m)))
 
 
 @pytest.mark.parametrize("spec, msn_residual", [
@@ -581,7 +584,6 @@ def test_exact_route_reads_no_block(monkeypatch, spec, msn_residual):
     def raising(*args):
         raise AssertionError("the exact route read a block")
 
-    monkeypatch.setattr(IntSymMatrix, "blocks", property(raising))
     monkeypatch.setattr(spectra, "expanded", raising)
     msn, cn = exact_spectrum(*matrices)
     if msn_residual:
@@ -634,7 +636,7 @@ def census_sizes(g):
     sorted, each form's classes checked to be twin classes of its block."""
     out = []
     for name, m in (("msn", msn_matrix(g)), ("cn", cn_matrix(g))):
-        for (form, count), (block, _) in zip(m.forms, m.blocks):
+        for (form, count), (block, _) in zip(m.forms, expanded_blocks(m)):
             labels, w = form
             assert_twin_classes(block, labels, np.diagonal(w))
             k = len(spectra._twin_quotient(form)[1])
@@ -661,7 +663,7 @@ def test_census_on_k2_and_star_cn_pieces():
     assert [(labels.tolist(), census.tolist()) for labels, census, _ in k2.classes] == [
         ([0, 0], [[True]])]
     cn = cn_matrix(k2)
-    assert [(b.tolist(), count) for b, count in cn.blocks] == [([[0]], 2)]
+    assert [(b.tolist(), count) for b, count in expanded_blocks(cn)] == [([[0]], 2)]
     assert [(labels.tolist(), w.tolist()) for (labels, w), _ in cn.forms] == [([0], [[0]])]
     # K_{1,m}: the leaves are open twins.  The msn block has two classes,
     # the leaves' inner entry 0; the cn matrix splits into the centre alone
@@ -678,7 +680,7 @@ def test_census_on_k2_and_star_cn_pieces():
         cn = cn_matrix(g)
         leaf_piece = np.ones((leaves, leaves), dtype=np.int64) - np.eye(leaves, dtype=np.int64)
         assert [(b.tolist(), count, twin_classes(labels))
-                for (b, count), ((labels, _), _) in zip(cn.blocks, cn.forms)] == [
+                for (b, count), ((labels, _), _) in zip(expanded_blocks(cn), cn.forms)] == [
             ([[0]], 1, [[0]]), (leaf_piece.tolist(), 1, [list(range(leaves))])]
         assert quotient_sizes(cn) == [1, 1]
         assert exact_spectrum(cn)[0].pairs == ((-1, leaves - 1), (0, 1), (leaves - 1, 1))
@@ -702,7 +704,7 @@ def test_twin_labels_must_fit_their_block():
         IntSymMatrix((((np.array([0, 1]), w), 1),))
     m = IntSymMatrix((((np.array([0, 1, 0]), w), 1),))
     assert m.n == 3
-    assert m.blocks[0][0].tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert expanded_blocks(m)[0][0].tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def test_planted_twins_shrink_the_quotient():
@@ -798,7 +800,7 @@ def test_exact_spectrum_bounded_time_on_a_twin_free_block(monkeypatch):
 def test_block_roots_divide_the_block_by_its_gcd(monkeypatch, name, g, scale):
     # a component on which delta2 is constant has the msn block delta2 A:
     # the polynomial is A's, and its roots come back times delta2
-    ((block, _),) = msn_matrix(g).blocks
+    ((block, _),) = expanded_blocks(msn_matrix(g))
     adjacency = g.adjacency.astype(np.int64)
     assert (block == scale * adjacency).all()
     (poly,) = charpoly_dense([adjacency])
@@ -948,8 +950,8 @@ def loop_numeric_pairs(m):
     """numeric_spectrum's clustering as one Python loop over the merged
     eigenvalues, kept as the reference: same sums in the same order."""
     eigs = np.sort(np.concatenate([
-        np.repeat(values, count) for values, (_, count) in zip(m.eigenvalues, m.blocks)]))
-    tol = spectra._cluster_tol(max(block.max() for block, _ in m.blocks), m.n)
+        np.repeat(values, count) for values, (_, count) in zip(m.eigenvalues, m.forms)]))
+    tol = spectra._cluster_tol(max(block.max() for block, _ in expanded_blocks(m)), m.n)
     clusters = [[float(eigs[0])]]
     for v in eigs[1:]:
         if float(v) - clusters[-1][-1] < tol:
@@ -1155,7 +1157,7 @@ def test_blocks_split_each_distinct_part_once(monkeypatch):
     monkeypatch.setattr(spectra, "quotient_components", counting)
     m = cn_matrix(g)
     k5 = 3 * (np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
-    assert [(b.tolist(), count) for b, count in m.blocks] == [
+    assert [(b.tolist(), count) for b, count in expanded_blocks(m)] == [
         ([[0]], 6), ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 4), (k5.tolist(), 2)]
     assert splits == []
     # a K2 beside a triangle joined to a K5 by one edge: the second class,
@@ -1182,16 +1184,54 @@ def test_one_eigensolve_per_distinct_block(monkeypatch):
         for m in (msn_matrix(g), cn_matrix(g)):
             calls.clear()
             result = matrix_spectra(m)[0]
-            assert len(calls) == len(m.blocks)
-            assert sorted(calls) == sorted(b.shape for b, _ in m.blocks)
+            result.numeric
+            assert len(calls) == len(expanded_blocks(m))
+            assert sorted(calls) == sorted(b.shape for b, _ in expanded_blocks(m))
             assert spectra_agree(result.exact, result.numeric)
     # above the exact cap only the numeric route reads the eigensolve; the
     # cycles are twin-free, so their blocks of 5, 6 and 7 are their quotients
     monkeypatch.setenv("MSNRING_EXACT_CAP", "4")
     m = msn_matrix(graphs[3])
     calls.clear()
-    assert matrix_spectra(m)[0].exact is None
-    assert len(calls) == len(m.blocks) == 3
+    result = matrix_spectra(m)[0]
+    assert result.exact is None and result.spectrum is result.numeric
+    assert len(calls) == len(expanded_blocks(m)) == 3
+
+
+def test_numeric_route_runs_on_first_read(monkeypatch):
+    # on exact-complete matrices, matrix_spectra and the reported spectrum
+    # make no float call; the first read of numeric solves each distinct
+    # form's whole block once, and later reads solve nothing
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    g = clique_union_graph(CliqueUnion(((2, 3), (3, 2), (5, 1))))
+    for m in (msn_matrix(g), cn_matrix(g), msn_matrix(cycles(6))):
+        calls.clear()
+        result = matrix_spectra(m)[0]
+        assert result.method == "exact" and result.spectrum is result.exact
+        assert calls == []
+        assert spectra_agree(result.exact, result.numeric)
+        assert sorted(calls) == sorted((len(labels),) * 2 for (labels, _), _ in m.forms)
+        assert result.numeric is result.numeric
+        assert len(calls) == len(m.forms)
+
+
+def test_numeric_spectrum_holds_one_float_block_at_a_time():
+    # 6K500: each matrix is one 500 x 500 block, 1.91 MB in float64, built
+    # from its 1 x 1 form for the solve, with no integer copy beside it
+    parts = CliqueUnion(((500, 6),))
+    g = clique_union_graph(parts)
+    for m, closed_form in ((msn_matrix(g), spectra.clique_union_msn_spectrum),
+                           (cn_matrix(g), spectra.clique_union_cn_spectrum)):
+        tracemalloc.start()
+        try:
+            got = numeric_spectrum(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, f"peak {peak} bytes"
+        assert spectra_agree(closed_form(parts), got)
 
 
 def test_numeric_spectrum_reports_a_failed_eigensolve(monkeypatch):
@@ -1240,5 +1280,5 @@ def test_relabelled_clique_union_is_one_class():
     ((adjacency, shared, delta2),) = g.counts
     assert (adjacency.tolist(), shared.tolist(), delta2.tolist()) == ([[1]], [[98]], [99 ** 2])
     assert clique_decomposition(g) == parts
-    assert [count for _, count in msn_matrix(g).blocks] == [31]
+    assert [count for _, count in expanded_blocks(msn_matrix(g))] == [31]
     assert matrix_spectra(cn_matrix(g))[0].exact == spectra.clique_union_cn_spectrum(parts)

@@ -132,6 +132,33 @@ def test_above_cap_passes_on_the_numeric_route(monkeypatch):
     assert rep.computed.msn_energy == pytest.approx(1000)
 
 
+@pytest.mark.parametrize("theorem, p", [
+    (TheoremId.T2_1, 3), (TheoremId.T3_1A, 2), (TheoremId.C2_4B, 3), (TheoremId.T3_3B, 2)])
+def test_verify_ring_solves_each_distinct_form_of_both_matrices(monkeypatch, theorem, p):
+    # a PASS rests on both routes: verify_ring reads the numeric spectrum
+    # of msn and of cn, one whole-block eigensolve per distinct form, and
+    # cannot pass when that solve fails
+    ring = builtin_instance(theorem, p)
+    graph = commuting_graph(ring)
+    shapes = sorted((len(labels),) * 2 for m in (spectra.msn_matrix(graph),
+                                                 spectra.cn_matrix(graph))
+                    for (labels, _), _ in m.forms)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    rep = verify_ring(ring, theorem)
+    assert rep.verdict is Verdict.PASS, rep.detail
+    assert rep.computed.msn_method == rep.computed.cn_method == "exact"
+    assert sorted(calls) == shapes
+
+    def raising(_):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", raising)
+    with pytest.raises(spectra.NoConvergence, match="symmetric eigensolve failed"):
+        verify_ring(ring, theorem)
+
+
 # --- HYPOTHESIS_NOT_MET on genuine rings ---
 
 
