@@ -391,9 +391,9 @@ class MatrixSpectra:
     """What both routes found for one matrix.
 
     exact is None when the exact route declines a block for the cap
-    (exact_spectrum).
-    The reported spectrum is the exact one when it is complete, else the
-    numeric one, numeric_spectrum(matrix), solved on its first read.
+    (exact_spectrum).  numeric is numeric_spectrum(matrix), solved on its
+    first read: verify_ring reads it always, to hold it against exact.
+    The reported spectrum is exact when that is complete, else numeric.
     """
 
     exact: SpectrumMultiset | NotFullyIntegral | None
@@ -419,8 +419,8 @@ class MatrixSpectra:
 
 def matrix_spectra(*matrices: IntSymMatrix) -> tuple[MatrixSpectra, ...]:
     """Both routes on each matrix, in order: the single exact-or-numeric
-    dispatch.  The exact route runs on all the matrices at once; if the
-    cap declines one of several, each is retried alone; numeric waits for a read."""
+    dispatch.  The exact route runs on all the matrices at once (if the
+    cap declines one of several, each is retried alone); numeric is lazy."""
     try:
         exact = exact_spectrum(*matrices)
     except ExactCapExceeded:

@@ -1184,7 +1184,7 @@ def test_one_eigensolve_per_distinct_block(monkeypatch):
         for m in (msn_matrix(g), cn_matrix(g)):
             calls.clear()
             result = matrix_spectra(m)[0]
-            result.numeric
+            result.numeric  # the numeric route runs on its first read
             assert len(calls) == len(expanded_blocks(m))
             assert sorted(calls) == sorted(b.shape for b, _ in expanded_blocks(m))
             assert spectra_agree(result.exact, result.numeric)
