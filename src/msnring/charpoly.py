@@ -7,7 +7,10 @@ power sums tr(A**k) modulo primes, one (block, prime) layer each, and
 combines them by the Chinese remainder theorem up to a proven bound
 (coefficient_bound).  Floats there carry only integers below 2**53,
 which they hold exactly: no float eigenvalue or hint is read.
-integer_roots screens the candidate roots modulo one prime, and exact
+integer_roots first evaluates a polynomial at every residue modulo each
+prime q <= 47; if it has no root modulo some q, it has no integer root,
+since an integer root r gives the root r mod q for every q.  Otherwise
+it screens the candidate roots modulo one larger prime, and exact
 synthetic division decides.
 """
 
@@ -238,38 +241,89 @@ def divide_linear(coeffs: list[int], r: int) -> tuple[list[int], int]:
 _DIVISOR_CHUNK = 2**16
 
 
+def _remainders(c: int, d: np.ndarray, w: int) -> np.ndarray:
+    """c mod d for an integer c >= 0 and int64 candidates d >= 1, exactly:
+    in int64 when c < 2**63, else by Horner's rule over the w-bit limbs
+    of c, where every d < 2**(63 - w) keeps a remainder r < d, and so
+    r * 2**w + limb, below 2**63."""
+    if c < 2**63:
+        return c % d
+    top = w * ((c.bit_length() - 1) // w)
+    r = np.zeros_like(d)
+    for s in range(top, -1, -w):
+        r = ((r << w) + (c >> s & (1 << w) - 1)) % d
+    return r
+
+
 def _divisors(c: int, limit: int) -> np.ndarray:
     """The divisors d of a nonzero integer c with d <= limit, ascending,
     as int64.
 
     The candidates 1..limit are screened a chunk at a time by their exact
-    remainders: in int64 when |c| < 2**63, else by Horner's rule over the
-    16-bit limbs of |c|, where a remainder r < d < 2**47 keeps
-    r * 2**16 + limb below 2**63.
+    remainders (_remainders), over limbs of w = 63 - limit.bit_length()
+    bits when |c| >= 2**63: every candidate is below 2**(63 - w).
     """
     c = abs(c)
     if c >= 2**63 and limit >= 2**47:
         raise ArithmeticError(f"divisor screen of {c} up to {limit} is out of range")
-    top = 16 * ((c.bit_length() - 1) // 16)
-    limbs = [c >> s & 0xFFFF for s in range(top, -1, -16)]
+    w = 63 - limit.bit_length()
     found = []
     for lo in range(1, limit + 1, _DIVISOR_CHUNK):
         d = np.arange(lo, min(lo + _DIVISOR_CHUNK, limit + 1), dtype=np.int64)
-        if c < 2**63:
-            r = c % d
-        else:
-            r = np.zeros_like(d)
-            for limb in limbs:
-                r = ((r << 16) + limb) % d
-        found.append(d[r == 0])
+        found.append(d[_remainders(c, d, w) == 0])
     return np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+
+
+# Every prime up to 47; their product, _SIEVE_MODULUS, is below 2**63.
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SIEVE_MODULUS = math.prod(_SIEVE_PRIMES)
+
+
+@functools.cache
+def _sieve_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sieve primes q as an int64 column, the mask x < q of the
+    residues x = 0..46 as a (15, 47) array, and x**j mod q as a
+    (15, 47, 47) float64 array indexed [q, j, x], 0 where j >= q or
+    x >= q (0**0 is 1).  Built on first use."""
+    q = np.array(_SIEVE_PRIMES, dtype=np.int64)[:, None]
+    x = np.arange(47)
+    powers = np.ones((len(q), 47, 47))
+    for j in range(1, 47):
+        powers[:, j] = powers[:, j - 1] * x % q
+    valid = x < q
+    powers[~(valid[:, :, None] & valid[:, None, :])] = 0
+    return q, valid, powers
+
+
+def _has_root_mod_sieve_primes(coeffs: list[int]) -> bool:
+    """Whether the polynomial has a root modulo every sieve prime q.
+
+    Each coefficient is reduced mod _SIEVE_MODULUS, then mod every q, in
+    int64.  On F_q, x**k for k >= 1 has the value of x**((k - 1) mod
+    (q - 1) + 1), so the powers fold onto x**0 .. x**(q - 1), and one
+    batched product with the table of x**j mod q gives the value at every
+    residue, in a fixed number of array operations whatever the degree.
+    Every value is an integer below 47**3 * len(coeffs), exact in float64.
+    """
+    q, valid, powers = _sieve_tables()
+    c = np.array([a % _SIEVE_MODULUS for a in coeffs], dtype=np.int64) % q
+    fold = np.arange(len(coeffs) - 1) % (q - 1) + 1 + 47 * np.arange(len(q))[:, None]
+    folded = np.bincount(fold.ravel(), weights=c[:, 1:].ravel(), minlength=powers.shape[0] * 47)
+    folded = folded.reshape(-1, 47)
+    folded[:, 0] = c[:, 0]
+    values = np.matmul(folded[:, None], powers)[:, 0].astype(np.int64)
+    return bool(((values % q == 0) & valid).any(axis=1).all())
 
 
 def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]], int]:
     """All integer roots with multiplicity, plus the residual degree.
 
     A linear factor left after the root 0 has its root read off by one
-    exact division.  Otherwise the candidates are d and -d for the
+    exact division.  A longer one with no root modulo some prime q <= 47
+    (_has_root_mod_sieve_primes) has no integer root, since an integer
+    root r would give the root r mod q for every q, so no nonzero root is
+    reported and its whole degree is residual, whatever the bound and the
+    trailing coefficient.  Otherwise the candidates are d and -d for the
     divisors d of the trailing nonzero coefficient, up to the given
     magnitude bound, in that order (_divisors).  One Horner pass in int64
     evaluates the polynomial at every candidate modulo
@@ -292,7 +346,7 @@ def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]],
         if rem == 0 and abs(r) <= bound:
             roots[r] = 1
             work = [work[1]]
-    elif len(work) > 2:
+    elif len(work) > 2 and _has_root_mod_sieve_primes(work):
         c0 = work[0]
         divisors = _divisors(c0, min(bound, abs(c0)))
         candidates = np.column_stack([divisors, -divisors]).ravel()

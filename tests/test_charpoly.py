@@ -626,11 +626,18 @@ def test_integer_roots_screen_matches_the_loop_beyond_int64(root_list, c, bound)
     assert integer_roots(poly, bound) == reference_integer_roots(poly, bound)
 
 
-@pytest.mark.parametrize("c", [360, -2**64 * 3**5 * 7, 10**30 + 1, 2**63, -(2**63 - 1)])
-def test_divisors_are_exact_on_either_side_of_int64(c):
-    limit = 5000
-    assert charpoly._divisors(c, limit).tolist() == [
-        d for d in range(1, limit + 1) if c % d == 0]
+@pytest.mark.parametrize("limit", [5000, 2**16 - 1, 2**16 + 1, 2**31, 2**46])
+@pytest.mark.parametrize("c", [360, -2**64 * 3**5 * 7, 10**30 + 1, 2**63, -(2**63 - 1), 3**4000],
+                         ids=["360", "-2^64*1701", "10^30+1", "2^63", "-(2^63-1)", "3^4000"])
+def test_divisors_are_exact_on_either_side_of_int64(c, limit):
+    # the remainders of the top candidates, the largest a limb of
+    # 63 - limit.bit_length() bits meets; the whole screen where it is short
+    d = np.arange(max(1, limit - 3000), limit + 1, dtype=np.int64)
+    w = 63 - limit.bit_length()
+    assert charpoly._remainders(abs(c), d, w).tolist() == [abs(c) % x for x in d.tolist()]
+    if limit <= 2**16 + 1:
+        assert charpoly._divisors(c, limit).tolist() == [
+            x for x in range(1, limit + 1) if c % x == 0]
 
 
 def test_divisors_refuse_a_screen_past_their_exact_range():
@@ -639,11 +646,14 @@ def test_divisors_refuse_a_screen_past_their_exact_range():
 
 
 def test_integer_roots_screen_passes_false_positives_to_exact_division(monkeypatch):
-    # P(x) = x^2 + (p - 3) x + 2 has P(1) = p and P(2) = 2p, both 0 mod p,
-    # and no integer root; 1 and 2 divide c0 = 2, and -1, -2 are screened out
-    p = modular_prime(prime_bits(2), 0)
-    poly = [2, p - 3, 1]
-    assert [divide_linear(poly, r)[1] for r in (1, 2)] == [p, 2 * p]
+    # P(x) = (x^2 + (p - 3) x + 2)(2x - 1)(3x - 1) has P(1) = 2p and
+    # P(2) = 30p, both 0 mod p, and no integer root; (2x - 1)(3x - 1) has a
+    # root modulo every prime, so the sieve passes P on.  1 and 2 divide
+    # c0 = 2, and -1, -2 are screened out
+    p = modular_prime(prime_bits(4), 0)
+    poly = poly_mul([2, p - 3, 1], [1, -5, 6])
+    assert charpoly._has_root_mod_sieve_primes(poly)
+    assert [divide_linear(poly, r)[1] for r in (1, 2)] == [2 * p, 30 * p]
     tried = []
 
     def counted(coeffs, r):
@@ -651,9 +661,49 @@ def test_integer_roots_screen_passes_false_positives_to_exact_division(monkeypat
         return divide_linear(coeffs, r)
 
     monkeypatch.setattr(charpoly, "divide_linear", counted)
-    assert integer_roots(poly, bound=2) == ([], 2)
+    assert integer_roots(poly, bound=2) == ([], 4)
     assert tried == [1, 2]
-    assert reference_integer_roots(poly, 2) == ([], 2)
+    assert reference_integer_roots(poly, 2) == ([], 4)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.integers(-30, 30), max_size=5),
+       st.lists(st.tuples(st.integers(2, 7), st.integers(-9, 9)), max_size=3),
+       st.booleans(), st.lists(st.integers(-2**80, 2**80), max_size=4), st.integers(0, 40))
+def test_integer_roots_match_the_loop_on_rational_roots_and_wide_factors(
+        root_list, rational, both, extra, bound):
+    # integer roots; roots b / a of a x - b; (2x - 1)(3x - 1), which has a
+    # root modulo every prime and none in the integers; a factor whose
+    # coefficients may pass int64
+    poly = [1]
+    for r in root_list:
+        poly = poly_mul(poly, [-r, 1])
+    for a, b in rational:
+        poly = poly_mul(poly, [-b, a])
+    if both:
+        poly = poly_mul(poly, [1, -5, 6])
+    poly = poly_mul(poly, extra + [1])
+    assert integer_roots(poly, bound) == reference_integer_roots(poly, bound)
+
+
+def refuse_divisors(c, limit):
+    raise AssertionError("a polynomial with no root modulo a sieve prime needs no divisor search")
+
+
+def test_integer_roots_prove_a_wide_degree_256_polynomial_rootless_without_a_search(monkeypatch):
+    # every coefficient is odd, so P(0) and P(1) are odd: no root mod 2,
+    # whatever c0 > 2**600 and the bound
+    rng = np.random.default_rng(29)
+    poly = [2**601 + 1] + [2 * v + 1 for v in rng.integers(-2**40, 2**40, 255).tolist()] + [1]
+    assert not charpoly._has_root_mod_sieve_primes(poly)
+    monkeypatch.setattr(charpoly, "_divisors", refuse_divisors)
+    assert integer_roots(poly, 5 * 10**6) == ([], 256)
+
+
+def test_integer_roots_report_the_zero_roots_of_a_polynomial_proven_rootless(monkeypatch):
+    # x^3 (x^2 + x + 3): x^2 + x + 3 is odd at 0 and at 1, so rootless mod 2
+    monkeypatch.setattr(charpoly, "_divisors", refuse_divisors)
+    assert integer_roots([0, 0, 0, 3, 1, 1], 100) == ([(0, 3)], 2)
 
 
 def test_charpoly_dense_diagonal():
