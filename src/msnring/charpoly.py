@@ -307,8 +307,10 @@ def _has_root_mod_sieve_primes(coeffs: list[int]) -> bool:
     """
     q, valid, powers = _sieve_tables()
     c = np.array([a % _SIEVE_MODULUS for a in coeffs], dtype=np.int64) % q
+    # row i of the bincount sums, at column e, the coefficients of the
+    # powers x**k, k >= 1, that fold onto x**e modulo the i-th prime
     fold = np.arange(len(coeffs) - 1) % (q - 1) + 1 + 47 * np.arange(len(q))[:, None]
-    folded = np.bincount(fold.ravel(), weights=c[:, 1:].ravel(), minlength=powers.shape[0] * 47)
+    folded = np.bincount(fold.ravel(), weights=c[:, 1:].ravel(), minlength=47 * len(q))
     folded = folded.reshape(-1, 47)
     folded[:, 0] = c[:, 0]
     values = np.matmul(folded[:, None], powers)[:, 0].astype(np.int64)
