@@ -10,8 +10,8 @@ which they hold exactly: no float eigenvalue or hint is read.
 integer_roots first evaluates a polynomial at every residue modulo each
 prime q <= 47; if it has no root modulo some q, it has no integer root,
 since an integer root r gives the root r mod q for every q.  Otherwise
-it screens the candidate roots modulo one larger prime, and exact
-synthetic division decides.
+that table of roots screens the candidate roots: r is kept only if
+r mod q is a root for every q, and exact synthetic division decides.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ def gershgorin_bound(block) -> int:
     if max(int(a.max()), -int(a.min())) * a.shape[1] >= 2**63:
         a = a.astype(object)  # Python ints, so the row sums cannot overflow
     return int(np.abs(a).sum(axis=1).max())
-
-
-def prime_bits(n: int) -> int:
-    """Bit size of integer_roots' screening prime for degree n: with
-    p < 2**prime_bits(n), n * (p - 1)**2 < 2**63."""
-    return (63 - n.bit_length()) // 2
 
 
 def float_bits(n: int) -> int:
@@ -295,8 +289,9 @@ def _sieve_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, valid, powers
 
 
-def _has_root_mod_sieve_primes(coeffs: list[int]) -> bool:
-    """Whether the polynomial has a root modulo every sieve prime q.
+def _roots_mod_sieve_primes(coeffs: list[int]) -> np.ndarray:
+    """The roots of the polynomial modulo the sieve primes, as a (15, 47)
+    boolean mask: row i marks the residues x < q_i with P(x) = 0 mod q_i.
 
     Each coefficient is reduced mod _SIEVE_MODULUS, then mod every q, in
     int64.  On F_q, x**k for k >= 1 has the value of x**((k - 1) mod
@@ -314,26 +309,25 @@ def _has_root_mod_sieve_primes(coeffs: list[int]) -> bool:
     folded = folded.reshape(-1, 47)
     folded[:, 0] = c[:, 0]
     values = np.matmul(folded[:, None], powers)[:, 0].astype(np.int64)
-    return bool(((values % q == 0) & valid).any(axis=1).all())
+    return (values % q == 0) & valid
 
 
 def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]], int]:
     """All integer roots with multiplicity, plus the residual degree.
 
     A linear factor left after the root 0 has its root read off by one
-    exact division.  A longer one with no root modulo some prime q <= 47
-    (_has_root_mod_sieve_primes) has no integer root, since an integer
-    root r would give the root r mod q for every q, so no nonzero root is
-    reported and its whole degree is residual, whatever the bound and the
+    exact division.  A longer one is first solved modulo every prime
+    q <= 47 (_roots_mod_sieve_primes).  An integer root r gives the root
+    r mod q for every q, so if some q has no root, no nonzero root is
+    reported and the whole degree is residual, whatever the bound and the
     trailing coefficient.  Otherwise the candidates are d and -d for the
     divisors d of the trailing nonzero coefficient, up to the given
-    magnitude bound, in that order (_divisors).  One Horner pass in int64
-    evaluates the polynomial at every candidate modulo
-    p = modular_prime(prime_bits(len(coeffs) - 1), 0), and only
-    candidates whose value is 0 mod p are tried.  A root's value is 0, so
-    no root is screened out; what decides is repeated exact synthetic
-    division, which also gives the multiplicity.  The residual degree
-    counts what is left after every integer root has been divided out.
+    magnitude bound, in that order (_divisors), and only those whose
+    residue r mod q is a root for every q are tried, read off that table
+    in one gather.  No root is screened out; what decides is repeated
+    exact synthetic division, which also gives the multiplicity.  The
+    residual degree counts what is left after every integer root has
+    been divided out.
     """
     work = list(coeffs)
     roots: dict[int, int] = {}
@@ -348,17 +342,12 @@ def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]],
         if rem == 0 and abs(r) <= bound:
             roots[r] = 1
             work = [work[1]]
-    elif len(work) > 2 and _has_root_mod_sieve_primes(work):
+    elif len(work) > 2 and (mask := _roots_mod_sieve_primes(work)).any(axis=1).all():
         c0 = work[0]
         divisors = _divisors(c0, min(bound, abs(c0)))
         candidates = np.column_stack([divisors, -divisors]).ravel()
-        p = modular_prime(prime_bits(len(coeffs) - 1), 0)
-        x = candidates % p
-        # every value stays below p, so acc * x + c < p**2 < 2**63
-        acc = np.zeros_like(x)
-        for c in reversed(work):
-            acc = (acc * x + c % p) % p
-        for r in candidates[acc == 0].tolist():
+        kept = np.take_along_axis(mask, candidates % _sieve_tables()[0], axis=1).all(axis=0)
+        for r in candidates[kept].tolist():
             while len(work) > 1:
                 q, rem = divide_linear(work, r)
                 if rem != 0:

@@ -22,8 +22,8 @@ both routes:
   polynomials come from power sums modulo primes, whose float64 products
   carry only integers below 2**53, exactly.  So the route proves the
   spectrum integral or reports the integer part found, and reads no
-  float eigenvalue.  It declines matrices with a block above the exact
-  cap that is not a single twin class.
+  float eigenvalue.  It declines, with None, each matrix with a block
+  above the exact cap that is not a single twin class.
 * the numeric route is the symmetric float eigensolve of each block,
   built in float64 from its form for its solve alone on the first read
   of MatrixSpectra.numeric, merged and clustered into multiplicities.
@@ -61,10 +61,6 @@ NUMERIC_MATCH_REL = 1e-12
 
 
 class SpectraError(Exception):
-    pass
-
-
-class ExactCapExceeded(SpectraError):
     pass
 
 
@@ -336,29 +332,28 @@ def _declined(form: tuple[np.ndarray, np.ndarray], cap: int) -> bool:
     return len(form[0]) > cap and (cap < 1 or not _single_class(form))
 
 
-def exact_spectrum(*matrices: IntSymMatrix) -> tuple[SpectrumMultiset | NotFullyIntegral, ...]:
+def exact_spectrum(*matrices: IntSymMatrix
+                   ) -> tuple[SpectrumMultiset | NotFullyIntegral | None, ...]:
     """Integer eigenvalues of each matrix by exact computation, with no
     float call, in order.
 
-    Each form is first reduced by its twin classes (_twin_quotient),
-    reading nothing larger than k x k, and the integer roots of all the
-    quotients are then proven from their characteristic polynomials
-    (_block_roots, one charpoly_dense call).  If every block's spectrum
-    is integral a matrix's spectrum is returned whole, else the integer
-    part found.  Raises ExactCapExceeded, before any twin reduction or
-    root search, if the cap declines a block of any of the matrices
-    (_declined).
+    A matrix with a block the cap declines (_declined) gives None, with
+    no twin reduction or root search.  Each form of the others is first
+    reduced by its twin classes (_twin_quotient), reading nothing larger
+    than k x k, and the integer roots of all their quotients are then
+    proven from their characteristic polynomials (_block_roots, one
+    charpoly_dense call).  If every block's spectrum is integral a
+    matrix's spectrum is returned whole, else the integer part found.
     """
     cap = exact_cap()
-    for m in matrices:
-        for form, _ in m.forms:
-            if _declined(form, cap):
-                raise ExactCapExceeded(f"support block of dimension {len(form[0])} "
-                                       f"exceeds the exact path cap {cap}")
-    reduced = [_twin_quotient(form) for m in matrices for form, _ in m.forms]
+    taken = [m for m in matrices if not any(_declined(form, cap) for form, _ in m.forms)]
+    reduced = [_twin_quotient(form) for m in taken for form, _ in m.forms]
     settled = iter(zip(reduced, _block_roots([quotient for _, quotient in reduced])))
     results = []
     for m in matrices:
+        if m not in taken:
+            results.append(None)
+            continue
         roots: Counter[int] = Counter()
         residual = 0
         for (_, count), ((found, _), (rest, left)) in zip(m.forms, settled):
@@ -390,7 +385,7 @@ def numeric_spectrum(m: IntSymMatrix) -> SpectrumMultiset:
 class MatrixSpectra:
     """What both routes found for one matrix.
 
-    exact is None when the exact route declines a block for the cap
+    exact is None when the cap declines one of the matrix's blocks
     (exact_spectrum).  numeric is numeric_spectrum(matrix), solved on its
     first read: verify_ring reads it always, to hold it against exact.
     The reported spectrum is exact when that is complete, else numeric.
@@ -419,15 +414,9 @@ class MatrixSpectra:
 
 def matrix_spectra(*matrices: IntSymMatrix) -> tuple[MatrixSpectra, ...]:
     """Both routes on each matrix, in order: the single exact-or-numeric
-    dispatch.  The exact route runs on all the matrices at once (if the
-    cap declines one of several, each is retried alone); numeric is lazy."""
-    try:
-        exact = exact_spectrum(*matrices)
-    except ExactCapExceeded:
-        if len(matrices) > 1:
-            return tuple(s for m in matrices for s in matrix_spectra(m))
-        exact = (None,)
-    return tuple(MatrixSpectra(e, m) for e, m in zip(exact, matrices))
+    dispatch.  The exact route runs on all the matrices at once, and
+    gives None for each one the cap declines; numeric is lazy."""
+    return tuple(MatrixSpectra(e, m) for e, m in zip(exact_spectrum(*matrices), matrices))
 
 
 def match_tol(numeric: SpectrumMultiset) -> float:

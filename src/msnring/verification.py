@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import exact_cap
 from .graphs import (
     CliqueUnion,
     NotCliqueUnion,
@@ -43,6 +44,7 @@ from .spectra import (
     EnergyReport,
     MatrixSpectra,
     NotFullyIntegral,
+    SpectraError,
     cn_matrix,
     exact_spectrum,
     match_tol,
@@ -210,8 +212,7 @@ def verify_ring(ring: FiniteRing, theorem: TheoremId, *,
 
     graph = commuting_graph(ring)
     dec = clique_decomposition(graph)
-    (msn,) = matrix_spectra(msn_matrix(graph))
-    (cn,) = matrix_spectra(cn_matrix(graph))
+    msn, cn = matrix_spectra(msn_matrix(graph), cn_matrix(graph))
     computed = EnergyReport.from_spectra(
         graph.n, dec if isinstance(dec, CliqueUnion) else None, msn, cn)
     if isinstance(dec, NotCliqueUnion):
@@ -364,11 +365,13 @@ class PropertySuiteReport:
 
 def _check_clique_union(parts: CliqueUnion,
                         equalities: list[str]) -> list[str]:
-    """Closed forms vs the exact eigensolver, plus both energy bounds.
+    """Closed forms vs the exact route, plus both energy bounds.
 
-    The two cases where the bound is an equality rather than strict (a
-    single complete graph for both energies, two isolated vertices for
-    the cn energy) are recorded instead of counted as violations.
+    Raises SpectraError if the exact cap declines a matrix, which only a
+    cap of 0 does to a clique union.  The two cases where the bound is an
+    equality rather than strict (a single complete graph for both
+    energies, two isolated vertices for the cn energy) are recorded
+    instead of counted as violations.
     """
     problems: list[str] = []
     g = clique_union_graph(parts)
@@ -376,6 +379,9 @@ def _check_clique_union(parts: CliqueUnion,
             ("msn", msn_matrix, clique_union_msn_spectrum, clique_union_msn_energy),
             ("cn", cn_matrix, clique_union_cn_spectrum, clique_union_cn_energy)):
         (ex,) = exact_spectrum(matrix(g))
+        if ex is None:
+            raise SpectraError(f"{parts}: the exact path cap {exact_cap()} "
+                               f"declines the {name} matrix")
         if isinstance(ex, NotFullyIntegral):
             problems.append(f"{parts}: {name} spectrum not integral")
             continue

@@ -26,7 +26,6 @@ from msnring.charpoly import (
     gershgorin_bound,
     integer_roots,
     modular_prime,
-    prime_bits,
 )
 
 
@@ -118,7 +117,8 @@ def reference_charpoly_dense(block):
     a = np.array(block, dtype=np.int64)
     n = a.shape[0]
     coeffs, modulus = [0] * (n + 1), 1
-    for p in crt_primes(coefficient_bound(a), prime_bits(n)):
+    bits = (63 - n.bit_length()) // 2  # p < 2**bits keeps n (p - 1)**2 below 2**63
+    for p in crt_primes(coefficient_bound(a), bits):
         inv = pow(modulus % p, -1, p)
         for j, r in enumerate(reference_charpoly_mod(a, p).tolist()):
             coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
@@ -231,7 +231,7 @@ def test_charpoly_mods_matches_reference_prime_by_prime(seed, n, count, kind):
 
 
 def test_power_sum_mods_refuses_primes_that_break_its_bounds():
-    # a prime_bits prime passes int64's bound but not 4 n p**2 <= 2**53,
+    # a 30-bit prime passes int64's bound but not 4 n p**2 <= 2**53,
     # past which the float64 sums would silently lose their low bits; a
     # prime p <= n leaves some k <= n without an inverse for Newton's
     # identities
@@ -239,7 +239,7 @@ def test_power_sum_mods_refuses_primes_that_break_its_bounds():
     p = modular_prime(float_bits(5), 0)
     past = modular_prime(26, 0)
     assert 4 * 5 * p**2 <= 2**53 < 4 * 5 * past**2
-    for primes in ([modular_prime(prime_bits(5), 0)], [p, past], [5], [p, 3]):
+    for primes in ([modular_prime(30, 0)], [p, past], [5], [p, 3]):
         with pytest.raises(ValueError):
             _power_sum_mods(a, primes)
     # the smallest prime above n and the largest below the float bound
@@ -454,17 +454,6 @@ def test_coefficient_bound_covers_complex_eigenvalues():
     assert coefficient_bound(a) >= 2 * max(coefficient_magnitudes(a))
 
 
-def test_prime_size_keeps_int64_products_exact():
-    # checked on the primes alone: no 4096-dimension polynomial is computed
-    for n in (2, 3, 16, 255, 256, 257, 4096):
-        bits = prime_bits(n)
-        primes = [modular_prime(bits, i) for i in range(3)]
-        assert primes == sorted(set(primes), reverse=True)
-        assert 2 ** (bits - 1) < primes[-1] and primes[0] < 2**bits
-        assert n * (primes[0] - 1) ** 2 < 2**63
-    assert prime_bits(4096) == 25
-
-
 def test_float_prime_size_keeps_float64_sums_exact():
     # n products of residues in [-p, 2p) sum below 4 n p**2 <= 2**53, and
     # p > n inverts 1..n for Newton's identities
@@ -646,14 +635,15 @@ def test_divisors_refuse_a_screen_past_their_exact_range():
 
 
 def test_integer_roots_screen_passes_false_positives_to_exact_division(monkeypatch):
-    # P(x) = (x^2 + (p - 3) x + 2)(2x - 1)(3x - 1) has P(1) = 2p and
-    # P(2) = 30p, both 0 mod p, and no integer root; (2x - 1)(3x - 1) has a
-    # root modulo every prime, so the sieve passes P on.  1 and 2 divide
-    # c0 = 2, and -1, -2 are screened out
-    p = modular_prime(prime_bits(4), 0)
-    poly = poly_mul([2, p - 3, 1], [1, -5, 6])
-    assert charpoly._has_root_mod_sieve_primes(poly)
-    assert [divide_linear(poly, r)[1] for r in (1, 2)] == [2 * p, 30 * p]
+    # P(x) = x^2 + (M - 3) x + 2, M the product of the sieve primes, has
+    # P(1) = M and P(2) = 2M, both 0 modulo every sieve prime, and no
+    # integer root.  1 and 2 divide c0 = 2; P(-1) = 6 - M and
+    # P(-2) = 12 - 2M are not 0 mod 5, so -1 and -2 are screened out
+    m = charpoly._SIEVE_MODULUS
+    poly = [2, m - 3, 1]
+    mask = charpoly._roots_mod_sieve_primes(poly)
+    assert mask.any(axis=1).all() and mask[:, 1].all()
+    assert [divide_linear(poly, r)[1] for r in (1, 2, -1, -2)] == [m, 2 * m, 6 - m, 12 - 2 * m]
     tried = []
 
     def counted(coeffs, r):
@@ -661,9 +651,9 @@ def test_integer_roots_screen_passes_false_positives_to_exact_division(monkeypat
         return divide_linear(coeffs, r)
 
     monkeypatch.setattr(charpoly, "divide_linear", counted)
-    assert integer_roots(poly, bound=2) == ([], 4)
+    assert integer_roots(poly, bound=2) == ([], 2)
     assert tried == [1, 2]
-    assert reference_integer_roots(poly, 2) == ([], 4)
+    assert reference_integer_roots(poly, 2) == ([], 2)
 
 
 @settings(deadline=None, max_examples=150)
@@ -686,6 +676,32 @@ def test_integer_roots_match_the_loop_on_rational_roots_and_wide_factors(
     assert integer_roots(poly, bound) == reference_integer_roots(poly, bound)
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.integers(-1000, 1000), st.sampled_from([30030, 210, 2021, 1]),
+       st.lists(st.integers(-1, 1), min_size=1, max_size=5), st.sampled_from([-1, 1]),
+       st.booleans(), st.lists(st.integers(-2**80, 2**80), max_size=3))
+def test_integer_roots_match_the_loop_on_roots_that_collide_modulo_the_sieve_primes(
+        base, step, ks, sign, both, extra):
+    # roots base + k step, which share their residues modulo every sieve
+    # prime dividing step (30030 = 2*3*5*7*11*13, 210 = 2*3*5*7, 2021 =
+    # 43*47) and repeat where k does; the largest |root| is the bound B,
+    # and a root at +-(B + 1) must not be reported; (2x - 1)(3x - 1) has a
+    # root modulo every prime and none in the integers; the last factor's
+    # coefficients may pass int64
+    roots = [base + k * step for k in ks]
+    bound = max(abs(r) for r in roots)
+    poly = [1]
+    for r in [*roots, sign * (bound + 1)]:
+        poly = poly_mul(poly, [-r, 1])
+    if both:
+        poly = poly_mul(poly, [1, -5, 6])
+    poly = poly_mul(poly, extra + [1])
+    found, residual = integer_roots(poly, bound)
+    assert (found, residual) == reference_integer_roots(poly, bound)
+    assert all(dict(found).get(r, 0) >= roots.count(r) for r in roots)
+    assert all(abs(r) <= bound for r, _ in found) and residual >= 1
+
+
 def refuse_divisors(c, limit):
     raise AssertionError("a polynomial with no root modulo a sieve prime needs no divisor search")
 
@@ -695,7 +711,7 @@ def test_integer_roots_prove_a_wide_degree_256_polynomial_rootless_without_a_sea
     # whatever c0 > 2**600 and the bound
     rng = np.random.default_rng(5)
     poly = [2**601 + 1] + [2 * v + 1 for v in rng.integers(-2**40, 2**40, 255).tolist()] + [1]
-    assert not charpoly._has_root_mod_sieve_primes(poly)
+    assert not charpoly._roots_mod_sieve_primes(poly)[0].any()  # row 0 is q = 2
     monkeypatch.setattr(charpoly, "_divisors", refuse_divisors)
     assert integer_roots(poly, 5 * 10**6) == ([], 256)
 

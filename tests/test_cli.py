@@ -308,6 +308,16 @@ def test_property_suite_human(capsys):
     assert "counterexamples: 0" in out
 
 
+def test_property_suite_at_exact_cap_zero_exits_two(capsys, monkeypatch):
+    # a cap of 0 declines every block, even a single twin class, so the
+    # suite has no exact spectrum to hold against the closed forms
+    monkeypatch.setenv("MSNRING_EXACT_CAP", "0")
+    code, out, err = run(capsys, "property-suite", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 1K1: the exact path cap 0 declines the msn matrix\n")
+
+
 # --- errors and exit codes ---
 
 

@@ -27,7 +27,6 @@ from msnring.graphs import (
 from msnring.spectra import (
     NUMERIC_CLUSTER_TOL,
     EnergyReport,
-    ExactCapExceeded,
     IntSymMatrix,
     NotFullyIntegral,
     SpectraError,
@@ -263,8 +262,7 @@ def test_exact_spectrum_path3_not_integral():
 def test_exact_cap(monkeypatch):
     # C6 is twin-free, so its msn block is its own quotient, of dimension 6
     monkeypatch.setenv("MSNRING_EXACT_CAP", "5")
-    with pytest.raises(ExactCapExceeded, match="support block of dimension 6"):
-        exact_spectrum(msn_matrix(cycles(6)))
+    assert exact_spectrum(msn_matrix(cycles(6)))[0] is None
     # at the cap is still allowed
     monkeypatch.setenv("MSNRING_EXACT_CAP", "6")
     assert exact_spectrum(msn_matrix(cycles(6)))[0].exact
@@ -284,8 +282,7 @@ def test_exact_cap_admits_only_a_single_twin_class_above_it(monkeypatch):
         if abs(u // 3 - v // 3) <= 1])
     assert quotient_sizes(msn_matrix(g)) == [3]
     monkeypatch.setenv("MSNRING_EXACT_CAP", "8")
-    with pytest.raises(ExactCapExceeded, match="support block of dimension 9"):
-        exact_spectrum(msn_matrix(g))
+    assert exact_spectrum(msn_matrix(g))[0] is None
     assert matrix_spectra(msn_matrix(g))[0].exact is None
     monkeypatch.setenv("MSNRING_EXACT_CAP", "9")
     assert exact_spectrum(msn_matrix(g))[0] == charpoly_oracle(brute_msn(g))
@@ -877,18 +874,17 @@ def test_matrix_spectra_above_cap(monkeypatch):
     assert result.spectrum is result.exact
 
 
-def test_matrix_spectra_retries_each_matrix_when_the_cap_declines_one(monkeypatch):
+def test_matrix_spectra_declines_only_the_matrix_above_the_cap(monkeypatch):
     # K_{3,4}: the msn block is the whole 7-vertex graph, two classes of
     # open twins that the cap bounds whole, while the cn matrix splits into
     # its two sides, 4 (J - I) on 3 vertices and 3 (J - I) on 4, each one
     # twin class.
     # Under a cap of 5 the msn matrix is declined and the cn matrix is
-    # still settled exactly
+    # still settled exactly, in the same call
     g = SimpleGraph.from_edges(7, [(i, 3 + j) for i in range(3) for j in range(4)])
     msn, cn = msn_matrix(g), cn_matrix(g)
     monkeypatch.setenv("MSNRING_EXACT_CAP", "5")
-    with pytest.raises(ExactCapExceeded, match="support block of dimension 7"):
-        exact_spectrum(msn, cn)
+    assert exact_spectrum(msn, cn) == (None, exact_spectrum(cn)[0])
     both = matrix_spectra(msn, cn)
     assert [s.method for s in both] == ["numeric", "exact"]
     assert both == (matrix_spectra(msn)[0], matrix_spectra(cn)[0])

@@ -246,8 +246,8 @@ def test_fail_not_a_clique_union():
 
 def test_a_graph_off_the_clique_unions_fails_with_its_exact_spectra(monkeypatch):
     # eight non-central vertices on a cycle: the msn block is a multiple of
-    # the 8-cycle's adjacency, and the cn matrix is two 4-cycles, so each
-    # matrix reaches the polynomial, one at a time; a clique union sends
+    # the 8-cycle's adjacency, and the cn matrix is two 4-cycles, so both
+    # matrices reach the polynomial, in one call; a clique union sends
     # none there
     bad = doctored_ring((3, 3), [(i, i % 8 + 1) for i in range(1, 9)], name="doctored-c8")
     calls = []
@@ -260,7 +260,7 @@ def test_a_graph_off_the_clique_unions_fails_with_its_exact_spectra(monkeypatch)
     rep = verify_ring(bad, TheoremId.T2_1)
     assert rep.verdict is Verdict.FAIL
     assert rep.detail.startswith("not a union of cliques")
-    assert calls == [[(8, 8)], [(4, 4)]]
+    assert calls == [[(8, 8), (4, 4)]]
     # the 8-cycle's spectrum holds +-sqrt(2), so msn falls back to the
     # numeric route; the 4-cycles' is integral and exact
     assert (rep.computed.msn_integral, rep.computed.msn_method) == (False, "numeric")
