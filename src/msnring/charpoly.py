@@ -7,9 +7,12 @@ power sums tr(A**k) modulo primes, one (block, prime) layer each, and
 combines them by the Chinese remainder theorem up to a proven bound
 (coefficient_bound).  Floats there carry only integers below 2**53,
 which they hold exactly: no float eigenvalue or hint is read.
-integer_roots first evaluates a polynomial at every residue modulo each
-prime q <= 47; if it has no root modulo some q, it has no integer root,
-since an integer root r gives the root r mod q for every q.  Otherwise
+rootless, run first, takes the same power sums modulo the few smallest
+primes q > n: a block whose polynomial has no root modulo some q has no
+integer root, with no CRT layer.  integer_roots first evaluates a
+polynomial at every residue modulo each prime q <= 47; if it has no root
+modulo some q, it has no integer root, since an integer root r gives
+the root r mod q for every q.  Otherwise
 that table of roots screens the candidate roots: r is kept only if
 r mod q is a root for every q, and exact synthetic division decides.
 """
@@ -17,6 +20,7 @@ r mod q is a root for every q, and exact synthetic division decides.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 
@@ -99,27 +103,26 @@ def _inverses(p: int, n: int) -> tuple[int, ...]:
     return tuple(pow(k, -1, p) for k in range(1, n + 1))
 
 
-def _power_sum_mods(a: np.ndarray, primes: list[int]) -> np.ndarray:
-    """Characteristic polynomials modulo primes, as a (len(primes), n + 1)
-    array of ascending residues in 0..p-1, of one n x n matrix a modulo
-    each prime or of a (len(primes), n, n) stack, layer i modulo primes[i].
+def _power_sums(a: np.ndarray, moduli: list[int]) -> np.ndarray:
+    """Power sums tr(A**k), k = 0..n, modulo each modulus m, as an
+    (n + 1, len(moduli)) int64 array, of one n x n matrix a modulo each m
+    or of a (len(moduli), n, n) stack, layer i modulo moduli[i].
 
-    Each layer A goes to float64 after its reduction mod p in int64.  With
+    Each layer A goes to float64 after its reduction mod m in int64.  With
     s = ceil(sqrt(n)), the baby steps A**j, j = 1..s, and the giant steps
     G**i, G = A**s, one at a time, give each tr(A**(i s + j)) as the sum
     over rows x of (G**i row x) . (A**j column x): about 2 sqrt(n) batched
     products (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  Every
-    factor is kept in [-p, 2p) by x - floor(x * (1/p)) p, so each sum of n
-    products is exact, in any order, if 4 n p**2 <= 2**53.  Newton's
-    identities, k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), then give the
-    coefficient c_k of x**(n - k) in int64 if p > n.  ValueError otherwise.
+    factor is kept in [-m, 2m) by x - floor(x * (1/m)) m, so each sum of n
+    products is exact, in any order, if 4 n m**2 <= 2**53; ValueError
+    otherwise.  m need not be prime.  Entry 0 is left 0.
     """
     n = a.shape[-1]
-    if min(primes) <= n or 4 * n * max(primes) ** 2 > 2**53:
-        raise ValueError(f"an n = {n} block needs primes p > n with 4 n p**2 <= 2**53")
-    mod = np.array(primes, dtype=np.int64)
+    if 4 * n * max(moduli) ** 2 > 2**53:
+        raise ValueError(f"an n = {n} block needs moduli m with 4 n m**2 <= 2**53")
+    mod = np.array(moduli, dtype=np.int64)
     s = math.isqrt(n - 1) + 1
-    babies = np.empty((s, len(primes), n, n))  # A**(j + 1) transposed: rows are columns
+    babies = np.empty((s, len(moduli), n, n))  # A**(j + 1) transposed: rows are columns
     babies[0] = (a % mod[:, None, None]).transpose(0, 2, 1)
     p = mod[:, None, None].astype(np.float64)
     inv = 1 / p
@@ -132,7 +135,7 @@ def _power_sum_mods(a: np.ndarray, primes: list[int]) -> np.ndarray:
 
     for j in range(1, s):
         reduced(np.matmul(babies[j - 1], babies[0], out=babies[j]))
-    ps = np.zeros((n + 1, len(primes)), dtype=np.int64)
+    ps = np.zeros((n + 1, len(moduli)), dtype=np.int64)
     giant = step = babies[-1].transpose(0, 2, 1)  # G = A**s
     rows = np.diagonal(babies, axis1=2, axis2=3)
     for i in range(0, n, s):  # rows[j] sums to tr(A**(i + j + 1))
@@ -140,11 +143,39 @@ def _power_sum_mods(a: np.ndarray, primes: list[int]) -> np.ndarray:
         if i + s < n:
             giant = reduced(giant @ step) if i else giant  # G**(i / s + 1)
             rows = np.einsum("jlxy,lxy->jlx", babies[:n - i - s], giant)
+    return ps
+
+
+def _newton(ps: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Characteristic polynomials, one (n + 1) row of ascending residues
+    per column of power sums, column i modulo primes[i]: Newton's
+    identities, k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), give the
+    coefficient c_k of x**(n - k) in int64 if p > n; ValueError otherwise."""
+    n = len(ps) - 1
+    if min(primes) <= n:
+        raise ValueError(f"an n = {n} block needs primes p > n")
+    mod = np.array(primes, dtype=np.int64)
     neg_inv = mod - np.array([_inverses(q, n) for q in primes], dtype=np.int64).T
     c = np.ones((n + 1, len(primes)), dtype=np.int64)  # c_0 = 1; step k writes c_k
     for k in range(1, n + 1):
         np.remainder((c[:k] * ps[k:0:-1]).sum(axis=0) % mod * neg_inv[k - 1], mod, out=c[k])
     return c[::-1].T
+
+
+def _power_sum_mods(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """_newton of _power_sums: a's polynomial modulo each prime, or layer
+    i's modulo primes[i]."""
+    return _newton(_power_sums(a, primes), primes)
+
+
+def _stacks(arrays: list[np.ndarray], layers: list[tuple[int, object]], n: int
+            ) -> Iterator[tuple[list[tuple[int, object]], np.ndarray]]:
+    """The (block index, modulus) layers of n x n blocks in stacks of
+    max(1, _STACK_CELLS // n**2), each with its stacked blocks."""
+    size = max(1, _STACK_CELLS // n**2)
+    for lo in range(0, len(layers), size):
+        chunk = layers[lo:lo + size]
+        yield chunk, np.stack([arrays[i] for i, _ in chunk])
 
 
 def _square(block) -> np.ndarray:
@@ -189,10 +220,8 @@ def charpoly_dense(blocks: Sequence) -> list[list[int]]:
         layers = [(i, p) for i in members for p in crt_primes(coefficient_bound(arrays[i]), bits)]
         coeffs = {i: [0] * (n + 1) for i in members}
         moduli = dict.fromkeys(members, 1)
-        size = max(1, _STACK_CELLS // n**2)
-        for lo in range(0, len(layers), size):
-            chunk = layers[lo:lo + size]
-            rows = _power_sum_mods(np.stack([arrays[i] for i, _ in chunk]), [p for _, p in chunk])
+        for chunk, stack in _stacks(arrays, layers, n):
+            rows = _power_sum_mods(stack, [p for _, p in chunk])
             for (i, p), row in zip(chunk, rows.tolist()):
                 acc, m = coeffs[i], moduli[i]
                 inv = pow(m % p, -1, p)
@@ -211,13 +240,21 @@ def check_charpoly(poly: list[int], block: np.ndarray) -> None:
     n = len(block)
     if len(poly) != n + 1 or poly[-1] != 1:
         raise ArithmeticError("characteristic polynomial has the wrong shape")
+    e1, e2 = _leading(block)
+    if n >= 1 and poly[n - 1] != e1:
+        raise ArithmeticError("characteristic polynomial fails the trace check")
+    if n >= 2 and poly[n - 2] != e2:
+        raise ArithmeticError("characteristic polynomial fails the tr(A**2) check")
+
+
+def _leading(block: np.ndarray) -> tuple[int, int]:
+    """The coefficients of x**(n-1) and x**(n-2) in a square int64 block's
+    characteristic polynomial, -tr(A) and (tr(A)**2 - tr(A**2)) / 2, exactly."""
+    n = len(block)
     peak = max(int(block.max()), -int(block.min())) if n else 0
     a = block.astype(object) if peak * peak * n * n >= 2**63 else block
     trace = int(np.trace(a))
-    if n >= 1 and poly[n - 1] != -trace:
-        raise ArithmeticError("characteristic polynomial fails the trace check")
-    if n >= 2 and poly[n - 2] != (trace * trace - int((a * a.T).sum())) // 2:
-        raise ArithmeticError("characteristic polynomial fails the tr(A**2) check")
+    return -trace, (trace * trace - int((a * a.T).sum())) // 2
 
 
 def divide_linear(coeffs: list[int], r: int) -> tuple[list[int], int]:
@@ -271,36 +308,41 @@ def _divisors(c: int, limit: int) -> np.ndarray:
 # Every prime up to 47; their product, _SIEVE_MODULUS, is below 2**63.
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SIEVE_MODULUS = math.prod(_SIEVE_PRIMES)
+_SIEVE_COLUMN = np.array(_SIEVE_PRIMES, dtype=np.int64)[:, None]
 
 
-@functools.cache
-def _sieve_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sieve primes q as an int64 column, the mask x < q of the
-    residues x = 0..46 as a (15, 47) array, and x**j mod q as a
-    (15, 47, 47) float64 array indexed [q, j, x], 0 where j >= q or
-    x >= q (0**0 is 1).  Built on first use."""
-    q = np.array(_SIEVE_PRIMES, dtype=np.int64)[:, None]
-    x = np.arange(47)
-    powers = np.ones((len(q), 47, 47))
-    for j in range(1, 47):
-        powers[:, j] = powers[:, j - 1] * x % q
-    valid = x < q
-    powers[~(valid[:, :, None] & valid[:, None, :])] = 0
-    return q, valid, powers
+@functools.lru_cache(maxsize=32)
+def _powers(primes: tuple[int, ...], degree: int, lo: int, hi: int) -> np.ndarray:
+    """x**j mod q for each prime q below 2**31, j = 0..degree and
+    x = lo..hi-1, as an int64 (len(primes), degree + 1, hi - lo) array
+    indexed [q, j, x] (0**0 is 1): by doubling, rows m..2m-1 are rows
+    0..m-1 times x**m, in about log2(degree) array operations.  Built on
+    first use; the 32 last used are kept."""
+    q = np.array(primes, dtype=np.int64)[:, None]
+    t = np.empty((len(q), degree + 1, hi - lo), dtype=np.int64)
+    t[:, 0] = 1
+    m, top = 1, np.arange(lo, hi) % q  # top is x**m
+    while m <= degree:
+        k = min(m, degree + 1 - m)
+        t[:, m:m + k] = t[:, :k] * top[:, None] % q[:, None]
+        m, top = 2 * m, top * top % q
+    return t
 
 
 def _roots_mod_sieve_primes(coeffs: list[int]) -> np.ndarray:
     """The roots of the polynomial modulo the sieve primes, as a (15, 47)
-    boolean mask: row i marks the residues x < q_i with P(x) = 0 mod q_i.
+    boolean mask: row i marks the x = 0..46 with P(x) = 0 mod q_i, so
+    column x has the value of column x mod q_i.
 
     Each coefficient is reduced mod _SIEVE_MODULUS, then mod every q, in
     int64.  On F_q, x**k for k >= 1 has the value of x**((k - 1) mod
     (q - 1) + 1), so the powers fold onto x**0 .. x**(q - 1), and one
     batched product with the table of x**j mod q gives the value at every
     residue, in a fixed number of array operations whatever the degree.
-    Every value is an integer below 47**3 * len(coeffs), exact in float64.
+    The folded sums are exact in float64, and every value, an integer
+    below 47**3 * len(coeffs), in int64.
     """
-    q, valid, powers = _sieve_tables()
+    q = _SIEVE_COLUMN
     c = np.array([a % _SIEVE_MODULUS for a in coeffs], dtype=np.int64) % q
     # row i of the bincount sums, at column e, the coefficients of the
     # powers x**k, k >= 1, that fold onto x**e modulo the i-th prime
@@ -308,8 +350,8 @@ def _roots_mod_sieve_primes(coeffs: list[int]) -> np.ndarray:
     folded = np.bincount(fold.ravel(), weights=c[:, 1:].ravel(), minlength=47 * len(q))
     folded = folded.reshape(-1, 47)
     folded[:, 0] = c[:, 0]
-    values = np.matmul(folded[:, None], powers)[:, 0].astype(np.int64)
-    return (values % q == 0) & valid
+    values = np.matmul(folded[:, None].astype(np.int64), _powers(_SIEVE_PRIMES, 46, 0, 47))
+    return values[:, 0] % q == 0
 
 
 def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]], int]:
@@ -346,7 +388,7 @@ def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]],
         c0 = work[0]
         divisors = _divisors(c0, min(bound, abs(c0)))
         candidates = np.column_stack([divisors, -divisors]).ravel()
-        kept = np.take_along_axis(mask, candidates % _sieve_tables()[0], axis=1).all(axis=0)
+        kept = np.take_along_axis(mask, candidates % _SIEVE_COLUMN, axis=1).all(axis=0)
         for r in candidates[kept].tolist():
             while len(work) > 1:
                 q, rem = divide_linear(work, r)
@@ -357,3 +399,66 @@ def integer_roots(coeffs: list[int], bound: int) -> tuple[list[tuple[int, int]],
             if len(work) == 1:
                 break
     return sorted(roots.items()), len(work) - 1
+
+
+# How many primes above n the screen tries: the measurement is in CHANGES.md.
+_SCREEN_PRIMES = 6
+
+
+@functools.cache
+def _screen_primes(n: int) -> tuple[tuple[int, ...], ...]:
+    """The _SCREEN_PRIMES smallest primes above n, in runs of consecutive
+    primes whose product m keeps 4 n m**2 <= 2**53, one _power_sums
+    layer per run."""
+    runs: list[tuple[int, ...]] = []
+    for q in itertools.islice(filter(is_prime, itertools.count(n + 1)), _SCREEN_PRIMES):
+        if runs and 4 * n * (math.prod(runs[-1]) * q) ** 2 <= 2**53:
+            runs[-1] += (q,)
+        else:
+            runs.append((q,))
+    return tuple(runs)
+
+
+def rootless(blocks: Sequence) -> list[bool]:
+    """Whether each square integer block of n >= 2 rows is proven to have
+    no integer eigenvalue (always False below 2 rows): its characteristic
+    polynomial f has no root modulo one of the _SCREEN_PRIMES smallest
+    primes q > n, while an integer root r, 0 included, gives the root
+    r mod q for every q.
+
+    The power sums modulo the product of a run of those primes, stacked
+    as in charpoly_dense, reduce modulo each q of the run; _newton gives
+    f mod q, checked as in check_charpoly modulo q (ArithmeticError).  As
+    n < q, f at every residue is a batched int64 product with the table
+    of x**j mod q (_powers), in chunks of at most _STACK_CELLS entries.
+    """
+    arrays = [_square(block) for block in blocks]
+    out = [False] * len(arrays)
+    by_size: dict[int, list[int]] = {}
+    for i, a in enumerate(arrays):
+        if len(a) > 1:
+            by_size.setdefault(len(a), []).append(i)
+    for n, members in by_size.items():
+        runs = _screen_primes(n)
+        primes = sum(runs, ())
+        q = np.array(primes, dtype=np.int64)
+        layers = [(i, math.prod(run)) for i in members for run in runs]
+        ps = np.concatenate([_power_sums(stack, [m for _, m in chunk])
+                             for chunk, stack in _stacks(arrays, layers, n)], axis=1)
+        ps = np.repeat(ps, [len(run) for run in runs] * len(members), axis=1)
+        rows = _newton(ps % np.tile(q, len(members)), primes * len(members))
+        rows = rows.reshape(len(members), len(primes), n + 1)
+        leads = [_leading(arrays[i]) for i in members]
+        want = [[[e % p for e in lead] for p in primes] for lead in leads]
+        if (rows[:, :, [n - 1, n - 2]] != want).any():
+            raise ArithmeticError("characteristic polynomial fails the trace or tr(A**2) "
+                                  "check modulo a screen prime")
+        coeffs = rows.transpose(1, 0, 2)
+        hit = np.zeros((len(primes), len(members)), dtype=bool)
+        width = max(1, _STACK_CELLS // (len(primes) * (n + 1)))
+        for lo in range(0, primes[-1], width):
+            table = _powers(primes, n, lo, min(lo + width, primes[-1]))
+            hit |= (np.matmul(coeffs, table) % q[:, None, None] == 0).any(axis=2)
+        for i, found in zip(members, hit.all(axis=0).tolist()):
+            out[i] = not found
+    return out

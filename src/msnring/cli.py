@@ -265,7 +265,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RingError, GraphError, SpectraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage().strip(), file=sys.stderr)
         return 2
 
 

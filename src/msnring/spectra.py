@@ -17,10 +17,12 @@ both routes:
   the k x k quotient carries the rest; a block whose entries off the
   diagonal are all equal, as a clique's are, is one class.  Second, the
   integer roots of every quotient past 1 x 1 are proven from its
-  characteristic polynomial (_block_roots), all in one charpoly_dense
-  call: classify passes a graph's msn and cn matrices together.  The
-  polynomials come from power sums modulo primes, whose float64 products
-  carry only integers below 2**53, exactly.  So the route proves the
+  characteristic polynomial (_block_roots): a screen modulo a few primes
+  above its size proves most quotients rootless (charpoly.rootless), and
+  the rest go to one charpoly_dense call; classify passes a graph's msn
+  and cn matrices together.  The polynomials come from power sums
+  modulo primes, whose float64 products carry only integers below
+  2**53, exactly.  So the route proves the
   spectrum integral or reports the integer part found, and reads no
   float eigenvalue.  It declines, with None, each matrix with a block
   above the exact cap that is not a single twin class.
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charpoly import charpoly_dense, check_charpoly, gershgorin_bound, integer_roots
+from .charpoly import charpoly_dense, check_charpoly, gershgorin_bound, integer_roots, rootless
 from .config import exact_cap
 from .graphs import (
     CliqueUnion,
@@ -126,9 +128,12 @@ class IntSymMatrix:
     @functools.cached_property
     def eigenvalues(self) -> tuple[np.ndarray, ...]:
         """The one float eigensolve: each distinct block's eigenvalues,
-        ascending.  Raises NoConvergence if a solve fails."""
+        ascending.  A form of singletons, whose diagonal is 0, is solved as
+        the float copy of w with no expanded block.  Raises NoConvergence
+        if a solve fails."""
         try:
-            return tuple(np.linalg.eigvalsh(expanded(labels, w.astype(np.float64)))
+            return tuple(np.linalg.eigvalsh(w.astype(np.float64) if len(w) == len(labels)
+                                            else expanded(labels, w.astype(np.float64)))
                          for (labels, w), _ in self.forms)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"symmetric eigensolve failed: {exc}") from None
@@ -294,9 +299,12 @@ def _block_roots(quotients: list[np.ndarray]) -> list[tuple[list[tuple[int, int]
     is first divided by the gcd g of its entries: every eigenvalue l of
     the quotient is g times an eigenvalue of the integer matrix
     quotient / g, so l / g is an algebraic integer, and l is an integer
-    exactly when l / g is.  The characteristic polynomials of all the
-    divided quotients come from one charpoly_dense call, which stacks the
-    quotients of one size; each is checked against its quotient
+    exactly when l / g is.  The divided quotients are screened first
+    (rootless): one whose polynomial has no root modulo one of the primes
+    just above its size has no integer root, and gets no root and its
+    whole degree residual.  The characteristic polynomials of the others
+    come from one charpoly_dense call, which stacks the quotients of one
+    size; each is checked against its quotient
     (check_charpoly: shape, trace and tr(A**2)), and its integer roots
     are read off the divisors of its trailing nonzero coefficient within
     the row-sum eigenvalue bound of quotient / g, then multiplied by g.
@@ -313,6 +321,10 @@ def _block_roots(quotients: list[np.ndarray]) -> list[tuple[list[tuple[int, int]
         else:
             g = max(int(np.gcd.reduce(quotient, axis=None)), 1)
             divided.append((i, g, quotient // g))
+    for (i, _, reduced), proven in zip(divided, rootless([r for *_, r in divided])):
+        if proven:
+            out[i] = [], len(reduced)
+    divided = [item for item in divided if out[item[0]] is None]
     if divided:
         for (i, g, reduced), poly in zip(divided, charpoly_dense([r for *_, r in divided])):
             check_charpoly(poly, reduced)
@@ -326,8 +338,10 @@ def _declined(form: tuple[np.ndarray, np.ndarray], cap: int) -> bool:
 
     The cap bounds the block's vertex count, unless the block is a single
     twin class and the cap admits its 1 x 1 quotient.  That needs no root
-    search, while the divisor screen of a larger quotient's polynomial
-    grows with the block's row sums, which the cap bounds.
+    search.  A larger quotient is mostly settled by the screen modulo the
+    primes above its size, but one with a root modulo each of them still
+    reaches the divisor screen, which grows with the block's row sums,
+    which the cap bounds.
     """
     return len(form[0]) > cap and (cap < 1 or not _single_class(form))
 

@@ -816,3 +816,162 @@ def test_block_roots_match_the_fraction_oracle_on_scaled_blocks(seed, n, kind, c
     # _block_roots divides by the gcd, which c multiplies, and scales back
     a = c * integral_or_random_sym(np.random.default_rng(seed), kind, n)
     assert spectra._block_roots([a]) == [fraction_roots(a)]
+
+
+# --- the screen modulo the primes above n, before any CRT layer ---
+
+
+def reference_block_roots(quotients):
+    """_block_roots with no screen: every quotient past 1 x 1 divided by
+    its gcd, its polynomial from charpoly_dense and its roots from the
+    unscreened divisor loop."""
+    out = []
+    for quotient in quotients:
+        if len(quotient) == 1:
+            out.append(([(int(quotient[0, 0]), 1)], 0))
+            continue
+        g = max(int(np.gcd.reduce(quotient, axis=None)), 1)
+        reduced = quotient // g
+        roots, left = reference_integer_roots(charpoly_dense([reduced])[0],
+                                              gershgorin_bound(reduced))
+        out.append(([(g * r, mult) for r, mult in roots], left))
+    return out
+
+
+def blown_up_quotients(rng, k):
+    """The twin quotients of the msn and cn forms of a random graph on k
+    vertices, each blown up into 1-3 twins, open or closed."""
+    sizes = rng.integers(1, 4, size=k)
+    closed = rng.random(k) < 0.5
+    adjacent = np.triu(rng.random((k, k)) < 0.5, 1)
+    labels = np.repeat(np.arange(k), sizes)
+    edges = [(u, v) for u in range(len(labels)) for v in range(u + 1, len(labels))
+             if adjacent[min(labels[u], labels[v]), max(labels[u], labels[v])]
+             or (labels[u] == labels[v] and closed[labels[u]])]
+    g = SimpleGraph.from_edges(len(labels), edges)
+    return [spectra._twin_quotient(form)[1]
+            for m in (msn_matrix(g), cn_matrix(g)) for form, _ in m.forms]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       st.sampled_from(["random", "hadamard", "cliques", "square", "quotients"]),
+       st.sampled_from([1, 2, 3]))
+def test_block_roots_after_the_screen_match_the_loop_oracle(seed, sizes, kind, c):
+    # several blocks of equal and different sizes in one call: symmetric
+    # ones with and without an integer spectrum, square ones that need not
+    # be symmetric, and twin quotients of graphs, each times c
+    rng = np.random.default_rng(seed)
+    if kind == "quotients":
+        quotients = [c * q for n in sizes for q in blown_up_quotients(rng, n)]
+    elif kind == "square":
+        quotients = [c * rng.integers(-4, 5, size=(n, n)) for n in sizes]
+    else:
+        quotients = [c * integral_or_random_sym(rng, kind, n) for n in sizes]
+    assert spectra._block_roots(quotients) == reference_block_roots(quotients)
+
+
+def test_screen_settles_only_blocks_with_no_root_modulo_a_screen_prime():
+    # P3's adjacency has f(0) = 0, so 0 is a root modulo every prime; the
+    # sum of [[0, 3], [3, 0]] and [[1, 1], [1, 2]] has the roots -3 and 3
+    # and the irrational roots of x^2 - 3x + 1; that factor alone is
+    # x^2 + 1 modulo 3, the first prime above 2, which has no root there
+    p3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    golden = np.array([[1, 1], [1, 2]])
+    split = np.zeros((4, 4), dtype=np.int64)
+    split[:2, :2] = [[0, 3], [3, 0]]
+    split[2:, 2:] = golden
+    assert charpoly._screen_primes(2)[0][0] == 3
+    assert charpoly.rootless([p3, split, golden]) == [False, False, True]
+    assert charpoly.rootless([[[3]], [], golden]) == [False, False, True]  # n < 2: never
+    blocks = [p3, 2 * split, 5 * golden]
+    assert spectra._block_roots(blocks) == [([(0, 1)], 2), ([(-6, 1), (6, 1)], 2), ([], 2)]
+    assert spectra._block_roots(blocks) == reference_block_roots(blocks)
+
+
+# f = x^4 - 22 x^2 - 32 x + 1 has a root modulo 5, 7, 11, 13, 17 and 19,
+# the six primes above 4, and no integer root (f(1) = -52, f(-1) = 12)
+UNSCREENED = np.array([[0, 2, 1, 0], [2, 0, 2, 3], [1, 2, 0, 2], [0, 3, 2, 0]])
+
+
+def test_a_block_with_a_root_modulo_every_screen_prime_falls_through(monkeypatch):
+    poly = [1, -32, -22, 0, 1]
+    assert charpoly_dense([UNSCREENED]) == [poly]
+    primes = sum(charpoly._screen_primes(4), ())
+    assert primes == (5, 7, 11, 13, 17, 19)
+    assert all(any(sum(c * x**j for j, c in enumerate(poly)) % q == 0 for x in range(q))
+               for q in primes)
+    assert charpoly.rootless([UNSCREENED]) == [False]
+    calls = []
+
+    def recorded(blocks):
+        calls.append([block.tolist() for block in blocks])
+        return charpoly_dense(blocks)
+
+    monkeypatch.setattr(spectra, "charpoly_dense", recorded)
+    assert spectra._block_roots([UNSCREENED, 3 * UNSCREENED]) == [([], 4), ([], 4)]
+    assert calls == [[UNSCREENED.tolist(), UNSCREENED.tolist()]]
+    assert reference_block_roots([UNSCREENED]) == [([], 4)]
+
+
+@pytest.mark.parametrize("column", [1, 2])  # x^(n-1), x^(n-2), from the top
+def test_screen_checks_each_row_against_the_traces_modulo_its_prime(monkeypatch, column):
+    newton = charpoly._newton
+
+    def corrupted(ps, primes):
+        rows = newton(ps, primes)
+        rows[-1, -1 - column] = (rows[-1, -1 - column] + 1) % primes[-1]
+        return rows
+
+    monkeypatch.setattr(charpoly, "_newton", corrupted)
+    c7 = np.roll(np.eye(7, dtype=np.int64), 1, axis=1)
+    with pytest.raises(ArithmeticError, match="modulo a screen prime"):
+        charpoly.rootless([c7 + c7.T])
+    with pytest.raises(ArithmeticError, match="modulo a screen prime"):
+        spectra._block_roots([UNSCREENED])
+
+
+def test_screen_evaluates_every_residue_in_bounded_chunks(monkeypatch):
+    # at n = 100 a table chunk covers 2**15 // (6 * 101) = 54 residues, so
+    # the residues 0..126 of the primes 101..127 take three chunks, none of
+    # more than 2**15 entries.  A random 99 x 99 block is proven rootless;
+    # beside the 1 x 1 block [-1] it has the root q - 1 modulo every
+    # prime q, which only the last two chunks hold, so it must not settle
+    chunks = []
+    powers = charpoly._powers.__wrapped__
+
+    def recorded(primes, degree, lo, hi):
+        chunks.append((primes, degree, lo, hi))
+        return powers(primes, degree, lo, hi)
+
+    monkeypatch.setattr(charpoly, "_powers", recorded)
+    r = np.triu(np.random.default_rng(1).integers(0, 2, (99, 99)), 1)
+    a = np.zeros((100, 100), dtype=np.int64)
+    a[0, 0] = -1
+    a[1:, 1:] = r + r.T
+    assert charpoly.rootless([r + r.T]) == [True]
+    assert charpoly.rootless([a]) == [False]
+    primes = (101, 103, 107, 109, 113, 127)
+    assert charpoly._screen_primes(99) == charpoly._screen_primes(100) == (primes[:3], primes[3:])
+    assert chunks[3:] == [(primes, 100, 0, 54), (primes, 100, 54, 108), (primes, 100, 108, 127)]
+    assert all(6 * (degree + 1) * (hi - lo) <= 2**15 for _, degree, lo, hi in chunks)
+
+
+@pytest.mark.parametrize("n", [2, 9, 40, 256])
+def test_screen_power_sums_modulo_a_run_reduce_to_each_prime(n):
+    # the screen primes come in maximal runs whose product m keeps
+    # 4 n m**2 <= 2**53, one kernel layer per run: the power sums modulo
+    # m reduce modulo each prime of the run to that prime's own, and
+    # Newton's identities then give the polynomial modulo that prime
+    a = np.random.default_rng(n).integers(-50, 50, (n, n))
+    runs = charpoly._screen_primes(n)
+    assert sum(len(run) for run in runs) == charpoly._SCREEN_PRIMES
+    for run, after in zip(runs, runs[1:] + ((None,),)):
+        m = math.prod(run)
+        assert 4 * n * m * m <= 2**53
+        assert after[0] is None or 4 * n * (m * after[0]) ** 2 > 2**53
+        ps = charpoly._power_sums(a, [m])
+        for q in run:
+            assert (ps % q == charpoly._power_sums(a, [q])).all()
+            got = charpoly._newton(ps % q, [q])
+            assert got.tolist() == [reference_charpoly_mod(a, q).tolist()]

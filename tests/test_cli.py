@@ -326,7 +326,34 @@ def test_bad_ring_spec_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    assert "usage:" in err
+    assert err.count("\n") == 1 and "usage:" not in err  # a bad value, not bad arguments
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--graph", "no-such-file.txt"],  # OSError
+    ["verify", "--theorem", "t9_9", "--spec", "ut2:p=2"],  # ValueError
+    ["graph-build", "--spec", "zn:n=4", "--out", "unused.txt"],  # RingError
+])
+def test_runtime_errors_print_one_line_and_no_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--matrix", "msn"],  # no graph source
+    ["no-such-command"],
+    ["classify", "--spec", "ut2:p=2", "--bogus"],
+])
+def test_argument_errors_still_print_the_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: msnring")
+    assert "error: " in err
 
 
 def test_unknown_theorem_exits_two(capsys):

@@ -767,7 +767,9 @@ def test_exact_spectrum_bounded_time_on_a_twin_free_block(monkeypatch):
     # A2 = (A**2 - 8 I) / 2 joins the vertices at distance two, with
     # spectrum (8 - 2i)**2 - 8 of multiplicity C(8, i).  The coefficient
     # bound from A's squared Frobenius norm, 2048, takes 19 primes, where
-    # the row-sum bound took 30
+    # the row-sum bound took 30.  The screen modulo the primes above 256
+    # runs first, with no _power_sum_mods call, and proves nothing, as the
+    # spectrum is integral
     g = hypercube(8)
     m = msn_matrix(g)
     ((form, _),) = m.forms
@@ -1228,6 +1230,24 @@ def test_numeric_spectrum_holds_one_float_block_at_a_time():
             tracemalloc.stop()
         assert peak < 2.5e6, f"peak {peak} bytes"
         assert spectra_agree(closed_form(parts), got)
+
+
+def test_a_form_of_singletons_is_solved_as_its_float_copy():
+    # C_1000 is twin-free, so its msn form is 1000 singletons: one float64
+    # block, 7.63 MiB, and no expanded copy or row-taken intermediate
+    # beside it (22.9 MiB when the form went through graphs.expanded)
+    m = msn_matrix(cycles(1000))
+    ((labels, w), _), = m.forms
+    assert len(labels) == len(w) == 1000
+    want = np.linalg.eigvalsh(graphs.expanded(labels, w.astype(np.float64)))
+    tracemalloc.start()
+    try:
+        (got,) = m.eigenvalues
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"peak {peak} bytes"
+    assert got.tobytes() == want.tobytes()
 
 
 def test_numeric_spectrum_reports_a_failed_eigensolve(monkeypatch):
